@@ -13,9 +13,10 @@ from .config import (ConfigError, RunConfig, build_fixed_point_config,
                      build_grid, build_hum_config, build_initial_data,
                      build_pair, build_tgrid, load_config, parse_config,
                      serialize_config)
-from .experiments import (M1Record, ScalingReport, SweepReport, SweepRow,
-                          fit_decay_rate, measure_m1, measure_m1_scaling,
-                          measure_m2_scaling, shadow_gap, sigma_sweep)
+from .experiments import (ControlRun, M1Record, ScalingReport, SweepReport,
+                          SweepRow, control_and_reduce, fit_decay_rate,
+                          measure_m1, measure_m1_scaling, measure_m2_scaling,
+                          shadow_gap, sigma_sweep)
 from .hum import (EpsilonRow, EpsilonSweepReport, HumConfig, HumResult,
                   duality_residual, epsilon_sweep, gramian_apply, hum_solve)
 from .mesh import (DiscreteOperator, Grid1D, TimeGrid, inner_product,
@@ -31,7 +32,7 @@ from .pde import (CoefficientField, ControlField, EnergyReport,
                   solve_shadow, zero_coefficients)
 from .semilinear import (CouplingReport, FixedPointConfig, FixedPointResult,
                          coupling_floor_check, fixed_point_control,
-                         linearized_coefficients)
+                         linearized_coefficients, origin_coefficients)
 from .theory import (CarlemanWeights, Eta0, ObservabilityConstants,
                      WeightCheckReport, build_weights, eta0_1d,
                      observability_constant, weight_inequality_checks)
@@ -57,14 +58,16 @@ __all__ = [
     "HumConfig", "HumResult", "gramian_apply", "hum_solve",
     "duality_residual", "EpsilonRow", "EpsilonSweepReport", "epsilon_sweep",
     # semilinear
-    "FixedPointConfig", "FixedPointResult", "linearized_coefficients",
-    "CouplingReport", "coupling_floor_check", "fixed_point_control",
+    "FixedPointConfig", "FixedPointResult", "origin_coefficients",
+    "linearized_coefficients", "CouplingReport", "coupling_floor_check",
+    "fixed_point_control",
     # theory
     "Eta0", "eta0_1d", "CarlemanWeights", "build_weights",
     "ObservabilityConstants", "observability_constant", "WeightCheckReport",
     "weight_inequality_checks",
     # experiments
-    "SweepRow", "SweepReport", "sigma_sweep", "shadow_gap", "fit_decay_rate",
+    "ControlRun", "control_and_reduce", "SweepRow", "SweepReport",
+    "sigma_sweep", "shadow_gap", "fit_decay_rate",
     "M1Record", "ScalingReport", "measure_m1", "measure_m1_scaling",
     "measure_m2_scaling",
     # config

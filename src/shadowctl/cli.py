@@ -28,14 +28,14 @@ from . import io as sio
 from .config import (ConfigError, RunConfig, build_fixed_point_config,
                      build_grid, build_hum_config, build_initial_data,
                      build_pair, build_tgrid, load_config, serialize_config)
-from .experiments import shadow_gap, sigma_sweep
+from .experiments import control_and_reduce, shadow_gap, sigma_sweep
 from .hum import HumResult, duality_residual, gramian_apply, hum_solve
-from .mesh import Grid1D, TimeGrid, mean_value
+from .mesh import Grid1D, TimeGrid
 from .nonlinear import arctan_family, check_hypotheses, make_pair, sigmoid_family
-from .pde import (CoefficientField, ControlField, constant_coefficients,
-                  semigroup_checks, solve_adjoint, solve_forward_linear,
-                  solve_shadow)
-from .semilinear import fixed_point_control, linearized_coefficients
+from .pde import (CoefficientField, ControlField, semigroup_checks,
+                  solve_adjoint, solve_forward_linear)
+from .semilinear import (fixed_point_control, linearized_coefficients,
+                         origin_coefficients)
 from .theory import build_weights, observability_constant, weight_inequality_checks
 
 __all__ = ["main"]
@@ -44,14 +44,6 @@ __all__ = ["main"]
 def _norm_history(grid, traj) -> np.ndarray:
     h = grid.spacing
     return np.sqrt(h * (np.sum(traj.y ** 2, axis=1) + np.sum(traj.z ** 2, axis=1)))
-
-
-def _origin_coefficients(grid: Grid1D, tgrid: TimeGrid, pair):
-    """Constant coefficients: the reaction pair linearized at the origin."""
-    return constant_coefficients(
-        grid, tgrid,
-        pair.f.d_dy(0.0, 0.0), pair.f.d_dz(0.0, 0.0),
-        pair.g.d_dy(0.0, 0.0), pair.g.d_dz(0.0, 0.0))
 
 
 def _hum_report(result: HumResult, extra: dict | None = None) -> dict:
@@ -78,9 +70,9 @@ def _dump_trajectory(out: Path, cfg: RunConfig, traj, control) -> None:
         if control is not None:
             sio.write_control_csv(out / "control.csv", control)
     if "binary" in cfg.output_formats:
-        sio.write_fields_binary(out / "trajectory.bin", {"y": traj.y, "z": traj.z})
+        sio.write_fields_binary(out / "trajectory.bin", sio.trajectory_fields(traj))
         if control is not None:
-            sio.write_fields_binary(out / "control.bin", {"h": control.values})
+            sio.write_fields_binary(out / "control.bin", sio.control_fields(control))
 
 
 def _cmd_hum(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
@@ -88,11 +80,10 @@ def _cmd_hum(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     grid, tgrid = build_grid(cfg), build_tgrid(cfg)
     pair = build_pair(cfg)
     y0, z0 = build_initial_data(cfg, grid)
-    coeffs = _origin_coefficients(grid, tgrid, pair)
+    coeffs = origin_coefficients(grid, tgrid, pair)
     result = hum_solve(grid, tgrid, cfg.problem_sigma, coeffs, y0, z0,
                        build_hum_config(cfg))
-    traj = solve_forward_linear(grid, tgrid, cfg.problem_sigma, coeffs,
-                                result.control, y0, z0)
+    traj = result.trajectory
     report = _hum_report(result, {"command": "hum", "sigma": cfg.problem_sigma})
     sio.write_json_report(out / "report.json", report)
     _dump_trajectory(out, cfg, traj, result.control)
@@ -147,17 +138,9 @@ def _cmd_shadow(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     pair = build_pair(cfg)
     y0, z0 = build_initial_data(cfg, grid)
     sigma = cfg.problem_sigma
-    if cfg.problem_mode == "linear":
-        coeffs = _origin_coefficients(grid, tgrid, pair)
-        hum = hum_solve(grid, tgrid, sigma, coeffs, y0, z0, build_hum_config(cfg))
-        control = hum.control
-        traj = solve_forward_linear(grid, tgrid, sigma, coeffs, control, y0, z0)
-        converged = hum.cg_converged
-    else:
-        fp = fixed_point_control(grid, tgrid, sigma, pair, y0, z0,
-                                 build_fixed_point_config(cfg))
-        control, traj, converged = fp.control, fp.trajectory, fp.converged
-    reduced = solve_shadow(grid, tgrid, pair, control, y0, mean_value(grid, z0))
+    run = control_and_reduce(grid, tgrid, sigma, cfg.problem_mode, pair, y0, z0,
+                             build_hum_config(cfg), build_fixed_point_config(cfg))
+    traj, reduced = run.trajectory, run.reduced
     t0 = cfg.experiment_t0_fraction * tgrid.horizon
     gap = shadow_gap(traj, reduced, t0)
     h = grid.spacing
@@ -171,14 +154,14 @@ def _cmd_shadow(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         "xi_terminal": float(reduced.xi[-1]),
         "terminal_norm_y": traj.terminal_norms()[0],
         "terminal_norm_z": traj.terminal_norms()[1],
-        "converged": converged,
+        "converged": run.converged,
     }
     sio.write_json_report(out / "report.json", report)
-    _dump_trajectory(out, cfg, traj, control)
+    _dump_trajectory(out, cfg, traj, run.control)
     sio.write_series_dat(out / "gap.dat", tgrid.nodes, gap_series,
                          header="t gap")
     print(f"shadow: sigma={sigma:g} gap={gap:.6g} xi(T)={reduced.xi[-1]:.6g}")
-    return 0 if converged else 1
+    return 0 if run.converged else 1
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:

@@ -56,7 +56,6 @@ class RunConfig:
     hum_epsilon: float = 1e-6
     hum_cg_tol: float = 1e-9
     hum_cg_max_iters: int = 500
-    hum_preconditioner: str = "auto"
     fixed_point_outer_tol: float = 1e-6
     fixed_point_max_outer: int = 30
     fixed_point_damping: float = 1.0
@@ -92,7 +91,6 @@ _KEY_TO_FIELD = {
     "hum.epsilon": "hum_epsilon",
     "hum.cg_tol": "hum_cg_tol",
     "hum.cg_max_iters": "hum_cg_max_iters",
-    "hum.preconditioner": "hum_preconditioner",
     "fixed_point.outer_tol": "fixed_point_outer_tol",
     "fixed_point.max_outer": "fixed_point_max_outer",
     "fixed_point.damping": "fixed_point_damping",
@@ -110,7 +108,6 @@ _CHOICES = {
     "problem_g_family": ("arctan", "linear"),
     "data_profile_y": ("cosine", "bump", "constant"),
     "data_profile_z": ("cosine", "bump", "constant"),
-    "hum_preconditioner": ("auto", "none", "jacobi"),
 }
 _FORMAT_CHOICES = ("json", "csv", "binary")
 
@@ -293,8 +290,7 @@ def build_initial_data(cfg: RunConfig, grid: Grid1D) -> tuple[np.ndarray, np.nda
 
 def build_hum_config(cfg: RunConfig) -> HumConfig:
     return HumConfig(epsilon=cfg.hum_epsilon, cg_tol=cfg.hum_cg_tol,
-                     cg_max_iters=cfg.hum_cg_max_iters,
-                     preconditioner=cfg.hum_preconditioner)
+                     cg_max_iters=cfg.hum_cg_max_iters)
 
 
 def build_fixed_point_config(cfg: RunConfig) -> FixedPointConfig:

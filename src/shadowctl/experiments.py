@@ -24,14 +24,13 @@ from scipy.sparse.linalg import splu
 from .hum import HumConfig, hum_solve
 from .mesh import Grid1D, TimeGrid, inner_product, mean_value, neumann_laplacian
 from .nonlinear import NonlinearityPair, linear_pair
-from .pde import (ControlField, ShadowTrajectory, Trajectory, constant_coefficients,
-                  control_cost, energy_functional, solve_forward_linear,
-                  solve_forward_semilinear, solve_shadow)
-from .semilinear import FixedPointConfig, fixed_point_control
+from .pde import (ControlField, ShadowTrajectory, Trajectory, control_cost,
+                  energy_functional, solve_forward_semilinear, solve_shadow)
+from .semilinear import FixedPointConfig, fixed_point_control, origin_coefficients
 
 __all__ = [
-    "SweepRow", "SweepReport", "M1Record", "ScalingReport",
-    "fit_decay_rate", "shadow_gap", "sigma_sweep",
+    "ControlRun", "SweepRow", "SweepReport", "M1Record", "ScalingReport",
+    "fit_decay_rate", "shadow_gap", "control_and_reduce", "sigma_sweep",
     "measure_m1", "measure_m1_scaling", "measure_m2_scaling",
 ]
 
@@ -61,6 +60,50 @@ def shadow_gap(traj: Trajectory, reduced: ShadowTrajectory, t0: float) -> float:
     diff = traj.z[sel] - reduced.xi[sel, None]
     per_node = np.sqrt(traj.grid.spacing * np.sum(diff * diff, axis=1))
     return float(np.max(per_node))
+
+
+@dataclass(frozen=True)
+class ControlRun:
+    """A control, the trajectory it drives, and the reduced model under it."""
+
+    control: ControlField
+    trajectory: Trajectory
+    reduced: ShadowTrajectory
+    outer_iterations: int
+    cg_iterations: int
+    converged: bool
+
+
+def control_and_reduce(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
+                       pair: NonlinearityPair, y0: np.ndarray, z0: np.ndarray,
+                       hum_config: HumConfig,
+                       fp_config: FixedPointConfig) -> ControlRun:
+    """Control the system at one diffusion ratio and drive the reduction.
+
+    In "linear" mode the reactions are frozen at their origin partials, the
+    control is one penalized solve, and the reduced model uses the same
+    linearized reactions; in "semilinear" mode the control comes from the
+    fixed-point scheme and the reduced model keeps the nonlinear pair.
+    """
+    if mode not in ("linear", "semilinear"):
+        raise ValueError(f"mode must be 'linear' or 'semilinear', got {mode!r}")
+    if mode == "linear":
+        coeffs = origin_coefficients(grid, tgrid, pair)
+        res = hum_solve(grid, tgrid, sigma, coeffs, y0, z0, hum_config)
+        # compare against the shadow of the same linearized reactions
+        pair = linear_pair(*(float(a[0, 0]) for a in
+                             (coeffs.a11, coeffs.a12, coeffs.a21, coeffs.a22)))
+        control, traj = res.control, res.trajectory
+        outer, cg_iters, converged = 0, res.cg_iterations, res.cg_converged
+    else:
+        fp = fixed_point_control(grid, tgrid, sigma, pair, y0, z0, fp_config)
+        control, traj = fp.control, fp.trajectory
+        outer, cg_iters, converged = (fp.outer_iterations,
+                                      fp.cg_iterations_total, fp.converged)
+    reduced = solve_shadow(grid, tgrid, pair, control, y0, mean_value(grid, z0))
+    return ControlRun(control=control, trajectory=traj, reduced=reduced,
+                      outer_iterations=outer, cg_iterations=cg_iters,
+                      converged=converged)
 
 
 @dataclass(frozen=True)
@@ -95,39 +138,19 @@ def _sweep_row(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
                pair: NonlinearityPair, y0: np.ndarray, z0: np.ndarray,
                hum_config: HumConfig, fp_config: FixedPointConfig,
                t0: float) -> tuple[SweepRow, ControlField]:
-    if mode == "linear":
-        origin = np.float64(0.0)
-        partials = (float(np.asarray(pair.f.d_dy(origin, origin))),
-                    float(np.asarray(pair.f.d_dz(origin, origin))),
-                    float(np.asarray(pair.g.d_dy(origin, origin))),
-                    float(np.asarray(pair.g.d_dz(origin, origin))))
-        coeffs = constant_coefficients(grid, tgrid, *partials)
-        # compare against the shadow of the same linearized reactions
-        pair = linear_pair(*partials)
-        res = hum_solve(grid, tgrid, sigma, coeffs, y0, z0, hum_config)
-        control = res.control
-        traj = solve_forward_linear(grid, tgrid, sigma, coeffs, control, y0, z0)
-        outer, cg_iters, converged = 0, res.cg_iterations, res.cg_converged
-        term_y, term_z = traj.terminal_norms()
-        cost = res.control_cost
-    else:
-        res = fixed_point_control(grid, tgrid, sigma, pair, y0, z0, fp_config)
-        control = res.control
-        traj = res.trajectory
-        outer, cg_iters, converged = (res.outer_iterations,
-                                      res.cg_iterations_total, res.converged)
-        term_y, term_z = res.terminal_y, res.terminal_z
-        cost = control_cost(grid, tgrid, control)
-    reduced = solve_shadow(grid, tgrid, pair, control, y0, mean_value(grid, z0))
-    gap = shadow_gap(traj, reduced, t0)
-    energy = energy_functional(traj)
-    row = SweepRow(sigma=float(sigma), control_cost=cost,
+    run = control_and_reduce(grid, tgrid, sigma, mode, pair, y0, z0,
+                             hum_config, fp_config)
+    term_y, term_z = run.trajectory.terminal_norms()
+    row = SweepRow(sigma=float(sigma),
+                   control_cost=control_cost(grid, tgrid, run.control),
                    terminal_y=term_y, terminal_z=term_z,
-                   sigma_grad_z=energy.sigma_grad_z, shadow_gap=gap,
-                   xi_terminal=float(reduced.xi[-1]),
-                   outer_iterations=outer, cg_iterations=cg_iters,
-                   converged=converged)
-    return row, control
+                   sigma_grad_z=energy_functional(run.trajectory).sigma_grad_z,
+                   shadow_gap=shadow_gap(run.trajectory, run.reduced, t0),
+                   xi_terminal=float(run.reduced.xi[-1]),
+                   outer_iterations=run.outer_iterations,
+                   cg_iterations=run.cg_iterations,
+                   converged=run.converged)
+    return row, run.control
 
 
 def sigma_sweep(grid: Grid1D, tgrid: TimeGrid, sigmas,
@@ -151,8 +174,6 @@ def sigma_sweep(grid: Grid1D, tgrid: TimeGrid, sigmas,
         raise ValueError("sigmas must be strictly increasing with at least 2 entries")
     if any(s < 1.0 for s in sig):
         raise ValueError("every sigma must be at least 1")
-    if mode not in ("linear", "semilinear"):
-        raise ValueError(f"mode must be 'linear' or 'semilinear', got {mode!r}")
     if not (0.0 < t0_fraction < 1.0):
         raise ValueError(f"t0_fraction must lie in (0, 1), got {t0_fraction}")
     t0 = t0_fraction * tgrid.horizon

@@ -31,17 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HumConfig:
-    """Penalty strength and normal-equation solver knobs.
-
-    ``preconditioner`` is one of "none", "jacobi", "auto"; "auto" probes a
-    Jacobi diagonal only for tiny penalties on small grids, where the extra
-    2 n applications of the operator are cheap.
-    """
+    """Penalty strength and normal-equation solver knobs."""
 
     epsilon: float = 1e-6
     cg_tol: float = 1e-9
     cg_max_iters: int = 500
-    preconditioner: str = "auto"
     record_duality: bool = True
 
     def __post_init__(self) -> None:
@@ -51,15 +45,15 @@ class HumConfig:
             raise ValueError(f"cg_tol must lie in (0, 1e-2], got {self.cg_tol}")
         if self.cg_max_iters < 1:
             raise ValueError(f"cg_max_iters must be positive, got {self.cg_max_iters}")
-        if self.preconditioner not in ("none", "jacobi", "auto"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass(frozen=True)
 class HumResult:
-    """Control, terminal diagnostics, and solver history of one solve."""
+    """Control, the controlled trajectory, terminal diagnostics, and solver
+    history of one solve."""
 
     control: ControlField
+    trajectory: Trajectory
     epsilon: float
     terminal_y: float
     terminal_z: float
@@ -102,76 +96,54 @@ def gramian_apply(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     return np.concatenate([pushed.y[-1], pushed.z[-1]])
 
 
-def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int,
-                        precond=None):
+def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int):
     """Krylov solve of an SPD system, conjugate-residual variant.
 
     The conjugate-residual recurrence minimizes the residual norm over the
     growing Krylov space (unlike the classical recurrence, which minimizes
     the error in the operator norm and lets residual norms oscillate), so
-    the recorded history is non-increasing by construction.  One operator
-    application per iteration.  With a preconditioner M the method runs on
-    the symmetrically transformed system and the history records the
-    M^{-1}-weighted residual norm, which is the monotone quantity there.
+    the recorded 2-norm history is non-increasing by construction.  One
+    operator application per iteration.
 
     Returns (x, iterations, residual history, converged, monotone) where
     ``monotone`` re-checks the recorded history with one part in 1e14 slack.
-    Convergence itself always tests the plain 2-norm against tol * ||b||, so
-    the final residual bound is preconditioner-independent.
+    Convergence tests the residual 2-norm against tol * ||b||.
     """
     x = np.zeros_like(b)
     r = b.copy()
-
-    def weighted_norm(res: np.ndarray) -> float:
-        if precond is None:
-            return float(np.linalg.norm(res))
-        return float(np.sqrt(max(np.dot(res, precond(res)), 0.0)))
-
-    norm_b2 = float(np.linalg.norm(b))
-    residuals = [weighted_norm(b)]
-    if norm_b2 == 0.0:
+    norm_b = float(np.linalg.norm(b))
+    residuals = [norm_b]
+    if norm_b == 0.0:
         return x, 0, residuals, True, True
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    az = apply_op(z)
-    ap = az.copy()
-    zaz = float(np.dot(z, az))
+    p = r.copy()
+    ar = apply_op(r)
+    ap = ar.copy()
+    rar = float(np.dot(r, ar))
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        map_ = precond(ap) if precond is not None else ap
-        denom = float(np.dot(ap, map_))
-        if denom <= 0.0 or zaz <= 0.0:
+        denom = float(np.dot(ap, ap))
+        if denom <= 0.0 or rar <= 0.0:
             # loss of positive definiteness (round-off); stop with current x
             iters -= 1
             break
-        alpha = zaz / denom
+        alpha = rar / denom
         x = x + alpha * p
         r = r - alpha * ap
-        residuals.append(weighted_norm(r))
-        if float(np.linalg.norm(r)) <= tol * norm_b2:
+        norm_r = float(np.linalg.norm(r))
+        residuals.append(norm_r)
+        if norm_r <= tol * norm_b:
             converged = True
             break
-        z = precond(r) if precond is not None else r
-        az = apply_op(z)
-        zaz_new = float(np.dot(z, az))
-        beta = zaz_new / zaz
-        zaz = zaz_new
-        p = z + beta * p
-        ap = az + beta * ap
+        ar = apply_op(r)
+        rar_new = float(np.dot(r, ar))
+        beta = rar_new / rar
+        rar = rar_new
+        p = r + beta * p
+        ap = ar + beta * ap
     monotone = all(residuals[i + 1] <= residuals[i] * (1.0 + 1e-14)
                    for i in range(len(residuals) - 1))
     return x, iters, residuals, converged, monotone
-
-
-def _jacobi_diagonal(apply_op, size: int) -> np.ndarray:
-    diag = np.empty(size)
-    e = np.zeros(size)
-    for i in range(size):
-        e[i] = 1.0
-        diag[i] = apply_op(e)[i]
-        e[i] = 0.0
-    return np.maximum(diag, np.max(diag) * 1e-14)
 
 
 def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
@@ -181,10 +153,10 @@ def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     """Compute the penalized terminal-nulling control for frozen coefficients.
 
     Solves the normal equations (Lambda + eps I) pT = free(T) by conjugate
-    gradient, extracts the control h^m = -phi^m on the window from the dual
-    solve at pT, re-runs the controlled forward problem, and reports honest
-    terminal norms from that run.  Deterministic: repeated calls with equal
-    inputs produce bit-identical results.
+    residual, extracts the control h^m = -phi^m on the window from the dual
+    solve at pT, re-runs the controlled forward problem, and returns that
+    trajectory with honest terminal norms from it.  Deterministic: repeated
+    calls with equal inputs produce bit-identical results.
     """
     ops = StepOperators(grid, tgrid, sigma, coeffs)
     n = grid.n_cells
@@ -195,16 +167,8 @@ def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     def apply_shifted(v: np.ndarray) -> np.ndarray:
         return gramian_apply(grid, tgrid, sigma, coeffs, v, ops=ops) + config.epsilon * v
 
-    precond = None
-    use_jacobi = (config.preconditioner == "jacobi"
-                  or (config.preconditioner == "auto"
-                      and config.epsilon <= 1e-8 and 2 * n <= 256))
-    if use_jacobi:
-        diag = _jacobi_diagonal(apply_shifted, 2 * n)
-        precond = lambda r: r / diag  # noqa: E731 - tiny closure
-
     p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
-        apply_shifted, b, config.cg_tol, config.cg_max_iters, precond)
+        apply_shifted, b, config.cg_tol, config.cg_max_iters)
 
     dual = solve_adjoint(grid, tgrid, sigma, coeffs,
                          p_terminal[:n], p_terminal[n:], ops=ops)
@@ -217,7 +181,7 @@ def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     if config.record_duality:
         dual_res = duality_residual(grid, tgrid, control, controlled, dual)
     return HumResult(
-        control=control, epsilon=config.epsilon,
+        control=control, trajectory=controlled, epsilon=config.epsilon,
         terminal_y=term_y, terminal_z=term_z, control_cost=cost,
         adjoint_terminal=p_terminal,
         cg_iterations=iters, cg_residuals=tuple(residuals),
@@ -294,7 +258,6 @@ def epsilon_sweep(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     for eps in eps_list:
         cfg = HumConfig(epsilon=eps, cg_tol=base_config.cg_tol,
                         cg_max_iters=base_config.cg_max_iters,
-                        preconditioner=base_config.preconditioner,
                         record_duality=False)
         res = hum_solve(grid, tgrid, sigma, coeffs, y0, z0, cfg)
         rows.append(EpsilonRow(

@@ -11,7 +11,9 @@ offset type                    meaning
 8      uint32                  number of fields
 12     uint32                  number of time slices per field
 16     uint32                  number of cells per slice
-20     float64[...]            fields concatenated, each row-major
+20     uint32                  byte length L of the name block
+24     L bytes                 UTF-8 field names, sorted, newline-separated
+24+L   float64[...]            fields concatenated in name order, row-major
 ====== ======================= =======================================
 """
 
@@ -22,13 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Grid1D, TimeGrid
-from .pde import ControlField, ShadowTrajectory, Trajectory
+from .pde import ControlField, Trajectory
 
 __all__ = [
     "FormatError", "write_trajectory_csv", "write_control_csv",
-    "write_shadow_csv", "write_fields_binary", "read_fields_binary",
-    "write_json_report", "write_profile_dat", "write_series_dat",
+    "write_fields_binary", "read_fields_binary", "write_json_report",
+    "write_series_dat", "trajectory_fields", "control_fields",
 ]
 
 _MAGIC = b"SHCT"
@@ -58,18 +59,6 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> Path:
     for m in range(traj.tgrid.n_steps + 1):
         ym, zm = traj.y[m], traj.z[m]
         lines.extend(f"{_fmt(t[m])},{_fmt(x[i])},{_fmt(ym[i])},{_fmt(zm[i])}"
-                     for i in range(traj.grid.n_cells))
-    return _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_shadow_csv(path: str | Path, traj: ShadowTrajectory) -> Path:
-    """Rows ``t,x,y,xi`` with the scalar ``xi`` repeated along each slice."""
-    t = traj.tgrid.nodes
-    x = traj.grid.cell_centers
-    lines = ["t,x,y,xi"]
-    for m in range(traj.tgrid.n_steps + 1):
-        ym, xim = traj.y[m], traj.xi[m]
-        lines.extend(f"{_fmt(t[m])},{_fmt(x[i])},{_fmt(ym[i])},{_fmt(xim)}"
                      for i in range(traj.grid.n_cells))
     return _write_text(path, "\n".join(lines) + "\n")
 
@@ -112,14 +101,26 @@ def write_fields_binary(path: str | Path, fields: dict[str, np.ndarray]) -> Path
 
 
 def read_fields_binary(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a dump written by :func:`write_fields_binary`.
+
+    Any file that does not match the layout raises :class:`FormatError`.
+    """
     raw = Path(path).read_bytes()
-    if len(raw) < 20 or raw[:4] != _MAGIC:
+    if raw[:4] != _MAGIC:
         raise FormatError(f"{path}: not a field dump (bad magic)")
+    if len(raw) < 24:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
     version, n_fields, n_slices, n_cells = struct.unpack_from("<IIII", raw, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     (header_len,) = struct.unpack_from("<I", raw, 20)
-    names = raw[24:24 + header_len].decode().split("\n")
+    if 24 + header_len > len(raw):
+        raise FormatError(f"{path}: name block of {header_len} bytes runs past "
+                          f"the end of the file")
+    try:
+        names = raw[24:24 + header_len].decode().split("\n")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: field names are not UTF-8") from None
     if len(names) != n_fields:
         raise FormatError(f"{path}: header names {len(names)} != count {n_fields}")
     offset = 24 + header_len
@@ -170,17 +171,6 @@ def write_json_report(path: str | Path, report: dict) -> Path:
     return _write_text(path, _json_value(report, 0) + "\n")
 
 
-def write_profile_dat(path: str | Path, grid: Grid1D, values: np.ndarray,
-                      header: str = "x value") -> Path:
-    """Two-column ``x value`` file for one spatial profile."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_cells,):
-        raise ValueError(f"expected shape ({grid.n_cells},), got {values.shape}")
-    lines = [f"# {header}"]
-    lines.extend(f"{_fmt(x)} {_fmt(v)}" for x, v in zip(grid.cell_centers, values))
-    return _write_text(path, "\n".join(lines) + "\n")
-
-
 def write_series_dat(path: str | Path, abscissa: np.ndarray, values: np.ndarray,
                      header: str = "t value") -> Path:
     """Two-column file for a scalar time series or sweep curve."""
@@ -200,4 +190,5 @@ def trajectory_fields(traj: Trajectory) -> dict[str, np.ndarray]:
 
 
 def control_fields(control: ControlField) -> dict[str, np.ndarray]:
+    """Field dict for :func:`write_fields_binary`."""
     return {"h": control.values}

@@ -23,11 +23,12 @@ from .hum import HumConfig, HumResult, hum_solve
 from .mesh import Grid1D, TimeGrid
 from .nonlinear import NonlinearityPair
 from .pde import (CoefficientField, ControlField, Trajectory,
-                  solve_forward_linear, solve_forward_semilinear)
+                  constant_coefficients, solve_forward_semilinear)
 
 __all__ = [
     "FixedPointConfig", "FixedPointResult", "CouplingReport",
-    "linearized_coefficients", "coupling_floor_check", "fixed_point_control",
+    "origin_coefficients", "linearized_coefficients", "coupling_floor_check",
+    "fixed_point_control",
 ]
 
 
@@ -74,6 +75,15 @@ class FixedPointResult:
     @property
     def terminal_total(self) -> float:
         return float(np.hypot(self.terminal_y, self.terminal_z))
+
+
+def origin_coefficients(grid: Grid1D, tgrid: TimeGrid,
+                        pair: NonlinearityPair) -> CoefficientField:
+    """Constant coefficients: the reaction pair linearized at the origin."""
+    return constant_coefficients(
+        grid, tgrid,
+        pair.f.d_dy(0.0, 0.0), pair.f.d_dz(0.0, 0.0),
+        pair.g.d_dy(0.0, 0.0), pair.g.d_dz(0.0, 0.0))
 
 
 def linearized_coefficients(grid: Grid1D, tgrid: TimeGrid,
@@ -157,7 +167,8 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     solves the penalized nulling problem, and re-linearizes around the damped
     controlled trajectory.  Stops when the relative space-time update drops
     below ``outer_tol`` or when the coefficients themselves are stationary
-    (which is immediate for genuinely linear reactions).  Two consecutive
+    (which is immediate for genuinely linear reactions); either exit counts
+    as converged only if the last inner solve converged.  Two consecutive
     increases of the update norm halve the damping once.
     """
     free = solve_forward_semilinear(grid, tgrid, sigma, pair, None, y0, z0,
@@ -181,14 +192,14 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         if prev_coeffs is not None and _coeff_change(coeffs, prev_coeffs) <= 1e-13:
             # Stationary linearization: the previous control is already the
             # fixed point, so do not count this pass as an iteration.
-            converged = True
+            converged = hum_last.cg_converged
             break
         prev_coeffs = coeffs
         hum_last = hum_solve(grid, tgrid, sigma, coeffs, y0, z0, config.hum)
         control = hum_last.control
         cg_total += hum_last.cg_iterations
         iterations = it
-        lin = solve_forward_linear(grid, tgrid, sigma, coeffs, control, y0, z0)
+        lin = hum_last.trajectory
         new_y = damping * lin.y + (1.0 - damping) * ref_y
         new_z = damping * lin.z + (1.0 - damping) * ref_z
         denom = max(_space_time_norm(grid, tgrid, ref_y, ref_z), 1e-300)
@@ -204,7 +215,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         history.append(update)
         ref_y, ref_z = new_y, new_z
         if update < config.outer_tol:
-            converged = True
+            converged = hum_last.cg_converged
             break
 
     if control is None:

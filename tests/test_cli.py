@@ -71,6 +71,27 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["shadow_gap"] >= 0.0
 
+    def test_semilinear_unconverged_inner_solve_exits_1(self, tmp_path):
+        # three CG iterations cannot converge, so neither can the outer loop
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text(SMALL_CFG + "hum.cg_max_iters = 3\n")
+        out = tmp_path / "sem"
+        assert run(cfg, out, "semilinear") == 1
+        assert json.loads((out / "report.json").read_text())["converged"] is False
+
+    @pytest.mark.parametrize("mode", ["linear", "semilinear"])
+    def test_shadow_matches_sweep_row(self, tmp_path, mode):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(SMALL_CFG.replace("problem.sigma = 2", "problem.sigma = 4")
+                       + f"problem.mode = {mode}\n")
+        assert run(cfg, tmp_path / "shadow", "shadow") == 0
+        assert run(cfg, tmp_path / "sweep", "sweep") == 0
+        shadow = json.loads((tmp_path / "shadow" / "report.json").read_text())
+        row = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["rows"][1]
+        assert row["sigma"] == shadow["sigma"] == 4.0
+        assert row["shadow_gap"] == shadow["shadow_gap"]
+        assert row["xi_terminal"] == shadow["xi_terminal"]
+
     def test_sweep_artifacts(self, cfg_file, tmp_path):
         out = tmp_path / "sweep"
         assert run(cfg_file, out, "sweep") == 0

@@ -170,9 +170,8 @@ class TestBuilders:
 
     def test_hum_config_fields(self):
         cfg = parse_config("hum.epsilon = 1e-4\nhum.cg_tol = 1e-8\n"
-                           "hum.cg_max_iters = 77\nhum.preconditioner = none\n")
+                           "hum.cg_max_iters = 77\n")
         hc = build_hum_config(cfg)
         assert hc.epsilon == 1e-4
         assert hc.cg_tol == 1e-8
         assert hc.cg_max_iters == 77
-        assert hc.preconditioner == "none"

@@ -9,10 +9,9 @@ import pytest
 from shadowctl.io import (FormatError, control_fields, read_fields_binary,
                           trajectory_fields, write_control_csv,
                           write_fields_binary, write_json_report,
-                          write_profile_dat, write_series_dat,
-                          write_shadow_csv, write_trajectory_csv)
+                          write_series_dat, write_trajectory_csv)
 from shadowctl.mesh import Grid1D, TimeGrid
-from shadowctl.pde import ControlField, ShadowTrajectory, Trajectory
+from shadowctl.pde import ControlField, Trajectory
 
 
 @pytest.fixture()
@@ -40,16 +39,6 @@ class TestCsv:
         # values survive the text round trip exactly (17 significant digits)
         last = [float(v) for v in lines[-1].split(",")]
         assert last[2] == traj.y[2, 3]
-
-    def test_shadow_layout(self, tiny_problem, tmp_path):
-        grid, tgrid, traj = tiny_problem
-        red = ShadowTrajectory(grid, tgrid, traj.y, np.array([1.0, 2.0, 3.0]))
-        p = write_shadow_csv(tmp_path / "shadow.csv", red)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "t,x,y,xi"
-        # xi is repeated along each slice
-        xi_first_slice = {line.split(",")[3] for line in lines[1:5]}
-        assert xi_first_slice == {"1"}
 
     def test_control_layout(self, tiny_problem, tmp_path):
         grid, tgrid, _ = tiny_problem
@@ -101,6 +90,31 @@ class TestBinary:
         raw = p.read_bytes()
         p.write_bytes(raw[:-8])
         with pytest.raises(FormatError, match="size"):
+            read_fields_binary(p)
+
+    def test_rejects_truncated_header(self, tmp_path):
+        # magic and version intact, but no room for the name-block length
+        p = tmp_path / "short.bin"
+        p.write_bytes(b"SHCT" + struct.pack("<IIII", 1, 1, 1, 1))
+        with pytest.raises(FormatError, match="truncated"):
+            read_fields_binary(p)
+
+    def test_rejects_non_utf8_names(self, tiny_problem, tmp_path):
+        _, _, traj = tiny_problem
+        p = write_fields_binary(tmp_path / "fields.bin", trajectory_fields(traj))
+        raw = bytearray(p.read_bytes())
+        raw[24] = 0xFF   # first byte of the name block
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_fields_binary(p)
+
+    def test_rejects_name_block_past_end(self, tiny_problem, tmp_path):
+        _, _, traj = tiny_problem
+        p = write_fields_binary(tmp_path / "fields.bin", trajectory_fields(traj))
+        raw = bytearray(p.read_bytes())
+        raw[20:24] = struct.pack("<I", len(raw))
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="past the end"):
             read_fields_binary(p)
 
     def test_rejects_unknown_version(self, tiny_problem, tmp_path):
@@ -163,21 +177,6 @@ class TestJson:
 
 
 class TestDatFiles:
-    def test_profile_layout(self, tmp_path):
-        grid = Grid1D(n_cells=4, omega_a=0.25, omega_b=0.75)
-        p = write_profile_dat(tmp_path / "prof.dat", grid,
-                              np.array([1.0, 2.0, 3.0, 4.0]), header="x norm")
-        lines = p.read_text().splitlines()
-        assert lines[0] == "# x norm"
-        cols = lines[1].split()
-        assert float(cols[0]) == 0.125
-        assert float(cols[1]) == 1.0
-
-    def test_profile_shape_checked(self, tmp_path):
-        grid = Grid1D(n_cells=4, omega_a=0.25, omega_b=0.75)
-        with pytest.raises(ValueError, match="shape"):
-            write_profile_dat(tmp_path / "prof.dat", grid, np.zeros(5))
-
     def test_series_layout(self, tmp_path):
         p = write_series_dat(tmp_path / "series.dat",
                              np.array([1.0, 10.0]), np.array([0.5, 0.05]),
