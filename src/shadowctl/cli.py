@@ -390,8 +390,13 @@ def main(argv: list[str] | None = None) -> int:
         print("config error: --jobs must be at least 1", file=sys.stderr)
         return 2
     out = Path(args.out) if args.out else Path(cfg.output_directory)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_effective.txt").write_text(serialize_config(cfg))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config_effective.txt").write_text(serialize_config(cfg))
+    except OSError as exc:
+        print(f"config error: cannot write to output directory {out}: {exc}",
+              file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](cfg, out, args.seed, jobs)
     except (ValueError, RuntimeError) as exc:

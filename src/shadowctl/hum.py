@@ -11,6 +11,23 @@ Lambda is symmetric positive semidefinite with <Lambda a, a> equal to the
 windowed space-time norm of phi_a, and the controlled terminal state obeys
 (y(T), z(T)) = eps * pT + r with r the normal-equation residual, so driving
 eps down drives the terminal state to zero at rate sqrt(eps).
+
+Two ways to apply Lambda inside the Krylov solve, picked by the size 2n of
+the stacked state:
+
+* 2n <= ``_FACTOR_MAX_DIM``: :func:`gramian_factor` builds an upper
+  triangular R with Lambda = R^T R in one backward sweep of 2n-column
+  blocks, on the first iteration, and each iteration applies
+  v -> R^T (R v) + eps v.  The factor costs O((2n)^2) memory.  Lambda
+  itself is never formed: an explicit R^T R squares the conditioning of R,
+  and its rounding swamps small penalties.
+* larger 2n: :func:`gramian_apply` re-marches the dual and forward problems
+  on every iteration, with memory that stays O(n).
+
+The limit sits at the crossover measured at the default penalty eps = 1e-6
+by timing one problem (M = 200, sigma = 1) at a few sizes; below it the
+factor is cheaper, and smaller penalties (more iterations) favour it
+further.  A solve whose data need no iteration never builds the factor.
 """
 
 from __future__ import annotations
@@ -18,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtpqrt
 
 from .mesh import Grid1D, TimeGrid
 from .pde import (CoefficientField, ControlField, StepOperators, Trajectory,
@@ -25,8 +43,13 @@ from .pde import (CoefficientField, ControlField, StepOperators, Trajectory,
 
 __all__ = [
     "HumConfig", "HumResult", "EpsilonRow", "EpsilonSweepReport",
-    "gramian_apply", "hum_solve", "duality_residual", "epsilon_sweep",
+    "gramian_apply", "gramian_factor", "hum_solve", "duality_residual",
+    "epsilon_sweep",
 ]
+
+# Largest stacked state size 2n for which hum_solve builds the square-root
+# Gramian factor; see the module docstring.
+_FACTOR_MAX_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -96,6 +119,40 @@ def gramian_apply(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     return np.concatenate([pushed.y[-1], pushed.z[-1]])
 
 
+def gramian_factor(grid: Grid1D, tgrid: TimeGrid, ops: StepOperators) -> np.ndarray:
+    """Upper-triangular R with Lambda = R^T R, from one backward sweep.
+
+    Marches the identity backward through the transposed steps, so that
+    after the step down to node m the block P holds the dual states at node
+    m of all 2n unit terminal data.  Lambda is the sum over m of G_m^T G_m
+    with G_m = sqrt(dt * chi) * P[window], and those rows are folded into R
+    by triangular-pentagonal QR updates (LAPACK ``dtpqrt``).  Each update
+    takes whole steps, at most 2n rows, so the workspace stays O((2n)^2).
+    """
+    n2 = 2 * grid.n_cells
+    chi = grid.omega_indicator
+    window = np.flatnonzero(chi > 0.0)
+    weight = np.sqrt(tgrid.dt * chi[window])[:, None]
+    steps_per_update = max(1, n2 // window.size)
+    r = np.zeros((n2, n2), order="F")
+    p = np.eye(n2)
+    steps = range(tgrid.n_steps - 1, -1, -1)
+    for start in range(0, len(steps), steps_per_update):
+        rows = []
+        for m in steps[start:start + steps_per_update]:
+            p = ops.step_adjoint(p, m)
+            rows.append(weight * p[window])
+        # Inner block size 4: measured no slower than 32 at these sizes, and
+        # it keeps every BLAS call under OpenBLAS's multithreading threshold.
+        # A threaded call leaves the pool spinning for about 0.1 s after the
+        # sweep, which takes a core from whatever runs next on a 2-core host.
+        r, _, _, info = dtpqrt(0, min(n2, 4), r, np.vstack(rows),
+                               overwrite_a=True, overwrite_b=True)
+        if info != 0:
+            raise RuntimeError(f"dtpqrt rejected argument {-info}")
+    return r
+
+
 def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int):
     """Krylov solve of an SPD system, conjugate-residual variant.
 
@@ -153,10 +210,12 @@ def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     """Compute the penalized terminal-nulling control for frozen coefficients.
 
     Solves the normal equations (Lambda + eps I) pT = free(T) by conjugate
-    residual, extracts the control h^m = -phi^m on the window from the dual
-    solve at pT, re-runs the controlled forward problem, and returns that
-    trajectory with honest terminal norms from it.  Deterministic: repeated
-    calls with equal inputs produce bit-identical results.
+    residual, on the square-root factor of Lambda when 2n is within the size
+    limit and matrix-free above it (see the module docstring), extracts the
+    control h^m = -phi^m on the window from the dual solve at pT, re-runs the
+    controlled forward problem, and returns that trajectory with honest
+    terminal norms from it.  Deterministic: repeated calls with equal inputs
+    produce bit-identical results.
     """
     ops = StepOperators(grid, tgrid, sigma, coeffs)
     n = grid.n_cells
@@ -164,8 +223,18 @@ def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     b = np.concatenate([free.y[-1], free.z[-1]])
     free_norm = float(np.linalg.norm(b))
 
-    def apply_shifted(v: np.ndarray) -> np.ndarray:
-        return gramian_apply(grid, tgrid, sigma, coeffs, v, ops=ops) + config.epsilon * v
+    if 2 * n <= _FACTOR_MAX_DIM:
+        factor = None
+
+        def apply_shifted(v: np.ndarray) -> np.ndarray:
+            # built on first use, so a solve that needs no iteration skips it
+            nonlocal factor
+            if factor is None:
+                factor = gramian_factor(grid, tgrid, ops)
+            return factor.T @ (factor @ v) + config.epsilon * v
+    else:
+        def apply_shifted(v: np.ndarray) -> np.ndarray:
+            return gramian_apply(grid, tgrid, sigma, coeffs, v, ops=ops) + config.epsilon * v
 
     p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
         apply_shifted, b, config.cg_tol, config.cg_max_iters)

@@ -1,7 +1,8 @@
 """Result serialization: CSV, JSON reports, a compact binary dump, .dat files.
 
-All text formats write floats with 17 significant digits so values
-round-trip through ``float()`` exactly.  The binary layout is:
+CSV and ``.dat`` files write floats with 17 significant digits and JSON
+reports use the shortest round-trip form, so values read back through
+``float()`` exactly.  The binary layout is:
 
 ====== ======================= =======================================
 offset type                    meaning
@@ -19,6 +20,7 @@ offset type                    meaning
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
@@ -136,39 +138,33 @@ def read_fields_binary(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
-def _json_value(value, indent: int) -> str:
-    pad = "  " * (indent + 1)
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
-            return '"' + repr(float(value)) + '"'
-        return _fmt(value)
+def _json_ready(value):
+    """Copy of a report with numpy values made plain and non-finite floats
+    spelled as the strings ``"inf"``, ``"-inf"`` and ``"nan"``."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{pad}"{k}": {_json_value(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+        return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}{_json_value(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
+        return [_json_ready(v) for v in value]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else repr(float(value))
+    if value is None or isinstance(value, (str, int)):
+        return value
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def write_json_report(path: str | Path, report: dict) -> Path:
-    """Serialize a nested report dict; floats keep 17 significant digits."""
-    return _write_text(path, _json_value(report, 0) + "\n")
+    """Serialize a nested report dict as standard JSON.
+
+    Floats are written in their shortest exact round-trip form; ±inf and nan,
+    which JSON cannot express, become the strings ``"inf"``, ``"-inf"`` and
+    ``"nan"``.  Values of an unsupported type raise ``TypeError``.
+    """
+    text = json.dumps(_json_ready(report), indent=2, allow_nan=False)
+    return _write_text(path, text + "\n")
 
 
 def write_series_dat(path: str | Path, abscissa: np.ndarray, values: np.ndarray,

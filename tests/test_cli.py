@@ -151,6 +151,13 @@ class TestDefaultsAndErrors:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_2(self, cfg_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run(cfg_file, taken, "hum") == 2
+        assert "config error" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
     def test_negative_seed_exits_2(self, cfg_file, tmp_path):
         assert run(cfg_file, tmp_path / "o", "hum", "--seed", "-1") == 2
 

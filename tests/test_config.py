@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowctl.config import (ConfigError, RunConfig, build_grid,
                               build_hum_config, build_initial_data,
@@ -175,3 +177,23 @@ class TestBuilders:
         assert hc.epsilon == 1e-4
         assert hc.cg_tol == 1e-8
         assert hc.cg_max_iters == 77
+
+
+# config-shaped lines: known keys with arbitrary values reach the value
+# parsers and the validator, arbitrary text reaches the line parser
+_KEYS = [line.partition("=")[0].strip()
+         for line in serialize_config(RunConfig()).splitlines()]
+_config_line = st.one_of(
+    st.text(),
+    st.builds("{} = {}".format, st.sampled_from(_KEYS),
+              st.text(st.characters(exclude_characters="\n\r"))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_config_line, max_size=6).map("\n".join))
+def test_arbitrary_text_raises_only_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass

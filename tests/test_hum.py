@@ -8,11 +8,15 @@ construction, so they are asserted at tight thresholds on random data.
 import numpy as np
 import pytest
 
-from shadowctl.hum import (HumConfig, duality_residual, epsilon_sweep,
-                           gramian_apply, hum_solve)
+from shadowctl import hum
+from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
+                           epsilon_sweep, gramian_apply, gramian_factor,
+                           hum_solve)
 from shadowctl.mesh import Grid1D, TimeGrid
-from shadowctl.pde import (ControlField, constant_coefficients, control_cost,
-                           solve_adjoint, solve_forward_linear)
+from shadowctl.nonlinear import arctan_family, make_pair, sigmoid_family
+from shadowctl.pde import (ControlField, StepOperators, constant_coefficients,
+                           control_cost, solve_adjoint, solve_forward_linear)
+from shadowctl.semilinear import linearized_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +66,44 @@ class TestGramian:
             gramian_apply(grid, tgrid, 1.0, coeffs, np.zeros(41))
 
 
+class TestGramianFactor:
+    @staticmethod
+    def _check_square_root(grid, tgrid, coeffs, sigma):
+        ops = StepOperators(grid, tgrid, sigma, coeffs)
+        r = gramian_factor(grid, tgrid, ops)
+        assert r.shape == (2 * grid.n_cells,) * 2
+        assert np.array_equal(r, np.triu(r))
+        rng = np.random.default_rng(4)
+        for v in rng.standard_normal((5, 2 * grid.n_cells)):
+            ref = gramian_apply(grid, tgrid, sigma, coeffs, v, ops=ops)
+            err = np.linalg.norm(r.T @ (r @ v) - ref)
+            assert err <= 1e-13 * np.linalg.norm(ref)
+        return r
+
+    def test_constant_coefficients(self, small_problem):
+        grid, tgrid, coeffs, _, _ = small_problem
+        self._check_square_root(grid, tgrid, coeffs, 1.0)
+
+    def test_time_varying_coefficients(self):
+        grid = Grid1D(n_cells=16, omega_a=0.2, omega_b=0.55)
+        tgrid = TimeGrid(horizon=0.3, n_steps=30)
+        rng = np.random.default_rng(5)
+        pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
+        ybar, zbar = 2.0 * rng.standard_normal((2, 31, 16))
+        coeffs = linearized_coefficients(grid, tgrid, pair, ybar, zbar)
+        assert not coeffs.time_invariant
+        self._check_square_root(grid, tgrid, coeffs, 3.0)
+
+    def test_short_wide_stack(self):
+        # 2 steps x 8 window cells = 16 rows for a 40 x 40 factor
+        grid = Grid1D(n_cells=20, omega_a=0.3, omega_b=0.7)
+        tgrid = TimeGrid(horizon=0.05, n_steps=2)
+        coeffs = constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0)
+        assert np.count_nonzero(grid.omega_indicator) == 8
+        r = self._check_square_root(grid, tgrid, coeffs, 1.0)
+        assert np.linalg.matrix_rank(r) == 16
+
+
 class TestHumSolve:
     def test_zero_data_yields_zero_control(self, small_problem):
         grid, tgrid, coeffs, _, _ = small_problem
@@ -70,6 +112,16 @@ class TestHumSolve:
         assert np.all(res.control.values == 0.0)
         assert res.control_cost == 0.0
         assert res.terminal_total == 0.0
+
+    def test_zero_data_skips_the_factor(self, small_problem, monkeypatch):
+        grid, tgrid, coeffs, _, _ = small_problem
+
+        def refuse(*args):
+            raise AssertionError("factor built for a solve with no iteration")
+
+        monkeypatch.setattr(hum, "gramian_factor", refuse)
+        res = hum_solve(grid, tgrid, 1.0, coeffs, np.zeros(20), np.zeros(20))
+        assert res.cg_iterations == 0 and res.cg_converged
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
     def test_terminal_identity(self, small_problem, eps):
@@ -134,6 +186,48 @@ class TestHumSolve:
         assert res.residual_monotone
         data_norm = float(np.linalg.norm(np.concatenate([y0, z0])))
         assert res.terminal_total <= 1e-5 * data_norm
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_size_limit_picks_the_gramian_operator(self, above):
+        # just below or just above the limit the solve must equal, bit for
+        # bit, conjugate residual run directly on the operator the size rule
+        # names: the square-root factor, or the matrix-free Gramian
+        n = hum._FACTOR_MAX_DIM // 2 + int(above)
+        grid = Grid1D(n_cells=n, omega_a=0.3, omega_b=0.7)
+        tgrid = TimeGrid(horizon=0.05, n_steps=6)
+        coeffs = constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0)
+        x = grid.cell_centers
+        y0, z0 = 0.1 * np.cos(np.pi * x), np.full(n, 0.1)
+        cfg = HumConfig(epsilon=1e-6)
+        res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0, cfg)
+        ops = StepOperators(grid, tgrid, 1.0, coeffs)
+        free = solve_forward_linear(grid, tgrid, 1.0, coeffs, None, y0, z0, ops=ops)
+        b = np.concatenate([free.y[-1], free.z[-1]])
+        if above:
+            def apply_op(v):
+                return gramian_apply(grid, tgrid, 1.0, coeffs, v, ops=ops) + 1e-6 * v
+        else:
+            r = gramian_factor(grid, tgrid, ops)
+
+            def apply_op(v):
+                return r.T @ (r @ v) + 1e-6 * v
+        p_terminal, iters, *_ = _conjugate_gradient(apply_op, b, cfg.cg_tol,
+                                                    cfg.cg_max_iters)
+        assert res.cg_converged
+        assert res.cg_iterations == iters
+        assert np.array_equal(res.adjoint_terminal, p_terminal)
+
+    def test_factor_and_matrix_free_paths_agree(self, small_problem, monkeypatch):
+        grid, tgrid, coeffs, y0, z0 = small_problem
+        cfg = HumConfig(epsilon=1e-6, cg_tol=1e-11)
+        with_factor = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0, cfg)
+        monkeypatch.setattr(hum, "_FACTOR_MAX_DIM", 2 * grid.n_cells - 1)
+        matrix_free = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0, cfg)
+        assert with_factor.cg_converged and matrix_free.cg_converged
+        assert with_factor.control_cost == pytest.approx(matrix_free.control_cost,
+                                                         rel=1e-8)
+        assert np.allclose(with_factor.adjoint_terminal, matrix_free.adjoint_terminal,
+                           rtol=0.0, atol=1e-7 * np.abs(matrix_free.adjoint_terminal).max())
 
 
 class TestDualityResidual:

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowctl.io import (FormatError, control_fields, read_fields_binary,
                           trajectory_fields, write_control_csv,
@@ -126,6 +128,21 @@ class TestBinary:
         with pytest.raises(FormatError, match="version"):
             read_fields_binary(p)
 
+    @settings(max_examples=300, deadline=None)
+    @given(tail=st.one_of(
+        st.binary(max_size=96),
+        st.binary(max_size=96).map(lambda t: struct.pack("<I", 1) + t)))
+    def test_arbitrary_bytes_after_magic_raise_only_format_error(
+            self, tmp_path_factory, tail):
+        # half the examples carry the current version, so they get past the
+        # version check into the name block and size checks
+        p = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        p.write_bytes(b"SHCT" + tail)
+        try:
+            read_fields_binary(p)
+        except FormatError:
+            pass
+
     def test_rejects_empty_or_ragged_fields(self, tmp_path):
         with pytest.raises(ValueError, match="non-empty"):
             write_fields_binary(tmp_path / "x.bin", {})
@@ -154,10 +171,16 @@ class TestJson:
         assert parsed["name"] == "run-1"
         assert parsed["converged"] is True
         assert parsed["iterations"] == 12
-        assert parsed["cost"] == 0.1 + 0.2   # 17 digits: exact round trip
+        assert parsed["cost"] == 0.1 + 0.2   # shortest repr: exact round trip
         assert parsed["history"] == [1.0, 0.5, 0.25]
         assert parsed["nested"]["note"] == 'quote " and \\ slash'
         assert parsed["missing"] is None
+
+    def test_control_characters_are_escaped(self, tmp_path):
+        report = {"name": "a\x01b", "tab\tkey": "line\nbreak\x1f"}
+        parsed = json.loads(write_json_report(tmp_path / "ctl.json",
+                                              report).read_text())
+        assert parsed == report
 
     def test_numpy_scalars_and_arrays(self, tmp_path):
         report = {"value": np.float64(1.5), "count": np.int64(3),
