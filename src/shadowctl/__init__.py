@@ -30,7 +30,7 @@ from .pde import (CoefficientField, ControlField, EnergyReport,
                   Trajectory, constant_coefficients, control_cost,
                   energy_functional, semigroup_checks, solve_adjoint,
                   solve_forward_linear, solve_forward_semilinear,
-                  solve_shadow, zero_coefficients)
+                  solve_heat, solve_shadow, zero_coefficients)
 from .semilinear import (CouplingReport, FixedPointConfig, FixedPointResult,
                          coupling_floor_check, fixed_point_control,
                          linearized_coefficients, origin_coefficients)
@@ -53,7 +53,7 @@ __all__ = [
     "CoefficientField", "ControlField", "Trajectory", "ShadowTrajectory",
     "StepOperators", "constant_coefficients", "zero_coefficients",
     "control_cost", "solve_forward_linear", "solve_adjoint",
-    "solve_forward_semilinear", "solve_shadow", "EnergyReport",
+    "solve_forward_semilinear", "solve_shadow", "solve_heat", "EnergyReport",
     "energy_functional", "SemigroupReport", "semigroup_checks",
     # hum
     "HumConfig", "HumResult", "gramian_apply", "gramian_factor", "hum_solve",

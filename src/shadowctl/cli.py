@@ -11,8 +11,8 @@ report), ``check-hypotheses`` (structure checks on the configured reaction
 pair), ``selftest`` (fast invariant suite).
 
 Exit status: 0 on success, 1 on solver or check failure, 2 on configuration
-errors.  ``--jobs`` falls back to the ``SHADOWCTL_JOBS`` environment
-variable, then to 1.
+errors and on artifacts that cannot be written.  ``--jobs`` falls back to the
+``SHADOWCTL_JOBS`` environment variable, then to 1.
 """
 
 from __future__ import annotations
@@ -393,15 +393,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config_effective.txt").write_text(serialize_config(cfg))
-    except OSError as exc:
-        print(f"config error: cannot write to output directory {out}: {exc}",
-              file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](cfg, out, args.seed, jobs)
     except (ValueError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # the output directory or an artifact inside it cannot be written
+        print(f"config error: cannot write {exc.filename or out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

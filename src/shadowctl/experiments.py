@@ -18,14 +18,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .hum import HumConfig, hum_solve
-from .mesh import Grid1D, TimeGrid, inner_product, mean_value, neumann_laplacian
+from .mesh import Grid1D, TimeGrid, mean_value, norm_l2
 from .nonlinear import NonlinearityPair, linear_pair
 from .pde import (ControlField, ShadowTrajectory, Trajectory, control_cost,
-                  energy_functional, solve_forward_semilinear, solve_shadow)
+                  energy_functional, solve_forward_semilinear, solve_heat,
+                  solve_shadow)
 from .semilinear import FixedPointConfig, fixed_point_control, origin_coefficients
 
 __all__ = [
@@ -236,16 +235,8 @@ def measure_m1(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     decay exponent (expected -sigma pi^2 for the first mode).
     """
     z0 = np.asarray(z0, dtype=float)
-    zc = z0 - mean_value(grid, z0)
-    lap = neumann_laplacian(grid).matrix
-    dt = tgrid.dt
-    lu = splu((sp.identity(grid.n_cells, format="csc") - dt * sigma * lap).tocsc())
-    norms = np.empty(tgrid.n_steps + 1)
-    norms[0] = np.sqrt(inner_product(grid, zc, zc))
-    z = zc
-    for m in range(tgrid.n_steps):
-        z = lu.solve(z)
-        norms[m + 1] = np.sqrt(inner_product(grid, z, z))
+    z = solve_heat(grid, tgrid, sigma, z0 - mean_value(grid, z0))
+    norms = np.array([norm_l2(grid, zm) for zm in z])
     t = tgrid.nodes
     sup = float(np.max(np.sqrt(t[1:]) * norms[1:]))
     pos = norms > 0.0
@@ -288,21 +279,13 @@ def measure_m2_scaling(grid: Grid1D, sigmas, pair: NonlinearityPair,
     reported is sup_t ||v(t)||, expected to scale like sigma^(-1).
     """
     sig = [float(s) for s in sigmas]
-    lap = neumann_laplacian(grid).matrix
-    n = grid.n_cells
     sups = []
     for s in sig:
         tg = TimeGrid(horizon=tau_max / s, n_steps=n_steps)
-        dt = tg.dt
         traj = solve_forward_semilinear(grid, tg, s, pair, None, y0, z0)
         gvals = np.asarray(pair.g.value(traj.y, traj.z))
         resid = gvals - grid.spacing * np.sum(gvals, axis=1, keepdims=True)
-        lu = splu((sp.identity(n, format="csc") - dt * s * lap).tocsc())
-        v = np.zeros(n)
-        sup = 0.0
-        for m in range(tg.n_steps):
-            v = lu.solve(v + dt * resid[m + 1])
-            sup = max(sup, float(np.sqrt(inner_product(grid, v, v))))
-        sups.append(sup)
+        v = solve_heat(grid, tg, s, np.zeros(grid.n_cells), source=resid)
+        sups.append(max(norm_l2(grid, vm) for vm in v))
     return ScalingReport(sigmas=tuple(sig), values=tuple(sups),
                          slope=fit_decay_rate(sig, sups))

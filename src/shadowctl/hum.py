@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 # Largest stacked state size 2n for which hum_solve builds the square-root
-# Gramian factor; see the module docstring.
+# Gramian factor (module docstring).  Measured with the former SuperLU step
+# kernel; kept until a workload above it measures the banded one.
 _FACTOR_MAX_DIM = 256
 
 

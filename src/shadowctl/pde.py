@@ -6,9 +6,12 @@ The controlled system on Omega = (0, 1) with zero-flux boundaries is
     z_t - sigma lap z = g(y, z),
 
 together with its linearizations (frozen coefficient fields a_ij) and the
-backward-in-time dual system.  Every solver advances with fully implicit
-Euler steps; the dual stepper applies the exact transpose of the forward
-one-step matrix, so the discrete duality identity
+backward-in-time dual system.  Every implicit Euler step is one solve with
+a banded LU factorization (LAPACK dgbtrf/dgbtrs): pentadiagonal for the
+coupled step (see :class:`StepOperators`), tridiagonal for the scalar heat
+steps.  The dual stepper solves with the transpose on the same LU factors,
+so it applies the exact transpose of the forward one-step matrix and the
+discrete duality identity
 
     <u(T), p(T)> = <u(0), p(0)> + dt sum_m <chi h^m, phi^m>
 
@@ -26,10 +29,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .mesh import Grid1D, TimeGrid, inner_product, mean_value, neumann_laplacian
+from .mesh import (Grid1D, TimeGrid, inner_product, mean_value, neumann_laplacian,
+                   norm_l2)
 from .nonlinear import NonlinearityPair
 
 __all__ = [
@@ -37,7 +40,7 @@ __all__ = [
     "EnergyReport", "SemigroupReport", "StepOperators",
     "constant_coefficients", "zero_coefficients", "control_cost",
     "solve_forward_linear", "solve_adjoint", "solve_forward_semilinear",
-    "solve_shadow", "energy_functional", "semigroup_checks",
+    "solve_shadow", "solve_heat", "energy_functional", "semigroup_checks",
 ]
 
 
@@ -167,14 +170,46 @@ def _check_initial(grid: Grid1D, u: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _check_control(grid: Grid1D, tgrid: TimeGrid, control: ControlField | None) -> None:
+    if control is not None and (control.grid != grid or control.tgrid != tgrid):
+        raise ValueError("control field was built for a different grid")
+
+
+def _band_lu(band: np.ndarray, k: int):
+    """LU-factorize a band matrix with k sub- and superdiagonals, stored as
+    LAPACK does (row k + i - j holds entry (i, j)); return ``solve(rhs,
+    trans=0)``, which takes a vector or columns, ``trans=1`` the transpose."""
+    ab = np.zeros((3 * k + 1, band.shape[1]), order="F")
+    ab[k:] = band   # the top k rows take the fill-in of row pivoting
+    lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
+    if info != 0:
+        raise RuntimeError(f"band LU failed: dgbtrf returned info = {info}")
+
+    def solve(rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        return dgbtrs(lu, k, k, rhs, piv, trans=trans)[0]
+    return solve
+
+
+def _heat_band(grid: Grid1D, scale: float) -> np.ndarray:
+    """Band storage (k = 1) of the scalar step matrix I - scale * lap."""
+    lap = neumann_laplacian(grid).matrix
+    band = np.zeros((3, grid.n_cells))
+    band[0, 1:] = -scale * lap.diagonal(1)
+    band[1] = 1.0 - scale * lap.diagonal()
+    band[2, :-1] = -scale * lap.diagonal(-1)
+    return band
+
+
 class StepOperators:
     """Factorized one-step solvers for a frozen-coefficient system.
 
-    Builds (I - dt*A_m) per step, where A_m stacks the two diffusion blocks
-    with the coefficient slice m on the zero-order part, and keeps the sparse
-    LU factors for reuse; the transpose solves reuse the same factorization.
-    A single factorization is shared when the coefficients are constant in
-    time.
+    I - dt*A_m couples y_i and z_i only through the coefficient slice m, so
+    in the interleaved unknowns (y_0, z_0, y_1, z_1, ...) it is pentadiagonal:
+    a12, a21 on the first off-diagonals, the stencils of lap and sigma*lap on
+    the second.  Each band is LU-factorized on first use, once if the
+    coefficients are constant in time.  The steps map the stacked (y; z)
+    layout, vectors or column blocks, and the adjoint solves with the
+    transpose on the same factors: the exact transpose of the forward step.
     """
 
     def __init__(self, grid: Grid1D, tgrid: TimeGrid, sigma: float,
@@ -191,39 +226,34 @@ class StepOperators:
         self.tgrid = tgrid
         self.sigma = float(sigma)
         self.coeffs = coeffs
-        lap = neumann_laplacian(grid).matrix
-        n = grid.n_cells
-        dt = tgrid.dt
-        self._eye_m_dt_lap = (sp.identity(n, format="csr") - dt * lap).tocsr()
-        self._eye_m_dt_sig_lap = (sp.identity(n, format="csr") - dt * sigma * lap).tocsr()
-        self._lap = lap
-        self._factors: list = [None] * tgrid.n_steps
-        self._shared_factor = None
+        n, dt = grid.n_cells, tgrid.dt
+        # diffusion rows of the interleaved band: y and z columns alternate
+        heat = np.stack([_heat_band(grid, dt), _heat_band(grid, dt * sigma)], axis=-1)
+        self._band = np.zeros((5, 2 * n))
+        self._band[::2] = heat.reshape(3, 2 * n)
+        self._interleave = np.arange(2 * n).reshape(2, n).T.ravel()
+        self._stack = np.arange(2 * n).reshape(n, 2).T.ravel()
+        self._solvers: list = [None] * tgrid.n_steps
 
-    def _matrix(self, m: int) -> sp.csc_matrix:
-        dt = self.tgrid.dt
-        c = self.coeffs
-        m11 = self._eye_m_dt_lap - sp.diags(dt * c.a11[m])
-        m22 = self._eye_m_dt_sig_lap - sp.diags(dt * c.a22[m])
-        m12 = sp.diags(-dt * c.a12[m])
-        m21 = sp.diags(-dt * c.a21[m])
-        return sp.bmat([[m11, m12], [m21, m22]], format="csc")
-
-    def _factor(self, m: int):
+    def _solver(self, m: int):
         if self.coeffs.time_invariant:
-            if self._shared_factor is None:
-                self._shared_factor = splu(self._matrix(0))
-            return self._shared_factor
-        if self._factors[m] is None:
-            self._factors[m] = splu(self._matrix(m))
-        return self._factors[m]
+            m = 0
+        if self._solvers[m] is None:
+            dt, c = self.tgrid.dt, self.coeffs
+            band = self._band.copy()
+            band[1, 1::2] = -dt * c.a12[m]
+            band[2, 0::2] -= dt * c.a11[m]
+            band[2, 1::2] -= dt * c.a22[m]
+            band[3, 0::2] = -dt * c.a21[m]
+            self._solvers[m] = _band_lu(band, 2)
+        return self._solvers[m]
 
     def step_forward(self, u: np.ndarray, m: int,
                      source_y: np.ndarray | None = None) -> np.ndarray:
         """Advance the stacked state from node m to node m + 1."""
         rhs = u if source_y is None else u + np.concatenate(
             [self.tgrid.dt * source_y, np.zeros(self.grid.n_cells)])
-        return self._factor(m).solve(rhs)
+        return self._solver(m)(rhs[self._interleave])[self._stack]
 
     def step_adjoint(self, p: np.ndarray, m: int,
                      source: np.ndarray | None = None) -> np.ndarray:
@@ -233,7 +263,7 @@ class StepOperators:
         particular swaps the zero-order coupling blocks.
         """
         rhs = p if source is None else p + self.tgrid.dt * source
-        return self._factor(m).solve(rhs, trans="T")
+        return self._solver(m)(rhs[self._interleave], trans=1)[self._stack]
 
 
 def solve_forward_linear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
@@ -248,21 +278,17 @@ def solve_forward_linear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     """
     y0 = _check_initial(grid, y0, "y0")
     z0 = _check_initial(grid, z0, "z0")
-    if control is not None and (control.grid != grid or control.tgrid != tgrid):
-        raise ValueError("control field was built for a different grid")
+    _check_control(grid, tgrid, control)
     if ops is None:
         ops = StepOperators(grid, tgrid, sigma, coeffs)
     n, msteps = grid.n_cells, tgrid.n_steps
     chi = grid.omega_indicator
-    y = np.empty((msteps + 1, n))
-    z = np.empty((msteps + 1, n))
-    y[0], z[0] = y0, z0
-    u = np.concatenate([y0, z0])
+    u = np.empty((msteps + 1, 2 * n))
+    u[0] = np.concatenate([y0, z0])
     for m in range(msteps):
         src = chi * control.values[m] if control is not None else None
-        u = ops.step_forward(u, m, src)
-        y[m + 1], z[m + 1] = u[:n], u[n:]
-    return Trajectory(grid, tgrid, float(sigma), y, z)
+        u[m + 1] = ops.step_forward(u[m], m, src)
+    return Trajectory(grid, tgrid, float(sigma), u[:, :n], u[:, n:])
 
 
 def solve_adjoint(grid: Grid1D, tgrid: TimeGrid, sigma: float,
@@ -286,24 +312,22 @@ def solve_adjoint(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     if source is not None:
         f1 = _as_field(grid, tgrid, source[0], "F1")
         f2 = _as_field(grid, tgrid, source[1], "F2")
-    phi = np.empty((msteps + 1, n))
-    psi = np.empty((msteps + 1, n))
-    phi[msteps], psi[msteps] = phi_T, psi_T
-    p = np.concatenate([phi_T, psi_T])
+    p = np.empty((msteps + 1, 2 * n))
+    p[msteps] = np.concatenate([phi_T, psi_T])
     for m in range(msteps - 1, -1, -1):
         src = np.concatenate([f1[m + 1], f2[m + 1]]) if source is not None else None
-        p = ops.step_adjoint(p, m, src)
-        phi[m], psi[m] = p[:n], p[n:]
-    return Trajectory(grid, tgrid, float(sigma), phi, psi)
+        p[m] = ops.step_adjoint(p[m + 1], m, src)
+    return Trajectory(grid, tgrid, float(sigma), p[:, :n], p[:, n:])
 
 
-def _nonlinear_step(solve, u_prev: np.ndarray, dt: float, reaction,
-                    inner_tol: float, max_inner: int, m: int) -> np.ndarray:
-    """Resolve one implicit step u = solve(u_prev + dt * reaction(u)) by
-    fixed-point iteration, warm-started at u_prev."""
-    v = u_prev
+def _nonlinear_step(update, start: np.ndarray, inner_tol: float,
+                    max_inner: int, m: int) -> np.ndarray:
+    """Resolve one implicit step by the fixed-point iteration v <- update(v),
+    warm-started at ``start``, until the sup-norm change is within
+    inner_tol * max(1, sup|v|)."""
+    v = start
     for _ in range(max_inner):
-        v_new = solve(u_prev + dt * reaction(v))
+        v_new = update(v)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= inner_tol * max(1.0, float(np.max(np.abs(v_new)))):
@@ -312,6 +336,14 @@ def _nonlinear_step(solve, u_prev: np.ndarray, dt: float, reaction,
         f"implicit reaction solve stalled at step {m}: "
         f"last update {delta:.3e} above tolerance {inner_tol:.1e} "
         f"after {max_inner} iterations")
+
+
+def _check_contraction(dt: float, pair: NonlinearityPair) -> None:
+    cmax = max(pair.lipschitz_f, pair.lipschitz_g)
+    if dt * cmax >= 1.0:
+        raise ValueError(
+            f"dt * max Lipschitz bound = {dt * cmax:.3g} must stay below 1 "
+            "for the per-step fixed point to contract")
 
 
 def solve_forward_semilinear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
@@ -328,39 +360,29 @@ def solve_forward_semilinear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     """
     y0 = _check_initial(grid, y0, "y0")
     z0 = _check_initial(grid, z0, "z0")
+    _check_control(grid, tgrid, control)
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     dt = tgrid.dt
-    cmax = max(pair.lipschitz_f, pair.lipschitz_g)
-    if dt * cmax >= 1.0:
-        raise ValueError(
-            f"dt * max Lipschitz bound = {dt * cmax:.3g} must stay below 1 "
-            "for the per-step fixed point to contract")
-    lap = neumann_laplacian(grid).matrix
+    _check_contraction(dt, pair)
     n = grid.n_cells
-    lu_y = splu((sp.identity(n, format="csc") - dt * lap).tocsc())
-    lu_z = splu((sp.identity(n, format="csc") - dt * sigma * lap).tocsc())
+    solve_y = _band_lu(_heat_band(grid, dt), 1)
+    solve_z = _band_lu(_heat_band(grid, dt * sigma), 1)
     chi = grid.omega_indicator
-
-    def solve_blocks(rhs: np.ndarray) -> np.ndarray:
-        return np.concatenate([lu_y.solve(rhs[:n]), lu_z.solve(rhs[n:])])
-
     msteps = tgrid.n_steps
-    y = np.empty((msteps + 1, n))
-    z = np.empty((msteps + 1, n))
-    y[0], z[0] = y0, z0
-    u = np.concatenate([y0, z0])
+    u = np.empty((msteps + 1, 2 * n))
+    u[0] = np.concatenate([y0, z0])
     for m in range(msteps):
         src = chi * control.values[m] if control is not None else 0.0
 
-        def reaction(v: np.ndarray) -> np.ndarray:
+        def update(v: np.ndarray) -> np.ndarray:
             vy, vz = v[:n], v[n:]
-            return np.concatenate([np.asarray(pair.f.value(vy, vz)) + src,
-                                   np.asarray(pair.g.value(vy, vz))])
+            rhs = u[m] + dt * np.concatenate([np.asarray(pair.f.value(vy, vz)) + src,
+                                              np.asarray(pair.g.value(vy, vz))])
+            return np.concatenate([solve_y(rhs[:n]), solve_z(rhs[n:])])
 
-        u = _nonlinear_step(solve_blocks, u, dt, reaction, inner_tol, max_inner, m)
-        y[m + 1], z[m + 1] = u[:n], u[n:]
-    return Trajectory(grid, tgrid, float(sigma), y, z)
+        u[m + 1] = _nonlinear_step(update, u[m], inner_tol, max_inner, m)
+    return Trajectory(grid, tgrid, float(sigma), u[:, :n], u[:, n:])
 
 
 def solve_shadow(grid: Grid1D, tgrid: TimeGrid,
@@ -373,45 +395,44 @@ def solve_shadow(grid: Grid1D, tgrid: TimeGrid,
 
     xi obeys d(xi)/dt = mean_x g(y, xi) and replaces the fast-diffusing
     component; the y-equation keeps unit diffusion and the windowed control.
+    Each step iterates Gauss-Seidel fashion: the new y, then xi from it.
     """
     y0 = _check_initial(grid, y0, "y0")
-    xi0 = float(xi0)
+    _check_control(grid, tgrid, control)
     dt = tgrid.dt
-    cmax = max(pair.lipschitz_f, pair.lipschitz_g)
-    if dt * cmax >= 1.0:
-        raise ValueError(
-            f"dt * max Lipschitz bound = {dt * cmax:.3g} must stay below 1 "
-            "for the per-step fixed point to contract")
-    lap = neumann_laplacian(grid).matrix
+    _check_contraction(dt, pair)
     n = grid.n_cells
-    lu_y = splu((sp.identity(n, format="csc") - dt * lap).tocsc())
+    solve_y = _band_lu(_heat_band(grid, dt), 1)
     chi = grid.omega_indicator
     msteps = tgrid.n_steps
-    y = np.empty((msteps + 1, n))
-    xi = np.empty(msteps + 1)
-    y[0], xi[0] = y0, xi0
-    ycur, xicur = y0, xi0
+    # each node stacks y and, last, the scalar mode xi
+    u = np.empty((msteps + 1, n + 1))
+    u[0] = np.append(y0, float(xi0))
     for m in range(msteps):
         src = chi * control.values[m] if control is not None else 0.0
-        vy, vxi = ycur, xicur
-        converged = False
-        for _ in range(max_inner):
-            vy_new = lu_y.solve(ycur + dt * (np.asarray(pair.f.value(vy, vxi)) + src))
-            vxi_new = xicur + dt * mean_value(grid, np.asarray(
-                pair.g.value(vy_new, np.full(n, vxi))))
-            delta = max(float(np.max(np.abs(vy_new - vy))), abs(vxi_new - vxi))
-            vy, vxi = vy_new, vxi_new
-            scale = max(1.0, float(np.max(np.abs(vy))), abs(vxi))
-            if delta <= inner_tol * scale:
-                converged = True
-                break
-        if not converged:
-            raise RuntimeError(
-                f"implicit reduced step stalled at step {m}: "
-                f"last update {delta:.3e} above tolerance {inner_tol:.1e}")
-        ycur, xicur = vy, vxi
-        y[m + 1], xi[m + 1] = ycur, xicur
-    return ShadowTrajectory(grid, tgrid, y, xi)
+
+        def update(v: np.ndarray) -> np.ndarray:
+            vy, vxi = v[:n], v[n]
+            vy_new = solve_y(u[m, :n] + dt * (np.asarray(pair.f.value(vy, vxi)) + src))
+            g_mean = mean_value(grid, np.asarray(pair.g.value(vy_new, np.full(n, vxi))))
+            return np.append(vy_new, u[m, n] + dt * g_mean)
+
+        u[m + 1] = _nonlinear_step(update, u[m], inner_tol, max_inner, m)
+    return ShadowTrajectory(grid, tgrid, u[:, :n], u[:, n])
+
+
+def solve_heat(grid: Grid1D, tgrid: TimeGrid, kappa: float, u0: np.ndarray,
+               source: np.ndarray | None = None) -> np.ndarray:
+    """Node slices (n_steps + 1, n_cells) of u_t = kappa lap u + F from u0,
+    by implicit Euler; slice m + 1 of the node-indexed source F, if given,
+    enters the step to node m + 1."""
+    solve = _band_lu(_heat_band(grid, tgrid.dt * kappa), 1)
+    u = np.empty((tgrid.n_steps + 1, grid.n_cells))
+    u[0] = _check_initial(grid, u0, "u0")
+    for m in range(tgrid.n_steps):
+        rhs = u[m] if source is None else u[m] + tgrid.dt * source[m + 1]
+        u[m + 1] = solve(rhs)
+    return u
 
 
 @dataclass(frozen=True)
@@ -475,10 +496,6 @@ def semigroup_checks(grid: Grid1D, tgrid: TimeGrid, sigma: float) -> SemigroupRe
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    lap = neumann_laplacian(grid).matrix
-    n = grid.n_cells
-    dt = tgrid.dt
-    lu = splu((sp.identity(n, format="csc") - dt * sigma * lap).tocsc())
 
     # The stepper preserves spatial means identically (the ones-row
     # annihilates the Laplacian), so the constant check carries the mean
@@ -486,22 +503,14 @@ def semigroup_checks(grid: Grid1D, tgrid: TimeGrid, sigma: float) -> SemigroupRe
     # reflects the scheme rather than triangular-solve round-off
     # accumulated over the horizon.
     const = 0.7
-    zc = np.full(n, const)
+    zc = np.full(grid.n_cells, const)
     mean0 = mean_value(grid, zc)
-    fluct = zc - mean0
-    for _ in range(tgrid.n_steps):
-        fluct = lu.solve(fluct)
+    fluct = solve_heat(grid, tgrid, sigma, zc - mean0)[-1]
     constant_error = float(np.max(np.abs(mean0 + fluct - const)) / const)
 
-    z = np.cos(np.pi * grid.cell_centers)
-    norms = np.empty(tgrid.n_steps + 1)
-    means = np.empty(tgrid.n_steps + 1)
-    norms[0] = np.sqrt(inner_product(grid, z, z))
-    means[0] = mean_value(grid, z)
-    for m in range(tgrid.n_steps):
-        z = lu.solve(z)
-        norms[m + 1] = np.sqrt(inner_product(grid, z, z))
-        means[m + 1] = mean_value(grid, z)
+    z = solve_heat(grid, tgrid, sigma, np.cos(np.pi * grid.cell_centers))
+    norms = np.array([norm_l2(grid, zm) for zm in z])
+    means = np.array([mean_value(grid, zm) for zm in z])
     fitted = float(np.polyfit(tgrid.nodes, np.log(norms), 1)[0])
     expected = -sigma * np.pi**2
     return SemigroupReport(
@@ -511,5 +520,5 @@ def semigroup_checks(grid: Grid1D, tgrid: TimeGrid, sigma: float) -> SemigroupRe
         expected_exponent=float(expected),
         exponent_rel_error=float(abs(fitted - expected) / abs(expected)),
         max_mean_drift=float(np.max(np.abs(means - means[0]))),
-        sigma_dt_product=float(sigma * np.pi**2 * dt),
+        sigma_dt_product=float(sigma * np.pi**2 * tgrid.dt),
     )

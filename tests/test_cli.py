@@ -158,6 +158,15 @@ class TestDefaultsAndErrors:
         assert "config error" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
 
+    def test_unwritable_artifact_exits_2(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "report.json").mkdir(parents=True)
+        assert run(cfg_file, out, "hum") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write ")
+        assert str(out / "report.json") in err
+        assert err.count("\n") == 1
+
     def test_negative_seed_exits_2(self, cfg_file, tmp_path):
         assert run(cfg_file, tmp_path / "o", "hum", "--seed", "-1") == 2
 

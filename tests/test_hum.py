@@ -187,6 +187,29 @@ class TestHumSolve:
         data_norm = float(np.linalg.norm(np.concatenate([y0, z0])))
         assert res.terminal_total <= 1e-5 * data_norm
 
+    def test_cost_converges_under_h_refinement(self):
+        # penalty tied to the mesh, eps = h^4, and dt = 0.3 h (Boyer, ESAIM
+        # Proc. 41, 2013): the cost stays bounded and converges at first
+        # order in h, which dt = O(h) limits, and the terminal state over
+        # sqrt(eps) does not grow
+        costs, ratios = [], []
+        for n in (16, 32, 64, 128):
+            grid = Grid1D(n_cells=n, omega_a=0.3, omega_b=0.7)
+            tgrid = TimeGrid(horizon=0.3, n_steps=n)
+            coeffs = constant_coefficients(grid, tgrid, 0.5, 0.3, 0.4, -0.2)
+            x = grid.cell_centers
+            eps = grid.spacing**4
+            res = hum_solve(grid, tgrid, 2.0, coeffs, np.cos(np.pi * x),
+                            0.5 * np.cos(2 * np.pi * x) + 0.2,
+                            HumConfig(epsilon=eps))
+            assert res.cg_converged
+            costs.append(res.control_cost)
+            ratios.append(res.terminal_total / np.sqrt(eps))
+        diffs = np.abs(np.diff(costs))
+        assert np.all(diffs[1:] < 0.7 * diffs[:-1])
+        assert max(costs[1:]) <= 1.01 * min(costs[1:])
+        assert np.all(np.diff(ratios) <= 0.0)
+
     @pytest.mark.parametrize("above", [False, True])
     def test_size_limit_picks_the_gramian_operator(self, above):
         # just below or just above the limit the solve must equal, bit for

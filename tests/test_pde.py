@@ -15,7 +15,7 @@ from shadowctl.pde import (CoefficientField, ControlField, StepOperators,
                            Trajectory, constant_coefficients, control_cost,
                            energy_functional, semigroup_checks, solve_adjoint,
                            solve_forward_linear, solve_forward_semilinear,
-                           solve_shadow, zero_coefficients)
+                           solve_heat, solve_shadow, zero_coefficients)
 
 
 def _dense_step_matrix(grid, tgrid, sigma, coeffs, m):
@@ -36,31 +36,75 @@ def _random_coefficients(grid, tgrid, rng, scale=0.5):
                             *(rng.uniform(-scale, scale, shape) for _ in range(4)))
 
 
-class TestSingleStep:
-    def test_forward_matches_dense_solve(self):
-        grid = Grid1D(n_cells=8, omega_a=0.25, omega_b=0.75)
-        tgrid = TimeGrid(horizon=0.1, n_steps=5)
-        coeffs = constant_coefficients(grid, tgrid, 0.3, -0.2, 0.5, 0.1)
-        ops = StepOperators(grid, tgrid, 2.0, coeffs)
-        rng = np.random.default_rng(3)
-        u = rng.standard_normal(16)
-        src = rng.standard_normal(8)
-        got = ops.step_forward(u, 0, src)
-        big = _dense_step_matrix(grid, tgrid, 2.0, coeffs, 0)
-        want = np.linalg.solve(big, u + tgrid.dt * np.concatenate([src, np.zeros(8)]))
-        assert np.max(np.abs(got - want)) < 1e-12
+# (n_cells, sigma, coefficients, step, right-hand-side columns); the
+# multi-column case is the block call the Gramian factor makes
+STEP_CASES = [
+    pytest.param(8, 2.0, "constant", 0, None, id="small"),
+    pytest.param(64, 3.0, "varying", 17, None, id="varying-n64"),
+    pytest.param(40, 1e3, "varying", 3, None, id="stiff-sigma"),
+    pytest.param(24, 5.0, "varying", 9, 7, id="block-rhs"),
+]
 
-    def test_adjoint_is_exact_transpose(self):
-        grid = Grid1D(n_cells=8, omega_a=0.25, omega_b=0.75)
-        tgrid = TimeGrid(horizon=0.1, n_steps=5)
-        rng = np.random.default_rng(4)
+
+def _step_case(n, coefficients, seed):
+    grid = Grid1D(n_cells=n, omega_a=0.25, omega_b=0.75)
+    tgrid = TimeGrid(horizon=0.1, n_steps=20)
+    rng = np.random.default_rng(seed)
+    if coefficients == "constant":
+        coeffs = constant_coefficients(grid, tgrid, 0.3, -0.2, 0.5, 0.1)
+    else:
         coeffs = _random_coefficients(grid, tgrid, rng)
-        ops = StepOperators(grid, tgrid, 3.0, coeffs)
-        p = rng.standard_normal(16)
-        got = ops.step_adjoint(p, 2)
-        big = _dense_step_matrix(grid, tgrid, 3.0, coeffs, 2)
-        want = np.linalg.solve(big.T, p)
-        assert np.max(np.abs(got - want)) < 1e-12
+    return grid, tgrid, coeffs, rng
+
+
+class TestSingleStep:
+    @pytest.mark.parametrize("n, sigma, coefficients, m, cols", STEP_CASES)
+    def test_forward_matches_dense_solve(self, n, sigma, coefficients, m, cols):
+        grid, tgrid, coeffs, rng = _step_case(n, coefficients, 3)
+        ops = StepOperators(grid, tgrid, sigma, coeffs)
+        big = _dense_step_matrix(grid, tgrid, sigma, coeffs, m)
+        if cols is None:
+            u = rng.standard_normal(2 * n)
+            src = rng.standard_normal(n)
+            got = ops.step_forward(u, m, src)
+            want = np.linalg.solve(big, u + tgrid.dt * np.concatenate([src, np.zeros(n)]))
+        else:
+            u = rng.standard_normal((2 * n, cols))
+            got = ops.step_forward(u, m)
+            want = np.linalg.solve(big, u)
+        assert got.shape == u.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n, sigma, coefficients, m, cols", STEP_CASES)
+    def test_adjoint_is_exact_transpose(self, n, sigma, coefficients, m, cols):
+        grid, tgrid, coeffs, rng = _step_case(n, coefficients, 4)
+        ops = StepOperators(grid, tgrid, sigma, coeffs)
+        big = _dense_step_matrix(grid, tgrid, sigma, coeffs, m)
+        if cols is None:
+            p = rng.standard_normal(2 * n)
+            src = rng.standard_normal(2 * n)
+            got = ops.step_adjoint(p, m, src)
+            want = np.linalg.solve(big.T, p + tgrid.dt * src)
+        else:
+            p = rng.standard_normal((2 * n, cols))
+            got = ops.step_adjoint(p, m)
+            want = np.linalg.solve(big.T, p)
+        assert got.shape == p.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e3])
+    def test_heat_step_matches_dense_solve(self, kappa):
+        grid = Grid1D(n_cells=30)
+        tgrid = TimeGrid(horizon=0.01, n_steps=1)
+        rng = np.random.default_rng(10)
+        u0 = rng.standard_normal(30)
+        source = rng.standard_normal((2, 30))
+        got = solve_heat(grid, tgrid, kappa, u0, source)
+        lap = neumann_laplacian(grid).matrix.toarray()
+        big = np.eye(30) - tgrid.dt * kappa * lap
+        want = np.linalg.solve(big, u0 + tgrid.dt * source[1])
+        assert np.array_equal(got[0], u0)
+        assert np.max(np.abs(got[1] - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_single_step_duality(self):
         grid = Grid1D(n_cells=12, omega_a=0.3, omega_b=0.7)
@@ -169,6 +213,34 @@ class TestHeatFlow:
         slope = np.polyfit(np.log(horizon / steps), np.log(errs), 1)[0]
         assert 0.8 <= slope <= 1.2
 
+
+    def test_second_order_accuracy_in_h(self):
+        # cos(pi x) at the cell centers is an exact eigenvector of the
+        # discrete Neumann Laplacian, eigenvalue -(4/h^2) sin^2(pi h/2)
+        # against -pi^2 for the continuous one.  The reference takes the
+        # same implicit Euler steps on the mode with the exact eigenvalue,
+        # so the time error cancels and only the spatial error is left.
+        sigma, horizon, n_steps = 2.0, 0.2, 40
+        a = np.array([[0.5, 0.3], [0.4, -0.2]])
+        amp0 = np.array([1.0, 0.5])
+        dt = horizon / n_steps
+        step = np.eye(2) + dt * (np.pi**2 * np.diag([1.0, sigma]) - a)
+        amp = np.linalg.matrix_power(np.linalg.inv(step), n_steps) @ amp0
+
+        def error(n):
+            grid = Grid1D(n_cells=n)
+            tgrid = TimeGrid(horizon=horizon, n_steps=n_steps)
+            coeffs = constant_coefficients(grid, tgrid, *a.ravel())
+            mode = np.cos(np.pi * grid.cell_centers)
+            traj = solve_forward_linear(grid, tgrid, sigma, coeffs, None,
+                                        amp0[0] * mode, amp0[1] * mode)
+            return np.hypot(norm_l2(grid, traj.y[-1] - amp[0] * mode),
+                            norm_l2(grid, traj.z[-1] - amp[1] * mode))
+
+        ns = np.array([8, 16, 32, 64])
+        errs = [error(n) for n in ns]
+        slope = np.polyfit(np.log(1.0 / ns), np.log(errs), 1)[0]
+        assert 1.9 <= slope <= 2.1
 
 class TestDuality:
     def test_free_flow_pairing_is_conserved(self):
@@ -330,6 +402,26 @@ class TestControlField:
             solve_forward_linear(grid, tgrid, 1.0, zero_coefficients(grid, tgrid),
                                  control, np.zeros(10), np.zeros(10))
 
+
+    @pytest.mark.parametrize("mismatch", ["horizon", "window"])
+    @pytest.mark.parametrize("marcher", ["semilinear", "shadow"])
+    def test_nonlinear_marchers_reject_mismatched_control(self, marcher, mismatch):
+        # the values have the right shape, so only the grid check catches it
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=3)
+        if mismatch == "horizon":
+            control = ControlField(grid, TimeGrid(horizon=0.2, n_steps=3),
+                                   np.ones((3, 10)))
+        else:
+            control = ControlField(Grid1D(n_cells=10, omega_a=0.2), tgrid,
+                                   np.ones((3, 10)))
+        pair = linear_pair(0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(ValueError, match="different grid"):
+            if marcher == "semilinear":
+                solve_forward_semilinear(grid, tgrid, 1.0, pair, control,
+                                         np.zeros(10), np.zeros(10))
+            else:
+                solve_shadow(grid, tgrid, pair, control, np.zeros(10), 0.0)
 
 class TestEnergy:
     def test_cosine_energy_oracle(self):
