@@ -2,7 +2,7 @@
 
 Usage::
 
-    shadowctl <command> --config <path> [--out <dir>] [--seed <u64>] [--jobs <n>]
+    shadowctl <command> --config <path> [--out <dir>] [--seed <u64>] [--jobs 1]
 
 Commands: ``hum`` (linearized nulling control), ``semilinear`` (fixed-point
 control), ``shadow`` (full-vs-reduced comparison at one diffusion ratio),
@@ -11,14 +11,13 @@ report), ``check-hypotheses`` (structure checks on the configured reaction
 pair), ``selftest`` (fast invariant suite).
 
 Exit status: 0 on success, 1 on solver or check failure, 2 on configuration
-errors and on artifacts that cannot be written.  ``--jobs`` falls back to the
-``SHADOWCTL_JOBS`` environment variable, then to 1.
+errors and on artifacts that cannot be written.  Sweep rows run one after
+another; ``--jobs`` is kept for compatibility and accepts only 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .config import (ConfigError, RunConfig, build_fixed_point_config,
                      build_grid, build_hum_config, build_initial_data,
                      build_pair, build_tgrid, load_config, serialize_config)
 from .experiments import control_and_reduce, shadow_gap, sigma_sweep
-from .hum import HumResult, duality_residual, gramian_apply, hum_solve
+from .hum import duality_residual, gramian_apply, hum_solve
 from .mesh import Grid1D, TimeGrid
 from .nonlinear import arctan_family, check_hypotheses, make_pair, sigmoid_family
 from .pde import (CoefficientField, ControlField, semigroup_checks,
@@ -46,24 +45,6 @@ def _norm_history(grid, traj) -> np.ndarray:
     return np.sqrt(h * (np.sum(traj.y ** 2, axis=1) + np.sum(traj.z ** 2, axis=1)))
 
 
-def _hum_report(result: HumResult, extra: dict | None = None) -> dict:
-    report = {
-        "epsilon": result.epsilon,
-        "control_cost": result.control_cost,
-        "terminal_norm_y": result.terminal_y,
-        "terminal_norm_z": result.terminal_z,
-        "terminal_norm_total": result.terminal_total,
-        "free_terminal_norm": result.free_terminal_norm,
-        "cg_iterations": result.cg_iterations,
-        "cg_converged": result.cg_converged,
-        "residual_monotone": result.residual_monotone,
-        "duality_residual": result.duality_residual,
-    }
-    if extra:
-        report.update(extra)
-    return report
-
-
 def _dump_trajectory(out: Path, cfg: RunConfig, traj, control) -> None:
     if "csv" in cfg.output_formats:
         sio.write_trajectory_csv(out / "trajectory.csv", traj)
@@ -75,7 +56,7 @@ def _dump_trajectory(out: Path, cfg: RunConfig, traj, control) -> None:
             sio.write_fields_binary(out / "control.bin", sio.control_fields(control))
 
 
-def _cmd_hum(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
+def _cmd_hum(cfg: RunConfig, out: Path, seed: int) -> int:
     """solve one penalized nulling problem with frozen coefficients"""
     grid, tgrid = build_grid(cfg), build_tgrid(cfg)
     pair = build_pair(cfg)
@@ -84,7 +65,20 @@ def _cmd_hum(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     result = hum_solve(grid, tgrid, cfg.problem_sigma, coeffs, y0, z0,
                        build_hum_config(cfg))
     traj = result.trajectory
-    report = _hum_report(result, {"command": "hum", "sigma": cfg.problem_sigma})
+    report = {
+        "epsilon": result.epsilon,
+        "control_cost": result.control_cost,
+        "terminal_norm_y": result.terminal_y,
+        "terminal_norm_z": result.terminal_z,
+        "terminal_norm_total": result.terminal_total,
+        "free_terminal_norm": result.free_terminal_norm,
+        "cg_iterations": result.cg_iterations,
+        "cg_converged": result.cg_converged,
+        "residual_monotone": result.residual_monotone,
+        "duality_residual": result.duality_residual,
+        "command": "hum",
+        "sigma": cfg.problem_sigma,
+    }
     sio.write_json_report(out / "report.json", report)
     _dump_trajectory(out, cfg, traj, result.control)
     sio.write_series_dat(out / "state_norm.dat", tgrid.nodes,
@@ -95,7 +89,7 @@ def _cmd_hum(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     return 0 if result.cg_converged else 1
 
 
-def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
+def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int) -> int:
     """run the fixed-point control scheme on the semilinear system"""
     grid, tgrid = build_grid(cfg), build_tgrid(cfg)
     pair = build_pair(cfg)
@@ -132,7 +126,7 @@ def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     return 0 if result.converged else 1
 
 
-def _cmd_shadow(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
+def _cmd_shadow(cfg: RunConfig, out: Path, seed: int) -> int:
     """compare the controlled fast component with its reduced model"""
     grid, tgrid = build_grid(cfg), build_tgrid(cfg)
     pair = build_pair(cfg)
@@ -164,7 +158,7 @@ def _cmd_shadow(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     return 0 if run.converged else 1
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
+def _cmd_sweep(cfg: RunConfig, out: Path, seed: int) -> int:
     """recompute the control across the configured sigma list"""
     grid, tgrid = build_grid(cfg), build_tgrid(cfg)
     pair = build_pair(cfg)
@@ -173,8 +167,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                          mode=cfg.problem_mode,
                          t0_fraction=cfg.experiment_t0_fraction,
                          hum_config=build_hum_config(cfg),
-                         fp_config=build_fixed_point_config(cfg),
-                         jobs=jobs)
+                         fp_config=build_fixed_point_config(cfg))
     rows = [{
         "sigma": r.sigma,
         "control_cost": r.control_cost,
@@ -199,15 +192,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         "rows": rows,
     }
     sio.write_json_report(out / "sweep.json", payload)
-    header = ("sigma,control_cost,terminal_norm_y,terminal_norm_z,"
-              "sigma_grad_z,shadow_gap,xi_terminal,outer_iterations,"
-              "cg_iterations,converged")
-    lines = [header]
-    for r in rows:
-        lines.append(",".join(
-            f"{v:.17g}" if isinstance(v, float) else str(v)
-            for v in r.values()))
-    (out / "sweep_rows.csv").write_text("\n".join(lines) + "\n")
+    sio.write_rows_csv(out / "sweep_rows.csv", rows)
     sigmas = np.array([r.sigma for r in report.rows])
     sio.write_series_dat(out / "cost_vs_sigma.dat", sigmas,
                          np.array([r.control_cost for r in report.rows]),
@@ -221,7 +206,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     return 0 if ok else 1
 
 
-def _cmd_weights(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
+def _cmd_weights(cfg: RunConfig, out: Path, seed: int) -> int:
     """build weights and constants for the configured horizon and check them"""
     horizon = cfg.time_horizon
     w = build_weights(horizon)
@@ -256,7 +241,7 @@ def _cmd_weights(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     return 0 if checks.all_ok else 1
 
 
-def _cmd_check_hypotheses(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
+def _cmd_check_hypotheses(cfg: RunConfig, out: Path, seed: int) -> int:
     """sample the structural hypotheses of the configured nonlinearities"""
     pair = build_pair(cfg)
     report = check_hypotheses(pair, seed=seed)
@@ -315,7 +300,7 @@ def _selftest_cases() -> list[tuple[str, bool, str]]:
     return rows
 
 
-def _cmd_selftest(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
+def _cmd_selftest(cfg: RunConfig, out: Path, seed: int) -> int:
     """run the built-in smoke checks and report pass/fail"""
     rows = _selftest_cases()
     width = max(len(name) for name, _, _ in rows)
@@ -356,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides output.directory)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized checks")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep rows (default: SHADOWCTL_JOBS or 1)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; only 1 is allowed")
     return parser
 
 
@@ -374,26 +359,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed < 0:
         print("config error: --seed must be nonnegative", file=sys.stderr)
         return 2
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("SHADOWCTL_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                print(f"config error: SHADOWCTL_JOBS={env!r} is not an integer",
-                      file=sys.stderr)
-                return 2
-        else:
-            jobs = 1
-    if jobs < 1:
-        print("config error: --jobs must be at least 1", file=sys.stderr)
+    if args.jobs != 1:
+        print(f"config error: --jobs accepts only 1, got {args.jobs}",
+              file=sys.stderr)
         return 2
     out = Path(args.out) if args.out else Path(cfg.output_directory)
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config_effective.txt").write_text(serialize_config(cfg))
-        return _COMMANDS[args.command](cfg, out, args.seed, jobs)
+        return _COMMANDS[args.command](cfg, out, args.seed)
     except (ValueError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1

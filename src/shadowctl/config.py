@@ -61,7 +61,6 @@ class RunConfig:
     fixed_point_damping: float = 1.0
     fixed_point_quadrature_nodes: int = 32
     experiment_t0_fraction: float = 0.1
-    experiment_epsilons: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     output_directory: str = "out"
     output_formats: tuple[str, ...] = ("json", "csv")
 
@@ -96,7 +95,6 @@ _KEY_TO_FIELD = {
     "fixed_point.damping": "fixed_point_damping",
     "fixed_point.quadrature_nodes": "fixed_point_quadrature_nodes",
     "experiment.t0_fraction": "experiment_t0_fraction",
-    "experiment.epsilons": "experiment_epsilons",
     "output.directory": "output_directory",
     "output.formats": "output_formats",
 }
@@ -184,9 +182,10 @@ def validate_config(cfg: RunConfig) -> None:
 
     if cfg.grid_n_cells < 4:
         fail("grid_n_cells", f"must be at least 4, got {cfg.grid_n_cells}")
-    if not (0.0 < cfg.grid_omega_a < cfg.grid_omega_b < 1.0):
-        fail("grid_omega_a", "window must satisfy 0 < omega_a < omega_b < 1, "
-             f"got ({cfg.grid_omega_a}, {cfg.grid_omega_b})")
+    try:
+        build_grid(cfg)
+    except ValueError as exc:  # the control window; n_cells passed above
+        fail("grid_omega_a", str(exc))
     if not cfg.time_horizon > 0.0:
         fail("time_horizon", f"must be positive, got {cfg.time_horizon}")
     if cfg.time_n_steps < 1:
@@ -225,10 +224,6 @@ def validate_config(cfg: RunConfig) -> None:
     if not (0.0 < cfg.experiment_t0_fraction < 1.0):
         fail("experiment_t0_fraction",
              f"must lie in (0, 1), got {cfg.experiment_t0_fraction}")
-    eps = cfg.experiment_epsilons
-    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] <= 0.0:
-        fail("experiment_epsilons",
-             f"must be a strictly decreasing positive list, got {eps}")
     if not cfg.output_directory:
         fail("output_directory", "must be non-empty")
     bad = [f for f in cfg.output_formats if f not in _FORMAT_CHOICES]

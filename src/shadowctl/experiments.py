@@ -14,7 +14,6 @@ reaction residual (expected to scale like sigma^(-1)).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,16 +156,15 @@ def sigma_sweep(grid: Grid1D, tgrid: TimeGrid, sigmas,
                 mode: str = "semilinear",
                 t0_fraction: float = 0.1,
                 hum_config: HumConfig = HumConfig(),
-                fp_config: FixedPointConfig = FixedPointConfig(),
-                jobs: int = 1) -> SweepReport:
+                fp_config: FixedPointConfig = FixedPointConfig()) -> SweepReport:
     """Control the system for each diffusion ratio and compare to the reduction.
 
     For every sigma the control is recomputed (frozen-coefficient solve in
     "linear" mode, full fixed-point scheme in "semilinear" mode), the reduced
     system is driven by the same control, and the row records cost, terminal
     norms, the weighted gradient energy of z, and the gap past the initial
-    layer.  Rows are always assembled in sigma order, so reports are
-    reproducible bit for bit regardless of ``jobs``.
+    layer.  Rows are computed one after another in sigma order, and reports
+    are reproducible bit for bit.
     """
     sig = [float(s) for s in sigmas]
     if len(sig) < 2 or any(b <= a for a, b in zip(sig, sig[1:])):
@@ -176,17 +174,8 @@ def sigma_sweep(grid: Grid1D, tgrid: TimeGrid, sigmas,
     if not (0.0 < t0_fraction < 1.0):
         raise ValueError(f"t0_fraction must lie in (0, 1), got {t0_fraction}")
     t0 = t0_fraction * tgrid.horizon
-
-    def work(s: float):
-        return _sweep_row(grid, tgrid, s, mode, pair, y0, z0,
-                          hum_config, fp_config, t0)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, sig))
-    else:
-        results = [work(s) for s in sig]
-
+    results = [_sweep_row(grid, tgrid, s, mode, pair, y0, z0,
+                          hum_config, fp_config, t0) for s in sig]
     rows = tuple(r for r, _ in results)
     controls = [c for _, c in results]
     gaps = [r.shadow_gap for r in rows]

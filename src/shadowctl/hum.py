@@ -32,7 +32,7 @@ further.  A solve whose data need no iteration never builds the factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dtpqrt
@@ -60,7 +60,6 @@ class HumConfig:
     epsilon: float = 1e-6
     cg_tol: float = 1e-9
     cg_max_iters: int = 500
-    record_duality: bool = True
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
@@ -87,7 +86,7 @@ class HumResult:
     cg_residuals: tuple[float, ...]
     cg_converged: bool
     residual_monotone: bool
-    duality_residual: float | None
+    duality_residual: float
     free_terminal_norm: float
 
     @property
@@ -247,9 +246,7 @@ def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
                                       y0, z0, ops=ops)
     term_y, term_z = controlled.terminal_norms()
     cost = control_cost(grid, tgrid, control)
-    dual_res = None
-    if config.record_duality:
-        dual_res = duality_residual(grid, tgrid, control, controlled, dual)
+    dual_res = duality_residual(grid, tgrid, control, controlled, dual)
     return HumResult(
         control=control, trajectory=controlled, epsilon=config.epsilon,
         terminal_y=term_y, terminal_z=term_z, control_cost=cost,
@@ -326,10 +323,8 @@ def epsilon_sweep(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         raise ValueError("epsilons must be a strictly decreasing sequence of length >= 2")
     rows = []
     for eps in eps_list:
-        cfg = HumConfig(epsilon=eps, cg_tol=base_config.cg_tol,
-                        cg_max_iters=base_config.cg_max_iters,
-                        record_duality=False)
-        res = hum_solve(grid, tgrid, sigma, coeffs, y0, z0, cfg)
+        res = hum_solve(grid, tgrid, sigma, coeffs, y0, z0,
+                        replace(base_config, epsilon=eps))
         rows.append(EpsilonRow(
             epsilon=eps, control_cost=res.control_cost,
             terminal_y=res.terminal_y, terminal_z=res.terminal_z,

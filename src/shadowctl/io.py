@@ -30,8 +30,9 @@ from .pde import ControlField, Trajectory
 
 __all__ = [
     "FormatError", "write_trajectory_csv", "write_control_csv",
-    "write_fields_binary", "read_fields_binary", "write_json_report",
-    "write_series_dat", "trajectory_fields", "control_fields",
+    "write_rows_csv", "write_fields_binary", "read_fields_binary",
+    "write_json_report", "write_series_dat", "trajectory_fields",
+    "control_fields",
 ]
 
 _MAGIC = b"SHCT"
@@ -74,6 +75,15 @@ def write_control_csv(path: str | Path, control: ControlField) -> Path:
         hm = control.values[m]
         lines.extend(f"{_fmt(t[m])},{_fmt(x[i])},{_fmt(hm[i])}"
                      for i in range(control.grid.n_cells))
+    return _write_text(path, "\n".join(lines) + "\n")
+
+
+def write_rows_csv(path: str | Path, rows: list[dict]) -> Path:
+    """One line per row under a header of the first row's keys; floats at
+    17 significant digits, integers and booleans as ``str`` writes them."""
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                          for v in row.values()) for row in rows)
     return _write_text(path, "\n".join(lines) + "\n")
 
 

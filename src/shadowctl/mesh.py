@@ -39,6 +39,13 @@ class Grid1D:
                 "control window must satisfy 0 < omega_a < omega_b < 1, got "
                 f"({self.omega_a}, {self.omega_b})"
             )
+        # A window that covers any cell covers one of the few around the
+        # cell holding omega_a, so checking those keeps this O(1) in n_cells.
+        first = int(self.omega_a * self.n_cells)
+        near = np.arange(max(first - 1, 0), min(first + 4, self.n_cells))
+        if not np.any(self._overlap_fraction(near)):
+            raise ValueError(f"control window ({self.omega_a}, {self.omega_b}) "
+                             "covers no cell")
 
     @property
     def spacing(self) -> float:
@@ -60,15 +67,19 @@ class Grid1D:
         cells outside get exactly 0, and the two straddling cells (if the
         window endpoints fall inside a cell) get the overlap fraction.
         """
+        chi = self._overlap_fraction(np.arange(self.n_cells))
+        chi.flags.writeable = False
+        return chi
+
+    def _overlap_fraction(self, cells: np.ndarray) -> np.ndarray:
         h = self.spacing
-        left = np.arange(self.n_cells) * h
+        left = cells * h
         overlap = np.minimum(left + h, self.omega_b) - np.maximum(left, self.omega_a)
         chi = np.clip(overlap / h, 0.0, 1.0)
         # snap fractions born of edge-coordinate round-off so window bounds
         # that align with cell edges give an exact 0/1 indicator
         chi[chi < 1e-12] = 0.0
         chi[chi > 1.0 - 1e-12] = 1.0
-        chi.flags.writeable = False
         return chi
 
 

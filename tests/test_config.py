@@ -42,10 +42,6 @@ class TestParse:
         cfg = parse_config("problem.sigma_list = 1, 10, 100\n")
         assert cfg.problem_sigma_list == (1.0, 10.0, 100.0)
 
-    def test_epsilon_list_parsing(self):
-        cfg = parse_config("experiment.epsilons = 1e-2, 1e-4\n")
-        assert cfg.experiment_epsilons == (1e-2, 1e-4)
-
     def test_output_formats_parsing(self):
         cfg = parse_config("output.formats = json, binary\n")
         assert cfg.output_formats == ("json", "binary")
@@ -86,6 +82,8 @@ class TestValidation:
     @pytest.mark.parametrize("line,match", [
         ("grid.n_cells = 2", "grid.n_cells"),
         ("grid.omega_a = 0.8", "grid.omega_a"),
+        ("grid.omega_a = 0.5\ngrid.omega_b = 0.5000000000000001",
+         "grid.omega_a"),
         ("time.horizon = -1", "time.horizon"),
         ("time.n_steps = 0", "time.n_steps"),
         ("problem.mode = cubic", "problem.mode"),

@@ -280,6 +280,22 @@ class TestEpsilonSweep:
                 row.terminal_total / np.sqrt(row.epsilon))
         assert rep.cost_spread_last3 >= 0.0
 
+    def test_rows_equal_single_solves(self, small_problem):
+        # each row is hum_solve at that penalty with the base settings kept;
+        # the iteration cap binds at the smaller penalty
+        grid, tgrid, coeffs, y0, z0 = small_problem
+        base = HumConfig(cg_tol=1e-6, cg_max_iters=5)
+        rep = epsilon_sweep(grid, tgrid, 1.0, coeffs, y0, z0, (1e-2, 1e-4),
+                            base)
+        for row in rep.rows:
+            res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0,
+                            HumConfig(epsilon=row.epsilon, cg_tol=1e-6,
+                                      cg_max_iters=5))
+            assert ((row.control_cost, row.terminal_y, row.terminal_z,
+                     row.terminal_total, row.cg_iterations)
+                    == (res.control_cost, res.terminal_y, res.terminal_z,
+                        res.terminal_total, res.cg_iterations))
+
     def test_rejects_non_decreasing_schedule(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
         with pytest.raises(ValueError, match="decreasing"):

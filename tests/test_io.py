@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from shadowctl.io import (FormatError, control_fields, read_fields_binary,
                           trajectory_fields, write_control_csv,
                           write_fields_binary, write_json_report,
-                          write_series_dat, write_trajectory_csv)
+                          write_rows_csv, write_series_dat,
+                          write_trajectory_csv)
 from shadowctl.mesh import Grid1D, TimeGrid
 from shadowctl.pde import ControlField, Trajectory
 
@@ -49,6 +50,21 @@ class TestCsv:
         lines = p.read_text().splitlines()
         assert lines[0] == "t,x,h"
         assert len(lines) == 1 + 2 * 4   # one row per step, not per node
+
+    def test_rows_layout(self, tmp_path):
+        rows = [{"sigma": 1.0, "cost": 0.1 + 0.2, "iterations": 7,
+                 "converged": True},
+                {"sigma": 10.0, "cost": np.float64(1.0) / 3.0,
+                 "iterations": 12, "converged": False}]
+        p = write_rows_csv(tmp_path / "rows.csv", rows)
+        lines = p.read_text().splitlines()
+        assert lines[0] == "sigma,cost,iterations,converged"
+        assert lines[1].endswith(",7,True")
+        assert lines[2].endswith(",12,False")
+        # floats survive the text round trip exactly (17 significant digits)
+        for line, row in zip(lines[1:], rows):
+            sigma, cost = (float(v) for v in line.split(",")[:2])
+            assert (sigma, cost) == (row["sigma"], row["cost"])
 
     def test_parent_directories_created(self, tiny_problem, tmp_path):
         _, _, traj = tiny_problem

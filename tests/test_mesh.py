@@ -34,6 +34,7 @@ def test_grid_indicator_cut_cell():
     (10, (0.7, 0.3)),      # reversed window
     (10, (0.0, 0.5)),      # touches the boundary
     (10, (0.5, 1.0)),
+    (100, (0.5, 0.5000000000000001)),   # window covers no cell
 ])
 def test_grid_rejects_bad_arguments(n_cells, omega):
     with pytest.raises(ValueError):
