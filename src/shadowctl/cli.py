@@ -31,8 +31,8 @@ from .experiments import control_and_reduce, shadow_gap, sigma_sweep
 from .hum import duality_residual, gramian_apply, hum_solve
 from .mesh import Grid1D, TimeGrid
 from .nonlinear import arctan_family, check_hypotheses, make_pair, sigmoid_family
-from .pde import (CoefficientField, ControlField, semigroup_checks,
-                  solve_adjoint, solve_forward_linear)
+from .pde import (CoefficientField, ControlField, StepOperators,
+                  semigroup_checks, solve_adjoint, solve_forward_linear)
 from .semilinear import (fixed_point_control, linearized_coefficients,
                          origin_coefficients)
 from .theory import build_weights, observability_constant, weight_inequality_checks
@@ -40,8 +40,8 @@ from .theory import build_weights, observability_constant, weight_inequality_che
 __all__ = ["main"]
 
 
-def _norm_history(grid, traj) -> np.ndarray:
-    h = grid.spacing
+def _norm_history(traj) -> np.ndarray:
+    h = traj.grid.spacing
     return np.sqrt(h * (np.sum(traj.y ** 2, axis=1) + np.sum(traj.z ** 2, axis=1)))
 
 
@@ -61,9 +61,8 @@ def _cmd_hum(cfg: RunConfig, out: Path, seed: int) -> int:
     grid, tgrid = build_grid(cfg), build_tgrid(cfg)
     pair = build_pair(cfg)
     y0, z0 = build_initial_data(cfg, grid)
-    coeffs = origin_coefficients(grid, tgrid, pair)
-    result = hum_solve(grid, tgrid, cfg.problem_sigma, coeffs, y0, z0,
-                       build_hum_config(cfg))
+    ops = StepOperators(cfg.problem_sigma, origin_coefficients(grid, tgrid, pair))
+    result = hum_solve(ops, y0, z0, build_hum_config(cfg))
     traj = result.trajectory
     report = {
         "epsilon": result.epsilon,
@@ -82,7 +81,7 @@ def _cmd_hum(cfg: RunConfig, out: Path, seed: int) -> int:
     sio.write_json_report(out / "report.json", report)
     _dump_trajectory(out, cfg, traj, result.control)
     sio.write_series_dat(out / "state_norm.dat", tgrid.nodes,
-                         _norm_history(grid, traj), header="t state_norm")
+                         _norm_history(traj), header="t state_norm")
     print(f"hum: cost={result.control_cost:.6g} "
           f"terminal={result.terminal_total:.6g} "
           f"cg_iterations={result.cg_iterations}")
@@ -113,7 +112,7 @@ def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int) -> int:
     sio.write_json_report(out / "report.json", report)
     _dump_trajectory(out, cfg, result.trajectory, result.control)
     sio.write_series_dat(out / "state_norm.dat", tgrid.nodes,
-                         _norm_history(grid, result.trajectory),
+                         _norm_history(result.trajectory),
                          header="t state_norm")
     if result.update_history:
         sio.write_series_dat(out / "updates.dat",
@@ -260,19 +259,19 @@ def _selftest_cases() -> list[tuple[str, bool, str]]:
     tgrid = TimeGrid(horizon=0.4, n_steps=40)
     n, M = grid.n_cells, tgrid.n_steps
     fields = 0.8 * rng.standard_normal((4, M + 1, n))
-    coeffs = CoefficientField(grid, tgrid, *fields)
+    ops = StepOperators(3.0, CoefficientField(grid, tgrid, *fields))
     control = ControlField(grid, tgrid, rng.standard_normal((M, n)))
     y0, z0 = rng.standard_normal(n), rng.standard_normal(n)
-    state = solve_forward_linear(grid, tgrid, 3.0, coeffs, control, y0, z0)
+    state = solve_forward_linear(ops, control, y0, z0)
     pT = rng.standard_normal(2 * n)
-    dual = solve_adjoint(grid, tgrid, 3.0, coeffs, pT[:n], pT[n:])
-    res = duality_residual(grid, tgrid, control, state, dual)
+    dual = solve_adjoint(ops, pT[:n], pT[n:])
+    res = duality_residual(control, state, dual)
     rows.append(("duality-identity", res <= 1e-10, f"residual {res:.2e}"))
 
     a = rng.standard_normal(2 * n)
     b = rng.standard_normal(2 * n)
-    la = gramian_apply(grid, tgrid, 3.0, coeffs, a)
-    lb = gramian_apply(grid, tgrid, 3.0, coeffs, b)
+    la = gramian_apply(ops, a)
+    lb = gramian_apply(ops, b)
     h = grid.spacing
     sym = abs(h * (la @ b) - h * (lb @ a)) / max(abs(h * (la @ b)), 1e-30)
     quad = h * (la @ a)

@@ -21,9 +21,9 @@ import numpy as np
 from .hum import HumConfig, hum_solve
 from .mesh import Grid1D, TimeGrid, mean_value, norm_l2
 from .nonlinear import NonlinearityPair, linear_pair
-from .pde import (ControlField, ShadowTrajectory, Trajectory, control_cost,
-                  energy_functional, solve_forward_semilinear, solve_heat,
-                  solve_shadow)
+from .pde import (ControlField, ShadowTrajectory, StepOperators, Trajectory,
+                  control_cost, energy_functional, solve_forward_semilinear,
+                  solve_heat, solve_shadow)
 from .semilinear import FixedPointConfig, fixed_point_control, origin_coefficients
 
 __all__ = [
@@ -87,7 +87,7 @@ def control_and_reduce(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
         raise ValueError(f"mode must be 'linear' or 'semilinear', got {mode!r}")
     if mode == "linear":
         coeffs = origin_coefficients(grid, tgrid, pair)
-        res = hum_solve(grid, tgrid, sigma, coeffs, y0, z0, hum_config)
+        res = hum_solve(StepOperators(sigma, coeffs), y0, z0, hum_config)
         # compare against the shadow of the same linearized reactions
         pair = linear_pair(*(float(a[0, 0]) for a in
                              (coeffs.a11, coeffs.a12, coeffs.a21, coeffs.a22)))
@@ -140,7 +140,7 @@ def _sweep_row(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
                              hum_config, fp_config)
     term_y, term_z = run.trajectory.terminal_norms()
     row = SweepRow(sigma=float(sigma),
-                   control_cost=control_cost(grid, tgrid, run.control),
+                   control_cost=control_cost(run.control),
                    terminal_y=term_y, terminal_z=term_z,
                    sigma_grad_z=energy_functional(run.trajectory).sigma_grad_z,
                    shadow_gap=shadow_gap(run.trajectory, run.reduced, t0),
@@ -189,8 +189,7 @@ def sigma_sweep(grid: Grid1D, tgrid: TimeGrid, sigmas,
     deltas = []
     for a, b in zip(controls, controls[1:]):
         diff = ControlField(grid, tgrid, b.values - a.values)
-        base = control_cost(grid, tgrid, a)
-        deltas.append(control_cost(grid, tgrid, diff) / max(base, 1e-300))
+        deltas.append(control_cost(diff) / max(control_cost(a), 1e-300))
     return SweepReport(mode=mode, t0=t0, rows=rows,
                        gap_slope=slope, gap_strictly_decreasing=decreasing,
                        cost_ratio=float(cost_ratio),

@@ -12,6 +12,9 @@ windowed space-time norm of phi_a, and the controlled terminal state obeys
 (y(T), z(T)) = eps * pT + r with r the normal-equation residual, so driving
 eps down drives the terminal state to zero at rate sqrt(eps).
 
+Every solver here takes the :class:`~shadowctl.pde.StepOperators` of its
+system and builds none, so calls that share them share their factorizations.
+
 Two ways to apply Lambda inside the Krylov solve, picked by the size 2n of
 the stacked state:
 
@@ -37,9 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dtpqrt
 
-from .mesh import Grid1D, TimeGrid
-from .pde import (CoefficientField, ControlField, StepOperators, Trajectory,
-                  control_cost, solve_adjoint, solve_forward_linear)
+from .pde import (ControlField, StepOperators, Trajectory, control_cost,
+                  solve_adjoint, solve_forward_linear)
 
 __all__ = [
     "HumConfig", "HumResult", "EpsilonRow", "EpsilonSweepReport",
@@ -94,10 +96,8 @@ class HumResult:
         return float(np.hypot(self.terminal_y, self.terminal_z))
 
 
-def gramian_apply(grid: Grid1D, tgrid: TimeGrid, sigma: float,
-                  coeffs: CoefficientField, p_terminal: np.ndarray,
-                  ops: StepOperators | None = None) -> np.ndarray:
-    """Apply the dual observability map Lambda to terminal dual data.
+def gramian_apply(ops: StepOperators, p_terminal: np.ndarray) -> np.ndarray:
+    """Apply the dual observability map Lambda of ``ops`` to terminal dual data.
 
     Solves the dual system backward from ``p_terminal``, takes the windowed
     observation of its y-component, feeds that as a source into the forward
@@ -106,21 +106,17 @@ def gramian_apply(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     the window-weighted space-time norm of the observed component.
     """
     p_terminal = np.asarray(p_terminal, dtype=float)
-    n = grid.n_cells
+    n = ops.grid.n_cells
     if p_terminal.shape != (2 * n,):
         raise ValueError(f"terminal data must have shape ({2 * n},), got {p_terminal.shape}")
-    if ops is None:
-        ops = StepOperators(grid, tgrid, sigma, coeffs)
-    dual = solve_adjoint(grid, tgrid, sigma, coeffs,
-                         p_terminal[:n], p_terminal[n:], ops=ops)
-    observed = ControlField(grid, tgrid, dual.y[:-1])
-    pushed = solve_forward_linear(grid, tgrid, sigma, coeffs, observed,
-                                  np.zeros(n), np.zeros(n), ops=ops)
+    dual = solve_adjoint(ops, p_terminal[:n], p_terminal[n:])
+    observed = ControlField(ops.grid, ops.tgrid, dual.y[:-1])
+    pushed = solve_forward_linear(ops, observed, np.zeros(n), np.zeros(n))
     return np.concatenate([pushed.y[-1], pushed.z[-1]])
 
 
-def gramian_factor(grid: Grid1D, tgrid: TimeGrid, ops: StepOperators) -> np.ndarray:
-    """Upper-triangular R with Lambda = R^T R, from one backward sweep.
+def gramian_factor(ops: StepOperators) -> np.ndarray:
+    """Upper-triangular R with Lambda = R^T R of ``ops``, from one backward sweep.
 
     Marches the identity backward through the transposed steps, so that
     after the step down to node m the block P holds the dual states at node
@@ -129,14 +125,14 @@ def gramian_factor(grid: Grid1D, tgrid: TimeGrid, ops: StepOperators) -> np.ndar
     by triangular-pentagonal QR updates (LAPACK ``dtpqrt``).  Each update
     takes whole steps, at most 2n rows, so the workspace stays O((2n)^2).
     """
-    n2 = 2 * grid.n_cells
-    chi = grid.omega_indicator
+    n2 = 2 * ops.grid.n_cells
+    chi = ops.grid.omega_indicator
     window = np.flatnonzero(chi > 0.0)
-    weight = np.sqrt(tgrid.dt * chi[window])[:, None]
+    weight = np.sqrt(ops.tgrid.dt * chi[window])[:, None]
     steps_per_update = max(1, n2 // window.size)
     r = np.zeros((n2, n2), order="F")
     p = np.eye(n2)
-    steps = range(tgrid.n_steps - 1, -1, -1)
+    steps = range(ops.tgrid.n_steps - 1, -1, -1)
     for start in range(0, len(steps), steps_per_update):
         rows = []
         for m in steps[start:start + steps_per_update]:
@@ -203,25 +199,21 @@ def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int):
     return x, iters, residuals, converged, monotone
 
 
-def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
-              coeffs: CoefficientField,
-              y0: np.ndarray, z0: np.ndarray,
+def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
               config: HumConfig = HumConfig()) -> HumResult:
-    """Compute the penalized terminal-nulling control for frozen coefficients.
+    """Compute the penalized terminal-nulling control for the system of ``ops``.
 
     Solves the normal equations (Lambda + eps I) pT = free(T) by conjugate
     residual, on the square-root factor of Lambda when 2n is within the size
     limit and matrix-free above it (see the module docstring), extracts the
     control h^m = -phi^m on the window from the dual solve at pT, re-runs the
     controlled forward problem, and returns that trajectory with honest
-    terminal norms from it.  Deterministic: repeated calls with equal inputs
-    produce bit-identical results.
+    terminal norms from it, the free one in the same norm.  Deterministic:
+    repeated calls with equal inputs produce bit-identical results.
     """
-    ops = StepOperators(grid, tgrid, sigma, coeffs)
-    n = grid.n_cells
-    free = solve_forward_linear(grid, tgrid, sigma, coeffs, None, y0, z0, ops=ops)
+    n = ops.grid.n_cells
+    free = solve_forward_linear(ops, None, y0, z0)
     b = np.concatenate([free.y[-1], free.z[-1]])
-    free_norm = float(np.linalg.norm(b))
 
     if 2 * n <= _FACTOR_MAX_DIM:
         factor = None
@@ -230,35 +222,32 @@ def hum_solve(grid: Grid1D, tgrid: TimeGrid, sigma: float,
             # built on first use, so a solve that needs no iteration skips it
             nonlocal factor
             if factor is None:
-                factor = gramian_factor(grid, tgrid, ops)
+                factor = gramian_factor(ops)
             return factor.T @ (factor @ v) + config.epsilon * v
     else:
         def apply_shifted(v: np.ndarray) -> np.ndarray:
-            return gramian_apply(grid, tgrid, sigma, coeffs, v, ops=ops) + config.epsilon * v
+            return gramian_apply(ops, v) + config.epsilon * v
 
     p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
         apply_shifted, b, config.cg_tol, config.cg_max_iters)
 
-    dual = solve_adjoint(grid, tgrid, sigma, coeffs,
-                         p_terminal[:n], p_terminal[n:], ops=ops)
-    control = ControlField(grid, tgrid, -dual.y[:-1])
-    controlled = solve_forward_linear(grid, tgrid, sigma, coeffs, control,
-                                      y0, z0, ops=ops)
+    dual = solve_adjoint(ops, p_terminal[:n], p_terminal[n:])
+    control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])
+    controlled = solve_forward_linear(ops, control, y0, z0)
     term_y, term_z = controlled.terminal_norms()
-    cost = control_cost(grid, tgrid, control)
-    dual_res = duality_residual(grid, tgrid, control, controlled, dual)
     return HumResult(
         control=control, trajectory=controlled, epsilon=config.epsilon,
-        terminal_y=term_y, terminal_z=term_z, control_cost=cost,
+        terminal_y=term_y, terminal_z=term_z, control_cost=control_cost(control),
         adjoint_terminal=p_terminal,
         cg_iterations=iters, cg_residuals=tuple(residuals),
         cg_converged=converged, residual_monotone=monotone,
-        duality_residual=dual_res, free_terminal_norm=free_norm,
+        duality_residual=duality_residual(control, controlled, dual),
+        free_terminal_norm=float(np.hypot(*free.terminal_norms())),
     )
 
 
-def duality_residual(grid: Grid1D, tgrid: TimeGrid, control: ControlField,
-                     state: Trajectory, dual: Trajectory) -> float:
+def duality_residual(control: ControlField, state: Trajectory,
+                     dual: Trajectory) -> float:
     """Relative defect of the discrete duality identity.
 
     For a forward trajectory driven by ``control`` and any dual trajectory
@@ -267,8 +256,11 @@ def duality_residual(grid: Grid1D, tgrid: TimeGrid, control: ControlField,
         <u(T), p(T)> = <u(0), p(0)> + dt sum_m <chi h^m, phi^m>
 
     is exact up to round-off; the returned value is the absolute defect
-    divided by the largest participating term.
+    divided by the largest participating term.  All three share one grid.
     """
+    grid, tgrid = control.grid, control.tgrid
+    if any(x.grid != grid or x.tgrid != tgrid for x in (state, dual)):
+        raise ValueError("control, state and dual were built for a different grid")
     h_sp = grid.spacing
     chi = grid.omega_indicator
     terminal = h_sp * (float(np.dot(state.y[-1], dual.y[-1]))
@@ -308,23 +300,21 @@ class EpsilonSweepReport:
         return not self.ratio_strictly_increasing_last3
 
 
-def epsilon_sweep(grid: Grid1D, tgrid: TimeGrid, sigma: float,
-                  coeffs: CoefficientField,
-                  y0: np.ndarray, z0: np.ndarray,
+def epsilon_sweep(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
                   epsilons, base_config: HumConfig = HumConfig()) -> EpsilonSweepReport:
     """Run the penalized solve across a decreasing penalty schedule.
 
     Tracks the control cost (expected to stabilize) and the terminal norm
     divided by sqrt(eps) (expected bounded, not monotonically growing), the
-    two signatures of a uniform-in-penalty control bound.
+    two signatures of a uniform-in-penalty control bound.  Every penalty
+    steps with the factorizations of ``ops``.
     """
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be a strictly decreasing sequence of length >= 2")
     rows = []
     for eps in eps_list:
-        res = hum_solve(grid, tgrid, sigma, coeffs, y0, z0,
-                        replace(base_config, epsilon=eps))
+        res = hum_solve(ops, y0, z0, replace(base_config, epsilon=eps))
         rows.append(EpsilonRow(
             epsilon=eps, control_cost=res.control_cost,
             terminal_y=res.terminal_y, terminal_z=res.terminal_z,

@@ -17,6 +17,9 @@ discrete duality identity
 
 holds to round-off for any control and any terminal data.
 
+A frozen-coefficient system is named once, by its :class:`StepOperators`:
+the linear marchers take them and read sigma and the grids from them.
+
 Conventions: coefficient fields are node-indexed with shape
 (n_steps + 1, n_cells) and the step t_m -> t_{m+1} reads slice m; control
 fields carry one slice per step, shape (n_steps, n_cells), slice m acting on
@@ -124,14 +127,15 @@ class ControlField:
         object.__setattr__(self, "values", arr)
 
 
-def control_cost(grid: Grid1D, tgrid: TimeGrid, control: ControlField) -> float:
+def control_cost(control: ControlField) -> float:
     """Indicator-weighted space-time norm ||h||_{L2(omega x (0,T))}.
 
     Computed as sqrt(dt * sum_m sum_i h_sp * chi_i * h_{m,i}^2), the exact
     dual norm appearing in the discrete optimality system.
     """
+    grid = control.grid
     chi = grid.omega_indicator
-    sq = tgrid.dt * grid.spacing * float(np.sum(chi[None, :] * control.values**2))
+    sq = control.tgrid.dt * grid.spacing * float(np.sum(chi[None, :] * control.values**2))
     return float(np.sqrt(sq))
 
 
@@ -203,6 +207,9 @@ def _heat_band(grid: Grid1D, scale: float) -> np.ndarray:
 class StepOperators:
     """Factorized one-step solvers for a frozen-coefficient system.
 
+    Built from sigma and a coefficient field, whose grids it takes; every
+    linear solver steps with one and labels its results with its sigma.
+
     I - dt*A_m couples y_i and z_i only through the coefficient slice m, so
     in the interleaved unknowns (y_0, z_0, y_1, z_1, ...) it is pentadiagonal:
     a12, a21 on the first off-diagonals, the stencils of lap and sigma*lap on
@@ -212,18 +219,15 @@ class StepOperators:
     transpose on the same factors: the exact transpose of the forward step.
     """
 
-    def __init__(self, grid: Grid1D, tgrid: TimeGrid, sigma: float,
-                 coeffs: CoefficientField) -> None:
+    def __init__(self, sigma: float, coeffs: CoefficientField) -> None:
         if not sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
-        if coeffs.grid != grid or coeffs.tgrid != tgrid:
-            raise ValueError("coefficient field was built for a different grid")
+        self.grid = grid = coeffs.grid
+        self.tgrid = tgrid = coeffs.tgrid
         if tgrid.dt * coeffs.max_sup >= 0.5:
             raise ValueError(
                 f"dt * max coefficient sup-norm = {tgrid.dt * coeffs.max_sup:.3g} "
                 "must stay below 0.5 for a safely invertible implicit step")
-        self.grid = grid
-        self.tgrid = tgrid
         self.sigma = float(sigma)
         self.coeffs = coeffs
         n, dt = grid.n_cells, tgrid.dt
@@ -266,21 +270,17 @@ class StepOperators:
         return self._solver(m)(rhs[self._interleave], trans=1)[self._stack]
 
 
-def solve_forward_linear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
-                         coeffs: CoefficientField,
-                         control: ControlField | None,
-                         y0: np.ndarray, z0: np.ndarray,
-                         ops: StepOperators | None = None) -> Trajectory:
-    """March the frozen-coefficient system forward from (y0, z0).
+def solve_forward_linear(ops: StepOperators, control: ControlField | None,
+                         y0: np.ndarray, z0: np.ndarray) -> Trajectory:
+    """March the system of ``ops`` forward from (y0, z0).
 
     The control is weighted by the window indicator and enters the y-equation
     only; ``control=None`` means free flow.
     """
+    grid, tgrid = ops.grid, ops.tgrid
     y0 = _check_initial(grid, y0, "y0")
     z0 = _check_initial(grid, z0, "z0")
     _check_control(grid, tgrid, control)
-    if ops is None:
-        ops = StepOperators(grid, tgrid, sigma, coeffs)
     n, msteps = grid.n_cells, tgrid.n_steps
     chi = grid.omega_indicator
     u = np.empty((msteps + 1, 2 * n))
@@ -288,15 +288,12 @@ def solve_forward_linear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     for m in range(msteps):
         src = chi * control.values[m] if control is not None else None
         u[m + 1] = ops.step_forward(u[m], m, src)
-    return Trajectory(grid, tgrid, float(sigma), u[:, :n], u[:, n:])
+    return Trajectory(grid, tgrid, ops.sigma, u[:, :n], u[:, n:])
 
 
-def solve_adjoint(grid: Grid1D, tgrid: TimeGrid, sigma: float,
-                  coeffs: CoefficientField,
-                  phi_T: np.ndarray, psi_T: np.ndarray,
-                  source: tuple[np.ndarray, np.ndarray] | None = None,
-                  ops: StepOperators | None = None) -> Trajectory:
-    """March the dual system backward from terminal data (phi_T, psi_T).
+def solve_adjoint(ops: StepOperators, phi_T: np.ndarray, psi_T: np.ndarray,
+                  source: tuple[np.ndarray, np.ndarray] | None = None) -> Trajectory:
+    """March the dual of the system of ``ops`` backward from (phi_T, psi_T).
 
     Each backward step applies the transpose of the corresponding forward
     step matrix.  The optional node-indexed source pair (F1, F2) enters with
@@ -304,10 +301,9 @@ def solve_adjoint(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     identity exact.  The returned trajectory stores phi in ``y`` and psi in
     ``z``, slice m holding the dual state at node m.
     """
+    grid, tgrid = ops.grid, ops.tgrid
     phi_T = _check_initial(grid, phi_T, "phi_T")
     psi_T = _check_initial(grid, psi_T, "psi_T")
-    if ops is None:
-        ops = StepOperators(grid, tgrid, sigma, coeffs)
     n, msteps = grid.n_cells, tgrid.n_steps
     if source is not None:
         f1 = _as_field(grid, tgrid, source[0], "F1")
@@ -317,7 +313,7 @@ def solve_adjoint(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     for m in range(msteps - 1, -1, -1):
         src = np.concatenate([f1[m + 1], f2[m + 1]]) if source is not None else None
         p[m] = ops.step_adjoint(p[m + 1], m, src)
-    return Trajectory(grid, tgrid, float(sigma), p[:, :n], p[:, n:])
+    return Trajectory(grid, tgrid, ops.sigma, p[:, :n], p[:, n:])
 
 
 def _nonlinear_step(update, start: np.ndarray, inner_tol: float,

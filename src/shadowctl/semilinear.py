@@ -22,7 +22,7 @@ import numpy as np
 from .hum import HumConfig, HumResult, hum_solve
 from .mesh import Grid1D, TimeGrid
 from .nonlinear import NonlinearityPair
-from .pde import (CoefficientField, ControlField, Trajectory,
+from .pde import (CoefficientField, ControlField, StepOperators, Trajectory,
                   constant_coefficients, solve_forward_semilinear)
 
 __all__ = [
@@ -188,7 +188,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
             converged = hum_last.cg_converged
             break
         prev_coeffs = coeffs
-        hum_last = hum_solve(grid, tgrid, sigma, coeffs, y0, z0, config.hum)
+        hum_last = hum_solve(StepOperators(sigma, coeffs), y0, z0, config.hum)
         control = hum_last.control
         cg_total += hum_last.cg_iterations
         iterations = it

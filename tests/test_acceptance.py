@@ -31,6 +31,7 @@ from shadowctl.nonlinear import arctan_family, make_pair, sigmoid_family
 from shadowctl.pde import (
     CoefficientField,
     ControlField,
+    StepOperators,
     constant_coefficients,
     control_cost,
     semigroup_checks,
@@ -78,10 +79,10 @@ def test_ac01_duality_identity_on_random_problems():
         control = ControlField(grid, tgrid,
                                rng.standard_normal((tgrid.n_steps, grid.n_cells)))
         y0, z0 = rng.standard_normal((2, grid.n_cells))
-        state = solve_forward_linear(grid, tgrid, sigma, coeffs, control, y0, z0)
-        dual = solve_adjoint(grid, tgrid, sigma, coeffs,
+        state = solve_forward_linear(StepOperators(sigma, coeffs), control, y0, z0)
+        dual = solve_adjoint(StepOperators(sigma, coeffs),
                              *rng.standard_normal((2, grid.n_cells)))
-        worst = max(worst, duality_residual(grid, tgrid, control, state, dual))
+        worst = max(worst, duality_residual(control, state, dual))
 
     # fault injection: swap the coupling blocks in the dual march only
     good = constant_coefficients(grid, tgrid, 0.2, 0.8, -0.3, 0.1)
@@ -89,10 +90,10 @@ def test_ac01_duality_identity_on_random_problems():
     control = ControlField(grid, tgrid,
                            rng.standard_normal((tgrid.n_steps, grid.n_cells)))
     y0, z0 = rng.standard_normal((2, grid.n_cells))
-    state = solve_forward_linear(grid, tgrid, 1.0, good, control, y0, z0)
-    bad_dual = solve_adjoint(grid, tgrid, 1.0, swapped,
+    state = solve_forward_linear(StepOperators(1.0, good), control, y0, z0)
+    bad_dual = solve_adjoint(StepOperators(1.0, swapped),
                              *rng.standard_normal((2, grid.n_cells)))
-    fault = duality_residual(grid, tgrid, control, state, bad_dual)
+    fault = duality_residual(control, state, bad_dual)
 
     ok = worst <= 1e-10 and fault > 1e-6
     _report("AC1", ok,
@@ -112,17 +113,17 @@ def test_ac02_gramian_symmetry_and_cost_identity():
     sym_worst, neg_worst, id_worst = 0.0, 0.0, 0.0
     for _ in range(10):
         a, b = rng.standard_normal((2, n2))
-        la = gramian_apply(grid, tgrid, 1.0, coeffs, a)
-        lb = gramian_apply(grid, tgrid, 1.0, coeffs, b)
+        la = gramian_apply(StepOperators(1.0, coeffs), a)
+        lb = gramian_apply(StepOperators(1.0, coeffs), b)
         lhs, rhs = float(np.dot(la, b)), float(np.dot(a, lb))
         sym_worst = max(sym_worst,
                         abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
         quad = float(np.dot(la, a))
         neg_worst = max(neg_worst, -quad / max(abs(quad), 1.0))
-        dual = solve_adjoint(grid, tgrid, 1.0, coeffs,
+        dual = solve_adjoint(StepOperators(1.0, coeffs),
                              a[:grid.n_cells], a[grid.n_cells:])
         observed = ControlField(grid, tgrid, dual.y[:-1])
-        cost_sq = control_cost(grid, tgrid, observed) ** 2
+        cost_sq = control_cost(observed) ** 2
         id_worst = max(id_worst,
                        abs(grid.spacing * quad - cost_sq) / cost_sq)
 
@@ -145,10 +146,10 @@ def test_ac03_penalized_terminal_identity():
     bound = 10.0 * cg_tol * data_norm
     defects = {}
     for eps in (1e-4, 1e-6):
-        res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0,
+        res = hum_solve(StepOperators(1.0, coeffs), y0, z0,
                         HumConfig(epsilon=eps, cg_tol=cg_tol))
         assert res.cg_converged
-        traj = solve_forward_linear(grid, tgrid, 1.0, coeffs,
+        traj = solve_forward_linear(StepOperators(1.0, coeffs),
                                     res.control, y0, z0)
         u_t = np.concatenate([traj.y[-1], traj.z[-1]])
         defects[eps] = float(np.linalg.norm(u_t - eps * res.adjoint_terminal))
@@ -171,7 +172,7 @@ def test_ac04_cost_stabilizes_as_penalty_vanishes():
     x = grid.cell_centers
     y0 = 0.1 * np.cos(np.pi * x)
     z0 = np.full(grid.n_cells, 0.1)
-    rep = epsilon_sweep(grid, tgrid, 1.0, coeffs, y0, z0,
+    rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0,
                         (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
                         HumConfig(cg_tol=1e-9))
     spread = rep.cost_spread_last3

@@ -8,7 +8,7 @@ construction, so they are asserted at tight thresholds on random data.
 import numpy as np
 import pytest
 
-from shadowctl import hum
+from shadowctl import hum, pde
 from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
                            epsilon_sweep, gramian_apply, gramian_factor,
                            hum_solve)
@@ -36,8 +36,8 @@ class TestGramian:
         rng = np.random.default_rng(0)
         for _ in range(10):
             a, b = rng.standard_normal((2, 40))
-            la = gramian_apply(grid, tgrid, 1.0, coeffs, a)
-            lb = gramian_apply(grid, tgrid, 1.0, coeffs, b)
+            la = gramian_apply(StepOperators(1.0, coeffs), a)
+            lb = gramian_apply(StepOperators(1.0, coeffs), b)
             lhs, rhs = np.dot(la, b), np.dot(a, lb)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
@@ -46,7 +46,7 @@ class TestGramian:
         rng = np.random.default_rng(1)
         for _ in range(10):
             a = rng.standard_normal(40)
-            quad = np.dot(gramian_apply(grid, tgrid, 1.0, coeffs, a), a)
+            quad = np.dot(gramian_apply(StepOperators(1.0, coeffs), a), a)
             assert quad >= -1e-12
 
     def test_quadratic_form_equals_observation_cost(self, small_problem):
@@ -54,28 +54,28 @@ class TestGramian:
         grid, tgrid, coeffs, _, _ = small_problem
         rng = np.random.default_rng(2)
         a = rng.standard_normal(40)
-        quad = grid.spacing * float(np.dot(gramian_apply(grid, tgrid, 1.0, coeffs, a), a))
-        dual = solve_adjoint(grid, tgrid, 1.0, coeffs, a[:20], a[20:])
+        quad = grid.spacing * float(np.dot(gramian_apply(StepOperators(1.0, coeffs), a), a))
+        dual = solve_adjoint(StepOperators(1.0, coeffs), a[:20], a[20:])
         observed = ControlField(grid, tgrid, dual.y[:-1])
-        assert quad == pytest.approx(control_cost(grid, tgrid, observed) ** 2,
+        assert quad == pytest.approx(control_cost(observed) ** 2,
                                      rel=1e-10)
 
     def test_rejects_bad_shape(self, small_problem):
         grid, tgrid, coeffs, _, _ = small_problem
         with pytest.raises(ValueError, match="shape"):
-            gramian_apply(grid, tgrid, 1.0, coeffs, np.zeros(41))
+            gramian_apply(StepOperators(1.0, coeffs), np.zeros(41))
 
 
 class TestGramianFactor:
     @staticmethod
     def _check_square_root(grid, tgrid, coeffs, sigma):
-        ops = StepOperators(grid, tgrid, sigma, coeffs)
-        r = gramian_factor(grid, tgrid, ops)
+        ops = StepOperators(sigma, coeffs)
+        r = gramian_factor(ops)
         assert r.shape == (2 * grid.n_cells,) * 2
         assert np.array_equal(r, np.triu(r))
         rng = np.random.default_rng(4)
         for v in rng.standard_normal((5, 2 * grid.n_cells)):
-            ref = gramian_apply(grid, tgrid, sigma, coeffs, v, ops=ops)
+            ref = gramian_apply(ops, v)
             err = np.linalg.norm(r.T @ (r @ v) - ref)
             assert err <= 1e-13 * np.linalg.norm(ref)
         return r
@@ -107,7 +107,7 @@ class TestGramianFactor:
 class TestHumSolve:
     def test_zero_data_yields_zero_control(self, small_problem):
         grid, tgrid, coeffs, _, _ = small_problem
-        res = hum_solve(grid, tgrid, 1.0, coeffs, np.zeros(20), np.zeros(20))
+        res = hum_solve(StepOperators(1.0, coeffs), np.zeros(20), np.zeros(20))
         assert res.cg_converged
         assert np.all(res.control.values == 0.0)
         assert res.control_cost == 0.0
@@ -120,7 +120,7 @@ class TestHumSolve:
             raise AssertionError("factor built for a solve with no iteration")
 
         monkeypatch.setattr(hum, "gramian_factor", refuse)
-        res = hum_solve(grid, tgrid, 1.0, coeffs, np.zeros(20), np.zeros(20))
+        res = hum_solve(StepOperators(1.0, coeffs), np.zeros(20), np.zeros(20))
         assert res.cg_iterations == 0 and res.cg_converged
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
@@ -128,21 +128,35 @@ class TestHumSolve:
         # controlled terminal state = eps * pT + Krylov residual
         grid, tgrid, coeffs, y0, z0 = small_problem
         cfg = HumConfig(epsilon=eps, cg_tol=1e-10)
-        res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0, cfg)
+        res = hum_solve(StepOperators(1.0, coeffs), y0, z0, cfg)
         assert res.cg_converged
-        traj = solve_forward_linear(grid, tgrid, 1.0, coeffs, res.control, y0, z0)
+        traj = solve_forward_linear(StepOperators(1.0, coeffs), res.control, y0, z0)
         # the returned trajectory is the controlled run, bit for bit
         assert np.array_equal(res.trajectory.y, traj.y)
         assert np.array_equal(res.trajectory.z, traj.z)
         uT = np.concatenate([traj.y[-1], traj.z[-1]])
-        defect = np.linalg.norm(uT - eps * res.adjoint_terminal)
+        # h-weighted, the unit of free_terminal_norm
+        defect = np.sqrt(grid.spacing) * np.linalg.norm(uT - eps * res.adjoint_terminal)
         assert defect <= 10.0 * cfg.cg_tol * res.free_terminal_norm
+
+    def test_free_terminal_norm_is_in_the_terminal_unit(self, small_problem):
+        # the free run's h-weighted terminal norm, so a control that does
+        # nothing cannot report a smaller terminal norm than the free one
+        grid, tgrid, coeffs, y0, z0 = small_problem
+        ops = StepOperators(1.0, coeffs)
+        res = hum_solve(ops, y0, z0)
+        free = solve_forward_linear(ops, None, y0, z0)
+        assert res.free_terminal_norm == float(np.hypot(*free.terminal_norms()))
+        idle = solve_forward_linear(ops, ControlField(grid, tgrid, np.zeros((40, 20))),
+                                    y0, z0)
+        assert not float(np.hypot(*idle.terminal_norms())) < res.free_terminal_norm
+        assert res.terminal_total < res.free_terminal_norm
 
     def test_terminal_norm_decreases_with_penalty(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
         terms = []
         for eps in (1e-2, 1e-4, 1e-6):
-            res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0,
+            res = hum_solve(StepOperators(1.0, coeffs), y0, z0,
                             HumConfig(epsilon=eps, cg_tol=1e-11))
             assert res.cg_converged
             terms.append(res.terminal_total)
@@ -151,7 +165,7 @@ class TestHumSolve:
     def test_residual_history_monotone(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
         for eps in (1e-2, 1e-6):
-            res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0,
+            res = hum_solve(StepOperators(1.0, coeffs), y0, z0,
                             HumConfig(epsilon=eps, cg_tol=1e-10))
             assert res.residual_monotone
             hist = np.array(res.cg_residuals)
@@ -159,28 +173,28 @@ class TestHumSolve:
 
     def test_control_supported_on_window(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
-        res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0)
+        res = hum_solve(StepOperators(1.0, coeffs), y0, z0)
         outside = grid.omega_indicator == 0.0
         assert np.any(outside)
         assert np.all(res.control.values[:, outside] == 0.0)
 
     def test_deterministic(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
-        a = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0)
-        b = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0)
+        a = hum_solve(StepOperators(1.0, coeffs), y0, z0)
+        b = hum_solve(StepOperators(1.0, coeffs), y0, z0)
         assert np.array_equal(a.control.values, b.control.values)
         assert a.cg_residuals == b.cg_residuals
         assert a.terminal_total == b.terminal_total
 
     def test_duality_residual_recorded_and_tiny(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
-        res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0)
+        res = hum_solve(StepOperators(1.0, coeffs), y0, z0)
         assert res.duality_residual is not None
         assert res.duality_residual <= 1e-10
 
     def test_vanishing_penalty_still_converges(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
-        res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0,
+        res = hum_solve(StepOperators(1.0, coeffs), y0, z0,
                         HumConfig(epsilon=1e-12, cg_tol=1e-10))
         assert res.cg_converged
         assert res.residual_monotone
@@ -199,7 +213,7 @@ class TestHumSolve:
             coeffs = constant_coefficients(grid, tgrid, 0.5, 0.3, 0.4, -0.2)
             x = grid.cell_centers
             eps = grid.spacing**4
-            res = hum_solve(grid, tgrid, 2.0, coeffs, np.cos(np.pi * x),
+            res = hum_solve(StepOperators(2.0, coeffs), np.cos(np.pi * x),
                             0.5 * np.cos(2 * np.pi * x) + 0.2,
                             HumConfig(epsilon=eps))
             assert res.cg_converged
@@ -222,15 +236,15 @@ class TestHumSolve:
         x = grid.cell_centers
         y0, z0 = 0.1 * np.cos(np.pi * x), np.full(n, 0.1)
         cfg = HumConfig(epsilon=1e-6)
-        res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0, cfg)
-        ops = StepOperators(grid, tgrid, 1.0, coeffs)
-        free = solve_forward_linear(grid, tgrid, 1.0, coeffs, None, y0, z0, ops=ops)
+        res = hum_solve(StepOperators(1.0, coeffs), y0, z0, cfg)
+        ops = StepOperators(1.0, coeffs)
+        free = solve_forward_linear(ops, None, y0, z0)
         b = np.concatenate([free.y[-1], free.z[-1]])
         if above:
             def apply_op(v):
-                return gramian_apply(grid, tgrid, 1.0, coeffs, v, ops=ops) + 1e-6 * v
+                return gramian_apply(ops, v) + 1e-6 * v
         else:
-            r = gramian_factor(grid, tgrid, ops)
+            r = gramian_factor(ops)
 
             def apply_op(v):
                 return r.T @ (r @ v) + 1e-6 * v
@@ -243,9 +257,9 @@ class TestHumSolve:
     def test_factor_and_matrix_free_paths_agree(self, small_problem, monkeypatch):
         grid, tgrid, coeffs, y0, z0 = small_problem
         cfg = HumConfig(epsilon=1e-6, cg_tol=1e-11)
-        with_factor = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0, cfg)
+        with_factor = hum_solve(StepOperators(1.0, coeffs), y0, z0, cfg)
         monkeypatch.setattr(hum, "_FACTOR_MAX_DIM", 2 * grid.n_cells - 1)
-        matrix_free = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0, cfg)
+        matrix_free = hum_solve(StepOperators(1.0, coeffs), y0, z0, cfg)
         assert with_factor.cg_converged and matrix_free.cg_converged
         assert with_factor.control_cost == pytest.approx(matrix_free.control_cost,
                                                          rel=1e-8)
@@ -262,16 +276,37 @@ class TestDualityResidual:
         swapped = constant_coefficients(grid, tgrid, 0.2, -0.3, 0.8, 0.1)
         rng = np.random.default_rng(3)
         control = ControlField(grid, tgrid, rng.standard_normal((40, 20)))
-        state = solve_forward_linear(grid, tgrid, 1.0, good, control, y0, z0)
-        bad_dual = solve_adjoint(grid, tgrid, 1.0, swapped,
+        state = solve_forward_linear(StepOperators(1.0, good), control, y0, z0)
+        bad_dual = solve_adjoint(StepOperators(1.0, swapped),
                                  *rng.standard_normal((2, 20)))
-        assert duality_residual(grid, tgrid, control, state, bad_dual) > 1e-6
+        assert duality_residual(control, state, bad_dual) > 1e-6
+
+    @pytest.mark.parametrize("mismatch", ["horizon", "window"])
+    @pytest.mark.parametrize("odd", ["control", "state", "dual"])
+    def test_operands_on_another_grid_are_rejected(self, small_problem, odd, mismatch):
+        grid, tgrid, _, y0, z0 = small_problem
+
+        def operands(grid, tgrid):
+            ops = StepOperators(1.0, constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0))
+            control = ControlField(grid, tgrid, np.ones((40, 20)))
+            return {"control": control,
+                    "state": solve_forward_linear(ops, control, y0, z0),
+                    "dual": solve_adjoint(ops, y0, z0)}
+
+        args = operands(grid, tgrid)
+        if mismatch == "horizon":
+            other = operands(grid, TimeGrid(horizon=1.0, n_steps=40))
+        else:
+            other = operands(Grid1D(n_cells=20, omega_a=0.2, omega_b=0.7), tgrid)
+        args[odd] = other[odd]
+        with pytest.raises(ValueError, match="different grid"):
+            duality_residual(**args)
 
 
 class TestEpsilonSweep:
     def test_report_structure(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
-        rep = epsilon_sweep(grid, tgrid, 1.0, coeffs, y0, z0,
+        rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0,
                             (1e-1, 1e-2, 1e-3, 1e-4))
         assert len(rep.rows) == 4
         assert [r.epsilon for r in rep.rows] == [1e-1, 1e-2, 1e-3, 1e-4]
@@ -285,10 +320,10 @@ class TestEpsilonSweep:
         # the iteration cap binds at the smaller penalty
         grid, tgrid, coeffs, y0, z0 = small_problem
         base = HumConfig(cg_tol=1e-6, cg_max_iters=5)
-        rep = epsilon_sweep(grid, tgrid, 1.0, coeffs, y0, z0, (1e-2, 1e-4),
+        rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0, (1e-2, 1e-4),
                             base)
         for row in rep.rows:
-            res = hum_solve(grid, tgrid, 1.0, coeffs, y0, z0,
+            res = hum_solve(StepOperators(1.0, coeffs), y0, z0,
                             HumConfig(epsilon=row.epsilon, cg_tol=1e-6,
                                       cg_max_iters=5))
             assert ((row.control_cost, row.terminal_y, row.terminal_z,
@@ -296,12 +331,25 @@ class TestEpsilonSweep:
                     == (res.control_cost, res.terminal_y, res.terminal_z,
                         res.terminal_total, res.cg_iterations))
 
+    def test_penalties_share_one_step_factorization(self, small_problem, monkeypatch):
+        grid, tgrid, coeffs, y0, z0 = small_problem
+        calls = []
+        band_lu = pde._band_lu
+
+        def counted(*args):
+            calls.append(args)
+            return band_lu(*args)
+
+        monkeypatch.setattr(pde, "_band_lu", counted)
+        epsilon_sweep(StepOperators(1.0, coeffs), y0, z0, (1e-2, 1e-3, 1e-4))
+        assert len(calls) == 1
+
     def test_rejects_non_decreasing_schedule(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
         with pytest.raises(ValueError, match="decreasing"):
-            epsilon_sweep(grid, tgrid, 1.0, coeffs, y0, z0, (1e-3, 1e-2))
+            epsilon_sweep(StepOperators(1.0, coeffs), y0, z0, (1e-3, 1e-2))
         with pytest.raises(ValueError, match="decreasing"):
-            epsilon_sweep(grid, tgrid, 1.0, coeffs, y0, z0, (1e-3,))
+            epsilon_sweep(StepOperators(1.0, coeffs), y0, z0, (1e-3,))
 
 
 class TestHumConfig:

@@ -61,7 +61,7 @@ class TestSingleStep:
     @pytest.mark.parametrize("n, sigma, coefficients, m, cols", STEP_CASES)
     def test_forward_matches_dense_solve(self, n, sigma, coefficients, m, cols):
         grid, tgrid, coeffs, rng = _step_case(n, coefficients, 3)
-        ops = StepOperators(grid, tgrid, sigma, coeffs)
+        ops = StepOperators(sigma, coeffs)
         big = _dense_step_matrix(grid, tgrid, sigma, coeffs, m)
         if cols is None:
             u = rng.standard_normal(2 * n)
@@ -78,7 +78,7 @@ class TestSingleStep:
     @pytest.mark.parametrize("n, sigma, coefficients, m, cols", STEP_CASES)
     def test_adjoint_is_exact_transpose(self, n, sigma, coefficients, m, cols):
         grid, tgrid, coeffs, rng = _step_case(n, coefficients, 4)
-        ops = StepOperators(grid, tgrid, sigma, coeffs)
+        ops = StepOperators(sigma, coeffs)
         big = _dense_step_matrix(grid, tgrid, sigma, coeffs, m)
         if cols is None:
             p = rng.standard_normal(2 * n)
@@ -111,25 +111,34 @@ class TestSingleStep:
         tgrid = TimeGrid(horizon=0.2, n_steps=10)
         rng = np.random.default_rng(5)
         coeffs = _random_coefficients(grid, tgrid, rng)
-        ops = StepOperators(grid, tgrid, 7.0, coeffs)
+        ops = StepOperators(7.0, coeffs)
         u = rng.standard_normal(24)
         p = rng.standard_normal(24)
         lhs = np.dot(ops.step_forward(u, 4), p)
         rhs = np.dot(u, ops.step_adjoint(p, 4))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
+    def test_trajectories_carry_the_system_of_ops(self):
+        # sigma_grad_z reads the trajectory's sigma, so it must be the stepped one
+        grid = Grid1D(n_cells=12)
+        tgrid = TimeGrid(horizon=0.2, n_steps=10)
+        ops = StepOperators(10.0, zero_coefficients(grid, tgrid))
+        u = np.cos(np.pi * grid.cell_centers)
+        for traj in (solve_forward_linear(ops, None, u, u), solve_adjoint(ops, u, u)):
+            assert (traj.grid, traj.tgrid, traj.sigma) == (grid, tgrid, 10.0)
+
     def test_rejects_large_coefficient_times_dt(self):
         grid = Grid1D(n_cells=8)
         tgrid = TimeGrid(horizon=1.0, n_steps=2)   # dt = 0.5
         coeffs = constant_coefficients(grid, tgrid, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="0.5"):
-            StepOperators(grid, tgrid, 1.0, coeffs)
+            StepOperators(1.0, coeffs)
 
     def test_rejects_nonpositive_sigma(self):
         grid = Grid1D(n_cells=8)
         tgrid = TimeGrid(horizon=0.1, n_steps=10)
         with pytest.raises(ValueError, match="sigma"):
-            StepOperators(grid, tgrid, 0.0, zero_coefficients(grid, tgrid))
+            StepOperators(0.0, zero_coefficients(grid, tgrid))
 
 
 class TestHeatFlow:
@@ -139,7 +148,7 @@ class TestHeatFlow:
         tgrid = TimeGrid(horizon=0.1, n_steps=4000)
         coeffs = zero_coefficients(grid, tgrid)
         y0 = np.cos(np.pi * grid.cell_centers)
-        traj = solve_forward_linear(grid, tgrid, 1.0, coeffs, None, y0, np.zeros(400))
+        traj = solve_forward_linear(StepOperators(1.0, coeffs), None, y0, np.zeros(400))
         want = np.exp(-np.pi**2 * 0.1)
         got = norm_l2(grid, traj.y[-1]) / norm_l2(grid, y0)
         assert got == pytest.approx(want, rel=1e-2)
@@ -149,7 +158,7 @@ class TestHeatFlow:
         tgrid = TimeGrid(horizon=0.5, n_steps=100)
         coeffs = zero_coefficients(grid, tgrid)
         c = np.full(50, 0.37)
-        traj = solve_forward_linear(grid, tgrid, 10.0, coeffs, None, c, c)
+        traj = solve_forward_linear(StepOperators(10.0, coeffs), None, c, c)
         assert np.max(np.abs(traj.y - 0.37)) < 1e-12
         assert np.max(np.abs(traj.z - 0.37)) < 1e-12
 
@@ -157,7 +166,7 @@ class TestHeatFlow:
         grid = Grid1D(n_cells=30)
         tgrid = TimeGrid(horizon=0.3, n_steps=60)
         coeffs = constant_coefficients(grid, tgrid, 0.1, 0.2, 0.3, 0.4)
-        traj = solve_forward_linear(grid, tgrid, 5.0, coeffs, None,
+        traj = solve_forward_linear(StepOperators(5.0, coeffs), None,
                                     np.zeros(30), np.zeros(30))
         assert np.all(traj.y == 0.0)
         assert np.all(traj.z == 0.0)
@@ -169,7 +178,7 @@ class TestHeatFlow:
         rng = np.random.default_rng(6)
         y0 = rng.uniform(-1, 1, 80)
         z0 = rng.uniform(-1, 1, 80)
-        traj = solve_forward_linear(grid, tgrid, 50.0, coeffs, None, y0, z0)
+        traj = solve_forward_linear(StepOperators(50.0, coeffs), None, y0, z0)
         assert abs(mean_value(grid, traj.y[-1]) - mean_value(grid, y0)) < 1e-12
         assert abs(mean_value(grid, traj.z[-1]) - mean_value(grid, z0)) < 1e-12
 
@@ -179,7 +188,7 @@ class TestHeatFlow:
         tgrid = TimeGrid(horizon=0.4, n_steps=80)
         coeffs = constant_coefficients(grid, tgrid, 0.4, 0.2, 0.2, 0.4)
         u0 = np.cos(2 * np.pi * grid.cell_centers) + 0.3
-        traj = solve_forward_linear(grid, tgrid, 1.0, coeffs, None, u0, u0)
+        traj = solve_forward_linear(StepOperators(1.0, coeffs), None, u0, u0)
         assert np.max(np.abs(traj.y - traj.z)) < 1e-12
 
     def test_large_sigma_mixes_fast_component(self):
@@ -188,7 +197,7 @@ class TestHeatFlow:
         coeffs = constant_coefficients(grid, tgrid, 0.0, 1.0, 1.0, 0.0)
         y0 = 0.5 * np.cos(np.pi * grid.cell_centers)
         z0 = 0.5 * np.cos(np.pi * grid.cell_centers)
-        traj = solve_forward_linear(grid, tgrid, 1e4, coeffs, None, y0, z0)
+        traj = solve_forward_linear(StepOperators(1e4, coeffs), None, y0, z0)
         assert np.all(np.isfinite(traj.z))
         zt = traj.z[-1]
         assert np.max(np.abs(zt - mean_value(grid, zt))) < 1e-3
@@ -204,7 +213,7 @@ class TestHeatFlow:
             x = grid.cell_centers
             y0 = np.cos(np.pi * x)
             z0 = np.exp(-50.0 * (x - 0.5) ** 2)
-            traj = solve_forward_linear(grid, tgrid, 2.0, coeffs, None, y0, z0)
+            traj = solve_forward_linear(StepOperators(2.0, coeffs), None, y0, z0)
             return np.concatenate([traj.y[-1], traj.z[-1]])
 
         ref = terminal(3200)
@@ -232,7 +241,7 @@ class TestHeatFlow:
             tgrid = TimeGrid(horizon=horizon, n_steps=n_steps)
             coeffs = constant_coefficients(grid, tgrid, *a.ravel())
             mode = np.cos(np.pi * grid.cell_centers)
-            traj = solve_forward_linear(grid, tgrid, sigma, coeffs, None,
+            traj = solve_forward_linear(StepOperators(sigma, coeffs), None,
                                         amp0[0] * mode, amp0[1] * mode)
             return np.hypot(norm_l2(grid, traj.y[-1] - amp[0] * mode),
                             norm_l2(grid, traj.z[-1] - amp[1] * mode))
@@ -252,8 +261,8 @@ class TestDuality:
         v0 = rng.standard_normal(40)
         pT = rng.standard_normal(40)
         qT = rng.standard_normal(40)
-        fwd = solve_forward_linear(grid, tgrid, 5.0, coeffs, None, u0, v0)
-        adj = solve_adjoint(grid, tgrid, 5.0, coeffs, pT, qT)
+        fwd = solve_forward_linear(StepOperators(5.0, coeffs), None, u0, v0)
+        adj = solve_adjoint(StepOperators(5.0, coeffs), pT, qT)
         lhs = np.dot(fwd.y[-1], pT) + np.dot(fwd.z[-1], qT)
         rhs = np.dot(u0, adj.y[0]) + np.dot(v0, adj.z[0])
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
@@ -266,8 +275,8 @@ class TestDuality:
         coeffs = _random_coefficients(grid, tgrid, rng)
         u0, v0, pT, qT = rng.standard_normal((4, 40))
         control = ControlField(grid, tgrid, rng.standard_normal((70, 40)))
-        fwd = solve_forward_linear(grid, tgrid, 5.0, coeffs, control, u0, v0)
-        adj = solve_adjoint(grid, tgrid, 5.0, coeffs, pT, qT)
+        fwd = solve_forward_linear(StepOperators(5.0, coeffs), control, u0, v0)
+        adj = solve_adjoint(StepOperators(5.0, coeffs), pT, qT)
         chi = grid.omega_indicator
         lhs = (np.dot(fwd.y[-1], pT) + np.dot(fwd.z[-1], qT)
                - np.dot(u0, adj.y[0]) - np.dot(v0, adj.z[0]))
@@ -285,8 +294,8 @@ class TestDuality:
         control = ControlField(grid, tgrid, rng.standard_normal((50, 30)))
         f1 = rng.standard_normal((51, 30))
         f2 = rng.standard_normal((51, 30))
-        fwd = solve_forward_linear(grid, tgrid, 2.0, coeffs, control, u0, v0)
-        adj = solve_adjoint(grid, tgrid, 2.0, coeffs, pT, qT, source=(f1, f2))
+        fwd = solve_forward_linear(StepOperators(2.0, coeffs), control, u0, v0)
+        adj = solve_adjoint(StepOperators(2.0, coeffs), pT, qT, source=(f1, f2))
         chi = grid.omega_indicator
         lhs = (np.dot(fwd.y[-1], pT) + np.dot(fwd.z[-1], qT)
                - np.dot(u0, adj.y[0]) - np.dot(v0, adj.z[0]))
@@ -305,7 +314,7 @@ class TestSemilinear:
         x = grid.cell_centers
         y0 = np.cos(np.pi * x)
         z0 = 0.5 * np.exp(-50.0 * (x - 0.5) ** 2)
-        lin = solve_forward_linear(grid, tgrid, 3.0, coeffs, None, y0, z0)
+        lin = solve_forward_linear(StepOperators(3.0, coeffs), None, y0, z0)
         sem = solve_forward_semilinear(grid, tgrid, 3.0, pair, None, y0, z0,
                                        inner_tol=1e-13)
         assert np.max(np.abs(lin.y - sem.y)) < 1e-8
@@ -390,7 +399,7 @@ class TestControlField:
         grid = Grid1D(n_cells=8, omega_a=0.25, omega_b=0.75)
         tgrid = TimeGrid(horizon=0.5, n_steps=20)
         control = ControlField(grid, tgrid, np.ones((20, 8)))
-        assert control_cost(grid, tgrid, control) == pytest.approx(
+        assert control_cost(control) == pytest.approx(
             np.sqrt(0.5 * 0.5), rel=1e-14)
 
     def test_solver_rejects_mismatched_control(self):
@@ -399,7 +408,7 @@ class TestControlField:
         tgrid = TimeGrid(horizon=0.1, n_steps=3)
         control = ControlField(other, tgrid, np.ones((3, 12)))
         with pytest.raises(ValueError, match="different grid"):
-            solve_forward_linear(grid, tgrid, 1.0, zero_coefficients(grid, tgrid),
+            solve_forward_linear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
                                  control, np.zeros(10), np.zeros(10))
 
 
@@ -477,7 +486,7 @@ class TestValidation:
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.1, n_steps=5)
         with pytest.raises(ValueError, match="y0"):
-            solve_forward_linear(grid, tgrid, 1.0, zero_coefficients(grid, tgrid),
+            solve_forward_linear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
                                  None, np.zeros(11), np.zeros(10))
 
     def test_nonfinite_initial_rejected(self):
@@ -486,7 +495,7 @@ class TestValidation:
         z0 = np.zeros(10)
         z0[3] = np.inf
         with pytest.raises(ValueError, match="z0"):
-            solve_forward_linear(grid, tgrid, 1.0, zero_coefficients(grid, tgrid),
+            solve_forward_linear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
                                  None, np.zeros(10), z0)
 
     def test_coefficient_shape_enforced(self):
