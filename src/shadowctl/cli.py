@@ -18,6 +18,7 @@ another; ``--jobs`` is kept for compatibility and accepts only 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -167,18 +168,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, seed: int) -> int:
                          t0_fraction=cfg.experiment_t0_fraction,
                          hum_config=build_hum_config(cfg),
                          fp_config=build_fixed_point_config(cfg))
-    rows = [{
-        "sigma": r.sigma,
-        "control_cost": r.control_cost,
-        "terminal_norm_y": r.terminal_y,
-        "terminal_norm_z": r.terminal_z,
-        "sigma_grad_z": r.sigma_grad_z,
-        "shadow_gap": r.shadow_gap,
-        "xi_terminal": r.xi_terminal,
-        "outer_iterations": r.outer_iterations,
-        "cg_iterations": r.cg_iterations,
-        "converged": r.converged,
-    } for r in report.rows]
+    rows = [dataclasses.asdict(r) for r in report.rows]
     payload = {
         "command": "sweep",
         "mode": report.mode,
@@ -263,13 +253,13 @@ def _selftest_cases() -> list[tuple[str, bool, str]]:
     control = ControlField(grid, tgrid, rng.standard_normal((M, n)))
     y0, z0 = rng.standard_normal(n), rng.standard_normal(n)
     state = solve_forward_linear(ops, control, y0, z0)
-    pT = rng.standard_normal(2 * n)
-    dual = solve_adjoint(ops, pT[:n], pT[n:])
+    pT = rng.standard_normal(ops.size)
+    dual = solve_adjoint(ops, pT)
     res = duality_residual(control, state, dual)
     rows.append(("duality-identity", res <= 1e-10, f"residual {res:.2e}"))
 
-    a = rng.standard_normal(2 * n)
-    b = rng.standard_normal(2 * n)
+    a = rng.standard_normal(ops.size)
+    b = rng.standard_normal(ops.size)
     la = gramian_apply(ops, a)
     lb = gramian_apply(ops, b)
     h = grid.spacing

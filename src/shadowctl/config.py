@@ -65,40 +65,13 @@ class RunConfig:
     output_formats: tuple[str, ...] = ("json", "csv")
 
 
-# dotted key on disk <-> dataclass field name
-_KEY_TO_FIELD = {
-    "grid.n_cells": "grid_n_cells",
-    "grid.omega_a": "grid_omega_a",
-    "grid.omega_b": "grid_omega_b",
-    "time.horizon": "time_horizon",
-    "time.n_steps": "time_n_steps",
-    "problem.mode": "problem_mode",
-    "problem.sigma": "problem_sigma",
-    "problem.sigma_list": "problem_sigma_list",
-    "problem.f_family": "problem_f_family",
-    "problem.f_k": "problem_f_k",
-    "problem.g_family": "problem_g_family",
-    "problem.g_k": "problem_g_k",
-    "problem.coeff_a": "problem_coeff_a",
-    "problem.coeff_b": "problem_coeff_b",
-    "problem.coeff_c": "problem_coeff_c",
-    "problem.coeff_d": "problem_coeff_d",
-    "data.profile_y": "data_profile_y",
-    "data.amplitude_y": "data_amplitude_y",
-    "data.profile_z": "data_profile_z",
-    "data.amplitude_z": "data_amplitude_z",
-    "hum.epsilon": "hum_epsilon",
-    "hum.cg_tol": "hum_cg_tol",
-    "hum.cg_max_iters": "hum_cg_max_iters",
-    "fixed_point.outer_tol": "fixed_point_outer_tol",
-    "fixed_point.max_outer": "fixed_point_max_outer",
-    "fixed_point.damping": "fixed_point_damping",
-    "fixed_point.quadrature_nodes": "fixed_point_quadrature_nodes",
-    "experiment.t0_fraction": "experiment_t0_fraction",
-    "output.directory": "output_directory",
-    "output.formats": "output_formats",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+# every field is named section_option and read from the key section.option
+_SECTIONS = ("grid", "time", "problem", "data", "hum", "fixed_point",
+             "experiment", "output")
+_FIELD_TO_KEY = {f.name: next(f"{sec}.{f.name[len(sec) + 1:]}" for sec in _SECTIONS
+                              if f.name.startswith(sec + "_"))
+                 for f in fields(RunConfig)}
+_KEY_TO_FIELD = {k: v for v, k in _FIELD_TO_KEY.items()}
 
 _CHOICES = {
     "problem_mode": ("linear", "semilinear"),

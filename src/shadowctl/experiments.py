@@ -108,8 +108,8 @@ def control_and_reduce(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
 class SweepRow:
     sigma: float
     control_cost: float
-    terminal_y: float
-    terminal_z: float
+    terminal_norm_y: float
+    terminal_norm_z: float
     sigma_grad_z: float
     shadow_gap: float
     xi_terminal: float
@@ -141,7 +141,7 @@ def _sweep_row(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
     term_y, term_z = run.trajectory.terminal_norms()
     row = SweepRow(sigma=float(sigma),
                    control_cost=control_cost(run.control),
-                   terminal_y=term_y, terminal_z=term_z,
+                   terminal_norm_y=term_y, terminal_norm_z=term_z,
                    sigma_grad_z=energy_functional(run.trajectory).sigma_grad_z,
                    shadow_gap=shadow_gap(run.trajectory, run.reduced, t0),
                    xi_terminal=float(run.reduced.xi[-1]),

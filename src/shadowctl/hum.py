@@ -14,6 +14,9 @@ eps down drives the terminal state to zero at rate sqrt(eps).
 
 Every solver here takes the :class:`~shadowctl.pde.StepOperators` of its
 system and builds none, so calls that share them share their factorizations.
+States and dual data are whole stacked vectors of length 2n = ``ops.size``.
+Of their layout this module uses only that y fills the first n entries: it
+observes ``Trajectory.y`` and, in :func:`gramian_factor`, the window rows.
 
 Two ways to apply Lambda inside the Krylov solve, picked by the size 2n of
 the stacked state:
@@ -99,20 +102,17 @@ class HumResult:
 def gramian_apply(ops: StepOperators, p_terminal: np.ndarray) -> np.ndarray:
     """Apply the dual observability map Lambda of ``ops`` to terminal dual data.
 
-    Solves the dual system backward from ``p_terminal``, takes the windowed
-    observation of its y-component, feeds that as a source into the forward
-    solve from zero data, and returns the stacked terminal state.  The map is
-    linear, symmetric, and positive semidefinite, with <Lambda a, a> equal to
-    the window-weighted space-time norm of the observed component.
+    Solves the dual system backward from the stacked state ``p_terminal``
+    (length ``ops.size``), takes the windowed observation of its y-component,
+    feeds that as a source into the forward solve from zero data, and returns
+    the stacked terminal state.  The map is linear, symmetric, and positive
+    semidefinite, with <Lambda a, a> equal to the window-weighted space-time
+    norm of the observed component.
     """
-    p_terminal = np.asarray(p_terminal, dtype=float)
-    n = ops.grid.n_cells
-    if p_terminal.shape != (2 * n,):
-        raise ValueError(f"terminal data must have shape ({2 * n},), got {p_terminal.shape}")
-    dual = solve_adjoint(ops, p_terminal[:n], p_terminal[n:])
+    dual = solve_adjoint(ops, p_terminal)
     observed = ControlField(ops.grid, ops.tgrid, dual.y[:-1])
-    pushed = solve_forward_linear(ops, observed, np.zeros(n), np.zeros(n))
-    return np.concatenate([pushed.y[-1], pushed.z[-1]])
+    zero = np.zeros(ops.grid.n_cells)
+    return solve_forward_linear(ops, observed, zero, zero).u[-1]
 
 
 def gramian_factor(ops: StepOperators) -> np.ndarray:
@@ -121,11 +121,12 @@ def gramian_factor(ops: StepOperators) -> np.ndarray:
     Marches the identity backward through the transposed steps, so that
     after the step down to node m the block P holds the dual states at node
     m of all 2n unit terminal data.  Lambda is the sum over m of G_m^T G_m
-    with G_m = sqrt(dt * chi) * P[window], and those rows are folded into R
+    with G_m = sqrt(dt * chi) * P[window], the window rows of phi (y fills
+    the first n rows of every state), and those rows are folded into R
     by triangular-pentagonal QR updates (LAPACK ``dtpqrt``).  Each update
     takes whole steps, at most 2n rows, so the workspace stays O((2n)^2).
     """
-    n2 = 2 * ops.grid.n_cells
+    n2 = ops.size
     chi = ops.grid.omega_indicator
     window = np.flatnonzero(chi > 0.0)
     weight = np.sqrt(ops.tgrid.dt * chi[window])[:, None]
@@ -211,11 +212,10 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     terminal norms from it, the free one in the same norm.  Deterministic:
     repeated calls with equal inputs produce bit-identical results.
     """
-    n = ops.grid.n_cells
     free = solve_forward_linear(ops, None, y0, z0)
-    b = np.concatenate([free.y[-1], free.z[-1]])
+    b = free.u[-1]
 
-    if 2 * n <= _FACTOR_MAX_DIM:
+    if ops.size <= _FACTOR_MAX_DIM:
         factor = None
 
         def apply_shifted(v: np.ndarray) -> np.ndarray:
@@ -231,7 +231,7 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
         apply_shifted, b, config.cg_tol, config.cg_max_iters)
 
-    dual = solve_adjoint(ops, p_terminal[:n], p_terminal[n:])
+    dual = solve_adjoint(ops, p_terminal)
     control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])
     controlled = solve_forward_linear(ops, control, y0, z0)
     term_y, term_z = controlled.terminal_norms()

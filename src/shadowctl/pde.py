@@ -8,17 +8,20 @@ The controlled system on Omega = (0, 1) with zero-flux boundaries is
 together with its linearizations (frozen coefficient fields a_ij) and the
 backward-in-time dual system.  Every implicit Euler step is one solve with
 a banded LU factorization (LAPACK dgbtrf/dgbtrs): pentadiagonal for the
-coupled step (see :class:`StepOperators`), tridiagonal for the scalar heat
-steps.  The dual stepper solves with the transpose on the same LU factors,
-so it applies the exact transpose of the forward one-step matrix and the
-discrete duality identity
+two-component step (see :class:`StepOperators`), which the linear, dual and
+semilinear marchers all take, and tridiagonal for the scalar heat steps of
+the reduced marcher and :func:`solve_heat`.  The dual stepper solves with
+the transpose on the same LU factors, so it applies the exact transpose of
+the forward one-step matrix and the discrete duality identity
 
     <u(T), p(T)> = <u(0), p(0)> + dt sum_m <chi h^m, phi^m>
 
 holds to round-off for any control and any terminal data.
 
 A frozen-coefficient system is named once, by its :class:`StepOperators`:
-the linear marchers take them and read sigma and the grids from them.
+the linear marchers take them and read sigma and the grids from them.  The
+marchers exchange whole stacked states (y; z), y first, of length
+``StepOperators.size``, and :class:`Trajectory` keeps their march array.
 
 Conventions: coefficient fields are node-indexed with shape
 (n_steps + 1, n_cells) and the step t_m -> t_{m+1} reads slice m; control
@@ -34,8 +37,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .mesh import (Grid1D, TimeGrid, inner_product, mean_value, neumann_laplacian,
-                   norm_l2)
+from .mesh import Grid1D, TimeGrid, mean_value, neumann_laplacian, norm_l2
 from .nonlinear import NonlinearityPair
 
 __all__ = [
@@ -47,9 +49,9 @@ __all__ = [
 ]
 
 
-def _as_field(grid: Grid1D, tgrid: TimeGrid, a, name: str) -> np.ndarray:
+def _checked(a, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``a`` as a float array, which must have ``shape`` and finite entries."""
     arr = np.asarray(a, dtype=float)
-    shape = (tgrid.n_steps + 1, grid.n_cells)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -69,9 +71,9 @@ class CoefficientField:
     a22: np.ndarray
 
     def __post_init__(self) -> None:
+        shape = (self.tgrid.n_steps + 1, self.grid.n_cells)
         for name in ("a11", "a12", "a21", "a22"):
-            object.__setattr__(self, name,
-                               _as_field(self.grid, self.tgrid, getattr(self, name), name))
+            object.__setattr__(self, name, _checked(getattr(self, name), shape, name))
 
     @cached_property
     def sup_norms(self) -> tuple[float, float, float, float]:
@@ -116,12 +118,7 @@ class ControlField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        shape = (self.tgrid.n_steps, self.grid.n_cells)
-        if arr.shape != shape:
-            raise ValueError(f"control values must have shape {shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("control values contain non-finite entries")
+        arr = _checked(self.values, (self.tgrid.n_steps, self.grid.n_cells), "control")
         arr = arr * (self.grid.omega_indicator > 0.0)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -141,18 +138,24 @@ def control_cost(control: ControlField) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Node-indexed pair of space-time fields, slice 0 = initial data."""
+    """March array ``u``: row m is the stacked state (y; z) at node m, so
+    ``u`` has shape (n_steps + 1, 2 n_cells); ``y`` and ``z`` are views."""
 
     grid: Grid1D
     tgrid: TimeGrid
     sigma: float
-    y: np.ndarray
-    z: np.ndarray
+    u: np.ndarray
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.u[:, :self.grid.n_cells]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.u[:, self.grid.n_cells:]
 
     def terminal_norms(self) -> tuple[float, float]:
-        ny = np.sqrt(inner_product(self.grid, self.y[-1], self.y[-1]))
-        nz = np.sqrt(inner_product(self.grid, self.z[-1], self.z[-1]))
-        return float(ny), float(nz)
+        return norm_l2(self.grid, self.y[-1]), norm_l2(self.grid, self.z[-1])
 
 
 @dataclass(frozen=True)
@@ -163,15 +166,6 @@ class ShadowTrajectory:
     tgrid: TimeGrid
     y: np.ndarray
     xi: np.ndarray
-
-
-def _check_initial(grid: Grid1D, u: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
-    if arr.shape != (grid.n_cells,):
-        raise ValueError(f"{name} must have shape ({grid.n_cells},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
 
 
 def _check_control(grid: Grid1D, tgrid: TimeGrid, control: ControlField | None) -> None:
@@ -208,15 +202,17 @@ class StepOperators:
     """Factorized one-step solvers for a frozen-coefficient system.
 
     Built from sigma and a coefficient field, whose grids it takes; every
-    linear solver steps with one and labels its results with its sigma.
+    marcher of the two-component system steps with one and labels its
+    results with its sigma.  A state is one stacked vector of length
+    ``size`` = 2 n_cells, y in its first n_cells entries and z after them.
 
     I - dt*A_m couples y_i and z_i only through the coefficient slice m, so
     in the interleaved unknowns (y_0, z_0, y_1, z_1, ...) it is pentadiagonal:
     a12, a21 on the first off-diagonals, the stencils of lap and sigma*lap on
     the second.  Each band is LU-factorized on first use, once if the
-    coefficients are constant in time.  The steps map the stacked (y; z)
-    layout, vectors or column blocks, and the adjoint solves with the
-    transpose on the same factors: the exact transpose of the forward step.
+    coefficients are constant in time.  The steps map stacked states,
+    vectors or column blocks, and the adjoint solves with the transpose on
+    the same factors: the exact transpose of the forward step.
     """
 
     def __init__(self, sigma: float, coeffs: CoefficientField) -> None:
@@ -230,14 +226,19 @@ class StepOperators:
                 "must stay below 0.5 for a safely invertible implicit step")
         self.sigma = float(sigma)
         self.coeffs = coeffs
-        n, dt = grid.n_cells, tgrid.dt
+        size, dt = self.size, tgrid.dt
         # diffusion rows of the interleaved band: y and z columns alternate
         heat = np.stack([_heat_band(grid, dt), _heat_band(grid, dt * sigma)], axis=-1)
-        self._band = np.zeros((5, 2 * n))
-        self._band[::2] = heat.reshape(3, 2 * n)
-        self._interleave = np.arange(2 * n).reshape(2, n).T.ravel()
-        self._stack = np.arange(2 * n).reshape(n, 2).T.ravel()
+        self._band = np.zeros((5, size))
+        self._band[::2] = heat.reshape(3, size)
+        self._interleave = np.arange(size).reshape(2, -1).T.ravel()
+        self._stack = np.arange(size).reshape(-1, 2).T.ravel()
         self._solvers: list = [None] * tgrid.n_steps
+
+    @property
+    def size(self) -> int:
+        """Length 2 n_cells of a stacked state."""
+        return 2 * self.grid.n_cells
 
     def _solver(self, m: int):
         if self.coeffs.time_invariant:
@@ -270,6 +271,17 @@ class StepOperators:
         return self._solver(m)(rhs[self._interleave], trans=1)[self._stack]
 
 
+def _forward_march(ops: StepOperators, control: ControlField | None,
+                   y0: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """Node array of a forward march of ``ops``, row 0 holding (y0; z0)."""
+    n = ops.grid.n_cells
+    u = np.empty((ops.tgrid.n_steps + 1, ops.size))
+    u[0, :n] = _checked(y0, (n,), "y0")
+    u[0, n:] = _checked(z0, (n,), "z0")
+    _check_control(ops.grid, ops.tgrid, control)
+    return u
+
+
 def solve_forward_linear(ops: StepOperators, control: ControlField | None,
                          y0: np.ndarray, z0: np.ndarray) -> Trajectory:
     """March the system of ``ops`` forward from (y0, z0).
@@ -277,43 +289,33 @@ def solve_forward_linear(ops: StepOperators, control: ControlField | None,
     The control is weighted by the window indicator and enters the y-equation
     only; ``control=None`` means free flow.
     """
-    grid, tgrid = ops.grid, ops.tgrid
-    y0 = _check_initial(grid, y0, "y0")
-    z0 = _check_initial(grid, z0, "z0")
-    _check_control(grid, tgrid, control)
-    n, msteps = grid.n_cells, tgrid.n_steps
-    chi = grid.omega_indicator
-    u = np.empty((msteps + 1, 2 * n))
-    u[0] = np.concatenate([y0, z0])
-    for m in range(msteps):
+    u = _forward_march(ops, control, y0, z0)
+    chi = ops.grid.omega_indicator
+    for m in range(ops.tgrid.n_steps):
         src = chi * control.values[m] if control is not None else None
         u[m + 1] = ops.step_forward(u[m], m, src)
-    return Trajectory(grid, tgrid, ops.sigma, u[:, :n], u[:, n:])
+    return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
 
 
-def solve_adjoint(ops: StepOperators, phi_T: np.ndarray, psi_T: np.ndarray,
-                  source: tuple[np.ndarray, np.ndarray] | None = None) -> Trajectory:
-    """March the dual of the system of ``ops`` backward from (phi_T, psi_T).
+def solve_adjoint(ops: StepOperators, p_T: np.ndarray,
+                  source: np.ndarray | None = None) -> Trajectory:
+    """March the dual of the system of ``ops`` backward from the state p_T.
 
+    ``p_T`` is a stacked dual state of length ``ops.size`` and ``source``,
+    if given, a node-indexed array of them, shape (n_steps + 1, ops.size).
     Each backward step applies the transpose of the corresponding forward
-    step matrix.  The optional node-indexed source pair (F1, F2) enters with
-    slice m + 1 on the step down to node m, which keeps the sourced duality
-    identity exact.  The returned trajectory stores phi in ``y`` and psi in
-    ``z``, slice m holding the dual state at node m.
+    step matrix; source row m + 1 enters the step down to node m, which
+    keeps the sourced duality identity exact.  Row m of the returned
+    trajectory holds the dual state at node m, phi in ``y`` and psi in ``z``.
     """
-    grid, tgrid = ops.grid, ops.tgrid
-    phi_T = _check_initial(grid, phi_T, "phi_T")
-    psi_T = _check_initial(grid, psi_T, "psi_T")
-    n, msteps = grid.n_cells, tgrid.n_steps
+    msteps = ops.tgrid.n_steps
+    p = np.empty((msteps + 1, ops.size))
+    p[msteps] = _checked(p_T, (ops.size,), "p_T")
     if source is not None:
-        f1 = _as_field(grid, tgrid, source[0], "F1")
-        f2 = _as_field(grid, tgrid, source[1], "F2")
-    p = np.empty((msteps + 1, 2 * n))
-    p[msteps] = np.concatenate([phi_T, psi_T])
+        source = _checked(source, p.shape, "source")
     for m in range(msteps - 1, -1, -1):
-        src = np.concatenate([f1[m + 1], f2[m + 1]]) if source is not None else None
-        p[m] = ops.step_adjoint(p[m + 1], m, src)
-    return Trajectory(grid, tgrid, ops.sigma, p[:, :n], p[:, n:])
+        p[m] = ops.step_adjoint(p[m + 1], m, None if source is None else source[m + 1])
+    return Trajectory(ops.grid, ops.tgrid, ops.sigma, p)
 
 
 def _nonlinear_step(update, start: np.ndarray, inner_tol: float,
@@ -334,7 +336,13 @@ def _nonlinear_step(update, start: np.ndarray, inner_tol: float,
         f"after {max_inner} iterations")
 
 
-def _check_contraction(dt: float, pair: NonlinearityPair) -> None:
+def _check_inner_solve(dt: float, pair: NonlinearityPair, inner_tol: float,
+                       max_inner: int) -> None:
+    """Reject settings under which the per-step fixed point cannot converge."""
+    if not 0.0 < inner_tol < np.inf:
+        raise ValueError(f"inner_tol must be positive and finite, got {inner_tol}")
+    if max_inner < 1:
+        raise ValueError(f"max_inner must be at least 1, got {max_inner}")
     cmax = max(pair.lipschitz_f, pair.lipschitz_g)
     if dt * cmax >= 1.0:
         raise ValueError(
@@ -351,34 +359,27 @@ def solve_forward_semilinear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     """March the semilinear system forward, reaction resolved implicitly.
 
     Each step solves the fully implicit equation by fixed-point iteration on
-    the reaction term; dt * max(C_f, C_g) < 1 is enforced so the per-step map
-    is a contraction.
+    the reaction term, every iterate one step of the reaction-free
+    :class:`StepOperators` at ``sigma``; dt * max(C_f, C_g) < 1 is enforced
+    so the per-step map is a contraction.
     """
-    y0 = _check_initial(grid, y0, "y0")
-    z0 = _check_initial(grid, z0, "z0")
-    _check_control(grid, tgrid, control)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    ops = StepOperators(sigma, zero_coefficients(grid, tgrid))
+    u = _forward_march(ops, control, y0, z0)
     dt = tgrid.dt
-    _check_contraction(dt, pair)
+    _check_inner_solve(dt, pair, inner_tol, max_inner)
     n = grid.n_cells
-    solve_y = _band_lu(_heat_band(grid, dt), 1)
-    solve_z = _band_lu(_heat_band(grid, dt * sigma), 1)
     chi = grid.omega_indicator
-    msteps = tgrid.n_steps
-    u = np.empty((msteps + 1, 2 * n))
-    u[0] = np.concatenate([y0, z0])
-    for m in range(msteps):
+    for m in range(tgrid.n_steps):
         src = chi * control.values[m] if control is not None else 0.0
 
         def update(v: np.ndarray) -> np.ndarray:
             vy, vz = v[:n], v[n:]
-            rhs = u[m] + dt * np.concatenate([np.asarray(pair.f.value(vy, vz)) + src,
-                                              np.asarray(pair.g.value(vy, vz))])
-            return np.concatenate([solve_y(rhs[:n]), solve_z(rhs[n:])])
+            reaction = np.concatenate([np.asarray(pair.f.value(vy, vz)) + src,
+                                       np.asarray(pair.g.value(vy, vz))])
+            return ops.step_forward(u[m] + dt * reaction, m)
 
         u[m + 1] = _nonlinear_step(update, u[m], inner_tol, max_inner, m)
-    return Trajectory(grid, tgrid, float(sigma), u[:, :n], u[:, n:])
+    return Trajectory(grid, tgrid, ops.sigma, u)
 
 
 def solve_shadow(grid: Grid1D, tgrid: TimeGrid,
@@ -393,18 +394,17 @@ def solve_shadow(grid: Grid1D, tgrid: TimeGrid,
     component; the y-equation keeps unit diffusion and the windowed control.
     Each step iterates Gauss-Seidel fashion: the new y, then xi from it.
     """
-    y0 = _check_initial(grid, y0, "y0")
+    n = grid.n_cells
+    # each node stacks y and, last, the scalar mode xi
+    u = np.empty((tgrid.n_steps + 1, n + 1))
+    u[0, :n] = _checked(y0, (n,), "y0")
+    u[0, n] = _checked(xi0, (), "xi0")
     _check_control(grid, tgrid, control)
     dt = tgrid.dt
-    _check_contraction(dt, pair)
-    n = grid.n_cells
+    _check_inner_solve(dt, pair, inner_tol, max_inner)
     solve_y = _band_lu(_heat_band(grid, dt), 1)
     chi = grid.omega_indicator
-    msteps = tgrid.n_steps
-    # each node stacks y and, last, the scalar mode xi
-    u = np.empty((msteps + 1, n + 1))
-    u[0] = np.append(y0, float(xi0))
-    for m in range(msteps):
+    for m in range(tgrid.n_steps):
         src = chi * control.values[m] if control is not None else 0.0
 
         def update(v: np.ndarray) -> np.ndarray:
@@ -424,7 +424,7 @@ def solve_heat(grid: Grid1D, tgrid: TimeGrid, kappa: float, u0: np.ndarray,
     enters the step to node m + 1."""
     solve = _band_lu(_heat_band(grid, tgrid.dt * kappa), 1)
     u = np.empty((tgrid.n_steps + 1, grid.n_cells))
-    u[0] = _check_initial(grid, u0, "u0")
+    u[0] = _checked(u0, (grid.n_cells,), "u0")
     for m in range(tgrid.n_steps):
         rhs = u[m] if source is None else u[m] + tgrid.dt * source[m + 1]
         u[m + 1] = solve(rhs)

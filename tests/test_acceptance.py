@@ -81,7 +81,7 @@ def test_ac01_duality_identity_on_random_problems():
         y0, z0 = rng.standard_normal((2, grid.n_cells))
         state = solve_forward_linear(StepOperators(sigma, coeffs), control, y0, z0)
         dual = solve_adjoint(StepOperators(sigma, coeffs),
-                             *rng.standard_normal((2, grid.n_cells)))
+                             rng.standard_normal(2 * grid.n_cells))
         worst = max(worst, duality_residual(control, state, dual))
 
     # fault injection: swap the coupling blocks in the dual march only
@@ -92,7 +92,7 @@ def test_ac01_duality_identity_on_random_problems():
     y0, z0 = rng.standard_normal((2, grid.n_cells))
     state = solve_forward_linear(StepOperators(1.0, good), control, y0, z0)
     bad_dual = solve_adjoint(StepOperators(1.0, swapped),
-                             *rng.standard_normal((2, grid.n_cells)))
+                             rng.standard_normal(2 * grid.n_cells))
     fault = duality_residual(control, state, bad_dual)
 
     ok = worst <= 1e-10 and fault > 1e-6
@@ -120,8 +120,7 @@ def test_ac02_gramian_symmetry_and_cost_identity():
                         abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
         quad = float(np.dot(la, a))
         neg_worst = max(neg_worst, -quad / max(abs(quad), 1.0))
-        dual = solve_adjoint(StepOperators(1.0, coeffs),
-                             a[:grid.n_cells], a[grid.n_cells:])
+        dual = solve_adjoint(StepOperators(1.0, coeffs), a)
         observed = ControlField(grid, tgrid, dual.y[:-1])
         cost_sq = control_cost(observed) ** 2
         id_worst = max(id_worst,

@@ -67,13 +67,14 @@ class TestShadowGap:
     def test_identical_fields_have_zero_gap(self):
         grid, tgrid, shape = self._pairing()
         z = np.full(shape, 0.4)
-        traj = Trajectory(grid, tgrid, 1.0, np.zeros(shape), z)
+        traj = Trajectory(grid, tgrid, 1.0, np.hstack([np.zeros(shape), z]))
         red = ShadowTrajectory(grid, tgrid, np.zeros(shape), np.full(shape[0], 0.4))
         assert shadow_gap(traj, red, 0.1) == 0.0
 
     def test_constant_offset_gap(self):
         grid, tgrid, shape = self._pairing()
-        traj = Trajectory(grid, tgrid, 1.0, np.zeros(shape), np.full(shape, 0.9))
+        traj = Trajectory(grid, tgrid, 1.0,
+                          np.hstack([np.zeros(shape), np.full(shape, 0.9)]))
         red = ShadowTrajectory(grid, tgrid, np.zeros(shape), np.full(shape[0], 0.6))
         assert shadow_gap(traj, red, 0.0) == pytest.approx(0.3, rel=1e-12)
 
@@ -81,7 +82,7 @@ class TestShadowGap:
         grid, tgrid, shape = self._pairing(msteps=10)
         z = np.zeros(shape)
         z[0] = 100.0   # initial-layer transient only
-        traj = Trajectory(grid, tgrid, 1.0, np.zeros(shape), z)
+        traj = Trajectory(grid, tgrid, 1.0, np.hstack([np.zeros(shape), z]))
         red = ShadowTrajectory(grid, tgrid, np.zeros(shape), np.zeros(shape[0]))
         assert shadow_gap(traj, red, 0.05) == 0.0
         assert shadow_gap(traj, red, 0.0) == pytest.approx(100.0)
@@ -89,7 +90,7 @@ class TestShadowGap:
     def test_rejects_mismatched_grids(self):
         grid, tgrid, shape = self._pairing()
         other = Grid1D(n_cells=shape[1] + 1)
-        traj = Trajectory(grid, tgrid, 1.0, np.zeros(shape), np.zeros(shape))
+        traj = Trajectory(grid, tgrid, 1.0, np.zeros((shape[0], 2 * shape[1])))
         red = ShadowTrajectory(other, tgrid,
                                np.zeros((shape[0], shape[1] + 1)),
                                np.zeros(shape[0]))
@@ -98,7 +99,7 @@ class TestShadowGap:
 
     def test_rejects_bad_t0(self):
         grid, tgrid, shape = self._pairing()
-        traj = Trajectory(grid, tgrid, 1.0, np.zeros(shape), np.zeros(shape))
+        traj = Trajectory(grid, tgrid, 1.0, np.zeros((shape[0], 2 * shape[1])))
         red = ShadowTrajectory(grid, tgrid, np.zeros(shape), np.zeros(shape[0]))
         with pytest.raises(ValueError, match="t0"):
             shadow_gap(traj, red, 1.0)

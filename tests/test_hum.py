@@ -12,7 +12,7 @@ from shadowctl import hum, pde
 from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
                            epsilon_sweep, gramian_apply, gramian_factor,
                            hum_solve)
-from shadowctl.mesh import Grid1D, TimeGrid
+from shadowctl.mesh import Grid1D, TimeGrid, norm_l2
 from shadowctl.nonlinear import arctan_family, make_pair, sigmoid_family
 from shadowctl.pde import (ControlField, StepOperators, constant_coefficients,
                            control_cost, solve_adjoint, solve_forward_linear)
@@ -55,7 +55,7 @@ class TestGramian:
         rng = np.random.default_rng(2)
         a = rng.standard_normal(40)
         quad = grid.spacing * float(np.dot(gramian_apply(StepOperators(1.0, coeffs), a), a))
-        dual = solve_adjoint(StepOperators(1.0, coeffs), a[:20], a[20:])
+        dual = solve_adjoint(StepOperators(1.0, coeffs), a)
         observed = ControlField(grid, tgrid, dual.y[:-1])
         assert quad == pytest.approx(control_cost(observed) ** 2,
                                      rel=1e-10)
@@ -122,6 +122,13 @@ class TestHumSolve:
         monkeypatch.setattr(hum, "gramian_factor", refuse)
         res = hum_solve(StepOperators(1.0, coeffs), np.zeros(20), np.zeros(20))
         assert res.cg_iterations == 0 and res.cg_converged
+
+    def test_reported_norms_are_those_of_the_last_state(self, small_problem):
+        grid, tgrid, coeffs, y0, z0 = small_problem
+        res = hum_solve(StepOperators(1.0, coeffs), y0, z0, HumConfig(epsilon=1e-3))
+        u_T = res.trajectory.u[-1]
+        assert (res.terminal_y, res.terminal_z) == (norm_l2(grid, u_T[:20]),
+                                                    norm_l2(grid, u_T[20:]))
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
     def test_terminal_identity(self, small_problem, eps):
@@ -278,7 +285,7 @@ class TestDualityResidual:
         control = ControlField(grid, tgrid, rng.standard_normal((40, 20)))
         state = solve_forward_linear(StepOperators(1.0, good), control, y0, z0)
         bad_dual = solve_adjoint(StepOperators(1.0, swapped),
-                                 *rng.standard_normal((2, 20)))
+                                 rng.standard_normal(40))
         assert duality_residual(control, state, bad_dual) > 1e-6
 
     @pytest.mark.parametrize("mismatch", ["horizon", "window"])
@@ -291,7 +298,7 @@ class TestDualityResidual:
             control = ControlField(grid, tgrid, np.ones((40, 20)))
             return {"control": control,
                     "state": solve_forward_linear(ops, control, y0, z0),
-                    "dual": solve_adjoint(ops, y0, z0)}
+                    "dual": solve_adjoint(ops, np.concatenate([y0, z0]))}
 
         args = operands(grid, tgrid)
         if mismatch == "horizon":

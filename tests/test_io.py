@@ -24,7 +24,7 @@ def tiny_problem():
     rng = np.random.default_rng(0)
     y = rng.standard_normal((3, 4))
     z = rng.standard_normal((3, 4))
-    return grid, tgrid, Trajectory(grid, tgrid, 2.0, y, z)
+    return grid, tgrid, Trajectory(grid, tgrid, 2.0, np.hstack([y, z]))
 
 
 class TestCsv:

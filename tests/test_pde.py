@@ -124,8 +124,21 @@ class TestSingleStep:
         tgrid = TimeGrid(horizon=0.2, n_steps=10)
         ops = StepOperators(10.0, zero_coefficients(grid, tgrid))
         u = np.cos(np.pi * grid.cell_centers)
-        for traj in (solve_forward_linear(ops, None, u, u), solve_adjoint(ops, u, u)):
+        for traj in (solve_forward_linear(ops, None, u, u),
+                     solve_adjoint(ops, np.concatenate([u, u]))):
             assert (traj.grid, traj.tgrid, traj.sigma) == (grid, tgrid, 10.0)
+
+    def test_components_are_views_of_the_stacked_states(self):
+        grid = Grid1D(n_cells=12)
+        tgrid = TimeGrid(horizon=0.2, n_steps=10)
+        ops = StepOperators(10.0, zero_coefficients(grid, tgrid))
+        u = np.cos(np.pi * grid.cell_centers)
+        traj = solve_forward_linear(ops, None, u, 2.0 * u)
+        assert traj.u.shape == (11, 24)
+        assert np.shares_memory(traj.y, traj.u) and np.shares_memory(traj.z, traj.u)
+        assert np.array_equal(traj.u[0], np.concatenate([u, 2.0 * u]))
+        assert np.array_equal(traj.y, traj.u[:, :12])
+        assert np.array_equal(traj.z, traj.u[:, 12:])
 
     def test_rejects_large_coefficient_times_dt(self):
         grid = Grid1D(n_cells=8)
@@ -262,7 +275,7 @@ class TestDuality:
         pT = rng.standard_normal(40)
         qT = rng.standard_normal(40)
         fwd = solve_forward_linear(StepOperators(5.0, coeffs), None, u0, v0)
-        adj = solve_adjoint(StepOperators(5.0, coeffs), pT, qT)
+        adj = solve_adjoint(StepOperators(5.0, coeffs), np.concatenate([pT, qT]))
         lhs = np.dot(fwd.y[-1], pT) + np.dot(fwd.z[-1], qT)
         rhs = np.dot(u0, adj.y[0]) + np.dot(v0, adj.z[0])
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
@@ -276,7 +289,7 @@ class TestDuality:
         u0, v0, pT, qT = rng.standard_normal((4, 40))
         control = ControlField(grid, tgrid, rng.standard_normal((70, 40)))
         fwd = solve_forward_linear(StepOperators(5.0, coeffs), control, u0, v0)
-        adj = solve_adjoint(StepOperators(5.0, coeffs), pT, qT)
+        adj = solve_adjoint(StepOperators(5.0, coeffs), np.concatenate([pT, qT]))
         chi = grid.omega_indicator
         lhs = (np.dot(fwd.y[-1], pT) + np.dot(fwd.z[-1], qT)
                - np.dot(u0, adj.y[0]) - np.dot(v0, adj.z[0]))
@@ -295,7 +308,8 @@ class TestDuality:
         f1 = rng.standard_normal((51, 30))
         f2 = rng.standard_normal((51, 30))
         fwd = solve_forward_linear(StepOperators(2.0, coeffs), control, u0, v0)
-        adj = solve_adjoint(StepOperators(2.0, coeffs), pT, qT, source=(f1, f2))
+        adj = solve_adjoint(StepOperators(2.0, coeffs), np.concatenate([pT, qT]),
+                            source=np.hstack([f1, f2]))
         chi = grid.omega_indicator
         lhs = (np.dot(fwd.y[-1], pT) + np.dot(fwd.z[-1], qT)
                - np.dot(u0, adj.y[0]) - np.dot(v0, adj.z[0]))
@@ -319,6 +333,20 @@ class TestSemilinear:
                                        inner_tol=1e-13)
         assert np.max(np.abs(lin.y - sem.y)) < 1e-8
         assert np.max(np.abs(lin.z - sem.z)) < 1e-8
+
+    def test_zero_reaction_steps_like_the_linear_marcher(self):
+        # the semilinear march steps with the reaction-free StepOperators
+        grid = Grid1D(n_cells=30, omega_a=0.2, omega_b=0.6)
+        tgrid = TimeGrid(horizon=0.3, n_steps=40)
+        rng = np.random.default_rng(11)
+        control = ControlField(grid, tgrid, rng.standard_normal((40, 30)))
+        y0, z0 = rng.standard_normal((2, 30))
+        pair = make_pair(linear_form(0.0, 0.0), linear_form(0.0, 0.0), a21_floor=1.0)
+        for sigma in (1.0, 250.0):
+            sem = solve_forward_semilinear(grid, tgrid, sigma, pair, control, y0, z0)
+            lin = solve_forward_linear(StepOperators(sigma, zero_coefficients(grid, tgrid)),
+                                       control, y0, z0)
+            assert np.array_equal(sem.y, lin.y) and np.array_equal(sem.z, lin.z)
 
     @pytest.mark.filterwarnings("ignore:zero y-coupling")
     def test_control_enters_y_equation(self):
@@ -440,7 +468,7 @@ class TestEnergy:
         tgrid = TimeGrid(horizon=1.0, n_steps=10)
         prof = np.cos(np.pi * grid.cell_centers)
         y = np.tile(prof, (11, 1))
-        traj = Trajectory(grid, tgrid, 3.0, y, y.copy())
+        traj = Trajectory(grid, tgrid, 3.0, np.hstack([y, y]))
         rep = energy_functional(traj)
         assert rep.norm_y_l2h1 == pytest.approx(np.sqrt(0.5 + np.pi**2 / 2), rel=1e-3)
         assert rep.sigma_grad_z == pytest.approx(3.0 * np.pi**2 / 2, rel=1e-3)
@@ -450,7 +478,7 @@ class TestEnergy:
         grid = Grid1D(n_cells=40)
         tgrid = TimeGrid(horizon=2.0, n_steps=8)
         y = np.full((9, 40), 1.5)
-        rep = energy_functional(Trajectory(grid, tgrid, 7.0, y, y))
+        rep = energy_functional(Trajectory(grid, tgrid, 7.0, np.hstack([y, y])))
         assert rep.sigma_grad_z == 0.0
         assert rep.norm_y_l2h1 == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
 
@@ -481,7 +509,46 @@ class TestSemigroupChecks:
             semigroup_checks(grid, tgrid, -1.0)
 
 
+_BAD_MARCH_ARGUMENTS = [
+    pytest.param(marcher, {name: value}, id=f"{marcher}-{name}={value}")
+    for marcher in ("semilinear", "shadow")
+    for name, value in (("max_inner", 0), ("inner_tol", -1.0),
+                        ("inner_tol", np.nan), ("inner_tol", np.inf))
+] + [pytest.param("shadow", {"xi0": value}, id=f"shadow-xi0={label}")
+     for label, value in (("nan", np.nan), ("inf", np.inf), ("vector", np.zeros(2)))]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("marcher, bad", _BAD_MARCH_ARGUMENTS)
+    def test_nonlinear_marchers_reject_bad_arguments(self, marcher, bad):
+        # rejected before marching, not by a stalled or crashed inner solve
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        pair = linear_pair(0.1, 0.2, 0.3, 0.4)
+        (name, _), = bad.items()
+        with pytest.raises(ValueError, match=name):
+            if marcher == "semilinear":
+                solve_forward_semilinear(grid, tgrid, 1.0, pair, None,
+                                         np.zeros(10), np.zeros(10), **bad)
+            else:
+                kwargs = {"xi0": 0.0, **bad}
+                xi0 = kwargs.pop("xi0")
+                solve_shadow(grid, tgrid, pair, None, np.zeros(10), xi0, **kwargs)
+
+    @pytest.mark.parametrize("argument", ["p_T", "source"])
+    @pytest.mark.parametrize("defect", ["shape", "non-finite"])
+    def test_adjoint_rejects_bad_states(self, argument, defect):
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        ops = StepOperators(1.0, zero_coefficients(grid, tgrid))
+        args = {"p_T": np.ones(20), "source": np.ones((6, 20))}
+        if defect == "shape":
+            args[argument] = args[argument][..., :10]
+        else:
+            args[argument][..., 3] = np.nan
+        with pytest.raises(ValueError, match=f"{argument} .*{defect}"):
+            solve_adjoint(ops, **args)
+
     def test_bad_initial_shape(self):
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.1, n_steps=5)
