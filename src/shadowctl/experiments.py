@@ -23,7 +23,7 @@ from .mesh import Grid1D, TimeGrid, mean_value, norm_l2
 from .nonlinear import NonlinearityPair, linear_pair
 from .pde import (ControlField, ShadowTrajectory, StepOperators, Trajectory,
                   control_cost, energy_functional, solve_forward_semilinear,
-                  solve_heat, solve_shadow)
+                  solve_heat, solve_shadow, zero_coefficients)
 from .semilinear import FixedPointConfig, fixed_point_control, origin_coefficients
 
 __all__ = [
@@ -270,7 +270,8 @@ def measure_m2_scaling(grid: Grid1D, sigmas, pair: NonlinearityPair,
     sups = []
     for s in sig:
         tg = TimeGrid(horizon=tau_max / s, n_steps=n_steps)
-        traj = solve_forward_semilinear(grid, tg, s, pair, None, y0, z0)
+        traj = solve_forward_semilinear(StepOperators(s, zero_coefficients(grid, tg)),
+                                        pair, None, y0, z0)
         gvals = np.asarray(pair.g.value(traj.y, traj.z))
         resid = gvals - grid.spacing * np.sum(gvals, axis=1, keepdims=True)
         v = solve_heat(grid, tg, s, np.zeros(grid.n_cells), source=resid)

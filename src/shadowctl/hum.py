@@ -22,11 +22,13 @@ Two ways to apply Lambda inside the Krylov solve, picked by the size 2n of
 the stacked state:
 
 * 2n <= ``_FACTOR_MAX_DIM``: :func:`gramian_factor` builds an upper
-  triangular R with Lambda = R^T R in one backward sweep of 2n-column
-  blocks, on the first iteration, and each iteration applies
-  v -> R^T (R v) + eps v.  The factor costs O((2n)^2) memory.  Lambda
-  itself is never formed: an explicit R^T R squares the conditioning of R,
-  and its rounding swamps small penalties.
+  triangular R with Lambda = R^T R on the first iteration, and each
+  iteration applies v -> R^T (R v) + eps v.  Time-varying coefficients
+  build R in one backward sweep of 2n-column blocks, M block solves;
+  time-invariant ones (every linear-mode run) by square-root doubling, about
+  log2(M) dense products and QR updates.  The factor costs O((2n)^2)
+  memory.  Lambda itself is never formed: an explicit R^T R squares the
+  conditioning of R, and its rounding swamps small penalties.
 * larger 2n: :func:`gramian_apply` re-marches the dual and forward problems
   on every iteration, with memory that stays O(n).
 
@@ -54,8 +56,13 @@ __all__ = [
 
 # Largest stacked state size 2n for which hum_solve builds the square-root
 # Gramian factor (module docstring).  Measured with the former SuperLU step
-# kernel; kept until a workload above it measures the banded one.
+# kernel and the per-step sweep for every coefficient field.  Both builds
+# are cheaper now, so the crossover has moved, but no workload above 256
+# measures either path yet, so the limit stays.
 _FACTOR_MAX_DIM = 256
+
+# OpenBLAS runs a GEMM with m * n * k up to this many on the calling thread.
+_SERIAL_GEMM = 4 * 65536
 
 
 @dataclass(frozen=True)
@@ -115,23 +122,76 @@ def gramian_apply(ops: StepOperators, p_terminal: np.ndarray) -> np.ndarray:
     return solve_forward_linear(ops, observed, zero, zero).u[-1]
 
 
-def gramian_factor(ops: StepOperators) -> np.ndarray:
-    """Upper-triangular R with Lambda = R^T R of ``ops``, from one backward sweep.
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in row blocks small enough that OpenBLAS computes each on the
+    calling thread (see :func:`_fold` for why that matters)."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    rows = max(1, _SERIAL_GEMM // (a.shape[1] * b.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
+    return out
 
-    Marches the identity backward through the transposed steps, so that
-    after the step down to node m the block P holds the dual states at node
-    m of all 2n unit terminal data.  Lambda is the sum over m of G_m^T G_m
-    with G_m = sqrt(dt * chi) * P[window], the window rows of phi (y fills
-    the first n rows of every state), and those rows are folded into R
-    by triangular-pentagonal QR updates (LAPACK ``dtpqrt``).  Each update
-    takes whole steps, at most 2n rows, so the workspace stays O((2n)^2).
+
+def _fold(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Upper-triangular factor of the stack [r; rows], by a triangular-
+    pentagonal QR update (LAPACK ``dtpqrt``) that overwrites ``r`` and
+    leaves ``rows`` as it was."""
+    # Inner block size 4: measured no slower than 32 at these sizes.  It
+    # keeps dtpqrt's own BLAS calls under OpenBLAS's multithreading
+    # threshold only while 4 * (2n)^2 <= _SERIAL_GEMM, that is 2n <= 256,
+    # the factor limit of hum_solve; larger direct calls may go threaded.
+    # A threaded call leaves the pool spinning for about 0.1 s afterwards,
+    # which takes a core from whatever runs next on a 2-core host.
+    r, _, _, info = dtpqrt(0, min(r.shape[0], 4), r, rows, overwrite_a=True)
+    if info != 0:
+        raise RuntimeError(f"dtpqrt rejected argument {-info}")
+    return r
+
+
+def gramian_factor(ops: StepOperators) -> np.ndarray:
+    """Upper-triangular R with Lambda = R^T R of ``ops``.
+
+    Lambda is the sum over k = 1..M of G_k^T G_k, where G_k = sqrt(dt * chi)
+    * (B^k)[window] observes the window rows of phi (y fills the first n rows
+    of every state) k steps below the terminal node, and B^k stands for the
+    transposed steps marched back from the identity.  The row blocks are
+    folded into R by triangular-pentagonal QR updates (LAPACK ``dtpqrt``),
+    each of at most 2n rows, so the workspace stays O((2n)^2).
+
+    Time-varying coefficients take one backward sweep: the identity is
+    marched down step by step and each G_k is folded in as it appears.
+    Time-invariant coefficients have one step matrix B, so G_k = G_1 B^(k-1)
+    and R is built by square-root doubling (Smith's iteration for Stein
+    equations in square-root form): with R_K the factor of the first K
+    terms, R_2K folds R_K B^K into R_K and R_(K+1) folds G_1 B^K into it.
+    Walking the bits of M this takes about log2(M) dense products and folds
+    in place of M block solves.
     """
     n2 = ops.size
     chi = ops.grid.omega_indicator
     window = np.flatnonzero(chi > 0.0)
     weight = np.sqrt(ops.tgrid.dt * chi[window])[:, None]
-    steps_per_update = max(1, n2 // window.size)
     r = np.zeros((n2, n2), order="F")
+    if ops.coeffs.time_invariant:
+        b = ops.step_adjoint(np.eye(n2), 0)
+        g1 = weight * b[window]
+        r = _fold(r, g1)
+        # r factors the first K terms and b_k = B^K, from K = 1; each later
+        # bit of M doubles K and a 1 bit adds one.  Powers of B that no
+        # later bit reads are not formed.
+        b_k = b
+        bits = bin(ops.tgrid.n_steps)[3:]
+        for i, bit in enumerate(bits):
+            more = i + 1 < len(bits)
+            r = _fold(r, _serial_matmul(r, b_k))
+            if more or bit == "1":
+                b_k = _serial_matmul(b_k, b_k)
+            if bit == "1":
+                r = _fold(r, _serial_matmul(g1, b_k))
+                if more:
+                    b_k = _serial_matmul(b_k, b)
+        return r
+    steps_per_update = max(1, n2 // window.size)
     p = np.eye(n2)
     steps = range(ops.tgrid.n_steps - 1, -1, -1)
     for start in range(0, len(steps), steps_per_update):
@@ -139,14 +199,7 @@ def gramian_factor(ops: StepOperators) -> np.ndarray:
         for m in steps[start:start + steps_per_update]:
             p = ops.step_adjoint(p, m)
             rows.append(weight * p[window])
-        # Inner block size 4: measured no slower than 32 at these sizes, and
-        # it keeps every BLAS call under OpenBLAS's multithreading threshold.
-        # A threaded call leaves the pool spinning for about 0.1 s after the
-        # sweep, which takes a core from whatever runs next on a 2-core host.
-        r, _, _, info = dtpqrt(0, min(n2, 4), r, np.vstack(rows),
-                               overwrite_a=True, overwrite_b=True)
-        if info != 0:
-            raise RuntimeError(f"dtpqrt rejected argument {-info}")
+        r = _fold(r, np.vstack(rows))
     return r
 
 

@@ -37,6 +37,7 @@ __all__ = [
 
 _MAGIC = b"SHCT"
 _VERSION = 1
+_CSV_BLOCK_ROWS = 1024
 
 
 class FormatError(ValueError):
@@ -54,28 +55,36 @@ def _write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+def _write_columns(path: str | Path, header: str, columns) -> Path:
+    """CSV of float columns at 17 significant digits under ``header``; each
+    column is flattened row-major and every line is one ``str.format``.
+    Written in blocks of rows, so the text never sits in memory whole."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    flat = [np.ravel(c) for c in columns]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, flat[0].size, _CSV_BLOCK_ROWS):
+            block = (c[start:start + _CSV_BLOCK_ROWS].tolist() for c in flat)
+            fh.write("".join(map(row.format, *block)))
+    return path
+
+
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> Path:
     """One row per (time node, cell): ``t,x,y,z``."""
-    t = traj.tgrid.nodes
-    x = traj.grid.cell_centers
-    lines = ["t,x,y,z"]
-    for m in range(traj.tgrid.n_steps + 1):
-        ym, zm = traj.y[m], traj.z[m]
-        lines.extend(f"{_fmt(t[m])},{_fmt(x[i])},{_fmt(ym[i])},{_fmt(zm[i])}"
-                     for i in range(traj.grid.n_cells))
-    return _write_text(path, "\n".join(lines) + "\n")
+    n = traj.grid.n_cells
+    t = np.repeat(traj.tgrid.nodes, n)
+    x = np.tile(traj.grid.cell_centers, traj.tgrid.n_steps + 1)
+    return _write_columns(path, "t,x,y,z", (t, x, traj.y, traj.z))
 
 
 def write_control_csv(path: str | Path, control: ControlField) -> Path:
     """Rows ``t,x,h`` at step midpoint convention: slice m acts on [t_m, t_{m+1})."""
-    t = control.tgrid.nodes
-    x = control.grid.cell_centers
-    lines = ["t,x,h"]
-    for m in range(control.tgrid.n_steps):
-        hm = control.values[m]
-        lines.extend(f"{_fmt(t[m])},{_fmt(x[i])},{_fmt(hm[i])}"
-                     for i in range(control.grid.n_cells))
-    return _write_text(path, "\n".join(lines) + "\n")
+    n = control.grid.n_cells
+    t = np.repeat(control.tgrid.nodes[:-1], n)
+    x = np.tile(control.grid.cell_centers, control.tgrid.n_steps)
+    return _write_columns(path, "t,x,h", (t, x, control.values))
 
 
 def write_rows_csv(path: str | Path, rows: list[dict]) -> Path:

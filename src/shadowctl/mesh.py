@@ -15,6 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 
+# Smallest indicator mass, in cells, of an accepted control window.
+_MIN_WINDOW_MASS = 1e-6
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform cell-centered grid on (0, 1) with a control window.
@@ -25,6 +29,11 @@ class Grid1D:
         Number of cells; at least 4.
     omega_a, omega_b : float
         Endpoints of the open control window, ``0 < omega_a < omega_b < 1``.
+        The window must carry an indicator mass ``sum(omega_indicator)`` of
+        at least ``_MIN_WINDOW_MASS`` = 1e-6 of a cell: a control confined to
+        less acts on nothing measurable, so such a window is rejected with
+        ``ValueError`` rather than left to report a converged solve that
+        controls nothing.
     """
 
     n_cells: int
@@ -39,13 +48,16 @@ class Grid1D:
                 "control window must satisfy 0 < omega_a < omega_b < 1, got "
                 f"({self.omega_a}, {self.omega_b})"
             )
-        # A window that covers any cell covers one of the few around the
-        # cell holding omega_a, so checking those keeps this O(1) in n_cells.
+        # The few cells around the one holding omega_a carry the whole mass
+        # of a window below one cell, and at least one cell of any larger
+        # window, so checking those keeps this O(1) in n_cells.
         first = int(self.omega_a * self.n_cells)
         near = np.arange(max(first - 1, 0), min(first + 4, self.n_cells))
-        if not np.any(self._overlap_fraction(near)):
+        mass = float(np.sum(self._overlap_fraction(near)))
+        if mass < _MIN_WINDOW_MASS:
             raise ValueError(f"control window ({self.omega_a}, {self.omega_b}) "
-                             "covers no cell")
+                             f"covers {mass:.3g} of a cell, below the minimum "
+                             f"{_MIN_WINDOW_MASS:g}")
 
     @property
     def spacing(self) -> float:

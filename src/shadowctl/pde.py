@@ -19,7 +19,8 @@ the forward one-step matrix and the discrete duality identity
 holds to round-off for any control and any terminal data.
 
 A frozen-coefficient system is named once, by its :class:`StepOperators`:
-the linear marchers take them and read sigma and the grids from them.  The
+the linear marchers take them, the semilinear one those of its reaction-free
+part, and all read sigma and the grids from them.  The
 marchers exchange whole stacked states (y; z), y first, of length
 ``StepOperators.size``, and :class:`Trajectory` keeps their march array.
 
@@ -350,26 +351,29 @@ def _check_inner_solve(dt: float, pair: NonlinearityPair, inner_tol: float,
             "for the per-step fixed point to contract")
 
 
-def solve_forward_semilinear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
-                             pair: NonlinearityPair,
+def solve_forward_semilinear(ops: StepOperators, pair: NonlinearityPair,
                              control: ControlField | None,
                              y0: np.ndarray, z0: np.ndarray,
                              inner_tol: float = 1e-10,
                              max_inner: int = 50) -> Trajectory:
     """March the semilinear system forward, reaction resolved implicitly.
 
-    Each step solves the fully implicit equation by fixed-point iteration on
-    the reaction term, every iterate one step of the reaction-free
-    :class:`StepOperators` at ``sigma``; dt * max(C_f, C_g) < 1 is enforced
-    so the per-step map is a contraction.
+    ``ops`` steps the reaction-free system, ``StepOperators(sigma,
+    zero_coefficients(grid, tgrid))``, so marches at one sigma can share its
+    factorization.  Each step solves the fully implicit equation by
+    fixed-point iteration on the reaction term, every iterate one step of
+    ``ops``; dt * max(C_f, C_g) < 1 is enforced so the per-step map is a
+    contraction.
     """
-    ops = StepOperators(sigma, zero_coefficients(grid, tgrid))
+    if ops.coeffs.max_sup != 0.0:
+        raise ValueError("the semilinear march needs the StepOperators of the "
+                         "reaction-free system (zero coefficients)")
     u = _forward_march(ops, control, y0, z0)
-    dt = tgrid.dt
+    dt = ops.tgrid.dt
     _check_inner_solve(dt, pair, inner_tol, max_inner)
-    n = grid.n_cells
-    chi = grid.omega_indicator
-    for m in range(tgrid.n_steps):
+    n = ops.grid.n_cells
+    chi = ops.grid.omega_indicator
+    for m in range(ops.tgrid.n_steps):
         src = chi * control.values[m] if control is not None else 0.0
 
         def update(v: np.ndarray) -> np.ndarray:
@@ -379,7 +383,7 @@ def solve_forward_semilinear(grid: Grid1D, tgrid: TimeGrid, sigma: float,
             return ops.step_forward(u[m] + dt * reaction, m)
 
         u[m + 1] = _nonlinear_step(update, u[m], inner_tol, max_inner, m)
-    return Trajectory(grid, tgrid, ops.sigma, u)
+    return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
 
 
 def solve_shadow(grid: Grid1D, tgrid: TimeGrid,

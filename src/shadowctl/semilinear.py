@@ -23,7 +23,8 @@ from .hum import HumConfig, HumResult, hum_solve
 from .mesh import Grid1D, TimeGrid
 from .nonlinear import NonlinearityPair
 from .pde import (CoefficientField, ControlField, StepOperators, Trajectory,
-                  constant_coefficients, solve_forward_semilinear)
+                  constant_coefficients, solve_forward_semilinear,
+                  zero_coefficients)
 
 __all__ = [
     "FixedPointConfig", "FixedPointResult", "CouplingReport",
@@ -166,7 +167,9 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     as converged only if the last inner solve converged.  Two consecutive
     increases of the update norm halve the damping once.
     """
-    free = solve_forward_semilinear(grid, tgrid, sigma, pair, None, y0, z0)
+    # the free and the final march step one reaction-free system
+    reaction_free = StepOperators(sigma, zero_coefficients(grid, tgrid))
+    free = solve_forward_semilinear(reaction_free, pair, None, y0, z0)
     ref_y, ref_z = free.y, free.z
     damping = config.damping
     history: list[float] = []
@@ -211,7 +214,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
             converged = hum_last.cg_converged
             break
 
-    final = solve_forward_semilinear(grid, tgrid, sigma, pair, control, y0, z0)
+    final = solve_forward_semilinear(reaction_free, pair, control, y0, z0)
     term_y, term_z = final.terminal_norms()
     return FixedPointResult(
         control=control, trajectory=final,

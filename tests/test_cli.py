@@ -167,6 +167,17 @@ class TestDefaultsAndErrors:
         assert str(out / "report.json") in err
         assert err.count("\n") == 1
 
+    def test_negligible_control_window_exits_2(self, tmp_path, capsys):
+        # 4e-10 of a cell: a solve on it reports convergence yet leaves the
+        # terminal state where the free flow takes it
+        cfg = tmp_path / "sliver.cfg"
+        cfg.write_text("grid.n_cells = 40\ntime.n_steps = 40\n"
+                       "grid.omega_a = 0.3\ngrid.omega_b = 0.30000000001\n")
+        out = tmp_path / "o"
+        assert run(cfg, out, "hum") == 2
+        assert "below the minimum" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_negative_seed_exits_2(self, cfg_file, tmp_path):
         assert run(cfg_file, tmp_path / "o", "hum", "--seed", "-1") == 2
 

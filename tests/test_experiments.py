@@ -14,8 +14,9 @@ from shadowctl.experiments import (fit_decay_rate, measure_m1,
 from shadowctl.mesh import Grid1D, TimeGrid, mean_value
 from shadowctl.nonlinear import (arctan_family, linear_form, make_pair,
                                  sigmoid_family)
-from shadowctl.pde import (ShadowTrajectory, Trajectory,
-                           solve_forward_semilinear, solve_shadow)
+from shadowctl.pde import (ShadowTrajectory, StepOperators, Trajectory,
+                           solve_forward_semilinear, solve_shadow,
+                           zero_coefficients)
 
 
 @pytest.fixture()
@@ -114,7 +115,8 @@ class TestShadowGap:
         x = grid.cell_centers
         z0 = xi0 + a * np.cos(np.pi * x)
         y0 = np.zeros(64)
-        traj = solve_forward_semilinear(grid, tgrid, sigma, two_mode, None, y0, z0)
+        traj = solve_forward_semilinear(StepOperators(sigma, zero_coefficients(grid, tgrid)),
+                                        two_mode, None, y0, z0)
         red = solve_shadow(grid, tgrid, two_mode, None, y0, mean_value(grid, z0))
         got = shadow_gap(traj, red, 0.05)
         want = a * np.exp((d - sigma * np.pi**2) * 0.05) / np.sqrt(2.0)

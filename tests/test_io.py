@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shadowctl.io
 from shadowctl.io import (FormatError, control_fields, read_fields_binary,
                           trajectory_fields, write_control_csv,
                           write_fields_binary, write_json_report,
@@ -65,6 +66,34 @@ class TestCsv:
         for line, row in zip(lines[1:], rows):
             sigma, cost = (float(v) for v in line.split(",")[:2])
             assert (sigma, cost) == (row["sigma"], row["cost"])
+
+    def test_column_writers_match_the_per_value_formatter(self, tmp_path,
+                                                          monkeypatch):
+        # blocks of 7 rows, so the 20 and 15 rows below span block edges
+        monkeypatch.setattr(shadowctl.io, "_CSV_BLOCK_ROWS", 7)
+
+        # the text the writers produced when they formatted value by value
+        def fmt(value):
+            return f"{float(value):.17g}"
+
+        grid = Grid1D(n_cells=5, omega_a=0.1, omega_b=0.9)
+        tgrid = TimeGrid(horizon=0.7, n_steps=3)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((4, 10)) * 10.0 ** rng.integers(-300, 300, (4, 10))
+        u[0, :6] = [-0.0, 0.0, 5e-324, 1.0 / 3.0, 2.0, -1e-17]
+        traj = Trajectory(grid, tgrid, 1.0, u)
+        control = ControlField(grid, tgrid, u[:3, 2:7])
+        t, x = tgrid.nodes, grid.cell_centers
+        want_traj = ["t,x,y,z"] + [
+            ",".join(fmt(v) for v in (t[m], x[i], traj.y[m, i], traj.z[m, i]))
+            for m in range(4) for i in range(5)]
+        want_control = ["t,x,h"] + [
+            ",".join(fmt(v) for v in (t[m], x[i], control.values[m, i]))
+            for m in range(3) for i in range(5)]
+        got_traj = write_trajectory_csv(tmp_path / "traj.csv", traj).read_bytes()
+        got_control = write_control_csv(tmp_path / "control.csv", control).read_bytes()
+        assert got_traj == ("\n".join(want_traj) + "\n").encode()
+        assert got_control == ("\n".join(want_control) + "\n").encode()
 
     def test_parent_directories_created(self, tiny_problem, tmp_path):
         _, _, traj = tiny_problem

@@ -35,10 +35,17 @@ def test_grid_indicator_cut_cell():
     (10, (0.0, 0.5)),      # touches the boundary
     (10, (0.5, 1.0)),
     (100, (0.5, 0.5000000000000001)),   # window covers no cell
+    (40, (0.3, 0.30000000001)),         # 4e-10 of a cell
+    (40, (0.325 - 1e-8, 0.325 + 1e-8)), # 8e-7 of a cell, across a cell edge
 ])
 def test_grid_rejects_bad_arguments(n_cells, omega):
     with pytest.raises(ValueError):
         Grid1D(n_cells=n_cells, omega_a=omega[0], omega_b=omega[1])
+
+
+def test_grid_accepts_a_window_just_above_the_minimum_mass():
+    grid = Grid1D(n_cells=40, omega_a=0.3, omega_b=0.3 + 5e-8)   # 2e-6 of a cell
+    assert np.sum(grid.omega_indicator) == pytest.approx(2e-6, rel=1e-6)
 
 
 def test_grid_spacing_times_cells_is_one():

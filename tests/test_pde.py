@@ -329,8 +329,8 @@ class TestSemilinear:
         y0 = np.cos(np.pi * x)
         z0 = 0.5 * np.exp(-50.0 * (x - 0.5) ** 2)
         lin = solve_forward_linear(StepOperators(3.0, coeffs), None, y0, z0)
-        sem = solve_forward_semilinear(grid, tgrid, 3.0, pair, None, y0, z0,
-                                       inner_tol=1e-13)
+        sem = solve_forward_semilinear(StepOperators(3.0, zero_coefficients(grid, tgrid)),
+                                       pair, None, y0, z0, inner_tol=1e-13)
         assert np.max(np.abs(lin.y - sem.y)) < 1e-8
         assert np.max(np.abs(lin.z - sem.z)) < 1e-8
 
@@ -343,9 +343,9 @@ class TestSemilinear:
         y0, z0 = rng.standard_normal((2, 30))
         pair = make_pair(linear_form(0.0, 0.0), linear_form(0.0, 0.0), a21_floor=1.0)
         for sigma in (1.0, 250.0):
-            sem = solve_forward_semilinear(grid, tgrid, sigma, pair, control, y0, z0)
-            lin = solve_forward_linear(StepOperators(sigma, zero_coefficients(grid, tgrid)),
-                                       control, y0, z0)
+            ops = StepOperators(sigma, zero_coefficients(grid, tgrid))
+            sem = solve_forward_semilinear(ops, pair, control, y0, z0)
+            lin = solve_forward_linear(ops, control, y0, z0)
             assert np.array_equal(sem.y, lin.y) and np.array_equal(sem.z, lin.z)
 
     @pytest.mark.filterwarnings("ignore:zero y-coupling")
@@ -354,8 +354,8 @@ class TestSemilinear:
         tgrid = TimeGrid(horizon=0.2, n_steps=40)
         pair = linear_pair(0.0, 0.0, 0.0, 0.0)
         control = ControlField(grid, tgrid, np.ones((40, 40)))
-        traj = solve_forward_semilinear(grid, tgrid, 1.0, pair, control,
-                                        np.zeros(40), np.zeros(40))
+        traj = solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
+                                        pair, control, np.zeros(40), np.zeros(40))
         assert np.max(traj.y[-1]) > 0.01
         # z is forced only through the (zero) coupling
         assert np.max(np.abs(traj.z)) == 0.0
@@ -365,8 +365,8 @@ class TestSemilinear:
         tgrid = TimeGrid(horizon=1.0, n_steps=2)
         pair = linear_pair(0.0, 0.0, 3.0, 0.0)   # bound 3, dt = 0.5
         with pytest.raises(ValueError, match="Lipschitz"):
-            solve_forward_semilinear(grid, tgrid, 1.0, pair, None,
-                                     np.zeros(20), np.zeros(20))
+            solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
+                                     pair, None, np.zeros(20), np.zeros(20))
 
 
 class TestShadow:
@@ -455,8 +455,8 @@ class TestControlField:
         pair = linear_pair(0.1, 0.2, 0.3, 0.4)
         with pytest.raises(ValueError, match="different grid"):
             if marcher == "semilinear":
-                solve_forward_semilinear(grid, tgrid, 1.0, pair, control,
-                                         np.zeros(10), np.zeros(10))
+                solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
+                                         pair, control, np.zeros(10), np.zeros(10))
             else:
                 solve_shadow(grid, tgrid, pair, control, np.zeros(10), 0.0)
 
@@ -528,12 +528,21 @@ class TestValidation:
         (name, _), = bad.items()
         with pytest.raises(ValueError, match=name):
             if marcher == "semilinear":
-                solve_forward_semilinear(grid, tgrid, 1.0, pair, None,
-                                         np.zeros(10), np.zeros(10), **bad)
+                solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
+                                         pair, None, np.zeros(10), np.zeros(10), **bad)
             else:
                 kwargs = {"xi0": 0.0, **bad}
                 xi0 = kwargs.pop("xi0")
                 solve_shadow(grid, tgrid, pair, None, np.zeros(10), xi0, **kwargs)
+
+    def test_semilinear_march_rejects_linearized_steps(self):
+        # the reaction acts on top of the steps, so they must be reaction-free
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        ops = StepOperators(1.0, constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="reaction-free"):
+            solve_forward_semilinear(ops, linear_pair(0.0, 0.0, 1.0, 0.0), None,
+                                     np.zeros(10), np.zeros(10))
 
     @pytest.mark.parametrize("argument", ["p_T", "source"])
     @pytest.mark.parametrize("defect", ["shape", "non-finite"])

@@ -7,7 +7,8 @@ from shadowctl.hum import HumConfig
 from shadowctl.mesh import Grid1D, TimeGrid
 from shadowctl.nonlinear import (arctan_family, linear_pair, make_pair,
                                  sigmoid_family)
-from shadowctl.pde import constant_coefficients, solve_forward_semilinear
+from shadowctl.pde import (StepOperators, constant_coefficients,
+                           solve_forward_semilinear, zero_coefficients)
 from shadowctl.semilinear import (FixedPointConfig, coupling_floor_check,
                                   fixed_point_control, linearized_coefficients)
 
@@ -157,8 +158,8 @@ class TestFixedPointControl:
         y0 = 0.05 * np.cos(np.pi * x)
         z0 = np.full(20, 0.05)
         res = fixed_point_control(grid, tgrid, 1.0, pair, y0, z0)
-        redo = solve_forward_semilinear(grid, tgrid, 1.0, pair, res.control,
-                                        y0, z0)
+        redo = solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
+                                        pair, res.control, y0, z0)
         assert np.array_equal(res.trajectory.y, redo.y)
         assert np.array_equal(res.trajectory.z, redo.z)
         ny, nz = redo.terminal_norms()
