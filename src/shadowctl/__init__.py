@@ -26,10 +26,10 @@ from .nonlinear import (HypothesisReport, Nonlinearity, NonlinearityPair,
                         arctan_family, check_hypotheses, linear_form,
                         linear_pair, make_pair, sigmoid_family)
 from .pde import (CoefficientField, ControlField, EnergyReport,
-                  SemigroupReport, ShadowTrajectory, StepOperators,
-                  Trajectory, constant_coefficients, control_cost,
-                  energy_functional, semigroup_checks, solve_adjoint,
-                  solve_forward_linear, solve_forward_semilinear,
+                  SemigroupReport, ShadowStepOperators, ShadowTrajectory,
+                  StepOperators, Trajectory, constant_coefficients,
+                  control_cost, energy_functional, semigroup_checks,
+                  solve_adjoint, solve_forward_linear, solve_forward_semilinear,
                   solve_heat, solve_shadow, zero_coefficients)
 from .semilinear import (CouplingReport, FixedPointConfig, FixedPointResult,
                          coupling_floor_check, fixed_point_control,
@@ -51,8 +51,8 @@ __all__ = [
     "check_hypotheses",
     # pde
     "CoefficientField", "ControlField", "Trajectory", "ShadowTrajectory",
-    "StepOperators", "constant_coefficients", "zero_coefficients",
-    "control_cost", "solve_forward_linear", "solve_adjoint",
+    "StepOperators", "ShadowStepOperators", "constant_coefficients",
+    "zero_coefficients", "control_cost", "solve_forward_linear", "solve_adjoint",
     "solve_forward_semilinear", "solve_shadow", "solve_heat", "EnergyReport",
     "energy_functional", "SemigroupReport", "semigroup_checks",
     # hum

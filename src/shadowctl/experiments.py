@@ -20,10 +20,11 @@ import numpy as np
 
 from .hum import HumConfig, hum_solve
 from .mesh import Grid1D, TimeGrid, mean_value, norm_l2
-from .nonlinear import NonlinearityPair, linear_pair
-from .pde import (ControlField, ShadowTrajectory, StepOperators, Trajectory,
-                  control_cost, energy_functional, solve_forward_semilinear,
-                  solve_heat, solve_shadow, zero_coefficients)
+from .nonlinear import NonlinearityPair
+from .pde import (ControlField, ShadowStepOperators, ShadowTrajectory,
+                  StepOperators, Trajectory, control_cost, energy_functional,
+                  solve_forward_linear, solve_forward_semilinear, solve_heat,
+                  solve_shadow, zero_coefficients)
 from .semilinear import FixedPointConfig, fixed_point_control, origin_coefficients
 
 __all__ = [
@@ -79,26 +80,26 @@ def control_and_reduce(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
     """Control the system at one diffusion ratio and drive the reduction.
 
     In "linear" mode the reactions are frozen at their origin partials, the
-    control is one penalized solve, and the reduced model uses the same
-    linearized reactions; in "semilinear" mode the control comes from the
-    fixed-point scheme and the reduced model keeps the nonlinear pair.
+    control is one penalized solve, and the reduced model is the shadow limit
+    of the same linearized system; in "semilinear" mode the control comes
+    from the fixed-point scheme and the reduced model keeps the nonlinear pair.
     """
     if mode not in ("linear", "semilinear"):
         raise ValueError(f"mode must be 'linear' or 'semilinear', got {mode!r}")
     if mode == "linear":
         coeffs = origin_coefficients(grid, tgrid, pair)
         res = hum_solve(StepOperators(sigma, coeffs), y0, z0, hum_config)
-        # compare against the shadow of the same linearized reactions
-        pair = linear_pair(*(float(a[0, 0]) for a in
-                             (coeffs.a11, coeffs.a12, coeffs.a21, coeffs.a22)))
         control, traj = res.control, res.trajectory
         outer, cg_iters, converged = 0, res.cg_iterations, res.cg_converged
+        limit = solve_forward_linear(ShadowStepOperators(coeffs), control, y0,
+                                     [mean_value(grid, z0)])
+        reduced = ShadowTrajectory(grid, tgrid, limit.y, limit.u[:, grid.n_cells])
     else:
         fp = fixed_point_control(grid, tgrid, sigma, pair, y0, z0, fp_config)
         control, traj = fp.control, fp.trajectory
         outer, cg_iters, converged = (fp.outer_iterations,
                                       fp.cg_iterations_total, fp.converged)
-    reduced = solve_shadow(grid, tgrid, pair, control, y0, mean_value(grid, z0))
+        reduced = solve_shadow(grid, tgrid, pair, control, y0, mean_value(grid, z0))
     return ControlRun(control=control, trajectory=traj, reduced=reduced,
                       outer_iterations=outer, cg_iterations=cg_iters,
                       converged=converged)

@@ -23,6 +23,14 @@ the linear marchers take them, the semilinear one those of its reaction-free
 part, and all read sigma and the grids from them.  The
 marchers exchange whole stacked states (y; z), y first, of length
 ``StepOperators.size``, and :class:`Trajectory` keeps their march array.
+:class:`ShadowStepOperators` step the same system in the shadow limit
+sigma = inf, where z collapses onto its spatial mean, the scalar mode xi:
+their stacked state is (y; xi), of length n_cells + 1, so ``z`` holds xi as
+a one-entry row, and :func:`solve_forward_linear` marches them too.  Each of
+their steps is the tridiagonal heat solve of y bordered by the a12 column
+and the mean row, closed by a one-unknown Schur complement.
+:func:`solve_shadow` keeps a Gauss-Seidel fixed point for nonlinear
+reactions.
 
 Conventions: coefficient fields are node-indexed with shape
 (n_steps + 1, n_cells) and the step t_m -> t_{m+1} reads slice m; control
@@ -43,7 +51,7 @@ from .nonlinear import NonlinearityPair
 
 __all__ = [
     "CoefficientField", "ControlField", "Trajectory", "ShadowTrajectory",
-    "EnergyReport", "SemigroupReport", "StepOperators",
+    "EnergyReport", "SemigroupReport", "StepOperators", "ShadowStepOperators",
     "constant_coefficients", "zero_coefficients", "control_cost",
     "solve_forward_linear", "solve_adjoint", "solve_forward_semilinear",
     "solve_shadow", "solve_heat", "energy_functional", "semigroup_checks",
@@ -140,7 +148,10 @@ def control_cost(control: ControlField) -> float:
 @dataclass(frozen=True)
 class Trajectory:
     """March array ``u``: row m is the stacked state (y; z) at node m, so
-    ``u`` has shape (n_steps + 1, 2 n_cells); ``y`` and ``z`` are views."""
+    ``u`` has shape (n_steps + 1, ops.size); ``y`` and ``z`` are views.
+
+    ``z`` has n_cells columns for :class:`StepOperators` and one, the scalar
+    mode xi, for :class:`ShadowStepOperators`."""
 
     grid: Grid1D
     tgrid: TimeGrid
@@ -156,7 +167,9 @@ class Trajectory:
         return self.u[:, self.grid.n_cells:]
 
     def terminal_norms(self) -> tuple[float, float]:
-        return norm_l2(self.grid, self.y[-1]), norm_l2(self.grid, self.z[-1])
+        # a reduced xi is the constant field z = xi, so it broadcasts
+        z_T = np.broadcast_to(self.z[-1], (self.grid.n_cells,))
+        return norm_l2(self.grid, self.y[-1]), norm_l2(self.grid, z_T)
 
 
 @dataclass(frozen=True)
@@ -199,6 +212,14 @@ def _heat_band(grid: Grid1D, scale: float) -> np.ndarray:
     return band
 
 
+def _check_step_size(coeffs: CoefficientField) -> None:
+    """Reject a step at which dt * a_ij could make an implicit step singular."""
+    if coeffs.tgrid.dt * coeffs.max_sup >= 0.5:
+        raise ValueError(
+            f"dt * max coefficient sup-norm = {coeffs.tgrid.dt * coeffs.max_sup:.3g} "
+            "must stay below 0.5 for a safely invertible implicit step")
+
+
 class StepOperators:
     """Factorized one-step solvers for a frozen-coefficient system.
 
@@ -219,12 +240,9 @@ class StepOperators:
     def __init__(self, sigma: float, coeffs: CoefficientField) -> None:
         if not sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
+        _check_step_size(coeffs)
         self.grid = grid = coeffs.grid
         self.tgrid = tgrid = coeffs.tgrid
-        if tgrid.dt * coeffs.max_sup >= 0.5:
-            raise ValueError(
-                f"dt * max coefficient sup-norm = {tgrid.dt * coeffs.max_sup:.3g} "
-                "must stay below 0.5 for a safely invertible implicit step")
         self.sigma = float(sigma)
         self.coeffs = coeffs
         size, dt = self.size, tgrid.dt
@@ -272,23 +290,86 @@ class StepOperators:
         return self._solver(m)(rhs[self._interleave], trans=1)[self._stack]
 
 
-def _forward_march(ops: StepOperators, control: ControlField | None,
+class ShadowStepOperators:
+    """Factorized one-step solver for the shadow limit of a frozen-coefficient
+    system, the reduced counterpart of :class:`StepOperators`.
+
+    As sigma -> inf the fast component z collapses onto its spatial mean,
+    the scalar mode xi with d(xi)/dt = mean(a21 y + a22 xi).  A state is one
+    stacked vector of length ``size`` = n_cells + 1, y in its first n_cells
+    entries and xi last; ``sigma`` is inf.  The implicit step from node m is
+    the tridiagonal heat block of y bordered by the a12 column and the mean
+    row dx a21 (dx the cell width, so dx * sum is the mean; f = ``source_y``,
+    the windowed control):
+
+        [ K_m                 -dt a12[m]             ] [y']   [y + dt f]
+        [ -dt dx a21[m]^T     1 - dt dx sum a22[m]   ] [xi'] = [xi      ]
+
+    with K_m = I - dt lap - dt diag(a11[m]).  It is solved as v = K_m^-1 (y +
+    dt f), xi' = (xi + dt dx a21[m] . v) / s_m, y' = v + xi' w_m, where
+    w_m = K_m^-1 (dt a12[m]) and s_m = 1 - dt dx sum a22[m] - dt dx a21[m] . w_m
+    is the one-unknown Schur complement.  The bound dt * max|a_ij| < 0.5
+    keeps K_m an M-matrix and s_m positive.  The factors of a slice are built
+    on first use, once if the coefficients are constant in time.
+    """
+
+    def __init__(self, coeffs: CoefficientField) -> None:
+        _check_step_size(coeffs)
+        self.grid = coeffs.grid
+        self.tgrid = coeffs.tgrid
+        self.sigma = np.inf
+        self.coeffs = coeffs
+        self._factors: list = [None] * coeffs.tgrid.n_steps
+
+    @property
+    def size(self) -> int:
+        """Length n_cells + 1 of a stacked state (y; xi)."""
+        return self.grid.n_cells + 1
+
+    def _factor(self, m: int):
+        if self.coeffs.time_invariant:
+            m = 0
+        if self._factors[m] is None:
+            dt, dx, c = self.tgrid.dt, self.grid.spacing, self.coeffs
+            band = _heat_band(self.grid, dt)
+            band[1] -= dt * c.a11[m]
+            solve = _band_lu(band, 1)
+            w = solve(dt * c.a12[m])
+            mean_row = dt * dx * c.a21[m]
+            schur = 1.0 - dt * dx * np.sum(c.a22[m]) - mean_row @ w
+            self._factors[m] = solve, w, mean_row, schur
+        return self._factors[m]
+
+    def step_forward(self, u: np.ndarray, m: int,
+                     source_y: np.ndarray | None = None) -> np.ndarray:
+        """Advance the stacked state (y; xi) from node m to node m + 1."""
+        n = self.grid.n_cells
+        solve, w, mean_row, schur = self._factor(m)
+        v = solve(u[:n] if source_y is None else u[:n] + self.tgrid.dt * source_y)
+        xi = (u[n] + mean_row @ v) / schur
+        return np.append(v + xi * w, xi)
+
+
+def _forward_march(ops: StepOperators | ShadowStepOperators,
+                   control: ControlField | None,
                    y0: np.ndarray, z0: np.ndarray) -> np.ndarray:
     """Node array of a forward march of ``ops``, row 0 holding (y0; z0)."""
     n = ops.grid.n_cells
     u = np.empty((ops.tgrid.n_steps + 1, ops.size))
     u[0, :n] = _checked(y0, (n,), "y0")
-    u[0, n:] = _checked(z0, (n,), "z0")
+    u[0, n:] = _checked(z0, (ops.size - n,), "z0")
     _check_control(ops.grid, ops.tgrid, control)
     return u
 
 
-def solve_forward_linear(ops: StepOperators, control: ControlField | None,
+def solve_forward_linear(ops: StepOperators | ShadowStepOperators,
+                         control: ControlField | None,
                          y0: np.ndarray, z0: np.ndarray) -> Trajectory:
     """March the system of ``ops`` forward from (y0, z0).
 
     The control is weighted by the window indicator and enters the y-equation
-    only; ``control=None`` means free flow.
+    only; ``control=None`` means free flow.  For :class:`ShadowStepOperators`
+    ``z0`` is the one-entry array (xi0,).
     """
     u = _forward_march(ops, control, y0, z0)
     chi = ops.grid.omega_indicator
@@ -429,6 +510,8 @@ def solve_heat(grid: Grid1D, tgrid: TimeGrid, kappa: float, u0: np.ndarray,
     solve = _band_lu(_heat_band(grid, tgrid.dt * kappa), 1)
     u = np.empty((tgrid.n_steps + 1, grid.n_cells))
     u[0] = _checked(u0, (grid.n_cells,), "u0")
+    if source is not None:
+        source = _checked(source, u.shape, "source")
     for m in range(tgrid.n_steps):
         rhs = u[m] if source is None else u[m] + tgrid.dt * source[m + 1]
         u[m + 1] = solve(rhs)

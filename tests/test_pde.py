@@ -11,11 +11,12 @@ import pytest
 from shadowctl.mesh import (Grid1D, TimeGrid, inner_product, mean_value,
                             neumann_laplacian, norm_l2)
 from shadowctl.nonlinear import linear_form, linear_pair, make_pair
-from shadowctl.pde import (CoefficientField, ControlField, StepOperators,
-                           Trajectory, constant_coefficients, control_cost,
-                           energy_functional, semigroup_checks, solve_adjoint,
-                           solve_forward_linear, solve_forward_semilinear,
-                           solve_heat, solve_shadow, zero_coefficients)
+from shadowctl.pde import (CoefficientField, ControlField, ShadowStepOperators,
+                           StepOperators, Trajectory, constant_coefficients,
+                           control_cost, energy_functional, semigroup_checks,
+                           solve_adjoint, solve_forward_linear,
+                           solve_forward_semilinear, solve_heat, solve_shadow,
+                           zero_coefficients)
 
 
 def _dense_step_matrix(grid, tgrid, sigma, coeffs, m):
@@ -27,6 +28,19 @@ def _dense_step_matrix(grid, tgrid, sigma, coeffs, m):
     big[:n, n:] = -dt * np.diag(coeffs.a12[m])
     big[n:, :n] = -dt * np.diag(coeffs.a21[m])
     big[n:, n:] = np.eye(n) - dt * sigma * lap - dt * np.diag(coeffs.a22[m])
+    return big
+
+
+def _dense_shadow_matrix(grid, tgrid, coeffs, m):
+    # the heat block of y bordered by the a12 column and the mean row of g
+    n = grid.n_cells
+    dt, h = tgrid.dt, grid.spacing
+    lap = neumann_laplacian(grid).matrix.toarray()
+    big = np.zeros((n + 1, n + 1))
+    big[:n, :n] = np.eye(n) - dt * lap - dt * np.diag(coeffs.a11[m])
+    big[:n, n] = -dt * coeffs.a12[m]
+    big[n, :n] = -dt * h * coeffs.a21[m]
+    big[n, n] = 1.0 - dt * h * np.sum(coeffs.a22[m])
     return big
 
 
@@ -146,6 +160,38 @@ class TestSingleStep:
         coeffs = constant_coefficients(grid, tgrid, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="0.5"):
             StepOperators(1.0, coeffs)
+
+    @pytest.mark.parametrize("sourced", [False, True], ids=["free", "sourced"])
+    @pytest.mark.parametrize("n, coefficients, m", [
+        pytest.param(8, "constant", 0, id="small"),
+        pytest.param(64, "varying", 17, id="varying-n64"),
+        pytest.param(40, "varying", 3, id="varying-n40"),
+    ])
+    def test_shadow_step_matches_dense_solve(self, n, coefficients, m, sourced):
+        grid, tgrid, coeffs, rng = _step_case(n, coefficients, 6)
+        ops = ShadowStepOperators(coeffs)
+        assert (ops.grid, ops.tgrid, ops.size) == (grid, tgrid, n + 1)
+        assert ops.sigma == np.inf
+        u = rng.standard_normal(n + 1)
+        rhs = u.copy()
+        src = None
+        if sourced:
+            src = rng.standard_normal(n)
+            rhs[:n] += tgrid.dt * src
+        got = ops.step_forward(u, m, src)
+        want = np.linalg.solve(_dense_shadow_matrix(grid, tgrid, coeffs, m), rhs)
+        assert got.shape == (n + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_shadow_step_rejects_large_coefficient_times_dt(self):
+        grid = Grid1D(n_cells=8)
+        tgrid = TimeGrid(horizon=1.0, n_steps=2)   # dt = 0.5
+        coeffs = constant_coefficients(grid, tgrid, 0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="0.5") as full:
+            StepOperators(1.0, coeffs)
+        with pytest.raises(ValueError, match="0.5") as reduced:
+            ShadowStepOperators(coeffs)
+        assert str(reduced.value) == str(full.value)
 
     def test_rejects_nonpositive_sigma(self):
         grid = Grid1D(n_cells=8)
@@ -390,6 +436,35 @@ class TestShadow:
         red = solve_shadow(grid, tgrid, pair, None, y0, 1.0)
         assert red.xi[-1] == pytest.approx(1.0 + 0.25 * 0.4, rel=1e-6)
 
+    def test_linear_march_agrees_with_fixed_point(self):
+        # the Gauss-Seidel fixed point converges to the bordered implicit step
+        grid = Grid1D(n_cells=40, omega_a=0.3, omega_b=0.7)
+        tgrid = TimeGrid(horizon=0.5, n_steps=100)
+        a = (0.3, -0.4, 0.8, 0.2)
+        rng = np.random.default_rng(12)
+        control = ControlField(grid, tgrid, rng.standard_normal((100, 40)))
+        y0 = np.cos(np.pi * grid.cell_centers)
+        fixed = solve_shadow(grid, tgrid, linear_pair(*a), control, y0, 0.3,
+                             inner_tol=1e-13)
+        ops = ShadowStepOperators(constant_coefficients(grid, tgrid, *a))
+        direct = solve_forward_linear(ops, control, y0, [0.3])
+        assert direct.u.shape == (101, 41) and direct.sigma == np.inf
+        assert np.max(np.abs(direct.y - fixed.y)) <= 1e-11
+        assert np.max(np.abs(direct.z[:, 0] - fixed.xi)) <= 1e-11
+        assert np.max(np.abs(fixed.xi)) > 0.1   # the comparison is not of zeros
+        # xi stands for the constant field z = xi, whose L2(0, 1) norm is |xi|
+        assert direct.terminal_norms() == pytest.approx(
+            (norm_l2(grid, fixed.y[-1]), abs(fixed.xi[-1])), rel=1e-12)
+
+    @pytest.mark.parametrize("xi0", [0.3, [0.3, 0.3], [np.nan], [np.inf]],
+                             ids=["scalar", "two", "nan", "inf"])
+    def test_linear_march_rejects_bad_xi0(self, xi0):
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        ops = ShadowStepOperators(constant_coefficients(grid, tgrid, 0.1, 0.2, 0.3, 0.4))
+        with pytest.raises(ValueError, match="z0"):
+            solve_forward_linear(ops, None, np.zeros(10), xi0)
+
     def test_rejects_coarse_steps(self):
         from shadowctl.nonlinear import arctan_family
         grid = Grid1D(n_cells=20)
@@ -557,6 +632,16 @@ class TestValidation:
             args[argument][..., 3] = np.nan
         with pytest.raises(ValueError, match=f"{argument} .*{defect}"):
             solve_adjoint(ops, **args)
+
+    @pytest.mark.parametrize("defect", ["short", "width", "non-finite"])
+    def test_heat_rejects_bad_source(self, defect):
+        # a node-indexed source has one row per node, n_steps + 1 of them
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        source = {"short": np.ones((5, 10)), "width": np.ones((6, 9)),
+                  "non-finite": np.full((6, 10), np.nan)}[defect]
+        with pytest.raises(ValueError, match="source"):
+            solve_heat(grid, tgrid, 1.0, np.zeros(10), source)
 
     def test_bad_initial_shape(self):
         grid = Grid1D(n_cells=10)
