@@ -2,7 +2,10 @@
 
 CSV and ``.dat`` files write floats with 17 significant digits and JSON
 reports use the shortest round-trip form, so values read back through
-``float()`` exactly.  The binary layout is:
+``float()`` exactly.  The trajectory and control CSVs share one writer for
+space-time grids, which formats each time node and cell centre once and
+each block of whole time slices with one ``%`` (see ``_write_grid``).  The
+binary layout is:
 
 ====== ======================= =======================================
 offset type                    meaning
@@ -55,36 +58,51 @@ def _write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def _write_columns(path: str | Path, header: str, columns) -> Path:
-    """CSV of float columns at 17 significant digits under ``header``; each
-    column is flattened row-major and every line is one ``str.format``.
-    Written in blocks of rows, so the text never sits in memory whole."""
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    flat = [np.ravel(c) for c in columns]
+def _write_grid(path: str | Path, header: str, nodes: np.ndarray,
+                cell_centers: np.ndarray, fields) -> Path:
+    """CSV under ``header`` with one row ``t,x,<fields>`` per (time node,
+    cell centre), time slice by time slice; each field has shape
+    (len(nodes), len(cell_centers)).  All values are written with 17
+    significant digits.
+
+    Every node and centre is formatted once, as a ``"%.17g,"`` string.  The
+    rows go out in blocks of whole time slices, at most ``_CSV_BLOCK_ROWS``
+    rows and at least one slice, so the text never sits in memory whole;
+    the ``t,x,`` prefixes of a block's rows are joined inside that block
+    only.  Each block is one ``%`` of the row template repeated once per
+    row, over the prefixes and field values interleaved row by row."""
+    width = 1 + len(fields)
+    t_cells = ["%.17g," % t for t in nodes.tolist()]
+    x_cells = ["%.17g," % x for x in cell_centers.tolist()]
+    row = "%s" + ",".join(["%.17g"] * len(fields)) + "\n"
+    step = max(1, _CSV_BLOCK_ROWS // len(x_cells))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, flat[0].size, _CSV_BLOCK_ROWS):
-            block = (c[start:start + _CSV_BLOCK_ROWS].tolist() for c in flat)
-            fh.write("".join(map(row.format, *block)))
+        for start in range(0, len(t_cells), step):
+            block = slice(start, start + step)
+            prefixes = [t + x for t in t_cells[block] for x in x_cells]
+            args = [None] * (len(prefixes) * width)
+            args[0::width] = prefixes
+            for j, field in enumerate(fields, 1):
+                args[j::width] = field[block].ravel().tolist()
+            fh.write(row * len(prefixes) % tuple(args))
     return path
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> Path:
-    """One row per (time node, cell): ``t,x,y,z``."""
-    n = traj.grid.n_cells
-    t = np.repeat(traj.tgrid.nodes, n)
-    x = np.tile(traj.grid.cell_centers, traj.tgrid.n_steps + 1)
-    return _write_columns(path, "t,x,y,z", (t, x, traj.y, traj.z))
+    """One row per (time node, cell): ``t,x,y,z``.  The scalar mode xi of a
+    shadow trajectory is written as the constant field z = xi."""
+    z = np.broadcast_to(traj.z, traj.y.shape)
+    return _write_grid(path, "t,x,y,z", traj.tgrid.nodes,
+                       traj.grid.cell_centers, (traj.y, z))
 
 
 def write_control_csv(path: str | Path, control: ControlField) -> Path:
     """Rows ``t,x,h`` at step midpoint convention: slice m acts on [t_m, t_{m+1})."""
-    n = control.grid.n_cells
-    t = np.repeat(control.tgrid.nodes[:-1], n)
-    x = np.tile(control.grid.cell_centers, control.tgrid.n_steps)
-    return _write_columns(path, "t,x,h", (t, x, control.values))
+    return _write_grid(path, "t,x,h", control.tgrid.nodes[:-1],
+                       control.grid.cell_centers, (control.values,))
 
 
 def write_rows_csv(path: str | Path, rows: list[dict]) -> Path:

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # Smallest indicator mass, in cells, of an accepted control window.
@@ -128,6 +131,16 @@ class DiscreteOperator:
     symmetric: bool = True
 
 
+def _laplacian_stencil(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal, shape (n_cells,), and off-diagonal, shape (n_cells - 1,),
+    of the symmetric tridiagonal Neumann Laplacian on cell centers."""
+    inv_h2 = 1.0 / grid.spacing**2
+    main = np.full(grid.n_cells, -2.0 * inv_h2)
+    main[0] = main[-1] = -inv_h2
+    off = np.full(grid.n_cells - 1, inv_h2)
+    return main, off
+
+
 def neumann_laplacian(grid: Grid1D) -> DiscreteOperator:
     """Three-point Neumann Laplacian on cell centers.
 
@@ -141,11 +154,11 @@ def neumann_laplacian(grid: Grid1D) -> DiscreteOperator:
     DiscreteOperator
         CSR matrix of shape (n_cells, n_cells) with ``symmetric=True``.
     """
-    n = grid.n_cells
-    inv_h2 = 1.0 / grid.spacing**2
-    main = np.full(n, -2.0 * inv_h2)
-    main[0] = main[-1] = -inv_h2
-    off = np.full(n - 1, inv_h2)
+    # the solvers write the stencil into band storage instead, so only this
+    # sparse form loads scipy.sparse
+    import scipy.sparse as sp
+
+    main, off = _laplacian_stencil(grid)
     lap = sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
     return DiscreteOperator(matrix=lap, symmetric=True)
 

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .mesh import Grid1D, TimeGrid, mean_value, neumann_laplacian, norm_l2
+from .mesh import Grid1D, TimeGrid, _laplacian_stencil, mean_value, norm_l2
 from .nonlinear import NonlinearityPair
 
 __all__ = [
@@ -204,11 +204,10 @@ def _band_lu(band: np.ndarray, k: int):
 
 def _heat_band(grid: Grid1D, scale: float) -> np.ndarray:
     """Band storage (k = 1) of the scalar step matrix I - scale * lap."""
-    lap = neumann_laplacian(grid).matrix
+    main, off = _laplacian_stencil(grid)
     band = np.zeros((3, grid.n_cells))
-    band[0, 1:] = -scale * lap.diagonal(1)
-    band[1] = 1.0 - scale * lap.diagonal()
-    band[2, :-1] = -scale * lap.diagonal(-1)
+    band[0, 1:] = band[2, :-1] = -scale * off
+    band[1] = 1.0 - scale * main
     return band
 
 
@@ -539,17 +538,21 @@ def energy_functional(traj: Trajectory) -> EnergyReport:
     """Trapezoid-in-time energy norms of a trajectory.
 
     Reports ||y||_{L2(0,T;H1)}, ||z||_{L2(0,T;H1)}, the weighted gradient
-    term sigma * int int |grad z|^2, and the terminal L2 norms.
+    term sigma * int int |grad z|^2, and the terminal L2 norms.  The scalar
+    mode xi of a shadow trajectory counts as the constant field z = xi: its
+    weighted gradient term is 0, although sigma is inf.
     """
     grid, tgrid = traj.grid, traj.tgrid
     t = tgrid.nodes
+    z = np.broadcast_to(traj.z, traj.y.shape)
     l2_y = grid.spacing * np.sum(traj.y**2, axis=1)
-    l2_z = grid.spacing * np.sum(traj.z**2, axis=1)
+    l2_z = grid.spacing * np.sum(z**2, axis=1)
     g_y = _grad_energy(grid, traj.y)
-    g_z = _grad_energy(grid, traj.z)
+    g_z = _grad_energy(grid, z)
     norm_y = float(np.sqrt(np.trapezoid(l2_y + g_y, t)))
     norm_z = float(np.sqrt(np.trapezoid(l2_z + g_z, t)))
-    sigma_grad_z = float(traj.sigma * np.trapezoid(g_z, t))
+    grad_z = np.trapezoid(g_z, t)
+    sigma_grad_z = float(traj.sigma * grad_z) if grad_z else 0.0
     term_y, term_z = traj.terminal_norms()
     return EnergyReport(norm_y_l2h1=norm_y, norm_z_l2h1=norm_z,
                         sigma_grad_z=sigma_grad_z,

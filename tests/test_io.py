@@ -67,10 +67,14 @@ class TestCsv:
             sigma, cost = (float(v) for v in line.split(",")[:2])
             assert (sigma, cost) == (row["sigma"], row["cost"])
 
+    # the writers advance by whole 5-cell time slices: 3 rows is less than
+    # a slice and 7 is not a multiple of one, so both give one-slice blocks;
+    # 12 gives two-slice blocks and a short last one; 10**6 gives one block
+    @pytest.mark.parametrize("block_rows", [3, 7, 12, 10**6])
     def test_column_writers_match_the_per_value_formatter(self, tmp_path,
-                                                          monkeypatch):
-        # blocks of 7 rows, so the 20 and 15 rows below span block edges
-        monkeypatch.setattr(shadowctl.io, "_CSV_BLOCK_ROWS", 7)
+                                                          monkeypatch,
+                                                          block_rows):
+        monkeypatch.setattr(shadowctl.io, "_CSV_BLOCK_ROWS", block_rows)
 
         # the text the writers produced when they formatted value by value
         def fmt(value):
@@ -94,6 +98,17 @@ class TestCsv:
         got_control = write_control_csv(tmp_path / "control.csv", control).read_bytes()
         assert got_traj == ("\n".join(want_traj) + "\n").encode()
         assert got_control == ("\n".join(want_control) + "\n").encode()
+
+    def test_shadow_trajectory_writes_xi_as_constant_field(self, tmp_path):
+        grid = Grid1D(n_cells=4, omega_a=0.25, omega_b=0.75)
+        tgrid = TimeGrid(horizon=0.4, n_steps=2)
+        u = np.random.default_rng(1).standard_normal((3, 5))
+        full = np.hstack([u[:, :4], np.repeat(u[:, 4:], 4, axis=1)])
+        got = write_trajectory_csv(tmp_path / "reduced.csv",
+                                   Trajectory(grid, tgrid, np.inf, u))
+        want = write_trajectory_csv(tmp_path / "full.csv",
+                                    Trajectory(grid, tgrid, np.inf, full))
+        assert got.read_bytes() == want.read_bytes()
 
     def test_parent_directories_created(self, tiny_problem, tmp_path):
         _, _, traj = tiny_problem

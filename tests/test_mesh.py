@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shadowctl
 from shadowctl.mesh import (DiscreteOperator, Grid1D, TimeGrid, inner_product,
                             mean_value, neumann_laplacian, norm_l2)
 
@@ -121,6 +127,17 @@ class TestNeumannLaplacian:
         op = neumann_laplacian(Grid1D(n_cells=8))
         assert isinstance(op, DiscreteOperator)
         assert op.matrix.shape == (8, 8)
+
+    def test_cli_import_does_not_load_scipy_sparse(self):
+        # the solvers take the stencil in band storage; only this sparse
+        # form needs scipy.sparse, so the commands do not pay for its import
+        src = str(Path(shadowctl.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import shadowctl.cli, sys; print('scipy.sparse' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestQuadrature:

@@ -5,6 +5,9 @@ the marching tests use separable heat-flow solutions, discrete duality
 identities (exact to round-off), and dt-refinement slopes.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -556,6 +559,23 @@ class TestEnergy:
         rep = energy_functional(Trajectory(grid, tgrid, 7.0, np.hstack([y, y])))
         assert rep.sigma_grad_z == 0.0
         assert rep.norm_y_l2h1 == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
+
+    def test_shadow_trajectory_reports_its_constant_field(self):
+        # xi stands for the constant field z = xi: same report as the full
+        # trajectory holding it, and no inf * 0 for the gradient term
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        ops = ShadowStepOperators(constant_coefficients(grid, tgrid, 0.1, 0.2, 0.3, 0.4))
+        reduced = solve_forward_linear(ops, None, np.cos(np.pi * grid.cell_centers), [0.3])
+        full = Trajectory(grid, tgrid, 2.0, np.hstack(
+            [reduced.y, np.repeat(reduced.z, grid.n_cells, axis=1)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dataclasses.asdict(energy_functional(reduced))
+        want = dataclasses.asdict(energy_functional(full))
+        assert got["sigma_grad_z"] == 0.0
+        for name, value in want.items():
+            assert got[name] == value, name
 
 
 class TestSemigroupChecks:
