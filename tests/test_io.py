@@ -67,13 +67,21 @@ class TestCsv:
             sigma, cost = (float(v) for v in line.split(",")[:2])
             assert (sigma, cost) == (row["sigma"], row["cost"])
 
+    def test_column_writers_match_the_per_value_formatter(self, tmp_path,
+                                                          monkeypatch):
+        # blocks of 7 rows, so the 20 and 15 rows below span block edges
+        self._check_column_writers(tmp_path, monkeypatch, block_rows=7)
+
     # the writers advance by whole 5-cell time slices: 3 rows is less than
     # a slice and 7 is not a multiple of one, so both give one-slice blocks;
     # 12 gives two-slice blocks and a short last one; 10**6 gives one block
     @pytest.mark.parametrize("block_rows", [3, 7, 12, 10**6])
-    def test_column_writers_match_the_per_value_formatter(self, tmp_path,
-                                                          monkeypatch,
-                                                          block_rows):
+    def test_column_writers_match_for_any_block_size(self, tmp_path,
+                                                     monkeypatch, block_rows):
+        self._check_column_writers(tmp_path, monkeypatch, block_rows)
+
+    @staticmethod
+    def _check_column_writers(tmp_path, monkeypatch, block_rows):
         monkeypatch.setattr(shadowctl.io, "_CSV_BLOCK_ROWS", block_rows)
 
         # the text the writers produced when they formatted value by value
