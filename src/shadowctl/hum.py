@@ -43,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtpqrt
 
+from ._lapack import dtpqrt
 from .pde import (ControlField, StepOperators, Trajectory, control_cost,
                   solve_adjoint, solve_forward_linear)
 

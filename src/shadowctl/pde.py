@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from ._lapack import dgbtrf, dgbtrs
 from .mesh import Grid1D, TimeGrid, _laplacian_stencil, mean_value, norm_l2
 from .nonlinear import NonlinearityPair
 

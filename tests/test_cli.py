@@ -151,6 +151,17 @@ class TestDefaultsAndErrors:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\n")
+        code = main(["weights", "--config", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not UTF-8")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_out_naming_a_file_exits_2(self, cfg_file, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")

@@ -195,3 +195,14 @@ def test_arbitrary_text_raises_only_config_error(text):
         parse_config(text)
     except ConfigError:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary())
+def test_arbitrary_bytes_raise_only_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.cfg"
+    path.write_bytes(data)
+    try:
+        load_config(path)
+    except ConfigError:
+        pass

@@ -1,0 +1,85 @@
+"""The solvers' LAPACK routines come from scipy's extension alone.
+
+Each start-up check runs in a fresh interpreter: what a command imports can
+only be seen in a process that has imported nothing else.
+"""
+
+import json
+from importlib.machinery import EXTENSION_SUFFIXES
+
+import pytest
+from scipy.linalg import lapack
+
+from shadowctl import _lapack
+
+# what `import scipy.linalg.lapack` would bring in; its extension
+# scipy.linalg._flapack is expected to be loaded, so names match exactly
+LEFT_OUT = ("scipy.linalg", "scipy._lib", "numpy.f2py", "scipy.sparse")
+
+PRINT_LOADED = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+
+
+def loaded(stdout: str) -> set[str]:
+    """The module names that PRINT_LOADED printed on the last line."""
+    return set(json.loads(stdout.splitlines()[-1]))
+
+
+TINY_CFG = "grid.n_cells = 8\ntime.n_steps = 4\n"
+
+RUN_COMMANDS = """
+import sys
+from shadowctl.cli import main
+cfg, out = sys.argv[1:]
+for command in {commands!r}:
+    code = main([command, "--config", cfg, "--out", f"{{out}}/{{command}}"])
+    assert code == 0, (command, code)
+"""
+
+
+def test_cli_import_loads_only_the_lapack_extension(fresh_python):
+    modules = loaded(fresh_python("import shadowctl.cli; " + PRINT_LOADED))
+    assert modules.isdisjoint(LEFT_OUT)
+    assert "scipy.linalg._flapack" in modules
+
+
+@pytest.mark.parametrize("commands", [["hum"],
+                                      ["semilinear", "shadow", "sweep",
+                                       "weights", "check-hypotheses",
+                                       "selftest"]])
+def test_commands_import_no_scipy_later(fresh_python, tmp_path, commands):
+    # the import cost must not move from start-up into the first command
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    modules = loaded(fresh_python(
+        RUN_COMMANDS.format(commands=commands) + PRINT_LOADED,
+        str(cfg), str(tmp_path / "out")))
+    assert modules.isdisjoint(LEFT_OUT)
+
+
+@pytest.mark.parametrize("imports", ["shadowctl, scipy.linalg",
+                                     "scipy.linalg, shadowctl"])
+def test_routines_are_scipy_linalg_lapack_objects(fresh_python, imports):
+    out = fresh_python(
+        f"import sys, {imports}\n"
+        "from scipy.linalg import lapack\n"
+        "from shadowctl import _lapack, hum, pde\n"
+        "print([_lapack.dgbtrf is lapack.dgbtrf is pde.dgbtrf,\n"
+        "       _lapack.dgbtrs is lapack.dgbtrs is pde.dgbtrs,\n"
+        "       _lapack.dtpqrt is lapack.dtpqrt is hum.dtpqrt,\n"
+        "       sys.modules['scipy.linalg._flapack'] is lapack._flapack])")
+    assert out.strip() == "[True, True, True, True]"
+
+
+@pytest.mark.parametrize("name, content", [
+    ("_flapack" + EXTENSION_SUFFIXES[0], None),
+    ("_flapack" + EXTENSION_SUFFIXES[0], b"not a shared object\n"),
+    ("_flapack.txt", b"not an extension module\n"),
+], ids=["missing", "not-a-shared-object", "no-extension-suffix"])
+def test_unloadable_extension_falls_back_to_scipy_linalg(tmp_path, name,
+                                                         content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    routines = _lapack._load(path)
+    expected = (lapack.dgbtrf, lapack.dgbtrs, lapack.dtpqrt)
+    assert all(a is b for a, b in zip(routines, expected, strict=True))

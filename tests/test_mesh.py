@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import shadowctl
 from shadowctl.mesh import (DiscreteOperator, Grid1D, TimeGrid, inner_product,
                             mean_value, neumann_laplacian, norm_l2)
 
@@ -128,16 +122,12 @@ class TestNeumannLaplacian:
         assert isinstance(op, DiscreteOperator)
         assert op.matrix.shape == (8, 8)
 
-    def test_cli_import_does_not_load_scipy_sparse(self):
+    def test_cli_import_does_not_load_scipy_sparse(self, fresh_python):
         # the solvers take the stencil in band storage; only this sparse
         # form needs scipy.sparse, so the commands do not pay for its import
-        src = str(Path(shadowctl.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import shadowctl.cli, sys; print('scipy.sparse' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-            text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        out = fresh_python(
+            "import shadowctl.cli, sys; print('scipy.sparse' in sys.modules)")
+        assert out.strip() == "False"
 
 
 class TestQuadrature:
