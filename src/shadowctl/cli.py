@@ -103,7 +103,6 @@ def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int) -> int:
         "outer_iterations": result.outer_iterations,
         "update_history": list(result.update_history),
         "oscillation_flagged": result.oscillation_flagged,
-        "damping_final": result.damping_final,
         "control_cost": result.hum_last.control_cost,
         "terminal_norm_y": result.terminal_y,
         "terminal_norm_z": result.terminal_z,

@@ -58,7 +58,6 @@ class RunConfig:
     hum_cg_max_iters: int = 500
     fixed_point_outer_tol: float = 1e-6
     fixed_point_max_outer: int = 30
-    fixed_point_damping: float = 1.0
     fixed_point_quadrature_nodes: int = 32
     experiment_t0_fraction: float = 0.1
     output_directory: str = "out"
@@ -147,7 +146,8 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                           f"{exc.start})") from None
@@ -193,9 +193,6 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.fixed_point_max_outer < 1:
         fail("fixed_point_max_outer",
              f"must be at least 1, got {cfg.fixed_point_max_outer}")
-    if not (0.0 < cfg.fixed_point_damping <= 1.0):
-        fail("fixed_point_damping",
-             f"must lie in (0, 1], got {cfg.fixed_point_damping}")
     if cfg.fixed_point_quadrature_nodes < 4:
         fail("fixed_point_quadrature_nodes",
              f"must be at least 4, got {cfg.fixed_point_quadrature_nodes}")
@@ -269,6 +266,5 @@ def build_hum_config(cfg: RunConfig) -> HumConfig:
 def build_fixed_point_config(cfg: RunConfig) -> FixedPointConfig:
     return FixedPointConfig(outer_tol=cfg.fixed_point_outer_tol,
                             max_outer=cfg.fixed_point_max_outer,
-                            damping=cfg.fixed_point_damping,
                             quadrature_nodes=cfg.fixed_point_quadrature_nodes,
                             hum=build_hum_config(cfg))

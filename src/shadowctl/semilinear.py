@@ -7,8 +7,9 @@ the averaged coefficients
 
 so that a11*ybar + a12*zbar = f(ybar, zbar) exactly whenever f(0,0) = 0.
 Each outer iteration solves the penalized nulling problem for the frozen
-coefficients and re-linearizes around the controlled trajectory; the loop is
-damped and stops when the relative space-time update falls below tolerance.
+coefficients and re-linearizes around the controlled trajectory, Anderson-mixed
+with the previous one; the loop stops when the relative space-time update
+falls below tolerance.
 The returned terminal norms always come from an honest semilinear re-run
 under the final control.
 """
@@ -39,7 +40,6 @@ class FixedPointConfig:
 
     outer_tol: float = 1e-6
     max_outer: int = 30
-    damping: float = 1.0
     quadrature_nodes: int = 32
     hum: HumConfig = field(default_factory=HumConfig)
 
@@ -48,8 +48,6 @@ class FixedPointConfig:
             raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.quadrature_nodes < 4:
             raise ValueError(
                 f"quadrature_nodes must be at least 4, got {self.quadrature_nodes}")
@@ -67,7 +65,6 @@ class FixedPointResult:
     update_history: tuple[float, ...]
     converged: bool
     oscillation_flagged: bool
-    damping_final: float
     cg_iterations_total: int
     hum_last: HumResult | None
 
@@ -141,12 +138,6 @@ def coupling_floor_check(coeffs: CoefficientField, sign: float = 1.0) -> Couplin
     return CouplingReport(min_signed_a21=m, a21_sign=float(sign), positive=m > 0.0)
 
 
-def _space_time_norm(grid: Grid1D, tgrid: TimeGrid,
-                     y: np.ndarray, z: np.ndarray) -> float:
-    w = grid.spacing * tgrid.dt
-    return float(np.sqrt(w * (np.sum(y * y) + np.sum(z * z))))
-
-
 def _coeff_change(a: CoefficientField, b: CoefficientField) -> float:
     num = max(float(np.max(np.abs(getattr(a, n) - getattr(b, n))))
               for n in ("a11", "a12", "a21", "a22"))
@@ -159,31 +150,35 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
                         config: FixedPointConfig = FixedPointConfig()) -> FixedPointResult:
     """Iterate linearize -> control -> re-linearize to a controlled fixed point.
 
-    Starts from the free semilinear flow, freezes the averaged coefficients,
-    solves the penalized nulling problem, and re-linearizes around the damped
-    controlled trajectory.  Stops when the relative space-time update drops
-    below ``outer_tol`` or when the coefficients themselves are stationary
-    (which is immediate for genuinely linear reactions); either exit counts
-    as converged only if the last inner solve converged.  Two consecutive
-    increases of the update norm halve the damping once.
+    Starts from the free semilinear flow, freezes the averaged coefficients at
+    the reference trajectory x, and solves the penalized nulling problem; its
+    controlled trajectory g is the fixed-point map of x.  The next reference
+    is Anderson-mixed with memory 1 from the last two residuals f = g - x:
+    x <- g - gamma (g - g_prev), gamma = <df, f> / <df, df>.  The plain step
+    x <- g, after which mixing restarts from (g, f) alone, replaces the mixed
+    one on the first pass, when df = 0, and when the relative update
+    ||f|| / ||x|| rose against the previous pass (``oscillation_flagged``).
+    Stops when that update drops below ``outer_tol`` or when the coefficients
+    themselves are stationary (which is immediate for genuinely linear
+    reactions); either exit counts as converged only if the last inner solve
+    converged.
     """
     # the free and the final march step one reaction-free system
     reaction_free = StepOperators(sigma, zero_coefficients(grid, tgrid))
-    free = solve_forward_semilinear(reaction_free, pair, None, y0, z0)
-    ref_y, ref_z = free.y, free.z
-    damping = config.damping
+    x = solve_forward_semilinear(reaction_free, pair, None, y0, z0).u
+    n = grid.n_cells
     history: list[float] = []
     prev_coeffs: CoefficientField | None = None
     hum_last: HumResult | None = None
     control: ControlField | None = None
+    g_prev = f_prev = None
     converged = False
     oscillation = False
-    rises = 0
     cg_total = 0
     iterations = 0
 
     for it in range(1, config.max_outer + 1):
-        coeffs = linearized_coefficients(grid, tgrid, pair, ref_y, ref_z,
+        coeffs = linearized_coefficients(grid, tgrid, pair, x[:, :n], x[:, n:],
                                          config.quadrature_nodes)
         if prev_coeffs is not None and _coeff_change(coeffs, prev_coeffs) <= 1e-13:
             # Stationary linearization: the previous control is already the
@@ -195,24 +190,23 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         control = hum_last.control
         cg_total += hum_last.cg_iterations
         iterations = it
-        lin = hum_last.trajectory
-        new_y = damping * lin.y + (1.0 - damping) * ref_y
-        new_z = damping * lin.z + (1.0 - damping) * ref_z
-        denom = max(_space_time_norm(grid, tgrid, ref_y, ref_z), 1e-300)
-        update = _space_time_norm(grid, tgrid, new_y - ref_y, new_z - ref_z) / denom
-        if history and update > history[-1]:
-            rises += 1
-            if rises >= 2 and damping > 0.5:
-                damping = 0.5
-                oscillation = True
-                rises = 0
-        else:
-            rises = 0
+        g = hum_last.trajectory.u
+        f = g - x
+        # h * dt weights the space-time norm of both f and x, so it cancels
+        update = float(np.linalg.norm(f)) / max(float(np.linalg.norm(x)), 1e-300)
+        rose = bool(history) and update > history[-1]
         history.append(update)
-        ref_y, ref_z = new_y, new_z
         if update < config.outer_tol:
             converged = hum_last.cg_converged
             break
+        oscillation |= rose
+        df = None if f_prev is None else f - f_prev
+        df_df = 0.0 if df is None or rose else float(np.vdot(df, df))
+        if df_df > 0.0:
+            x = g - (float(np.vdot(df, f)) / df_df) * (g - g_prev)
+        else:
+            x = g
+        g_prev, f_prev = g, f
 
     final = solve_forward_semilinear(reaction_free, pair, control, y0, z0)
     term_y, term_z = final.terminal_norms()
@@ -223,7 +217,6 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         update_history=tuple(history),
         converged=converged,
         oscillation_flagged=oscillation,
-        damping_final=damping,
         cg_iterations_total=cg_total,
         hum_last=hum_last,
     )

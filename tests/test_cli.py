@@ -162,6 +162,13 @@ class TestDefaultsAndErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_config_with_byte_order_mark_runs(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfgrid.n_cells = 8\n")
+        out = tmp_path / "o"
+        assert main(["weights", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "grid.n_cells = 8\n" in (out / "config_effective.txt").read_text()
+
     def test_out_naming_a_file_exits_2(self, cfg_file, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
