@@ -248,6 +248,8 @@ class TestFixedPointConfig:
     @pytest.mark.parametrize("kwargs", [
         {"outer_tol": 0.0},
         {"max_outer": 0},
+        {"outer_tol": float("nan")},
+        {"max_outer": -3},
         {"quadrature_nodes": 3},
     ])
     def test_rejects_bad_values(self, kwargs):
