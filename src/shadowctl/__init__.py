@@ -15,8 +15,8 @@ from .config import (ConfigError, RunConfig, build_fixed_point_config,
                      serialize_config)
 from .experiments import (ControlRun, M1Record, ScalingReport, SweepReport,
                           SweepRow, control_and_reduce, fit_decay_rate,
-                          measure_m1, measure_m1_scaling, measure_m2_scaling,
-                          shadow_gap, sigma_sweep)
+                          gap_series, measure_m1, measure_m1_scaling,
+                          measure_m2_scaling, shadow_gap, sigma_sweep)
 from .hum import (EpsilonRow, EpsilonSweepReport, HumConfig, HumResult,
                   duality_residual, epsilon_sweep, gramian_apply,
                   gramian_factor, hum_solve)
@@ -26,11 +26,11 @@ from .nonlinear import (HypothesisReport, Nonlinearity, NonlinearityPair,
                         arctan_family, check_hypotheses, linear_form,
                         linear_pair, make_pair, sigmoid_family)
 from .pde import (CoefficientField, ControlField, EnergyReport,
-                  SemigroupReport, ShadowStepOperators, ShadowTrajectory,
-                  StepOperators, Trajectory, constant_coefficients,
-                  control_cost, energy_functional, semigroup_checks,
-                  solve_adjoint, solve_forward_linear, solve_forward_semilinear,
-                  solve_heat, solve_shadow, zero_coefficients)
+                  SemigroupReport, ShadowStepOperators, StepOperators,
+                  Trajectory, constant_coefficients, control_cost,
+                  energy_functional, semigroup_checks, solve_adjoint,
+                  solve_forward_linear, solve_forward_semilinear, solve_heat,
+                  zero_coefficients)
 from .semilinear import (CouplingReport, FixedPointConfig, FixedPointResult,
                          coupling_floor_check, fixed_point_control,
                          linearized_coefficients, origin_coefficients)
@@ -50,10 +50,10 @@ __all__ = [
     "arctan_family", "linear_form", "make_pair", "linear_pair",
     "check_hypotheses",
     # pde
-    "CoefficientField", "ControlField", "Trajectory", "ShadowTrajectory",
-    "StepOperators", "ShadowStepOperators", "constant_coefficients",
-    "zero_coefficients", "control_cost", "solve_forward_linear", "solve_adjoint",
-    "solve_forward_semilinear", "solve_shadow", "solve_heat", "EnergyReport",
+    "CoefficientField", "ControlField", "Trajectory", "StepOperators",
+    "ShadowStepOperators", "constant_coefficients", "zero_coefficients",
+    "control_cost", "solve_forward_linear", "solve_adjoint",
+    "solve_forward_semilinear", "solve_heat", "EnergyReport",
     "energy_functional", "SemigroupReport", "semigroup_checks",
     # hum
     "HumConfig", "HumResult", "gramian_apply", "gramian_factor", "hum_solve",
@@ -68,7 +68,7 @@ __all__ = [
     "weight_inequality_checks",
     # experiments
     "ControlRun", "control_and_reduce", "SweepRow", "SweepReport",
-    "sigma_sweep", "shadow_gap", "fit_decay_rate",
+    "sigma_sweep", "gap_series", "shadow_gap", "fit_decay_rate",
     "M1Record", "ScalingReport", "measure_m1", "measure_m1_scaling",
     "measure_m2_scaling",
     # config

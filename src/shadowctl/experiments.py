@@ -21,16 +21,15 @@ import numpy as np
 from .hum import HumConfig, hum_solve
 from .mesh import Grid1D, TimeGrid, mean_value, norm_l2
 from .nonlinear import NonlinearityPair
-from .pde import (ControlField, ShadowStepOperators, ShadowTrajectory,
-                  StepOperators, Trajectory, control_cost, energy_functional,
-                  solve_forward_linear, solve_forward_semilinear, solve_heat,
-                  solve_shadow, zero_coefficients)
+from .pde import (ControlField, ShadowStepOperators, StepOperators, Trajectory,
+                  control_cost, energy_functional, solve_forward_linear,
+                  solve_forward_semilinear, solve_heat, zero_coefficients)
 from .semilinear import FixedPointConfig, fixed_point_control, origin_coefficients
 
 __all__ = [
     "ControlRun", "SweepRow", "SweepReport", "M1Record", "ScalingReport",
-    "fit_decay_rate", "shadow_gap", "control_and_reduce", "sigma_sweep",
-    "measure_m1", "measure_m1_scaling", "measure_m2_scaling",
+    "fit_decay_rate", "gap_series", "shadow_gap", "control_and_reduce",
+    "sigma_sweep", "measure_m1", "measure_m1_scaling", "measure_m2_scaling",
 ]
 
 
@@ -48,17 +47,21 @@ def fit_decay_rate(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def shadow_gap(traj: Trajectory, reduced: ShadowTrajectory, t0: float) -> float:
-    """sup over nodes t_m >= t0 of ||z(t_m, .) - xi(t_m)||_{L2}."""
+def gap_series(traj: Trajectory, reduced: Trajectory) -> np.ndarray:
+    """||z(t_m, .) - xi(t_m)||_{L2} at every node t_m, xi read as the
+    constant field of the reduced trajectory."""
     if traj.grid != reduced.grid or traj.tgrid != reduced.tgrid:
         raise ValueError("trajectories live on different grids")
-    nodes = traj.tgrid.nodes
+    diff = traj.z - reduced.z
+    return np.sqrt(traj.grid.spacing * np.sum(diff * diff, axis=1))
+
+
+def shadow_gap(traj: Trajectory, reduced: Trajectory, t0: float) -> float:
+    """sup over nodes t_m >= t0 of :func:`gap_series`."""
+    series = gap_series(traj, reduced)
     if not 0.0 <= t0 < traj.tgrid.horizon:
         raise ValueError(f"t0 must lie in [0, horizon), got {t0}")
-    sel = nodes >= t0
-    diff = traj.z[sel] - reduced.xi[sel, None]
-    per_node = np.sqrt(traj.grid.spacing * np.sum(diff * diff, axis=1))
-    return float(np.max(per_node))
+    return float(np.max(series[traj.tgrid.nodes >= t0]))
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ class ControlRun:
 
     control: ControlField
     trajectory: Trajectory
-    reduced: ShadowTrajectory
+    reduced: Trajectory
     outer_iterations: int
     cg_iterations: int
     converged: bool
@@ -86,20 +89,21 @@ def control_and_reduce(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
     """
     if mode not in ("linear", "semilinear"):
         raise ValueError(f"mode must be 'linear' or 'semilinear', got {mode!r}")
+    xi0 = [mean_value(grid, z0)]
     if mode == "linear":
         coeffs = origin_coefficients(grid, tgrid, pair)
         res = hum_solve(StepOperators(sigma, coeffs), y0, z0, hum_config)
         control, traj = res.control, res.trajectory
         outer, cg_iters, converged = 0, res.cg_iterations, res.cg_converged
-        limit = solve_forward_linear(ShadowStepOperators(coeffs), control, y0,
-                                     [mean_value(grid, z0)])
-        reduced = ShadowTrajectory(grid, tgrid, limit.y, limit.u[:, grid.n_cells])
+        reduced = solve_forward_linear(ShadowStepOperators(coeffs), control, y0, xi0)
     else:
         fp = fixed_point_control(grid, tgrid, sigma, pair, y0, z0, fp_config)
         control, traj = fp.control, fp.trajectory
         outer, cg_iters, converged = (fp.outer_iterations,
                                       fp.cg_iterations_total, fp.converged)
-        reduced = solve_shadow(grid, tgrid, pair, control, y0, mean_value(grid, z0))
+        reduced = solve_forward_semilinear(
+            ShadowStepOperators(zero_coefficients(grid, tgrid)), pair, control,
+            y0, xi0)
     return ControlRun(control=control, trajectory=traj, reduced=reduced,
                       outer_iterations=outer, cg_iterations=cg_iters,
                       converged=converged)
@@ -145,7 +149,7 @@ def _sweep_row(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
                    terminal_norm_y=term_y, terminal_norm_z=term_z,
                    sigma_grad_z=energy_functional(run.trajectory).sigma_grad_z,
                    shadow_gap=shadow_gap(run.trajectory, run.reduced, t0),
-                   xi_terminal=float(run.reduced.xi[-1]),
+                   xi_terminal=float(run.reduced.u[-1, -1]),
                    outer_iterations=run.outer_iterations,
                    cg_iterations=run.cg_iterations,
                    converged=run.converged)

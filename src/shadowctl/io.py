@@ -92,11 +92,10 @@ def _write_grid(path: str | Path, header: str, nodes: np.ndarray,
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> Path:
-    """One row per (time node, cell): ``t,x,y,z``.  The scalar mode xi of a
-    shadow trajectory is written as the constant field z = xi."""
-    z = np.broadcast_to(traj.z, traj.y.shape)
+    """One row per (time node, cell): ``t,x,y,z``; a shadow trajectory's z
+    is the constant field z = xi."""
     return _write_grid(path, "t,x,y,z", traj.tgrid.nodes,
-                       traj.grid.cell_centers, (traj.y, z))
+                       traj.grid.cell_centers, (traj.y, traj.z))
 
 
 def write_control_csv(path: str | Path, control: ControlField) -> Path:

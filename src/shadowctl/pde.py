@@ -9,10 +9,10 @@ together with its linearizations (frozen coefficient fields a_ij) and the
 backward-in-time dual system.  Every implicit Euler step is one solve with
 a banded LU factorization (LAPACK dgbtrf/dgbtrs): pentadiagonal for the
 two-component step (see :class:`StepOperators`), which the linear, dual and
-semilinear marchers all take, and tridiagonal for the scalar heat steps of
-the reduced marcher and :func:`solve_heat`.  The dual stepper solves with
-the transpose on the same LU factors, so it applies the exact transpose of
-the forward one-step matrix and the discrete duality identity
+semilinear marchers all take, and tridiagonal for the heat steps of
+:class:`ShadowStepOperators` and :func:`solve_heat`.  The dual stepper
+solves with the transpose on the same LU factors, so it applies the exact
+transpose of the forward one-step matrix and the discrete duality identity
 
     <u(T), p(T)> = <u(0), p(0)> + dt sum_m <chi h^m, phi^m>
 
@@ -25,12 +25,12 @@ marchers exchange whole stacked states (y; z), y first, of length
 ``StepOperators.size``, and :class:`Trajectory` keeps their march array.
 :class:`ShadowStepOperators` step the same system in the shadow limit
 sigma = inf, where z collapses onto its spatial mean, the scalar mode xi:
-their stacked state is (y; xi), of length n_cells + 1, so ``z`` holds xi as
-a one-entry row, and :func:`solve_forward_linear` marches them too.  Each of
-their steps is the tridiagonal heat solve of y bordered by the a12 column
-and the mean row, closed by a one-unknown Schur complement.
-:func:`solve_shadow` keeps a Gauss-Seidel fixed point for nonlinear
-reactions.
+their stacked state is (y; xi), of length n_cells + 1, and each step is
+the tridiagonal heat solve of y bordered by the a12 column and the mean
+row, closed by a one-unknown Schur complement.  The forward marchers take
+either ops.  The lift reads xi as the constant field z = xi, and
+``ops.restrict`` maps a field back to z-entries by its mean; both are the
+identity on a full state.  :attr:`Trajectory.z` is the lifted field.
 
 Conventions: coefficient fields are node-indexed with shape
 (n_steps + 1, n_cells) and the step t_m -> t_{m+1} reads slice m; control
@@ -50,11 +50,11 @@ from .mesh import Grid1D, TimeGrid, _laplacian_stencil, mean_value, norm_l2
 from .nonlinear import NonlinearityPair
 
 __all__ = [
-    "CoefficientField", "ControlField", "Trajectory", "ShadowTrajectory",
-    "EnergyReport", "SemigroupReport", "StepOperators", "ShadowStepOperators",
+    "CoefficientField", "ControlField", "Trajectory", "EnergyReport",
+    "SemigroupReport", "StepOperators", "ShadowStepOperators",
     "constant_coefficients", "zero_coefficients", "control_cost",
     "solve_forward_linear", "solve_adjoint", "solve_forward_semilinear",
-    "solve_shadow", "solve_heat", "energy_functional", "semigroup_checks",
+    "solve_heat", "energy_functional", "semigroup_checks",
 ]
 
 
@@ -145,13 +145,21 @@ def control_cost(control: ControlField) -> float:
     return float(np.sqrt(sq))
 
 
+def _lift(u: np.ndarray, n_cells: int) -> np.ndarray:
+    """The z field, n_cells entries per state, of a stacked state or of an
+    array of them, as a read-only view: a one-entry xi of the shadow limit is
+    the constant field z = xi, and a full state's z is itself."""
+    return np.broadcast_to(u[..., n_cells:], u.shape[:-1] + (n_cells,))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """March array ``u``: row m is the stacked state (y; z) at node m, so
     ``u`` has shape (n_steps + 1, ops.size); ``y`` and ``z`` are views.
 
-    ``z`` has n_cells columns for :class:`StepOperators` and one, the scalar
-    mode xi, for :class:`ShadowStepOperators`."""
+    ``z`` is the lifted field, shape (n_steps + 1, n_cells), read-only for
+    either ops: for :class:`ShadowStepOperators` it is the constant field
+    z = xi, and the scalar mode xi itself is ``u[:, -1]``."""
 
     grid: Grid1D
     tgrid: TimeGrid
@@ -164,27 +172,10 @@ class Trajectory:
 
     @property
     def z(self) -> np.ndarray:
-        return self.u[:, self.grid.n_cells:]
+        return _lift(self.u, self.grid.n_cells)
 
     def terminal_norms(self) -> tuple[float, float]:
-        # a reduced xi is the constant field z = xi, so it broadcasts
-        z_T = np.broadcast_to(self.z[-1], (self.grid.n_cells,))
-        return norm_l2(self.grid, self.y[-1]), norm_l2(self.grid, z_T)
-
-
-@dataclass(frozen=True)
-class ShadowTrajectory:
-    """Reduced state: a diffusing y field coupled to the scalar mean mode xi."""
-
-    grid: Grid1D
-    tgrid: TimeGrid
-    y: np.ndarray
-    xi: np.ndarray
-
-
-def _check_control(grid: Grid1D, tgrid: TimeGrid, control: ControlField | None) -> None:
-    if control is not None and (control.grid != grid or control.tgrid != tgrid):
-        raise ValueError("control field was built for a different grid")
+        return norm_l2(self.grid, self.y[-1]), norm_l2(self.grid, self.z[-1])
 
 
 def _band_lu(band: np.ndarray, k: int):
@@ -288,6 +279,10 @@ class StepOperators:
         rhs = p if source is None else p + self.tgrid.dt * source
         return self._solver(m)(rhs[self._interleave], trans=1)[self._stack]
 
+    def restrict(self, field: np.ndarray) -> np.ndarray:
+        """The z-entries of a per-cell z field: the field itself."""
+        return field
+
 
 class ShadowStepOperators:
     """Factorized one-step solver for the shadow limit of a frozen-coefficient
@@ -348,6 +343,10 @@ class ShadowStepOperators:
         xi = (u[n] + mean_row @ v) / schur
         return np.append(v + xi * w, xi)
 
+    def restrict(self, field: np.ndarray) -> np.ndarray:
+        """The one z-entry of a per-cell z field: its mean, as a 1-entry array."""
+        return self.grid.spacing * np.sum(field, axis=-1, keepdims=True)
+
 
 def _forward_march(ops: StepOperators | ShadowStepOperators,
                    control: ControlField | None,
@@ -357,7 +356,8 @@ def _forward_march(ops: StepOperators | ShadowStepOperators,
     u = np.empty((ops.tgrid.n_steps + 1, ops.size))
     u[0, :n] = _checked(y0, (n,), "y0")
     u[0, n:] = _checked(z0, (ops.size - n,), "z0")
-    _check_control(ops.grid, ops.tgrid, control)
+    if control is not None and (control.grid != ops.grid or control.tgrid != ops.tgrid):
+        raise ValueError("control field was built for a different grid")
     return u
 
 
@@ -417,9 +417,28 @@ def _nonlinear_step(update, start: np.ndarray, inner_tol: float,
         f"after {max_inner} iterations")
 
 
-def _check_inner_solve(dt: float, pair: NonlinearityPair, inner_tol: float,
-                       max_inner: int) -> None:
-    """Reject settings under which the per-step fixed point cannot converge."""
+def solve_forward_semilinear(ops: StepOperators | ShadowStepOperators,
+                             pair: NonlinearityPair,
+                             control: ControlField | None,
+                             y0: np.ndarray, z0: np.ndarray,
+                             inner_tol: float = 1e-10,
+                             max_inner: int = 50) -> Trajectory:
+    """March the semilinear system forward, reaction resolved implicitly.
+
+    ``ops`` steps the reaction-free system with zero coefficients: the full
+    one, ``StepOperators(sigma, ...)``, whose marches at one sigma can share
+    a factorization, or its shadow limit, ``ShadowStepOperators(...)``, with
+    ``z0 = (xi0,)`` and d(xi)/dt = mean g(y, xi).  Each step solves the fully
+    implicit equation by fixed-point iteration on the reaction term: f and g
+    are evaluated on y and the lifted z field, g is taken back to the
+    z-entries by ``ops.restrict``, and every iterate is one step of ``ops``.
+    dt * max(C_f, C_g) < 1 is enforced so the per-step map is a contraction.
+    """
+    if ops.coeffs.max_sup != 0.0:
+        raise ValueError("the semilinear march needs the StepOperators of the "
+                         "reaction-free system (zero coefficients)")
+    u = _forward_march(ops, control, y0, z0)
+    dt = ops.tgrid.dt
     if not 0.0 < inner_tol < np.inf:
         raise ValueError(f"inner_tol must be positive and finite, got {inner_tol}")
     if max_inner < 1:
@@ -429,76 +448,23 @@ def _check_inner_solve(dt: float, pair: NonlinearityPair, inner_tol: float,
         raise ValueError(
             f"dt * max Lipschitz bound = {dt * cmax:.3g} must stay below 1 "
             "for the per-step fixed point to contract")
-
-
-def solve_forward_semilinear(ops: StepOperators, pair: NonlinearityPair,
-                             control: ControlField | None,
-                             y0: np.ndarray, z0: np.ndarray,
-                             inner_tol: float = 1e-10,
-                             max_inner: int = 50) -> Trajectory:
-    """March the semilinear system forward, reaction resolved implicitly.
-
-    ``ops`` steps the reaction-free system, ``StepOperators(sigma,
-    zero_coefficients(grid, tgrid))``, so marches at one sigma can share its
-    factorization.  Each step solves the fully implicit equation by
-    fixed-point iteration on the reaction term, every iterate one step of
-    ``ops``; dt * max(C_f, C_g) < 1 is enforced so the per-step map is a
-    contraction.
-    """
-    if ops.coeffs.max_sup != 0.0:
-        raise ValueError("the semilinear march needs the StepOperators of the "
-                         "reaction-free system (zero coefficients)")
-    u = _forward_march(ops, control, y0, z0)
-    dt = ops.tgrid.dt
-    _check_inner_solve(dt, pair, inner_tol, max_inner)
     n = ops.grid.n_cells
     chi = ops.grid.omega_indicator
+    # each iterate is copied into w, so z is lifted once per march, not per iterate
+    w = np.empty(ops.size)
+    wy, wz = w[:n], _lift(w, n)
     for m in range(ops.tgrid.n_steps):
         src = chi * control.values[m] if control is not None else 0.0
 
         def update(v: np.ndarray) -> np.ndarray:
-            vy, vz = v[:n], v[n:]
-            reaction = np.concatenate([np.asarray(pair.f.value(vy, vz)) + src,
-                                       np.asarray(pair.g.value(vy, vz))])
+            w[:] = v
+            reaction = np.concatenate([
+                np.asarray(pair.f.value(wy, wz)) + src,
+                ops.restrict(np.asarray(pair.g.value(wy, wz)))])
             return ops.step_forward(u[m] + dt * reaction, m)
 
         u[m + 1] = _nonlinear_step(update, u[m], inner_tol, max_inner, m)
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
-
-
-def solve_shadow(grid: Grid1D, tgrid: TimeGrid,
-                 pair: NonlinearityPair,
-                 control: ControlField | None,
-                 y0: np.ndarray, xi0: float,
-                 inner_tol: float = 1e-10,
-                 max_inner: int = 50) -> ShadowTrajectory:
-    """March the reduced system: diffusing y coupled to the scalar mode xi.
-
-    xi obeys d(xi)/dt = mean_x g(y, xi) and replaces the fast-diffusing
-    component; the y-equation keeps unit diffusion and the windowed control.
-    Each step iterates Gauss-Seidel fashion: the new y, then xi from it.
-    """
-    n = grid.n_cells
-    # each node stacks y and, last, the scalar mode xi
-    u = np.empty((tgrid.n_steps + 1, n + 1))
-    u[0, :n] = _checked(y0, (n,), "y0")
-    u[0, n] = _checked(xi0, (), "xi0")
-    _check_control(grid, tgrid, control)
-    dt = tgrid.dt
-    _check_inner_solve(dt, pair, inner_tol, max_inner)
-    solve_y = _band_lu(_heat_band(grid, dt), 1)
-    chi = grid.omega_indicator
-    for m in range(tgrid.n_steps):
-        src = chi * control.values[m] if control is not None else 0.0
-
-        def update(v: np.ndarray) -> np.ndarray:
-            vy, vxi = v[:n], v[n]
-            vy_new = solve_y(u[m, :n] + dt * (np.asarray(pair.f.value(vy, vxi)) + src))
-            g_mean = mean_value(grid, np.asarray(pair.g.value(vy_new, np.full(n, vxi))))
-            return np.append(vy_new, u[m, n] + dt * g_mean)
-
-        u[m + 1] = _nonlinear_step(update, u[m], inner_tol, max_inner, m)
-    return ShadowTrajectory(grid, tgrid, u[:, :n], u[:, n])
 
 
 def solve_heat(grid: Grid1D, tgrid: TimeGrid, kappa: float, u0: np.ndarray,
@@ -538,13 +504,13 @@ def energy_functional(traj: Trajectory) -> EnergyReport:
     """Trapezoid-in-time energy norms of a trajectory.
 
     Reports ||y||_{L2(0,T;H1)}, ||z||_{L2(0,T;H1)}, the weighted gradient
-    term sigma * int int |grad z|^2, and the terminal L2 norms.  The scalar
-    mode xi of a shadow trajectory counts as the constant field z = xi: its
-    weighted gradient term is 0, although sigma is inf.
+    term sigma * int int |grad z|^2, and the terminal L2 norms.  On a shadow
+    trajectory z is the constant field z = xi, so the weighted gradient term
+    is 0, although sigma is inf.
     """
     grid, tgrid = traj.grid, traj.tgrid
     t = tgrid.nodes
-    z = np.broadcast_to(traj.z, traj.y.shape)
+    z = traj.z
     l2_y = grid.spacing * np.sum(traj.y**2, axis=1)
     l2_z = grid.spacing * np.sum(z**2, axis=1)
     g_y = _grad_energy(grid, traj.y)

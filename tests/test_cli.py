@@ -9,8 +9,11 @@ import json
 import numpy as np
 import pytest
 
-from shadowctl.cli import main
+from shadowctl.cli import _norm_history, main
 from shadowctl.io import read_fields_binary
+from shadowctl.mesh import Grid1D, TimeGrid
+from shadowctl.pde import (ShadowStepOperators, Trajectory, constant_coefficients,
+                           solve_forward_linear)
 
 SMALL_CFG = """\
 grid.n_cells = 32
@@ -213,3 +216,16 @@ class TestDeterminism:
                 == (out_b / "report.json").read_bytes())
         assert ((out_a / "trajectory.bin").read_bytes()
                 == (out_b / "trajectory.bin").read_bytes())
+
+
+def test_norm_history_reads_xi_as_constant_field():
+    # y0 = 1 and xi0 = 1 stand for the fields y = z = 1, of norm sqrt(2)
+    grid = Grid1D(n_cells=10)
+    tgrid = TimeGrid(horizon=0.1, n_steps=5)
+    ops = ShadowStepOperators(constant_coefficients(grid, tgrid, 0.1, 0.2, 0.3, 0.4))
+    reduced = solve_forward_linear(ops, None, np.ones(10), [1.0])
+    full = Trajectory(grid, tgrid, np.inf, np.hstack(
+        [reduced.y, np.repeat(reduced.u[:, -1:], 10, axis=1)]))
+    history = _norm_history(reduced)
+    assert history[0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert np.array_equal(history, _norm_history(full))

@@ -14,9 +14,8 @@ from shadowctl.experiments import (fit_decay_rate, measure_m1,
 from shadowctl.mesh import Grid1D, TimeGrid, mean_value
 from shadowctl.nonlinear import (arctan_family, linear_form, make_pair,
                                  sigmoid_family)
-from shadowctl.pde import (ShadowTrajectory, StepOperators, Trajectory,
-                           solve_forward_semilinear, solve_shadow,
-                           zero_coefficients)
+from shadowctl.pde import (ShadowStepOperators, StepOperators, Trajectory,
+                           solve_forward_semilinear, zero_coefficients)
 
 
 @pytest.fixture()
@@ -69,14 +68,16 @@ class TestShadowGap:
         grid, tgrid, shape = self._pairing()
         z = np.full(shape, 0.4)
         traj = Trajectory(grid, tgrid, 1.0, np.hstack([np.zeros(shape), z]))
-        red = ShadowTrajectory(grid, tgrid, np.zeros(shape), np.full(shape[0], 0.4))
+        red = Trajectory(grid, tgrid, np.inf,
+                         np.hstack([np.zeros(shape), np.full((shape[0], 1), 0.4)]))
         assert shadow_gap(traj, red, 0.1) == 0.0
 
     def test_constant_offset_gap(self):
         grid, tgrid, shape = self._pairing()
         traj = Trajectory(grid, tgrid, 1.0,
                           np.hstack([np.zeros(shape), np.full(shape, 0.9)]))
-        red = ShadowTrajectory(grid, tgrid, np.zeros(shape), np.full(shape[0], 0.6))
+        red = Trajectory(grid, tgrid, np.inf,
+                         np.hstack([np.zeros(shape), np.full((shape[0], 1), 0.6)]))
         assert shadow_gap(traj, red, 0.0) == pytest.approx(0.3, rel=1e-12)
 
     def test_early_disagreement_ignored_past_t0(self):
@@ -84,7 +85,8 @@ class TestShadowGap:
         z = np.zeros(shape)
         z[0] = 100.0   # initial-layer transient only
         traj = Trajectory(grid, tgrid, 1.0, np.hstack([np.zeros(shape), z]))
-        red = ShadowTrajectory(grid, tgrid, np.zeros(shape), np.zeros(shape[0]))
+        red = Trajectory(grid, tgrid, np.inf,
+                         np.hstack([np.zeros(shape), np.zeros((shape[0], 1))]))
         assert shadow_gap(traj, red, 0.05) == 0.0
         assert shadow_gap(traj, red, 0.0) == pytest.approx(100.0)
 
@@ -92,16 +94,17 @@ class TestShadowGap:
         grid, tgrid, shape = self._pairing()
         other = Grid1D(n_cells=shape[1] + 1)
         traj = Trajectory(grid, tgrid, 1.0, np.zeros((shape[0], 2 * shape[1])))
-        red = ShadowTrajectory(other, tgrid,
-                               np.zeros((shape[0], shape[1] + 1)),
-                               np.zeros(shape[0]))
+        red = Trajectory(other, tgrid, np.inf,
+                         np.hstack([np.zeros((shape[0], shape[1] + 1)),
+                                    np.zeros((shape[0], 1))]))
         with pytest.raises(ValueError, match="different grids"):
             shadow_gap(traj, red, 0.1)
 
     def test_rejects_bad_t0(self):
         grid, tgrid, shape = self._pairing()
         traj = Trajectory(grid, tgrid, 1.0, np.zeros((shape[0], 2 * shape[1])))
-        red = ShadowTrajectory(grid, tgrid, np.zeros(shape), np.zeros(shape[0]))
+        red = Trajectory(grid, tgrid, np.inf,
+                         np.hstack([np.zeros(shape), np.zeros((shape[0], 1))]))
         with pytest.raises(ValueError, match="t0"):
             shadow_gap(traj, red, 1.0)
 
@@ -117,7 +120,9 @@ class TestShadowGap:
         y0 = np.zeros(64)
         traj = solve_forward_semilinear(StepOperators(sigma, zero_coefficients(grid, tgrid)),
                                         two_mode, None, y0, z0)
-        red = solve_shadow(grid, tgrid, two_mode, None, y0, mean_value(grid, z0))
+        red = solve_forward_semilinear(
+            ShadowStepOperators(zero_coefficients(grid, tgrid)), two_mode, None,
+            y0, [mean_value(grid, z0)])
         got = shadow_gap(traj, red, 0.05)
         want = a * np.exp((d - sigma * np.pi**2) * 0.05) / np.sqrt(2.0)
         assert got == pytest.approx(want, rel=2e-2)

@@ -15,7 +15,8 @@ from shadowctl.io import (FormatError, control_fields, read_fields_binary,
                           write_rows_csv, write_series_dat,
                           write_trajectory_csv)
 from shadowctl.mesh import Grid1D, TimeGrid
-from shadowctl.pde import ControlField, Trajectory
+from shadowctl.pde import (ControlField, ShadowStepOperators, Trajectory,
+                           constant_coefficients, solve_forward_linear)
 
 
 @pytest.fixture()
@@ -132,6 +133,16 @@ class TestBinary:
         assert sorted(out) == ["y", "z"]
         assert np.array_equal(out["y"], traj.y)
         assert np.array_equal(out["z"], traj.z)
+
+    def test_shadow_trajectory_round_trips_xi_as_constant_field(self, tmp_path):
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        ops = ShadowStepOperators(constant_coefficients(grid, tgrid, 0.1, 0.2, 0.3, 0.4))
+        reduced = solve_forward_linear(ops, None, np.cos(np.pi * grid.cell_centers), [0.3])
+        p = write_fields_binary(tmp_path / "reduced.bin", trajectory_fields(reduced))
+        out = read_fields_binary(p)
+        assert np.array_equal(out["y"], reduced.y)
+        assert np.array_equal(out["z"], np.repeat(reduced.u[:, -1:], 10, axis=1))
 
     def test_control_helper_round_trip(self, tiny_problem, tmp_path):
         grid, tgrid, _ = tiny_problem

@@ -13,13 +13,47 @@ import pytest
 
 from shadowctl.mesh import (Grid1D, TimeGrid, inner_product, mean_value,
                             neumann_laplacian, norm_l2)
-from shadowctl.nonlinear import linear_form, linear_pair, make_pair
+from shadowctl.nonlinear import (arctan_family, linear_form, linear_pair,
+                                 make_pair, sigmoid_family)
 from shadowctl.pde import (CoefficientField, ControlField, ShadowStepOperators,
                            StepOperators, Trajectory, constant_coefficients,
                            control_cost, energy_functional, semigroup_checks,
                            solve_adjoint, solve_forward_linear,
-                           solve_forward_semilinear, solve_heat, solve_shadow,
+                           solve_forward_semilinear, solve_heat,
                            zero_coefficients)
+
+
+def _reduced_march(grid, tgrid, pair, control, y0, xi0, **kwargs):
+    # the semilinear march of the shadow limit: its reaction-free step is the
+    # heat solve of y and the identity for xi
+    ops = ShadowStepOperators(zero_coefficients(grid, tgrid))
+    return solve_forward_semilinear(ops, pair, control, y0, xi0, **kwargs)
+
+
+def _gauss_seidel_shadow(grid, tgrid, pair, control, y0, xi0, inner_tol):
+    # reference reduced march: each implicit step iterates Gauss-Seidel
+    # fashion, the new y from the heat solve, then xi from the mean of g at
+    # that y, until the sup-norm update is within inner_tol * max(1, sup|v|)
+    n, dt = grid.n_cells, tgrid.dt
+    heat = np.eye(n) - dt * neumann_laplacian(grid).matrix.toarray()
+    chi = grid.omega_indicator
+    u = np.empty((tgrid.n_steps + 1, n + 1))
+    u[0] = np.append(y0, xi0)
+    for m in range(tgrid.n_steps):
+        src = chi * control.values[m]
+        v = u[m]
+        for _ in range(50):
+            vy = np.linalg.solve(heat, u[m, :n] + dt * (pair.f.value(v[:n], v[n]) + src))
+            g_mean = mean_value(grid, pair.g.value(vy, np.full(n, v[n])))
+            v_new = np.append(vy, u[m, n] + dt * g_mean)
+            delta = np.max(np.abs(v_new - v))
+            v = v_new
+            if delta <= inner_tol * max(1.0, np.max(np.abs(v))):
+                break
+        else:
+            raise AssertionError(f"reference step {m} did not converge")
+        u[m + 1] = v
+    return u[:, :n], u[:, n]
 
 
 def _dense_step_matrix(grid, tgrid, sigma, coeffs, m):
@@ -425,9 +459,9 @@ class TestShadow:
         grid = Grid1D(n_cells=20)
         tgrid = TimeGrid(horizon=0.5, n_steps=1000)
         pair = make_pair(linear_form(0.0, 0.0), linear_form(0.0, -1.0))
-        red = solve_shadow(grid, tgrid, pair, None, np.zeros(20), 2.0)
+        red = _reduced_march(grid, tgrid, pair, None, np.zeros(20), [2.0])
         want = 2.0 * np.exp(-0.5)
-        assert red.xi[-1] == pytest.approx(want, rel=1e-3)
+        assert red.u[-1, -1] == pytest.approx(want, rel=1e-3)
         assert np.max(np.abs(red.y)) == 0.0
 
     def test_mean_field_drives_scalar_mode(self):
@@ -436,28 +470,44 @@ class TestShadow:
         tgrid = TimeGrid(horizon=0.4, n_steps=400)
         pair = make_pair(linear_form(0.0, 0.0), linear_form(1.0, 0.0))
         y0 = np.full(50, 0.25)   # constant stays put, mean(y) = 0.25
-        red = solve_shadow(grid, tgrid, pair, None, y0, 1.0)
-        assert red.xi[-1] == pytest.approx(1.0 + 0.25 * 0.4, rel=1e-6)
+        red = _reduced_march(grid, tgrid, pair, None, y0, [1.0])
+        assert red.u[-1, -1] == pytest.approx(1.0 + 0.25 * 0.4, rel=1e-6)
 
     def test_linear_march_agrees_with_fixed_point(self):
-        # the Gauss-Seidel fixed point converges to the bordered implicit step
+        # the per-step fixed point converges to the bordered implicit step
         grid = Grid1D(n_cells=40, omega_a=0.3, omega_b=0.7)
         tgrid = TimeGrid(horizon=0.5, n_steps=100)
         a = (0.3, -0.4, 0.8, 0.2)
         rng = np.random.default_rng(12)
         control = ControlField(grid, tgrid, rng.standard_normal((100, 40)))
         y0 = np.cos(np.pi * grid.cell_centers)
-        fixed = solve_shadow(grid, tgrid, linear_pair(*a), control, y0, 0.3,
-                             inner_tol=1e-13)
+        fixed = _reduced_march(grid, tgrid, linear_pair(*a), control, y0, [0.3],
+                               inner_tol=1e-13)
         ops = ShadowStepOperators(constant_coefficients(grid, tgrid, *a))
         direct = solve_forward_linear(ops, control, y0, [0.3])
         assert direct.u.shape == (101, 41) and direct.sigma == np.inf
         assert np.max(np.abs(direct.y - fixed.y)) <= 1e-11
-        assert np.max(np.abs(direct.z[:, 0] - fixed.xi)) <= 1e-11
-        assert np.max(np.abs(fixed.xi)) > 0.1   # the comparison is not of zeros
+        assert np.max(np.abs(direct.z[:, 0] - fixed.u[:, -1])) <= 1e-11
+        assert np.max(np.abs(fixed.u[:, -1])) > 0.1   # the comparison is not of zeros
         # xi stands for the constant field z = xi, whose L2(0, 1) norm is |xi|
         assert direct.terminal_norms() == pytest.approx(
-            (norm_l2(grid, fixed.y[-1]), abs(fixed.xi[-1])), rel=1e-12)
+            (norm_l2(grid, fixed.y[-1]), abs(fixed.u[-1, -1])), rel=1e-12)
+
+    def test_semilinear_march_matches_gauss_seidel_reference(self):
+        # the Jacobi iteration of the one marcher and the Gauss-Seidel one
+        # below (new y, then xi from it) share their fixed point
+        grid = Grid1D(n_cells=32, omega_a=0.3, omega_b=0.7)
+        tgrid = TimeGrid(horizon=0.4, n_steps=80)
+        pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
+        control = ControlField(grid, tgrid,
+                               np.random.default_rng(5).standard_normal((80, 32)))
+        y0 = 0.1 * np.cos(np.pi * grid.cell_centers)
+        got = _reduced_march(grid, tgrid, pair, control, y0, [0.1], inner_tol=1e-13)
+        y_ref, xi_ref = _gauss_seidel_shadow(grid, tgrid, pair, control, y0, 0.1,
+                                             inner_tol=1e-13)
+        assert np.max(np.abs(got.y - y_ref)) <= 1e-11
+        assert np.max(np.abs(got.u[:, -1] - xi_ref)) <= 1e-11
+        assert np.ptp(xi_ref) > 1e-3   # xi moves, so the comparison is not trivial
 
     @pytest.mark.parametrize("xi0", [0.3, [0.3, 0.3], [np.nan], [np.inf]],
                              ids=["scalar", "two", "nan", "inf"])
@@ -474,7 +524,7 @@ class TestShadow:
         tgrid = TimeGrid(horizon=1.0, n_steps=2)
         pair = make_pair(linear_form(0.0, 0.0), arctan_family(3.0))
         with pytest.raises(ValueError, match="Lipschitz"):
-            solve_shadow(grid, tgrid, pair, None, np.zeros(20), 0.0)
+            _reduced_march(grid, tgrid, pair, None, np.zeros(20), [0.0])
 
 
 class TestControlField:
@@ -536,7 +586,7 @@ class TestControlField:
                 solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
                                          pair, control, np.zeros(10), np.zeros(10))
             else:
-                solve_shadow(grid, tgrid, pair, control, np.zeros(10), 0.0)
+                _reduced_march(grid, tgrid, pair, control, np.zeros(10), [0.0])
 
 class TestEnergy:
     def test_cosine_energy_oracle(self):
@@ -568,7 +618,7 @@ class TestEnergy:
         ops = ShadowStepOperators(constant_coefficients(grid, tgrid, 0.1, 0.2, 0.3, 0.4))
         reduced = solve_forward_linear(ops, None, np.cos(np.pi * grid.cell_centers), [0.3])
         full = Trajectory(grid, tgrid, 2.0, np.hstack(
-            [reduced.y, np.repeat(reduced.z, grid.n_cells, axis=1)]))
+            [reduced.y, reduced.z]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = dataclasses.asdict(energy_functional(reduced))
@@ -621,14 +671,15 @@ class TestValidation:
         tgrid = TimeGrid(horizon=0.1, n_steps=5)
         pair = linear_pair(0.1, 0.2, 0.3, 0.4)
         (name, _), = bad.items()
-        with pytest.raises(ValueError, match=name):
+        # xi0 is the z0 of the reduced march, one entry long
+        with pytest.raises(ValueError, match="z0" if name == "xi0" else name):
             if marcher == "semilinear":
                 solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
                                          pair, None, np.zeros(10), np.zeros(10), **bad)
             else:
-                kwargs = {"xi0": 0.0, **bad}
+                kwargs = {"xi0": [0.0], **bad}
                 xi0 = kwargs.pop("xi0")
-                solve_shadow(grid, tgrid, pair, None, np.zeros(10), xi0, **kwargs)
+                _reduced_march(grid, tgrid, pair, None, np.zeros(10), xi0, **kwargs)
 
     def test_semilinear_march_rejects_linearized_steps(self):
         # the reaction acts on top of the steps, so they must be reaction-free
