@@ -15,8 +15,8 @@ from .config import (ConfigError, RunConfig, build_fixed_point_config,
                      serialize_config)
 from .experiments import (ControlRun, M1Record, ScalingReport, SweepReport,
                           SweepRow, control_and_reduce, fit_decay_rate,
-                          gap_series, measure_m1, measure_m1_scaling,
-                          measure_m2_scaling, shadow_gap, sigma_sweep)
+                          measure_m1, measure_m1_scaling, measure_m2_scaling,
+                          shadow_gap, sigma_sweep)
 from .hum import (EpsilonRow, EpsilonSweepReport, HumConfig, HumResult,
                   duality_residual, epsilon_sweep, gramian_apply,
                   gramian_factor, hum_solve)
@@ -68,7 +68,7 @@ __all__ = [
     "weight_inequality_checks",
     # experiments
     "ControlRun", "control_and_reduce", "SweepRow", "SweepReport",
-    "sigma_sweep", "gap_series", "shadow_gap", "fit_decay_rate",
+    "sigma_sweep", "shadow_gap", "fit_decay_rate",
     "M1Record", "ScalingReport", "measure_m1", "measure_m1_scaling",
     "measure_m2_scaling",
     # config

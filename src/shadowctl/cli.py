@@ -28,7 +28,7 @@ from . import io as sio
 from .config import (ConfigError, RunConfig, build_fixed_point_config,
                      build_grid, build_hum_config, build_initial_data,
                      build_pair, build_tgrid, load_config, serialize_config)
-from .experiments import control_and_reduce, gap_series, sigma_sweep
+from .experiments import _gap_series, control_and_reduce, sigma_sweep
 from .hum import duality_residual, gramian_apply, hum_solve
 from .mesh import Grid1D, TimeGrid
 from .nonlinear import arctan_family, check_hypotheses, make_pair, sigmoid_family
@@ -135,9 +135,8 @@ def _cmd_shadow(cfg: RunConfig, out: Path, seed: int) -> int:
                              build_hum_config(cfg), build_fixed_point_config(cfg))
     traj, reduced = run.trajectory, run.reduced
     t0 = cfg.experiment_t0_fraction * tgrid.horizon
-    # shadow_gap's sup past t0, on the series that gap.dat writes
-    series = gap_series(traj, reduced)
-    gap = float(np.max(series[tgrid.nodes >= t0]))
+    # shadow_gap and the series that gap.dat writes
+    series, gap = _gap_series(traj, reduced, t0)
     xi_T = float(reduced.u[-1, -1])
     term_y, term_z = traj.terminal_norms()
     report = {

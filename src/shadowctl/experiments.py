@@ -28,7 +28,7 @@ from .semilinear import FixedPointConfig, fixed_point_control, origin_coefficien
 
 __all__ = [
     "ControlRun", "SweepRow", "SweepReport", "M1Record", "ScalingReport",
-    "fit_decay_rate", "gap_series", "shadow_gap", "control_and_reduce",
+    "fit_decay_rate", "shadow_gap", "control_and_reduce",
     "sigma_sweep", "measure_m1", "measure_m1_scaling", "measure_m2_scaling",
 ]
 
@@ -47,21 +47,22 @@ def fit_decay_rate(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def gap_series(traj: Trajectory, reduced: Trajectory) -> np.ndarray:
+def _gap_series(traj: Trajectory, reduced: Trajectory,
+                t0: float) -> tuple[np.ndarray, float]:
     """||z(t_m, .) - xi(t_m)||_{L2} at every node t_m, xi read as the
-    constant field of the reduced trajectory."""
+    constant field of the reduced trajectory, and its sup over nodes t_m >= t0."""
     if traj.grid != reduced.grid or traj.tgrid != reduced.tgrid:
         raise ValueError("trajectories live on different grids")
+    if not 0.0 <= t0 < traj.tgrid.horizon:
+        raise ValueError(f"t0 must lie in [0, horizon), got {t0}")
     diff = traj.z - reduced.z
-    return np.sqrt(traj.grid.spacing * np.sum(diff * diff, axis=1))
+    series = np.sqrt(traj.grid.spacing * np.sum(diff * diff, axis=1))
+    return series, float(np.max(series[traj.tgrid.nodes >= t0]))
 
 
 def shadow_gap(traj: Trajectory, reduced: Trajectory, t0: float) -> float:
-    """sup over nodes t_m >= t0 of :func:`gap_series`."""
-    series = gap_series(traj, reduced)
-    if not 0.0 <= t0 < traj.tgrid.horizon:
-        raise ValueError(f"t0 must lie in [0, horizon), got {t0}")
-    return float(np.max(series[traj.tgrid.nodes >= t0]))
+    """sup over nodes t_m >= t0 of ||z(t_m, .) - xi(t_m)||_{L2}."""
+    return _gap_series(traj, reduced, t0)[1]
 
 
 @dataclass(frozen=True)

@@ -660,7 +660,7 @@ _BAD_MARCH_ARGUMENTS = [
     for name, value in (("max_inner", 0), ("inner_tol", -1.0),
                         ("inner_tol", np.nan), ("inner_tol", np.inf))
 ] + [pytest.param("shadow", {"xi0": value}, id=f"shadow-xi0={label}")
-     for label, value in (("nan", np.nan), ("inf", np.inf), ("vector", np.zeros(2)))]
+     for label, value in (("nan", [np.nan]), ("inf", [np.inf]), ("vector", np.zeros(2)))]
 
 
 class TestValidation:
@@ -670,9 +670,12 @@ class TestValidation:
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.1, n_steps=5)
         pair = linear_pair(0.1, 0.2, 0.3, 0.4)
-        (name, _), = bad.items()
-        # xi0 is the z0 of the reduced march, one entry long
-        with pytest.raises(ValueError, match="z0" if name == "xi0" else name):
+        (name, value), = bad.items()
+        # xi0 is the z0 of the reduced march, one entry long: a one-entry
+        # xi0 reaches the finiteness check, a longer one the shape check
+        if name == "xi0":
+            name = "z0 contains non-finite" if np.size(value) == 1 else "z0 must have shape"
+        with pytest.raises(ValueError, match=name):
             if marcher == "semilinear":
                 solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
                                          pair, None, np.zeros(10), np.zeros(10), **bad)
