@@ -24,9 +24,11 @@ the stacked state:
 * 2n <= ``_FACTOR_MAX_DIM``: :func:`gramian_factor` builds an upper
   triangular R with Lambda = R^T R on the first iteration, and each
   iteration applies v -> R^T (R v) + eps v.  Time-varying coefficients
-  build R in one backward sweep of 2n-column blocks, M block solves;
-  time-invariant ones (every linear-mode run) by square-root doubling, about
-  log2(M) dense products and QR updates.  The factor costs O((2n)^2)
+  build R in one backward sweep of 2n-column blocks, M block solves made in
+  place in the band's row order (:meth:`StepOperators.adjoint_rows`);
+  time-invariant ones (every linear-mode run, and the first pass of the
+  semilinear fixed point, which linearizes at zero) by square-root doubling,
+  about log2(M) dense products and QR updates.  The factor costs O((2n)^2)
   memory.  Lambda itself is never formed: an explicit R^T R squares the
   conditioning of R, and its rounding swamps small penalties.
 * larger 2n: :func:`gramian_apply` re-marches the dual and forward problems
@@ -41,6 +43,7 @@ further.  A solve whose data need no iteration never builds the factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -159,7 +162,10 @@ def gramian_factor(ops: StepOperators) -> np.ndarray:
     each of at most 2n rows, so the workspace stays O((2n)^2).
 
     Time-varying coefficients take one backward sweep: the identity is
-    marched down step by step and each G_k is folded in as it appears.
+    marched down step by step by :meth:`StepOperators.adjoint_rows`, which
+    keeps the block in the band's row order and solves it in place, and the
+    window rows of each step are folded in as they appear, a fold per
+    2n // (window cells) steps.
     Time-invariant coefficients have one step matrix B, so G_k = G_1 B^(k-1)
     and R is built by square-root doubling (Smith's iteration for Stein
     equations in square-root form): with R_K the factor of the first K
@@ -192,14 +198,9 @@ def gramian_factor(ops: StepOperators) -> np.ndarray:
                     b_k = _serial_matmul(b_k, b)
         return r
     steps_per_update = max(1, n2 // window.size)
-    p = np.eye(n2)
-    steps = range(ops.tgrid.n_steps - 1, -1, -1)
-    for start in range(0, len(steps), steps_per_update):
-        rows = []
-        for m in steps[start:start + steps_per_update]:
-            p = ops.step_adjoint(p, m)
-            rows.append(weight * p[window])
-        r = _fold(r, np.vstack(rows))
+    sweep = ops.adjoint_rows(window)
+    while block := list(islice(sweep, steps_per_update)):
+        r = _fold(r, np.vstack([weight * rows for rows in block]))
     return r
 
 

@@ -181,15 +181,17 @@ class Trajectory:
 def _band_lu(band: np.ndarray, k: int):
     """LU-factorize a band matrix with k sub- and superdiagonals, stored as
     LAPACK does (row k + i - j holds entry (i, j)); return ``solve(rhs,
-    trans=0)``, which takes a vector or columns, ``trans=1`` the transpose."""
+    trans=0, overwrite=False)``, which takes a vector or columns, ``trans=1``
+    the transpose.  With ``overwrite`` a Fortran-ordered float block of
+    columns is solved in place and returned."""
     ab = np.zeros((3 * k + 1, band.shape[1]), order="F")
     ab[k:] = band   # the top k rows take the fill-in of row pivoting
     lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"band LU failed: dgbtrf returned info = {info}")
 
-    def solve(rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        return dgbtrs(lu, k, k, rhs, piv, trans=trans)[0]
+    def solve(rhs: np.ndarray, trans: int = 0, overwrite: bool = False) -> np.ndarray:
+        return dgbtrs(lu, k, k, rhs, piv, trans=trans, overwrite_b=overwrite)[0]
     return solve
 
 
@@ -278,6 +280,22 @@ class StepOperators:
         """
         rhs = p if source is None else p + self.tgrid.dt * source
         return self._solver(m)(rhs[self._interleave], trans=1)[self._stack]
+
+    def adjoint_rows(self, rows: np.ndarray):
+        """Yield the stacked-state ``rows`` of the identity pulled back by
+        :meth:`step_adjoint` to node m, for m = n_steps - 1 down to 0.
+
+        The values equal those of marching ``np.eye(size)`` with
+        :meth:`step_adjoint` and taking ``rows`` after each step, but the
+        block stays in the band's interleaved row order, Fortran-ordered,
+        and each step solves it in place: no step permutes or copies it.
+        Each yielded block is a new array that later steps leave as it is.
+        """
+        p = np.asfortranarray(np.eye(self.size)[self._interleave])
+        picked = self._stack[rows]
+        for m in range(self.tgrid.n_steps - 1, -1, -1):
+            p = self._solver(m)(p, trans=1, overwrite=True)
+            yield p[picked]
 
     def restrict(self, field: np.ndarray) -> np.ndarray:
         """The z-entries of a per-cell z field: the field itself."""
@@ -407,9 +425,9 @@ def _nonlinear_step(update, start: np.ndarray, inner_tol: float,
     v = start
     for _ in range(max_inner):
         v_new = update(v)
-        delta = float(np.max(np.abs(v_new - v)))
+        delta = float(np.abs(v_new - v).max())
         v = v_new
-        if delta <= inner_tol * max(1.0, float(np.max(np.abs(v_new)))):
+        if delta <= inner_tol * max(1.0, float(np.abs(v_new).max())):
             return v
     raise RuntimeError(
         f"implicit reaction solve stalled at step {m}: "

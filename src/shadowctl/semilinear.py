@@ -6,12 +6,14 @@ the averaged coefficients
     a11 = int_0^1 df/dy(delta ybar, delta zbar) d(delta),   etc.,
 
 so that a11*ybar + a12*zbar = f(ybar, zbar) exactly whenever f(0,0) = 0.
-Each outer iteration solves the penalized nulling problem for the frozen
-coefficients and re-linearizes around the controlled trajectory, Anderson-mixed
-with the previous one; the loop stops when the relative space-time update
-falls below tolerance.
+The first reference is zero, where the averages are the origin partials,
+constant in time, so the first penalized solve builds its Gramian factor by
+square-root doubling.  Each outer iteration solves the penalized nulling
+problem for the frozen coefficients and re-linearizes around the controlled
+trajectory, Anderson-mixed with the previous one; the loop stops when the
+relative space-time update falls below tolerance.
 The returned terminal norms always come from an honest semilinear re-run
-under the final control.
+under the final control, the one semilinear march of a run.
 """
 
 from __future__ import annotations
@@ -91,7 +93,9 @@ def linearized_coefficients(grid: Grid1D, tgrid: TimeGrid,
     Uses Gauss-Legendre quadrature with ``n_quad`` nodes mapped to [0, 1].
     By construction |a_ij| never exceeds the declared per-partial bounds, and
     a11*ybar + a12*zbar reproduces f(ybar, zbar) up to quadrature error (same
-    for g), since the integrand is the exact ray derivative.
+    for g), since the integrand is the exact ray derivative.  A callable that
+    serves as several partials (both built-in families pass one ``slope`` as
+    ``d_dy`` and ``d_dz``) is averaged once, and each slot gets its own copy.
     """
     if n_quad < 4:
         raise ValueError(f"n_quad must be at least 4, got {n_quad}")
@@ -104,17 +108,14 @@ def linearized_coefficients(grid: Grid1D, tgrid: TimeGrid,
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     deltas = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
-    a11 = np.zeros(shape)
-    a12 = np.zeros(shape)
-    a21 = np.zeros(shape)
-    a22 = np.zeros(shape)
+    partials = (pair.f.d_dy, pair.f.d_dz, pair.g.d_dy, pair.g.d_dz)
+    sums = {id(d): (d, np.zeros(shape)) for d in partials}
     for delta, w in zip(deltas, weights):
         yd, zd = delta * ybar, delta * zbar
-        a11 += w * np.asarray(pair.f.d_dy(yd, zd))
-        a12 += w * np.asarray(pair.f.d_dz(yd, zd))
-        a21 += w * np.asarray(pair.g.d_dy(yd, zd))
-        a22 += w * np.asarray(pair.g.d_dz(yd, zd))
-    return CoefficientField(grid, tgrid, a11, a12, a21, a22)
+        for d, acc in sums.values():
+            acc += w * np.asarray(d(yd, zd))
+    return CoefficientField(grid, tgrid,
+                            *(sums[id(d)][1].copy() for d in partials))
 
 
 @dataclass(frozen=True)
@@ -150,23 +151,24 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
                         config: FixedPointConfig = FixedPointConfig()) -> FixedPointResult:
     """Iterate linearize -> control -> re-linearize to a controlled fixed point.
 
-    Starts from the free semilinear flow, freezes the averaged coefficients at
-    the reference trajectory x, and solves the penalized nulling problem; its
-    controlled trajectory g is the fixed-point map of x.  The next reference
-    is Anderson-mixed with memory 1 from the last two residuals f = g - x:
-    x <- g - gamma (g - g_prev), gamma = <df, f> / <df, df>.  The plain step
-    x <- g, after which mixing restarts from (g, f) alone, replaces the mixed
-    one on the first pass, when df = 0, and when the relative update
-    ||f|| / ||x|| rose against the previous pass (``oscillation_flagged``).
-    Stops when that update drops below ``outer_tol`` or when the coefficients
-    themselves are stationary (which is immediate for genuinely linear
-    reactions); either exit counts as converged only if the last inner solve
-    converged.
+    Starts from the zero reference trajectory x, whose averaged coefficients
+    are the origin linearization, constant in time; the first penalized solve
+    therefore takes a doubled Gramian factor and its relative update reads
+    1.0.  Each pass freezes the averaged coefficients at x and solves the
+    penalized nulling problem; its controlled trajectory g is the fixed-point
+    map of x.  The next reference is Anderson-mixed with memory 1 from the
+    last two residuals f = g - x: x <- g - gamma (g - g_prev),
+    gamma = <df, f> / <df, df>.  The plain step x <- g, after which mixing
+    restarts from (g, f) alone, replaces the mixed one on the first pass, when
+    df = 0, and when the relative update ||f|| / max(||x||, ||g||) rose
+    against the previous pass (``oscillation_flagged``).  Stops when that
+    update drops below ``outer_tol`` or when the coefficients themselves are
+    stationary (which is immediate for genuinely linear reactions); either
+    exit counts as converged only if the last inner solve converged.  The
+    final control is re-run through the semilinear march once.
     """
-    # the free and the final march step one reaction-free system
-    reaction_free = StepOperators(sigma, zero_coefficients(grid, tgrid))
-    x = solve_forward_semilinear(reaction_free, pair, None, y0, z0).u
     n = grid.n_cells
+    x = np.zeros((tgrid.n_steps + 1, 2 * n))
     history: list[float] = []
     prev_coeffs: CoefficientField | None = None
     hum_last: HumResult | None = None
@@ -192,8 +194,9 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         iterations = it
         g = hum_last.trajectory.u
         f = g - x
-        # h * dt weights the space-time norm of both f and x, so it cancels
-        update = float(np.linalg.norm(f)) / max(float(np.linalg.norm(x)), 1e-300)
+        # h * dt weights the space-time norm of f, x and g, so it cancels
+        scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(g)), 1e-300)
+        update = float(np.linalg.norm(f)) / scale
         rose = bool(history) and update > history[-1]
         history.append(update)
         if update < config.outer_tol:
@@ -208,6 +211,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
             x = g
         g_prev, f_prev = g, f
 
+    reaction_free = StepOperators(sigma, zero_coefficients(grid, tgrid))
     final = solve_forward_semilinear(reaction_free, pair, control, y0, z0)
     term_y, term_z = final.terminal_norms()
     return FixedPointResult(

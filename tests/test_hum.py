@@ -70,8 +70,9 @@ class TestGramian:
 
 
 def _per_step_factor(ops):
-    """The factor from one backward sweep of block solves for every
-    coefficient field, as gramian_factor built it before its doubled build."""
+    """The factor from one backward sweep of step_adjoint block solves for
+    every coefficient field, as gramian_factor built it before its doubled
+    build and its in-place band-order sweep; the reference both must match."""
     n2 = ops.size
     chi = ops.grid.omega_indicator
     window = np.flatnonzero(chi > 0.0)
@@ -154,6 +155,22 @@ class TestGramianFactor:
         tgrid = TimeGrid(horizon=0.2, n_steps=n_steps)
         self._check_square_root(grid, tgrid,
                                 constant_coefficients(grid, tgrid, *a), sigma)
+
+    def test_band_order_sweep_is_the_step_adjoint_loop(self):
+        # 5 window cells do not divide 2n = 26, so folds take 5 steps
+        # (25 rows), and M = 23 ends on a short fold of 3
+        grid = Grid1D(n_cells=13, omega_a=0.3, omega_b=0.6)
+        tgrid = TimeGrid(horizon=0.3, n_steps=23)
+        window = np.count_nonzero(grid.omega_indicator)
+        stride = 26 // window
+        assert 26 % window != 0 and tgrid.n_steps % stride != 0
+        rng = np.random.default_rng(7)
+        shape = (24, 13)
+        coeffs = pde.CoefficientField(grid, tgrid, *(rng.uniform(-2.0, 2.0, shape)
+                                                     for _ in range(4)))
+        ops = StepOperators(4.0, coeffs)
+        assert not coeffs.time_invariant
+        assert np.array_equal(gramian_factor(ops), _per_step_factor(ops))
 
     def test_time_varying_factor_is_the_per_step_sweep(self):
         grid = Grid1D(n_cells=16, omega_a=0.2, omega_b=0.55)

@@ -143,6 +143,17 @@ class TestSingleStep:
         assert got.shape == p.shape
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    def test_adjoint_rows_march_the_identity_back(self):
+        grid, tgrid, coeffs, _ = _step_case(24, "varying", 5)
+        ops = StepOperators(5.0, coeffs)
+        rows = np.array([0, 5, 23, 24, 47, 30])   # y and z rows, unsorted
+        got = list(ops.adjoint_rows(rows))
+        assert len(got) == tgrid.n_steps
+        p = np.eye(ops.size)
+        for m, block in zip(range(tgrid.n_steps - 1, -1, -1), got):
+            p = ops.step_adjoint(p, m)
+            assert np.array_equal(block, p[rows])
+
     @pytest.mark.parametrize("kappa", [1.0, 1e3])
     def test_heat_step_matches_dense_solve(self, kappa):
         grid = Grid1D(n_cells=30)

@@ -1,10 +1,14 @@
 """Fixed-point control loop and ray-averaged linearization tests."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowctl import hum, semilinear
 from shadowctl.hum import HumConfig
 from shadowctl.mesh import Grid1D, TimeGrid
 from shadowctl.nonlinear import (arctan_family, linear_pair, make_pair,
@@ -44,11 +48,41 @@ def _assert_honest_rerun(res, pair, grid, tgrid, sigma, y0, z0):
     assert res.terminal_y == ny and res.terminal_z == nz
 
 
+def _readme_run(pair, config):
+    """fixed_point_control on the README example config."""
+    grid = Grid1D(n_cells=64)
+    tgrid = TimeGrid(horizon=0.4, n_steps=80)
+    y0 = 0.1 * np.cos(np.pi * grid.cell_centers)
+    z0 = np.full(64, 0.1)
+    return fixed_point_control(grid, tgrid, 10.0, pair, y0, z0, config)
+
+
 def _random_reference(grid, tgrid, seed=0, amplitude=2.0):
     rng = np.random.default_rng(seed)
     shape = (tgrid.n_steps + 1, grid.n_cells)
     return (rng.uniform(-amplitude, amplitude, shape),
             rng.uniform(-amplitude, amplitude, shape))
+
+
+def _separate_averages(pair, ybar, zbar, n_quad):
+    """The four ray averages with every partial evaluated on its own, as
+    linearized_coefficients took them before it shared repeated callables."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    partials = (pair.f.d_dy, pair.f.d_dz, pair.g.d_dy, pair.g.d_dz)
+    sums = [np.zeros(ybar.shape) for _ in partials]
+    for delta, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        yd, zd = delta * ybar, delta * zbar
+        for acc, d in zip(sums, partials):
+            acc += w * np.asarray(d(yd, zd))
+    return sums
+
+
+def _counted(fn, calls):
+    """``fn`` wrapped to append one entry to ``calls`` per evaluation."""
+    def wrapped(y, z):
+        calls.append(None)
+        return fn(y, z)
+    return wrapped
 
 
 class TestLinearizedCoefficients:
@@ -95,6 +129,56 @@ class TestLinearizedCoefficients:
         c = linearized_coefficients(grid, tgrid, pair, ybar, zbar)
         assert np.all(c.a11 >= 0.0) and np.all(c.a11 <= 1.0 + 1e-12)
         assert np.all(c.a21 > 0.0)   # arctan y-partial is strictly positive
+
+    def test_shared_partial_is_averaged_once(self, pair):
+        # both families pass one slope callable as d_dy and d_dz
+        assert pair.f.d_dy is pair.f.d_dz and pair.g.d_dy is pair.g.d_dz
+        grid = Grid1D(n_cells=12)
+        tgrid = TimeGrid(horizon=0.2, n_steps=9)
+        ybar, zbar = _random_reference(grid, tgrid, seed=4)
+        f_calls, g_calls = [], []
+        f_slope = _counted(pair.f.d_dy, f_calls)
+        g_slope = _counted(pair.g.d_dy, g_calls)
+        counted = dataclasses.replace(
+            pair, f=dataclasses.replace(pair.f, d_dy=f_slope, d_dz=f_slope),
+            g=dataclasses.replace(pair.g, d_dy=g_slope, d_dz=g_slope))
+        c = linearized_coefficients(grid, tgrid, counted, ybar, zbar, n_quad=32)
+        assert len(f_calls) == 32 and len(g_calls) == 32
+        want = _separate_averages(pair, ybar, zbar, 32)
+        for name, ref in zip(("a11", "a12", "a21", "a22"), want):
+            assert np.array_equal(getattr(c, name), ref)
+
+    def test_distinct_partials_are_averaged_separately(self):
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.2, n_steps=5)
+        lp = linear_pair(0.7, -0.4, 1.3, 0.2)
+        calls = [[] for _ in range(4)]
+        f, g = lp.f, lp.g
+        counted = dataclasses.replace(
+            lp,
+            f=dataclasses.replace(f, d_dy=_counted(f.d_dy, calls[0]),
+                                  d_dz=_counted(f.d_dz, calls[1])),
+            g=dataclasses.replace(g, d_dy=_counted(g.d_dy, calls[2]),
+                                  d_dz=_counted(g.d_dz, calls[3])))
+        ybar, zbar = _random_reference(grid, tgrid, seed=5)
+        c = linearized_coefficients(grid, tgrid, counted, ybar, zbar, n_quad=8)
+        assert [len(k) for k in calls] == [8, 8, 8, 8]
+        want = _separate_averages(lp, ybar, zbar, 8)
+        for name, ref in zip(("a11", "a12", "a21", "a22"), want):
+            assert np.array_equal(getattr(c, name), ref)
+        assert np.max(np.abs(c.a12 + 0.4)) < 1e-14
+
+    def test_slots_sharing_a_partial_do_not_alias(self, pair):
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.2, n_steps=5)
+        ybar, zbar = _random_reference(grid, tgrid, seed=6)
+        c = linearized_coefficients(grid, tgrid, pair, ybar, zbar, n_quad=8)
+        slots = [c.a11, c.a12, c.a21, c.a22]
+        assert not any(np.shares_memory(a, b)
+                       for a, b in itertools.combinations(slots, 2))
+        a12 = c.a12.copy()
+        c.a11[...] = 5.0
+        assert np.array_equal(c.a12, a12)
 
     def test_rejects_bad_reference_shape(self, pair):
         grid = Grid1D(n_cells=10)
@@ -187,7 +271,7 @@ class TestFixedPointControl:
         _assert_honest_rerun(res, pair, grid, tgrid, 1.0, y0, z0)
 
     def test_rising_update_takes_a_plain_step(self, pair):
-        # updates 3.4, 0.73, 0.35, 2.6, ...: the rise at the fourth pass
+        # updates 1.0, 0.45, 0.25, 1.7, ...: the rise at the fourth pass
         # rejects the mixed step, and 12 passes do not reach outer_tol
         cfg = FixedPointConfig(max_outer=12, hum=HumConfig(epsilon=1e-8))
         res, grid, tgrid, y0, z0 = _coarse_run(pair, 0.6, 1.0, 0.6, cfg)
@@ -199,17 +283,36 @@ class TestFixedPointControl:
 
     def test_readme_config_converges_in_five_passes(self, pair):
         # the README example; unmixed fixed-point steps take 7 passes
-        grid = Grid1D(n_cells=64)
-        tgrid = TimeGrid(horizon=0.4, n_steps=80)
-        y0 = 0.1 * np.cos(np.pi * grid.cell_centers)
-        z0 = np.full(64, 0.1)
-        res = fixed_point_control(grid, tgrid, 10.0, pair, y0, z0,
-                                  FixedPointConfig(hum=HumConfig(epsilon=1e-8)))
-        tight = fixed_point_control(grid, tgrid, 10.0, pair, y0, z0, _TIGHT)
+        res = _readme_run(pair, FixedPointConfig(hum=HumConfig(epsilon=1e-8)))
+        tight = _readme_run(pair, _TIGHT)
         assert res.converged and tight.converged
         assert res.outer_iterations == 5
         cost, ref = res.hum_last.control_cost, tight.hum_last.control_cost
         assert abs(cost - ref) <= 1e-6 * ref
+
+    def test_zero_start_doubles_the_first_factor_and_marches_once(
+            self, pair, monkeypatch):
+        # the zero reference linearizes to the time-invariant origin
+        # coefficients, so only the later passes sweep step by step, and the
+        # honest re-run of the final control is the one semilinear march
+        builds, marches = [], []
+        factor = hum.gramian_factor
+        march = semilinear.solve_forward_semilinear
+
+        def counting_factor(ops):
+            builds.append(ops.coeffs.time_invariant)
+            return factor(ops)
+
+        def counting_march(*args, **kwargs):
+            marches.append(None)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(hum, "gramian_factor", counting_factor)
+        monkeypatch.setattr(semilinear, "solve_forward_semilinear", counting_march)
+        res = _readme_run(pair, FixedPointConfig(hum=HumConfig(epsilon=1e-8)))
+        assert builds == [True, False, False, False, False]
+        assert len(marches) == 1
+        assert res.update_history[0] == 1.0
 
     # Derandomized, so the bound is checked on the same examples every run.
     @settings(max_examples=20, deadline=None, derandomize=True)
