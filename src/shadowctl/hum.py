@@ -14,23 +14,30 @@ eps down drives the terminal state to zero at rate sqrt(eps).
 
 Every solver here takes the :class:`~shadowctl.pde.StepOperators` of its
 system and builds none, so calls that share them share their factorizations.
-States and dual data are whole stacked vectors of length 2n = ``ops.size``.
-Of their layout this module uses only that y fills the first n entries: it
-observes ``Trajectory.y`` and, in :func:`gramian_factor`, the window rows.
+States and dual data are whole stacked vectors of length 2n = ``ops.size``,
+y in the first n entries and z in the last n.
 
 Two ways to apply Lambda inside the Krylov solve, picked by the size 2n of
 the stacked state:
 
-* 2n <= ``_FACTOR_MAX_DIM``: :func:`gramian_factor` builds an upper
-  triangular R with Lambda = R^T R on the first iteration, and each
-  iteration applies v -> R^T (R v) + eps v.  Time-varying coefficients
-  build R in one backward sweep of 2n-column blocks, M block solves made in
-  place in the band's row order (:meth:`StepOperators.adjoint_rows`);
-  time-invariant ones (every linear-mode run, and the first pass of the
-  semilinear fixed point, which linearizes at zero) by square-root doubling,
-  about log2(M) dense products and QR updates.  The factor costs O((2n)^2)
-  memory.  Lambda itself is never formed: an explicit R^T R squares the
-  conditioning of R, and its rounding swamps small penalties.
+* 2n <= ``_FACTOR_MAX_DIM``: an upper-triangular square-root factor of
+  Lambda is built on the first iteration, and each iteration applies
+  v -> R^T (R v) + eps v.  Two builds (:func:`gramian_factor`):
+
+  - coefficients constant in space and time (every linear-mode run, and the
+    first pass of the semilinear fixed point, which linearizes at zero) are
+    doubled in the cosine basis Q = diag(C, C) of the Neumann Laplacian,
+    where the adjoint step is n independent 2 x 2 blocks: about log2(M) QR
+    updates and no dense product or step solve.  The Krylov solve then
+    runs in that basis, on Q^T Lambda Q = R^T R with data Q^T b, and maps
+    its answer back by Q; Q is orthogonal, so eps I is unchanged;
+  - any other field takes one backward sweep of 2n-column blocks, M block
+    solves made in place in the band's row order
+    (:meth:`StepOperators.adjoint_rows`).
+
+  The factor costs O((2n)^2) memory.  Lambda itself is never formed: an
+  explicit R^T R squares the conditioning of R, and its rounding swamps
+  small penalties.
 * larger 2n: :func:`gramian_apply` re-marches the dual and forward problems
   on every iteration, with memory that stays O(n).
 
@@ -48,6 +55,7 @@ from itertools import islice
 import numpy as np
 
 from ._lapack import dtpqrt
+from .mesh import _cosine_basis
 from .pde import (ControlField, StepOperators, Trajectory, control_cost,
                   solve_adjoint, solve_forward_linear)
 
@@ -151,6 +159,78 @@ def _fold(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return r
 
 
+def _times_modes(x: np.ndarray, b: tuple) -> np.ndarray:
+    """x @ B for a matrix B of per-mode 2 x 2 blocks ``b`` = (b11, b12, b21,
+    b22), each of shape (n,): B holds mode k's block in rows and columns k
+    and n + k, so each column pair (k, n + k) of x is mixed by its block."""
+    n = b[0].size
+    xy, xz = x[:, :n], x[:, n:]
+    out = np.empty(x.shape, order="F")
+    out[:, :n] = xy * b[0] + xz * b[2]
+    out[:, n:] = xy * b[1] + xz * b[3]
+    return out
+
+
+def _mode_product(a: tuple, b: tuple) -> tuple:
+    """The per-mode 2 x 2 blocks of the product of two block matrices."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+def _cosine_doubling(ops: StepOperators, window: np.ndarray,
+                     weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, C) with R upper triangular and Q^T Lambda Q = R^T R, Q = diag(C, C)
+    the cosine basis of the Neumann Laplacian, for constant coefficients.
+
+    In that basis the adjoint step B is n independent 2 x 2 blocks B_k =
+    A_k^-T, A_k the step matrix's mode-k block, so G_k = G_1 B^(k-1) and R
+    is built by square-root doubling (Smith's iteration for Stein equations
+    in square-root form): with R_K the factor of the first K terms, R_2K
+    folds R_K B^K into R_K and R_(K+1) folds G_1 B^K into it, walking the
+    bits of M.  Every product with a power of B mixes column pairs, O(n^2),
+    so the folds are the only O(n^3) work.
+    """
+    n, dt, c = ops.grid.n_cells, ops.tgrid.dt, ops.coeffs
+    basis, mu = _cosine_basis(ops.grid)
+    # A_k = [[p, q], [r, s]], so B_k = [[s, -r], [-q, p]] / det A_k
+    p = 1.0 + dt * mu - dt * c.a11[0, 0]
+    s = 1.0 + dt * ops.sigma * mu - dt * c.a22[0, 0]
+    q, r = -dt * c.a12[0, 0], -dt * c.a21[0, 0]
+    det = p * s - q * r
+    b = (s / det, -r / det, -q / det, p / det)
+    g1 = _times_modes(np.hstack([weight * basis[window],
+                                 np.zeros((window.size, n))]), b)
+    factor = _fold(np.zeros((2 * n, 2 * n), order="F"), g1)
+    # factor covers the first K terms and b_k = B^K, from K = 1; each later
+    # bit of M doubles K and a 1 bit adds one
+    b_k = b
+    for bit in bin(ops.tgrid.n_steps)[3:]:
+        factor = _fold(factor, _times_modes(factor, b_k))
+        b_k = _mode_product(b_k, b_k)
+        if bit == "1":
+            factor = _fold(factor, _times_modes(g1, b_k))
+            b_k = _mode_product(b_k, b)
+    return factor, basis
+
+
+def _factor_and_basis(ops: StepOperators) -> tuple[np.ndarray, np.ndarray | None]:
+    """(R, C): an upper-triangular R with Lambda = Q R^T R Q^T, where Q =
+    diag(C, C) acts on stacked states, and C is the cosine basis for constant
+    coefficients and None, for Q = I, otherwise (see :func:`gramian_factor`)."""
+    n2 = ops.size
+    chi = ops.grid.omega_indicator
+    window = np.flatnonzero(chi > 0.0)
+    weight = np.sqrt(ops.tgrid.dt * chi[window])[:, None]
+    if ops.coeffs.constant:
+        return _cosine_doubling(ops, window, weight)
+    r = np.zeros((n2, n2), order="F")
+    steps_per_update = max(1, n2 // window.size)
+    sweep = ops.adjoint_rows(window)
+    while block := list(islice(sweep, steps_per_update)):
+        r = _fold(r, np.vstack([weight * rows for rows in block]))
+    return r, None
+
+
 def gramian_factor(ops: StepOperators) -> np.ndarray:
     """Upper-triangular R with Lambda = R^T R of ``ops``.
 
@@ -161,47 +241,29 @@ def gramian_factor(ops: StepOperators) -> np.ndarray:
     folded into R by triangular-pentagonal QR updates (LAPACK ``dtpqrt``),
     each of at most 2n rows, so the workspace stays O((2n)^2).
 
-    Time-varying coefficients take one backward sweep: the identity is
-    marched down step by step by :meth:`StepOperators.adjoint_rows`, which
-    keeps the block in the band's row order and solves it in place, and the
-    window rows of each step are folded in as they appear, a fold per
-    2n // (window cells) steps.
-    Time-invariant coefficients have one step matrix B, so G_k = G_1 B^(k-1)
-    and R is built by square-root doubling (Smith's iteration for Stein
-    equations in square-root form): with R_K the factor of the first K
-    terms, R_2K folds R_K B^K into R_K and R_(K+1) folds G_1 B^K into it.
-    Walking the bits of M this takes about log2(M) dense products and folds
-    in place of M block solves.
+    Two builds:
+
+    * Coefficients constant in space and time are doubled in the cosine
+      basis Q = diag(C, C) of the Neumann Laplacian, where B is n
+      independent 2 x 2 blocks (:func:`_cosine_doubling`): about log2(M)
+      folds, with no dense product and no step solve.  The factor of
+      Q^T Lambda Q that this gives is taken back to the stacked basis by
+      two products with C^T and one more fold.
+    * Any other field takes one backward sweep: the identity is marched
+      down step by step by :meth:`StepOperators.adjoint_rows`, which keeps
+      the block in the band's row order and solves it in place, and the
+      window rows of each step are folded in as they appear, a fold per
+      2n // (window cells) steps.
+
+    :func:`hum_solve` uses the cosine-basis factor as it is, in that basis.
     """
-    n2 = ops.size
-    chi = ops.grid.omega_indicator
-    window = np.flatnonzero(chi > 0.0)
-    weight = np.sqrt(ops.tgrid.dt * chi[window])[:, None]
-    r = np.zeros((n2, n2), order="F")
-    if ops.coeffs.time_invariant:
-        b = ops.step_adjoint(np.eye(n2), 0)
-        g1 = weight * b[window]
-        r = _fold(r, g1)
-        # r factors the first K terms and b_k = B^K, from K = 1; each later
-        # bit of M doubles K and a 1 bit adds one.  Powers of B that no
-        # later bit reads are not formed.
-        b_k = b
-        bits = bin(ops.tgrid.n_steps)[3:]
-        for i, bit in enumerate(bits):
-            more = i + 1 < len(bits)
-            r = _fold(r, _serial_matmul(r, b_k))
-            if more or bit == "1":
-                b_k = _serial_matmul(b_k, b_k)
-            if bit == "1":
-                r = _fold(r, _serial_matmul(g1, b_k))
-                if more:
-                    b_k = _serial_matmul(b_k, b)
+    r, basis = _factor_and_basis(ops)
+    if basis is None:
         return r
-    steps_per_update = max(1, n2 // window.size)
-    sweep = ops.adjoint_rows(window)
-    while block := list(islice(sweep, steps_per_update)):
-        r = _fold(r, np.vstack([weight * rows for rows in block]))
-    return r
+    n = ops.grid.n_cells
+    rotated = np.hstack([_serial_matmul(r[:, :n], basis.T),
+                         _serial_matmul(r[:, n:], basis.T)])
+    return _fold(np.zeros_like(r, order="F"), rotated)
 
 
 def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int):
@@ -259,31 +321,33 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     """Compute the penalized terminal-nulling control for the system of ``ops``.
 
     Solves the normal equations (Lambda + eps I) pT = free(T) by conjugate
-    residual, on the square-root factor of Lambda when 2n is within the size
-    limit and matrix-free above it (see the module docstring), extracts the
-    control h^m = -phi^m on the window from the dual solve at pT, re-runs the
-    controlled forward problem, and returns that trajectory with honest
-    terminal norms from it, the free one in the same norm.  Deterministic:
-    repeated calls with equal inputs produce bit-identical results.
+    residual, on the square-root factor of Lambda, in the factor's basis,
+    when 2n is within the size limit and matrix-free above it (see the
+    module docstring), extracts the control h^m = -phi^m on the window from
+    the dual solve at pT, re-runs the controlled forward problem, and
+    returns that trajectory with honest terminal norms from it, the free
+    one in the same norm.  Deterministic: repeated calls with equal inputs
+    produce bit-identical results.
     """
     free = solve_forward_linear(ops, None, y0, z0)
     b = free.u[-1]
 
-    if ops.size <= _FACTOR_MAX_DIM:
-        factor = None
+    factor = basis = None
+    # zero data need no iteration, so they build no factor and apply nothing
+    if ops.size <= _FACTOR_MAX_DIM and np.any(b):
+        factor, basis = _factor_and_basis(ops)
 
-        def apply_shifted(v: np.ndarray) -> np.ndarray:
-            # built on first use, so a solve that needs no iteration skips it
-            nonlocal factor
-            if factor is None:
-                factor = gramian_factor(ops)
-            return factor.T @ (factor @ v) + config.epsilon * v
-    else:
-        def apply_shifted(v: np.ndarray) -> np.ndarray:
+    def apply_shifted(v: np.ndarray) -> np.ndarray:
+        if factor is None:
             return gramian_apply(ops, v) + config.epsilon * v
+        return factor.T @ (factor @ v) + config.epsilon * v
 
+    # in the factor's basis Q = diag(C, C): solve for Q^T pT from Q^T b
     p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
-        apply_shifted, b, config.cg_tol, config.cg_max_iters)
+        apply_shifted, b if basis is None else (b.reshape(2, -1) @ basis).ravel(),
+        config.cg_tol, config.cg_max_iters)
+    if basis is not None:
+        p_terminal = (p_terminal.reshape(2, -1) @ basis.T).ravel()
 
     dual = solve_adjoint(ops, p_terminal)
     control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])

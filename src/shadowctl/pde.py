@@ -28,9 +28,10 @@ sigma = inf, where z collapses onto its spatial mean, the scalar mode xi:
 their stacked state is (y; xi), of length n_cells + 1, and each step is
 the tridiagonal heat solve of y bordered by the a12 column and the mean
 row, closed by a one-unknown Schur complement.  The forward marchers take
-either ops.  The lift reads xi as the constant field z = xi, and
-``ops.restrict`` maps a field back to z-entries by its mean; both are the
-identity on a full state.  :attr:`Trajectory.z` is the lifted field.
+either ops, and the linear one hands its whole march to ``ops.march``.
+The lift reads xi as the constant field z = xi, and ``ops.restrict`` maps a
+field back to z-entries by its mean; both are the identity on a full
+state.  :attr:`Trajectory.z` is the lifted field.
 
 Conventions: coefficient fields are node-indexed with shape
 (n_steps + 1, n_cells) and the step t_m -> t_{m+1} reads slice m; control
@@ -97,6 +98,12 @@ class CoefficientField:
     @cached_property
     def time_invariant(self) -> bool:
         return all(np.ptp(getattr(self, n), axis=0).max() == 0.0
+                   for n in ("a11", "a12", "a21", "a22"))
+
+    @cached_property
+    def constant(self) -> bool:
+        """Whether each field holds one value, in space and in time."""
+        return all(np.ptp(getattr(self, n)) == 0.0
                    for n in ("a11", "a12", "a21", "a22"))
 
 
@@ -281,6 +288,27 @@ class StepOperators:
         rhs = p if source is None else p + self.tgrid.dt * source
         return self._solver(m)(rhs[self._interleave], trans=1)[self._stack]
 
+    def march(self, u: np.ndarray, source_y: np.ndarray | None = None) -> None:
+        """Fill rows 1..n_steps of the march array ``u`` from its row 0.
+
+        Step m takes row m of ``source_y``, shape (n_steps, n_cells), if
+        given, as :meth:`step_forward` takes its ``source_y``, and the values
+        equal those of that step loop.  The rows of ``u`` are marched in the
+        band's interleaved order, each step solving its row in place, and
+        permuted back at the end, a block of rows at a time so that no
+        second march array is allocated.
+        """
+        u[0] = u[0, self._interleave]
+        scaled = None if source_y is None else self.tgrid.dt * source_y
+        for m in range(self.tgrid.n_steps):
+            row = u[m + 1]
+            row[:] = u[m]
+            if scaled is not None:
+                row[0::2] += scaled[m]
+            self._solver(m)(row, overwrite=True)
+        for i in range(0, u.shape[0], 64):
+            u[i:i + 64] = u[i:i + 64, self._stack]
+
     def adjoint_rows(self, rows: np.ndarray):
         """Yield the stacked-state ``rows`` of the identity pulled back by
         :meth:`step_adjoint` to node m, for m = n_steps - 1 down to 0.
@@ -352,14 +380,28 @@ class ShadowStepOperators:
             self._factors[m] = solve, w, mean_row, schur
         return self._factors[m]
 
-    def step_forward(self, u: np.ndarray, m: int,
-                     source_y: np.ndarray | None = None) -> np.ndarray:
-        """Advance the stacked state (y; xi) from node m to node m + 1."""
+    def _step(self, u: np.ndarray, m: int, source_y: np.ndarray | None,
+              out: np.ndarray) -> None:
+        """Write the state after the step from node m into ``out``."""
         n = self.grid.n_cells
         solve, w, mean_row, schur = self._factor(m)
         v = solve(u[:n] if source_y is None else u[:n] + self.tgrid.dt * source_y)
         xi = (u[n] + mean_row @ v) / schur
-        return np.append(v + xi * w, xi)
+        np.add(v, xi * w, out=out[:n])
+        out[n] = xi
+
+    def step_forward(self, u: np.ndarray, m: int,
+                     source_y: np.ndarray | None = None) -> np.ndarray:
+        """Advance the stacked state (y; xi) from node m to node m + 1."""
+        out = np.empty(self.size)
+        self._step(u, m, source_y, out)
+        return out
+
+    def march(self, u: np.ndarray, source_y: np.ndarray | None = None) -> None:
+        """Fill rows 1..n_steps of the march array ``u`` from its row 0, as
+        :meth:`StepOperators.march` does, each step writing its row in place."""
+        for m in range(self.tgrid.n_steps):
+            self._step(u[m], m, None if source_y is None else source_y[m], u[m + 1])
 
     def restrict(self, field: np.ndarray) -> np.ndarray:
         """The one z-entry of a per-cell z field: its mean, as a 1-entry array."""
@@ -389,10 +431,7 @@ def solve_forward_linear(ops: StepOperators | ShadowStepOperators,
     ``z0`` is the one-entry array (xi0,).
     """
     u = _forward_march(ops, control, y0, z0)
-    chi = ops.grid.omega_indicator
-    for m in range(ops.tgrid.n_steps):
-        src = chi * control.values[m] if control is not None else None
-        u[m + 1] = ops.step_forward(u[m], m, src)
+    ops.march(u, None if control is None else ops.grid.omega_indicator * control.values)
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
 
 

@@ -7,11 +7,11 @@ the averaged coefficients
 
 so that a11*ybar + a12*zbar = f(ybar, zbar) exactly whenever f(0,0) = 0.
 The first reference is zero, where the averages are the origin partials,
-constant in time, so the first penalized solve builds its Gramian factor by
-square-root doubling.  Each outer iteration solves the penalized nulling
-problem for the frozen coefficients and re-linearizes around the controlled
-trajectory, Anderson-mixed with the previous one; the loop stops when the
-relative space-time update falls below tolerance.
+constant in space and time, so the first penalized solve doubles its
+Gramian factor in the cosine basis.  Each outer iteration solves the
+penalized nulling problem for the frozen coefficients and re-linearizes
+around the controlled trajectory, Anderson-mixed with the previous one; the
+loop stops when the relative space-time update falls below tolerance.
 The returned terminal norms always come from an honest semilinear re-run
 under the final control, the one semilinear march of a run.
 """
@@ -19,6 +19,7 @@ under the final control, the one semilinear march of a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -84,6 +85,17 @@ def origin_coefficients(grid: Grid1D, tgrid: TimeGrid,
         pair.g.d_dy(0.0, 0.0), pair.g.d_dz(0.0, 0.0))
 
 
+@cache
+def _ray_quadrature(n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``n_quad`` points mapped to [0, 1],
+    read-only, computed once per ``n_quad``."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    deltas = 0.5 * (nodes + 1.0)
+    weights = 0.5 * weights
+    deltas.flags.writeable = weights.flags.writeable = False
+    return deltas, weights
+
+
 def linearized_coefficients(grid: Grid1D, tgrid: TimeGrid,
                             pair: NonlinearityPair,
                             ybar: np.ndarray, zbar: np.ndarray,
@@ -105,9 +117,7 @@ def linearized_coefficients(grid: Grid1D, tgrid: TimeGrid,
     if ybar.shape != shape or zbar.shape != shape:
         raise ValueError(f"reference fields must have shape {shape}, "
                          f"got {ybar.shape} and {zbar.shape}")
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    deltas = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
+    deltas, weights = _ray_quadrature(n_quad)
     partials = (pair.f.d_dy, pair.f.d_dz, pair.g.d_dy, pair.g.d_dz)
     sums = {id(d): (d, np.zeros(shape)) for d in partials}
     for delta, w in zip(deltas, weights):
@@ -152,13 +162,13 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     """Iterate linearize -> control -> re-linearize to a controlled fixed point.
 
     Starts from the zero reference trajectory x, whose averaged coefficients
-    are the origin linearization, constant in time; the first penalized solve
-    therefore takes a doubled Gramian factor and its relative update reads
-    1.0.  Each pass freezes the averaged coefficients at x and solves the
-    penalized nulling problem; its controlled trajectory g is the fixed-point
-    map of x.  The next reference is Anderson-mixed with memory 1 from the
-    last two residuals f = g - x: x <- g - gamma (g - g_prev),
-    gamma = <df, f> / <df, df>.  The plain step x <- g, after which mixing
+    are the origin linearization, constant in space and time; the first
+    penalized solve therefore takes a doubled Gramian factor and its
+    relative update reads 1.0.  Each pass freezes the averaged coefficients
+    at x and solves the penalized nulling problem; its controlled trajectory
+    g is the fixed-point map of x.  The next reference is Anderson-mixed
+    with memory 1 from the last two residuals f = g - x:
+    x <- g - gamma (g - g_prev), gamma = <df, f> / <df, df>.  The plain step x <- g, after which mixing
     restarts from (g, f) alone, replaces the mixed one on the first pass, when
     df = 0, and when the relative update ||f|| / max(||x||, ||g||) rose
     against the previous pass (``oscillation_flagged``).  Stops when that

@@ -15,7 +15,7 @@ from shadowctl import hum, pde
 from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
                            epsilon_sweep, gramian_apply, gramian_factor,
                            hum_solve)
-from shadowctl.mesh import Grid1D, TimeGrid, norm_l2
+from shadowctl.mesh import Grid1D, TimeGrid, _laplacian_stencil, norm_l2
 from shadowctl.nonlinear import arctan_family, make_pair, sigmoid_family
 from shadowctl.pde import (ControlField, StepOperators, constant_coefficients,
                            control_cost, solve_adjoint, solve_forward_linear)
@@ -92,6 +92,39 @@ def _per_step_factor(ops):
     return r
 
 
+def _longdouble_gramian(ops):
+    """Lambda of constant-coefficient ``ops`` summed in long double: the
+    adjoint step B = (step matrix)^-T by Gauss-Jordan elimination, and the
+    window rows of B^k observed for k = 1..M."""
+    ld = np.longdouble
+    grid, coeffs = ops.grid, ops.coeffs
+    n, dt = grid.n_cells, ld(ops.tgrid.dt)
+    main, off = _laplacian_stencil(grid)
+    lap = np.diag(main.astype(ld)) + np.diag(off.astype(ld), 1) + np.diag(off.astype(ld), -1)
+    eye = np.eye(n, dtype=ld)
+    a11, a12, a21, a22 = (ld(getattr(coeffs, f)[0, 0]) for f in ("a11", "a12", "a21", "a22"))
+    step = np.block([[eye - dt * lap - dt * a11 * eye, -dt * a12 * eye],
+                     [-dt * a21 * eye, eye - dt * ld(ops.sigma) * lap - dt * a22 * eye]])
+    aug = np.hstack([step.T, np.eye(2 * n, dtype=ld)])
+    for j in range(2 * n):
+        pivot = j + int(np.argmax(np.abs(aug[j:, j])))
+        aug[[j, pivot]] = aug[[pivot, j]]
+        aug[j] /= aug[j, j]
+        others = np.arange(2 * n) != j
+        aug[others] -= np.outer(aug[others, j], aug[j])
+    b = aug[:, 2 * n:]
+    chi = grid.omega_indicator
+    window = np.flatnonzero(chi > 0.0)
+    weight = np.sqrt(dt * chi[window].astype(ld))[:, None]
+    gram = np.zeros((2 * n, 2 * n), dtype=ld)
+    power = b
+    for _ in range(ops.tgrid.n_steps):
+        observed = weight * power[window]
+        gram += observed.T @ observed
+        power = b @ power
+    return gram
+
+
 class TestGramianFactor:
     @staticmethod
     def _check_square_root(grid, tgrid, coeffs, sigma):
@@ -156,6 +189,68 @@ class TestGramianFactor:
         self._check_square_root(grid, tgrid,
                                 constant_coefficients(grid, tgrid, *a), sigma)
 
+    # (n_cells, n_steps, sigma, a11, a12, a21, a22); the last three have
+    # a12 * a21 < 0 with complex mode pairs, the last at sigma dt / h^2 = 1800
+    @pytest.mark.parametrize("n, n_steps, sigma, a", [
+        (8, 8, 1.0, (0.0, 0.0, 1.0, 0.0)),
+        (10, 13, 5.0, (0.3, 1.5, -1.2, -0.4)),
+        (20, 16, 100.0, (0.5, -1.9, 1.9, 0.5)),
+        (12, 16, 1000.0, (1.0, 2.0, -2.0, 0.5)),
+    ])
+    def test_cosine_factor_matches_a_longdouble_gramian(self, n, n_steps, sigma, a):
+        grid = Grid1D(n_cells=n, omega_a=0.25, omega_b=0.6)
+        tgrid = TimeGrid(horizon=0.2, n_steps=n_steps)
+        ops = StepOperators(sigma, constant_coefficients(grid, tgrid, *a))
+        if a[1] * a[2] < 0.0:
+            # the mode-0 step block [[1 - dt a11, -dt a12], [-dt a21, 1 - dt a22]]
+            assert (a[0] - a[3])**2 + 4.0 * a[1] * a[2] < 0.0
+        gram = _longdouble_gramian(ops)
+        r = gramian_factor(ops)
+        r_hat, basis = hum._factor_and_basis(ops)
+        assert np.array_equal(r, np.triu(r)) and np.array_equal(r_hat, np.triu(r_hat))
+        rng = np.random.default_rng(9)
+        for v in rng.standard_normal((5, 2 * n)):
+            ref = gram @ v.astype(np.longdouble)
+            v_hat = (v.reshape(2, -1) @ basis).ravel()
+            in_basis = ((r_hat.T @ (r_hat @ v_hat)).reshape(2, -1) @ basis.T).ravel()
+            for got in (r.T @ (r @ v), in_basis):
+                err = np.linalg.norm(got.astype(np.longdouble) - ref)
+                assert err <= 1e-14 * np.linalg.norm(ref)
+
+    def test_constant_factor_makes_no_step_solve(self, monkeypatch):
+        grid = Grid1D(n_cells=12, omega_a=0.3, omega_b=0.7)
+        tgrid = TimeGrid(horizon=0.2, n_steps=11)
+        calls = []
+        band_lu = pde._band_lu
+
+        def counted(*args):
+            calls.append(args)
+            return band_lu(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step solve in the cosine-basis factor")
+
+        monkeypatch.setattr(pde, "_band_lu", counted)
+        monkeypatch.setattr(StepOperators, "step_adjoint", refuse)
+        monkeypatch.setattr(StepOperators, "adjoint_rows", refuse)
+        ops = StepOperators(2.0, constant_coefficients(grid, tgrid, 0.2, 0.5, 1.0, -0.3))
+        assert ops.coeffs.constant
+        assert hum._factor_and_basis(ops)[1] is not None
+        gramian_factor(ops)
+        assert calls == []
+
+    def test_time_invariant_varying_in_space_takes_the_sweep(self):
+        grid = Grid1D(n_cells=14, omega_a=0.2, omega_b=0.6)
+        tgrid = TimeGrid(horizon=0.2, n_steps=12)
+        rng = np.random.default_rng(8)
+        coeffs = pde.CoefficientField(grid, tgrid, *(
+            np.broadcast_to(rng.uniform(-2.0, 2.0, 14), (13, 14)) for _ in range(4)))
+        assert coeffs.time_invariant and not coeffs.constant
+        ops = StepOperators(3.0, coeffs)
+        assert hum._factor_and_basis(ops)[1] is None
+        r = self._check_square_root(grid, tgrid, coeffs, 3.0)
+        assert np.array_equal(r, _per_step_factor(ops))
+
     def test_band_order_sweep_is_the_step_adjoint_loop(self):
         # 5 window cells do not divide 2n = 26, so folds take 5 steps
         # (25 rows), and M = 23 ends on a short fold of 3
@@ -198,7 +293,7 @@ class TestHumSolve:
         def refuse(*args):
             raise AssertionError("factor built for a solve with no iteration")
 
-        monkeypatch.setattr(hum, "gramian_factor", refuse)
+        monkeypatch.setattr(hum, "_factor_and_basis", refuse)
         res = hum_solve(StepOperators(1.0, coeffs), np.zeros(20), np.zeros(20))
         assert res.cg_iterations == 0 and res.cg_converged
 
@@ -330,12 +425,18 @@ class TestHumSolve:
             def apply_op(v):
                 return gramian_apply(ops, v) + 1e-6 * v
         else:
-            r = gramian_factor(ops)
+            # constant coefficients: the factor and the solve are in the
+            # cosine basis Q = diag(C, C), where the right side is Q^T b
+            r, basis = hum._factor_and_basis(ops)
+            assert basis is not None
+            b = (b.reshape(2, -1) @ basis).ravel()
 
             def apply_op(v):
                 return r.T @ (r @ v) + 1e-6 * v
         p_terminal, iters, *_ = _conjugate_gradient(apply_op, b, cfg.cg_tol,
                                                     cfg.cg_max_iters)
+        if not above:
+            p_terminal = (p_terminal.reshape(2, -1) @ basis.T).ravel()
         assert res.cg_converged
         assert res.cg_iterations == iters
         assert np.array_equal(res.adjoint_terminal, p_terminal)

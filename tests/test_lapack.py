@@ -12,9 +12,10 @@ from scipy.linalg import lapack
 
 from shadowctl import _lapack
 
-# what `import scipy.linalg.lapack` would bring in; its extension
+# what `import scipy.linalg.lapack` would bring in, and scipy.fft, which the
+# cosine basis of the Gramian factor does without; the extension
 # scipy.linalg._flapack is expected to be loaded, so names match exactly
-LEFT_OUT = ("scipy.linalg", "scipy._lib", "numpy.f2py", "scipy.sparse")
+LEFT_OUT = ("scipy.linalg", "scipy._lib", "numpy.f2py", "scipy.sparse", "scipy.fft")
 
 PRINT_LOADED = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from shadowctl.mesh import (DiscreteOperator, Grid1D, TimeGrid, inner_product,
-                            mean_value, neumann_laplacian, norm_l2)
+from shadowctl.mesh import (DiscreteOperator, Grid1D, TimeGrid, _cosine_basis,
+                            _laplacian_stencil, inner_product, mean_value,
+                            neumann_laplacian, norm_l2)
 
 
 def test_grid_basic_layout():
@@ -121,6 +122,21 @@ class TestNeumannLaplacian:
         op = neumann_laplacian(Grid1D(n_cells=8))
         assert isinstance(op, DiscreteOperator)
         assert op.matrix.shape == (8, 8)
+
+    @pytest.mark.parametrize("n", [4, 5, 64])
+    def test_cosine_basis_diagonalizes_the_stencil(self, n):
+        # C^T C = I and C^T L C = -diag(mu) with the closed-form mu, to
+        # round-off on the scale of the largest eigenvalue 4 / h^2
+        grid = Grid1D(n_cells=n)
+        c, mu = _cosine_basis(grid)
+        main, off = _laplacian_stencil(grid)
+        lap = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        k = np.arange(n)
+        assert mu[0] == 0.0
+        assert np.allclose(mu, 4 * n**2 * np.sin(np.pi * k / (2 * n))**2,
+                           rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(c.T @ c - np.eye(n))) <= 4 * n * 2.2e-16
+        assert np.max(np.abs(c.T @ lap @ c + np.diag(mu))) <= 4 * n * 2.2e-16 * 4 * n**2
 
     def test_cli_import_does_not_load_scipy_sparse(self, fresh_python):
         # the solvers take the stencil in band storage; only this sparse

@@ -180,6 +180,32 @@ class TestSingleStep:
         rhs = np.dot(u, ops.step_adjoint(p, 4))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
+    @pytest.mark.parametrize("controlled", [False, True], ids=["free", "controlled"])
+    @pytest.mark.parametrize("coefficients", ["constant", "varying"])
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "shadow"])
+    def test_march_is_the_step_loop(self, reduced, coefficients, controlled):
+        # the ops' whole-march kernel gives the step_forward loop bit for bit;
+        # 71 rows, so the march array is permuted back in more than one block
+        grid = Grid1D(n_cells=16, omega_a=0.25, omega_b=0.75)
+        tgrid = TimeGrid(horizon=0.3, n_steps=70)
+        rng = np.random.default_rng(8)
+        coeffs = (constant_coefficients(grid, tgrid, 0.3, -0.2, 0.5, 0.1)
+                  if coefficients == "constant" else _random_coefficients(grid, tgrid, rng))
+        ops = ShadowStepOperators(coeffs) if reduced else StepOperators(3.0, coeffs)
+        y0 = rng.standard_normal(16)
+        z0 = rng.standard_normal(ops.size - 16)
+        control = (ControlField(grid, tgrid, rng.standard_normal((70, 16)))
+                   if controlled else None)
+        traj = solve_forward_linear(ops, control, y0, z0)
+        want = np.empty((71, ops.size))
+        want[0] = np.concatenate([y0, z0])
+        for m in range(70):
+            src = None if control is None else grid.omega_indicator * control.values[m]
+            want[m + 1] = ops.step_forward(want[m], m, src)
+        assert traj.u.flags.c_contiguous
+        assert np.array_equal(traj.u, want)
+        assert not np.array_equal(traj.u[-1], traj.u[0])
+
     def test_trajectories_carry_the_system_of_ops(self):
         # sigma_grad_z reads the trajectory's sigma, so it must be the stepped one
         grid = Grid1D(n_cells=12)

@@ -168,6 +168,29 @@ class TestLinearizedCoefficients:
             assert np.array_equal(getattr(c, name), ref)
         assert np.max(np.abs(c.a12 + 0.4)) < 1e-14
 
+    def test_quadrature_is_computed_once_per_node_count(self, pair, monkeypatch):
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.2, n_steps=5)
+        ybar, zbar = _random_reference(grid, tgrid, seed=7)
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            calls.append(n)
+            return leggauss(n)
+
+        semilinear._ray_quadrature.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        first, again = (linearized_coefficients(grid, tgrid, pair, ybar, zbar, n_quad=9)
+                        for _ in range(2))
+        assert calls == [9]
+        deltas, weights = semilinear._ray_quadrature(9)
+        assert not deltas.flags.writeable and not weights.flags.writeable
+        want = _separate_averages(pair, ybar, zbar, 9)
+        for name, ref in zip(("a11", "a12", "a21", "a22"), want):
+            assert np.array_equal(getattr(first, name), ref)
+            assert np.array_equal(getattr(again, name), ref)
+
     def test_slots_sharing_a_partial_do_not_alias(self, pair):
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.2, n_steps=5)
@@ -296,7 +319,7 @@ class TestFixedPointControl:
         # coefficients, so only the later passes sweep step by step, and the
         # honest re-run of the final control is the one semilinear march
         builds, marches = [], []
-        factor = hum.gramian_factor
+        factor = hum._factor_and_basis
         march = semilinear.solve_forward_semilinear
 
         def counting_factor(ops):
@@ -307,7 +330,7 @@ class TestFixedPointControl:
             marches.append(None)
             return march(*args, **kwargs)
 
-        monkeypatch.setattr(hum, "gramian_factor", counting_factor)
+        monkeypatch.setattr(hum, "_factor_and_basis", counting_factor)
         monkeypatch.setattr(semilinear, "solve_forward_semilinear", counting_march)
         res = _readme_run(pair, FixedPointConfig(hum=HumConfig(epsilon=1e-8)))
         assert builds == [True, False, False, False, False]
