@@ -1,10 +1,11 @@
-"""The three LAPACK routines the solvers call, loaded without ``scipy.linalg``.
+"""The four LAPACK routines the solvers call, loaded without ``scipy.linalg``.
 
-``pde`` factors and solves the banded step with ``dgbtrf``/``dgbtrs`` and
-``hum`` folds Gramian factors with ``dtpqrt``.  ``import scipy.linalg.lapack``
-would run the whole ``scipy.linalg`` package, and with it ``scipy._lib`` and
-``numpy.f2py``, which takes longer than most commands compute.  This module
-loads only the f2py extension that holds the routines,
+``pde`` factors and solves the banded step with ``dgbtrf``/``dgbtrs``, and
+``hum`` folds Gramian factors with ``dtpqrt`` and solves with them by
+``dtrtrs``.  ``import scipy.linalg.lapack`` would run the whole
+``scipy.linalg`` package, and with it ``scipy._lib`` and ``numpy.f2py``,
+which takes longer than most commands compute.  This module loads only the
+f2py extension that holds the routines,
 ``scipy/linalg/_flapack<EXT_SUFFIX>``, under its own module name, so a later
 ``import scipy.linalg`` reuses it and the routines are the same objects.
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 
 def _load(path: Path):
-    """``dgbtrf, dgbtrs, dtpqrt`` from the extension at ``path``.
+    """``dgbtrf, dgbtrs, dtpqrt, dtrtrs`` from the extension at ``path``.
 
     Falls back to ``scipy.linalg.lapack`` when ``path`` cannot be loaded.
     """
@@ -33,9 +34,9 @@ def _load(path: Path):
         spec.loader.exec_module(lib)
     except ImportError:
         from scipy.linalg import lapack as lib
-    return lib.dgbtrf, lib.dgbtrs, lib.dtpqrt
+    return lib.dgbtrf, lib.dgbtrs, lib.dtpqrt, lib.dtrtrs
 
 
 _scipy = importlib.util.find_spec("scipy")
-dgbtrf, dgbtrs, dtpqrt = _load(Path(_scipy.submodule_search_locations[0],
-                                    "linalg", "_flapack" + EXTENSION_SUFFIXES[0]))
+dgbtrf, dgbtrs, dtpqrt, dtrtrs = _load(Path(
+    _scipy.submodule_search_locations[0], "linalg", "_flapack" + EXTENSION_SUFFIXES[0]))

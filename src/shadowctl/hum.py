@@ -17,47 +17,41 @@ system and builds none, so calls that share them share their factorizations.
 States and dual data are whole stacked vectors of length 2n = ``ops.size``,
 y in the first n entries and z in the last n.
 
-Two ways to apply Lambda inside the Krylov solve, picked by the size 2n of
-the stacked state:
+Up to the size 2n = ``_FACTOR_MAX_DIM`` of the stacked state, the solve
+rests on one factor, of a field constant in space and time:
 
-* 2n <= ``_FACTOR_MAX_DIM``: an upper-triangular square-root factor of
-  Lambda is built on the first iteration, and each iteration applies
-  v -> R^T (R v) + eps v.  Two builds (:func:`gramian_factor`):
+* In the cosine basis Q = diag(C, C) of the Neumann Laplacian the adjoint
+  step of a constant field is n independent 2 x 2 blocks, and an upper-
+  triangular R with Q^T Lambda Q = R^T R is doubled from them
+  (:func:`_cosine_doubling`): about log2(M) QR updates and no dense product
+  or step solve.  Folding sqrt(eps) I into a copy of R gives R_eps with
+  R_eps^T R_eps = R^T R + eps I, a Cholesky factor of the penalized system
+  that never forms R^T R, whose rounding would swamp small penalties.  Both
+  are cached per ``StepOperators``, the fold once per penalty.
+* A constant field is solved directly by two triangular solves with R_eps.
+* Any other field runs preconditioned conjugate residual on
+  :func:`gramian_apply` + eps I, two marches per iteration, preconditioned
+  by the direct solve of a constant reference field (Concus and Golub, SIAM
+  J. Numer. Anal. 10, 1973): the field's space-time mean, or the reference
+  the caller names, which the semilinear fixed point sets to its first
+  pass, so that all its passes share one factor and one fold.
 
-  - coefficients constant in space and time (every linear-mode run, and the
-    first pass of the semilinear fixed point, which linearizes at zero) are
-    doubled in the cosine basis Q = diag(C, C) of the Neumann Laplacian,
-    where the adjoint step is n independent 2 x 2 blocks: about log2(M) QR
-    updates and no dense product or step solve.  The Krylov solve then
-    runs in that basis, on Q^T Lambda Q = R^T R with data Q^T b, and maps
-    its answer back by Q; Q is orthogonal, so eps I is unchanged;
-  - any other field takes one backward sweep of 2n-column blocks, M block
-    solves made in place in the band's row order
-    (:meth:`StepOperators.adjoint_rows`).
-
-  The factor costs O((2n)^2) memory.  Lambda itself is never formed: an
-  explicit R^T R squares the conditioning of R, and its rounding swamps
-  small penalties.
-* larger 2n: :func:`gramian_apply` re-marches the dual and forward problems
-  on every iteration, with memory that stays O(n).
-
-The limit sits at the crossover measured at the default penalty eps = 1e-6
-by timing one problem (M = 200, sigma = 1) at a few sizes; below it the
-factor is cheaper, and smaller penalties (more iterations) favour it
-further.  A solve whose data need no iteration never builds the factor.
+Above the limit every field runs unpreconditioned conjugate residual on
+:func:`gramian_apply`, with memory that stays O(n); the factor takes
+O((2n)^2).  A solve whose data are zero builds and applies nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
-from ._lapack import dtpqrt
+from ._lapack import dtpqrt, dtrtrs
 from .mesh import _cosine_basis
-from .pde import (ControlField, StepOperators, Trajectory, control_cost,
-                  solve_adjoint, solve_forward_linear)
+from .pde import (ControlField, StepOperators, Trajectory,
+                  constant_coefficients, control_cost, solve_adjoint,
+                  solve_forward_linear)
 
 __all__ = [
     "HumConfig", "HumResult", "EpsilonRow", "EpsilonSweepReport",
@@ -65,11 +59,11 @@ __all__ = [
     "epsilon_sweep",
 ]
 
-# Largest stacked state size 2n for which hum_solve builds the square-root
-# Gramian factor (module docstring).  Measured with the former SuperLU step
-# kernel and the per-step sweep for every coefficient field.  Both builds
-# are cheaper now, so the crossover has moved, but no workload above 256
-# measures either path yet, so the limit stays.
+# Largest stacked state size 2n for which hum_solve uses a Gramian factor
+# (module docstring).  Set at a crossover measured with the former SuperLU
+# step kernel and a factor of its own for every coefficient field.  The
+# factor is cheaper to build now, and only constant fields build one, but no
+# workload above 256 measures either path yet, so the limit stays.
 _FACTOR_MAX_DIM = 256
 
 # OpenBLAS runs a GEMM with m * n * k up to this many on the calling thread.
@@ -143,17 +137,19 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _fold(r: np.ndarray, rows: np.ndarray, triangular: bool = False) -> np.ndarray:
     """Upper-triangular factor of the stack [r; rows], by a triangular-
     pentagonal QR update (LAPACK ``dtpqrt``) that overwrites ``r`` and
-    leaves ``rows`` as it was."""
+    leaves ``rows`` as it was; ``triangular`` says that ``rows`` is square
+    and upper triangular, which the update then exploits."""
     # Inner block size 4: measured no slower than 32 at these sizes.  It
     # keeps dtpqrt's own BLAS calls under OpenBLAS's multithreading
     # threshold only while 4 * (2n)^2 <= _SERIAL_GEMM, that is 2n <= 256,
     # the factor limit of hum_solve; larger direct calls may go threaded.
     # A threaded call leaves the pool spinning for about 0.1 s afterwards,
     # which takes a core from whatever runs next on a 2-core host.
-    r, _, _, info = dtpqrt(0, min(r.shape[0], 4), r, rows, overwrite_a=True)
+    r, _, _, info = dtpqrt(rows.shape[0] if triangular else 0, min(r.shape[0], 4),
+                           r, rows, overwrite_a=True)
     if info != 0:
         raise RuntimeError(f"dtpqrt rejected argument {-info}")
     return r
@@ -213,71 +209,114 @@ def _cosine_doubling(ops: StepOperators, window: np.ndarray,
     return factor, basis
 
 
-def _factor_and_basis(ops: StepOperators) -> tuple[np.ndarray, np.ndarray | None]:
+def _factor_and_basis(ops: StepOperators) -> tuple[np.ndarray, np.ndarray]:
     """(R, C): an upper-triangular R with Lambda = Q R^T R Q^T, where Q =
-    diag(C, C) acts on stacked states, and C is the cosine basis for constant
-    coefficients and None, for Q = I, otherwise (see :func:`gramian_factor`)."""
-    n2 = ops.size
+    diag(C, C) acts on stacked states and C is the cosine basis, for
+    coefficients constant in space and time (see :func:`_cosine_doubling`).
+    """
+    if not ops.coeffs.constant:
+        raise ValueError("a Gramian factor is built only for coefficients "
+                         "constant in space and time")
     chi = ops.grid.omega_indicator
     window = np.flatnonzero(chi > 0.0)
     weight = np.sqrt(ops.tgrid.dt * chi[window])[:, None]
-    if ops.coeffs.constant:
-        return _cosine_doubling(ops, window, weight)
-    r = np.zeros((n2, n2), order="F")
-    steps_per_update = max(1, n2 // window.size)
-    sweep = ops.adjoint_rows(window)
-    while block := list(islice(sweep, steps_per_update)):
-        r = _fold(r, np.vstack([weight * rows for rows in block]))
-    return r, None
+    return _cosine_doubling(ops, window, weight)
 
 
 def gramian_factor(ops: StepOperators) -> np.ndarray:
-    """Upper-triangular R with Lambda = R^T R of ``ops``.
+    """Upper-triangular R with Lambda = R^T R of ``ops``, whose coefficients
+    must be constant in space and time (``ValueError`` otherwise).
 
     Lambda is the sum over k = 1..M of G_k^T G_k, where G_k = sqrt(dt * chi)
     * (B^k)[window] observes the window rows of phi (y fills the first n rows
     of every state) k steps below the terminal node, and B^k stands for the
-    transposed steps marched back from the identity.  The row blocks are
-    folded into R by triangular-pentagonal QR updates (LAPACK ``dtpqrt``),
-    each of at most 2n rows, so the workspace stays O((2n)^2).
-
-    Two builds:
-
-    * Coefficients constant in space and time are doubled in the cosine
-      basis Q = diag(C, C) of the Neumann Laplacian, where B is n
-      independent 2 x 2 blocks (:func:`_cosine_doubling`): about log2(M)
-      folds, with no dense product and no step solve.  The factor of
-      Q^T Lambda Q that this gives is taken back to the stacked basis by
-      two products with C^T and one more fold.
-    * Any other field takes one backward sweep: the identity is marched
-      down step by step by :meth:`StepOperators.adjoint_rows`, which keeps
-      the block in the band's row order and solves it in place, and the
-      window rows of each step are folded in as they appear, a fold per
-      2n // (window cells) steps.
-
-    :func:`hum_solve` uses the cosine-basis factor as it is, in that basis.
+    transposed steps marched back from the identity.  In the cosine basis
+    Q = diag(C, C) of the Neumann Laplacian B is n independent 2 x 2 blocks,
+    and the factor of Q^T Lambda Q is doubled from them by triangular-
+    pentagonal QR updates (LAPACK ``dtpqrt``; :func:`_cosine_doubling`).  It
+    is taken back to the stacked basis by two products with C^T and one more
+    fold.  :func:`hum_solve` uses the cosine-basis factor as it is.
     """
     r, basis = _factor_and_basis(ops)
-    if basis is None:
-        return r
     n = ops.grid.n_cells
     rotated = np.hstack([_serial_matmul(r[:, :n], basis.T),
                          _serial_matmul(r[:, n:], basis.T)])
     return _fold(np.zeros_like(r, order="F"), rotated)
 
 
-def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int):
-    """Krylov solve of an SPD system, conjugate-residual variant.
+def _cached(ops: StepOperators, key, build):
+    """``build()``, made once per ``ops`` and kept in ``ops.cache`` under
+    ``key``: the cosine factor (R, C), the fold R_eps of each penalty, and
+    the default preconditioning reference of a field that is not constant."""
+    if key not in ops.cache:
+        ops.cache[key] = build()
+    return ops.cache[key]
 
-    The conjugate-residual recurrence minimizes the residual norm over the
-    growing Krylov space (unlike the classical recurrence, which minimizes
-    the error in the operator norm and lets residual norms oscillate), so
-    the recorded 2-norm history is non-increasing by construction.  One
-    operator application per iteration.
 
-    Returns (x, iterations, residual history, converged, monotone) where
-    ``monotone`` re-checks the recorded history with one part in 1e14 slack.
-    Convergence tests the residual 2-norm against tol * ||b||.
+def _penalized_factor(ops: StepOperators, epsilon: float):
+    """(R, R_eps, C) of constant-coefficient ``ops``: the cosine factor, and
+    the upper-triangular R_eps with R_eps^T R_eps = R^T R + eps I, made by
+    folding sqrt(eps) I, itself triangular, into a copy of R."""
+    r, basis = _cached(ops, "factor", lambda: _factor_and_basis(ops))
+    r_eps = _cached(ops, ("fold", epsilon), lambda: _fold(
+        r.copy(order="F"), np.sqrt(epsilon) * np.eye(r.shape[0], order="F"),
+        triangular=True))
+    return r, r_eps, basis
+
+
+def _penalized_solve(r_eps: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """R_eps^-1 R_eps^-T v, by two triangular solves (LAPACK ``dtrtrs``)."""
+    w, info = dtrtrs(r_eps, v, trans=1)
+    if info == 0:
+        w, info = dtrtrs(r_eps, w)
+    if info != 0:
+        raise RuntimeError(f"dtrtrs returned info = {info}")
+    return w
+
+
+def _to_modes(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Q^T v of a stacked state v, Q = diag(C, C)."""
+    return (v.reshape(2, -1) @ basis).ravel()
+
+
+def _from_modes(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Q v of a stacked state v in the cosine basis, Q = diag(C, C)."""
+    return (v.reshape(2, -1) @ basis.T).ravel()
+
+
+def _preconditioner(ops: StepOperators, reference: StepOperators | None,
+                    epsilon: float):
+    """v -> Q R_eps^-1 R_eps^-T Q^T v, the direct solve of the constant
+    ``reference`` field, by default the space-time mean of the field of
+    ``ops``."""
+    if reference is None:
+        c = ops.coeffs
+        reference = _cached(ops, "mean", lambda: StepOperators(
+            ops.sigma, constant_coefficients(
+                ops.grid, ops.tgrid, *(float(np.mean(getattr(c, name)))
+                                       for name in ("a11", "a12", "a21", "a22")))))
+    elif reference.grid != ops.grid or reference.tgrid != ops.tgrid:
+        raise ValueError("reference was built for a different grid")
+    _, r_eps, basis = _penalized_factor(reference, epsilon)
+    return lambda v: _from_modes(_penalized_solve(r_eps, _to_modes(v, basis)), basis)
+
+
+def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int,
+                        precondition=None):
+    """Krylov solve of an SPD system, conjugate-residual variant, with an
+    optional SPD preconditioner ``precondition``, v -> M^-1 v.
+
+    The conjugate-residual recurrence minimizes the residual norm
+    sqrt(r . M^-1 r) over the growing Krylov space (unlike the classical
+    recurrence, which minimizes the error in the operator norm and lets
+    residual norms oscillate), so that norm is non-increasing by
+    construction; without a preconditioner it is the 2-norm.  One operator
+    application per iteration, and one of the preconditioner if given.
+
+    Returns (x, iterations, residual 2-norm history, converged, monotone),
+    where ``monotone`` re-checks the minimized norm's history with one part
+    in 1e14 slack.  Convergence tests the residual 2-norm against
+    tol * ||b||.
     """
     x = np.zeros_like(b)
     r = b.copy()
@@ -285,69 +324,91 @@ def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int):
     residuals = [norm_b]
     if norm_b == 0.0:
         return x, 0, residuals, True, True
-    p = r.copy()
-    ar = apply_op(r)
-    ap = ar.copy()
-    rar = float(np.dot(r, ar))
+    z = r if precondition is None else precondition(r)
+    minimized = residuals if precondition is None else [float(np.sqrt(np.dot(r, z)))]
+    p = z.copy()
+    az = apply_op(z)
+    ap = az.copy()
+    zaz = float(np.dot(z, az))
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        denom = float(np.dot(ap, ap))
-        if denom <= 0.0 or rar <= 0.0:
+        q = ap if precondition is None else precondition(ap)
+        denom = float(np.dot(ap, q))
+        if denom <= 0.0 or zaz <= 0.0:
             # loss of positive definiteness (round-off); stop with current x
             iters -= 1
             break
-        alpha = rar / denom
+        alpha = zaz / denom
         x = x + alpha * p
         r = r - alpha * ap
         norm_r = float(np.linalg.norm(r))
         residuals.append(norm_r)
+        if precondition is None:
+            z = r
+        else:
+            z = z - alpha * q
+            minimized.append(float(np.sqrt(max(float(np.dot(r, z)), 0.0))))
         if norm_r <= tol * norm_b:
             converged = True
             break
-        ar = apply_op(r)
-        rar_new = float(np.dot(r, ar))
-        beta = rar_new / rar
-        rar = rar_new
-        p = r + beta * p
-        ap = ar + beta * ap
-    monotone = all(residuals[i + 1] <= residuals[i] * (1.0 + 1e-14)
-                   for i in range(len(residuals) - 1))
-    return x, iters, residuals, converged, monotone
+        az = apply_op(z)
+        zaz_new = float(np.dot(z, az))
+        beta = zaz_new / zaz
+        zaz = zaz_new
+        p = z + beta * p
+        ap = az + beta * ap
+    return x, iters, residuals, converged, _non_increasing(minimized)
+
+
+def _non_increasing(history) -> bool:
+    return all(b <= a * (1.0 + 1e-14) for a, b in zip(history, history[1:]))
 
 
 def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
-              config: HumConfig = HumConfig()) -> HumResult:
+              config: HumConfig = HumConfig(),
+              reference: StepOperators | None = None) -> HumResult:
     """Compute the penalized terminal-nulling control for the system of ``ops``.
 
-    Solves the normal equations (Lambda + eps I) pT = free(T) by conjugate
-    residual, on the square-root factor of Lambda, in the factor's basis,
-    when 2n is within the size limit and matrix-free above it (see the
-    module docstring), extracts the control h^m = -phi^m on the window from
-    the dual solve at pT, re-runs the controlled forward problem, and
-    returns that trajectory with honest terminal norms from it, the free
-    one in the same norm.  Deterministic: repeated calls with equal inputs
-    produce bit-identical results.
+    Solves the normal equations (Lambda + eps I) pT = free(T) (module
+    docstring): directly, when 2n is within the size limit and the
+    coefficients are constant; by conjugate residual on :func:`gramian_apply`
+    otherwise, preconditioned within the limit by the direct solve of
+    ``reference``, a constant-coefficient ``StepOperators`` on the same
+    grids, or of the field's space-time mean when it is None.  It then
+    extracts the control h^m = -phi^m on the window from the dual solve at
+    pT, re-runs the controlled forward problem, and returns that trajectory
+    with honest terminal norms from it, the free one in the same norm.
+
+    The solver history keeps one meaning on every path: ``cg_residuals``
+    holds residual 2-norms of the normal equations, from ||b|| on, and
+    ``cg_converged`` says the last is within ``cg_tol * ||b||``.  A direct
+    solve reports 0 iterations and the history (||b||, ||R^T R p + eps p -
+    b||) in the cosine basis.  Deterministic: repeated calls with equal
+    inputs produce bit-identical results.
     """
     free = solve_forward_linear(ops, None, y0, z0)
     b = free.u[-1]
+    eps = config.epsilon
+    if reference is not None and not reference.coeffs.constant:
+        raise ValueError("reference coefficients must be constant in space and time")
 
-    factor = basis = None
-    # zero data need no iteration, so they build no factor and apply nothing
-    if ops.size <= _FACTOR_MAX_DIM and np.any(b):
-        factor, basis = _factor_and_basis(ops)
-
-    def apply_shifted(v: np.ndarray) -> np.ndarray:
-        if factor is None:
-            return gramian_apply(ops, v) + config.epsilon * v
-        return factor.T @ (factor @ v) + config.epsilon * v
-
-    # in the factor's basis Q = diag(C, C): solve for Q^T pT from Q^T b
-    p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
-        apply_shifted, b if basis is None else (b.reshape(2, -1) @ basis).ravel(),
-        config.cg_tol, config.cg_max_iters)
-    if basis is not None:
-        p_terminal = (p_terminal.reshape(2, -1) @ basis.T).ravel()
+    # zero data need no solve, so they build no factor and apply nothing
+    factored = ops.size <= _FACTOR_MAX_DIM and bool(np.any(b))
+    if factored and ops.coeffs.constant:
+        r, r_eps, basis = _penalized_factor(ops, eps)
+        b_hat = _to_modes(b, basis)
+        p_hat = _penalized_solve(r_eps, b_hat)
+        residuals = [float(np.linalg.norm(b_hat)),
+                     float(np.linalg.norm(r.T @ (r @ p_hat) + eps * p_hat - b_hat))]
+        p_terminal, iters = _from_modes(p_hat, basis), 0
+        converged = residuals[1] <= config.cg_tol * residuals[0]
+        monotone = _non_increasing(residuals)
+    else:
+        p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
+            lambda v: gramian_apply(ops, v) + eps * v, b, config.cg_tol,
+            config.cg_max_iters,
+            _preconditioner(ops, reference, eps) if factored else None)
 
     dual = solve_adjoint(ops, p_terminal)
     control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])
@@ -425,7 +486,9 @@ def epsilon_sweep(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     Tracks the control cost (expected to stabilize) and the terminal norm
     divided by sqrt(eps) (expected bounded, not monotonically growing), the
     two signatures of a uniform-in-penalty control bound.  Every penalty
-    steps with the factorizations of ``ops``.
+    steps with the factorizations of ``ops`` and solves with its one
+    Gramian factor (or that of its reference field), folding each penalty
+    into it once.
     """
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):

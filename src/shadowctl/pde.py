@@ -28,7 +28,9 @@ sigma = inf, where z collapses onto its spatial mean, the scalar mode xi:
 their stacked state is (y; xi), of length n_cells + 1, and each step is
 the tridiagonal heat solve of y bordered by the a12 column and the mean
 row, closed by a one-unknown Schur complement.  The forward marchers take
-either ops, and the linear one hands its whole march to ``ops.march``.
+either ops, and the linear one hands its whole march to ``ops.march``;
+the dual marcher takes :class:`StepOperators` alone and hands its march to
+``ops.march_adjoint``.
 The lift reads xi as the constant field z = xi, and ``ops.restrict`` maps a
 field back to z-entries by its mean; both are the identity on a full
 state.  :attr:`Trajectory.z` is the lifted field.
@@ -233,7 +235,9 @@ class StepOperators:
     the second.  Each band is LU-factorized on first use, once if the
     coefficients are constant in time.  The steps map stacked states,
     vectors or column blocks, and the adjoint solves with the transpose on
-    the same factors: the exact transpose of the forward step.
+    the same factors: the exact transpose of the forward step.  ``cache``
+    keeps what solvers derive from these operators for later calls, such as
+    the Gramian factor of :func:`~shadowctl.hum.hum_solve`.
     """
 
     def __init__(self, sigma: float, coeffs: CoefficientField) -> None:
@@ -252,6 +256,7 @@ class StepOperators:
         self._interleave = np.arange(size).reshape(2, -1).T.ravel()
         self._stack = np.arange(size).reshape(-1, 2).T.ravel()
         self._solvers: list = [None] * tgrid.n_steps
+        self.cache: dict = {}
 
     @property
     def size(self) -> int:
@@ -295,8 +300,7 @@ class StepOperators:
         given, as :meth:`step_forward` takes its ``source_y``, and the values
         equal those of that step loop.  The rows of ``u`` are marched in the
         band's interleaved order, each step solving its row in place, and
-        permuted back at the end, a block of rows at a time so that no
-        second march array is allocated.
+        permuted back at the end.
         """
         u[0] = u[0, self._interleave]
         scaled = None if source_y is None else self.tgrid.dt * source_y
@@ -306,24 +310,35 @@ class StepOperators:
             if scaled is not None:
                 row[0::2] += scaled[m]
             self._solver(m)(row, overwrite=True)
+        self._restack(u)
+
+    def march_adjoint(self, p: np.ndarray, source: np.ndarray | None = None) -> None:
+        """Fill rows n_steps - 1..0 of the dual march array ``p`` from its
+        last row, the backward counterpart of :meth:`march`.
+
+        Step m takes row m + 1 of ``source``, shape (n_steps + 1, size), if
+        given, as :meth:`step_adjoint` takes its ``source``, and the values
+        equal those of that step loop.  The rows are marched in the band's
+        interleaved order, each step solving its row in place with the
+        transpose, and permuted back at the end.
+        """
+        last = self.tgrid.n_steps
+        p[last] = p[last, self._interleave]
+        scaled = None if source is None else self.tgrid.dt * source[:, self._interleave]
+        for m in range(last - 1, -1, -1):
+            row = p[m]
+            row[:] = p[m + 1]
+            if scaled is not None:
+                row += scaled[m + 1]
+            self._solver(m)(row, trans=1, overwrite=True)
+        self._restack(p)
+
+    def _restack(self, u: np.ndarray) -> None:
+        """Permute the rows of a march array from the band's interleaved
+        order back to stacked states, 64 rows at a time, so that no second
+        march array is allocated."""
         for i in range(0, u.shape[0], 64):
             u[i:i + 64] = u[i:i + 64, self._stack]
-
-    def adjoint_rows(self, rows: np.ndarray):
-        """Yield the stacked-state ``rows`` of the identity pulled back by
-        :meth:`step_adjoint` to node m, for m = n_steps - 1 down to 0.
-
-        The values equal those of marching ``np.eye(size)`` with
-        :meth:`step_adjoint` and taking ``rows`` after each step, but the
-        block stays in the band's interleaved row order, Fortran-ordered,
-        and each step solves it in place: no step permutes or copies it.
-        Each yielded block is a new array that later steps leave as it is.
-        """
-        p = np.asfortranarray(np.eye(self.size)[self._interleave])
-        picked = self._stack[rows]
-        for m in range(self.tgrid.n_steps - 1, -1, -1):
-            p = self._solver(m)(p, trans=1, overwrite=True)
-            yield p[picked]
 
     def restrict(self, field: np.ndarray) -> np.ndarray:
         """The z-entries of a per-cell z field: the field itself."""
@@ -446,13 +461,11 @@ def solve_adjoint(ops: StepOperators, p_T: np.ndarray,
     keeps the sourced duality identity exact.  Row m of the returned
     trajectory holds the dual state at node m, phi in ``y`` and psi in ``z``.
     """
-    msteps = ops.tgrid.n_steps
-    p = np.empty((msteps + 1, ops.size))
-    p[msteps] = _checked(p_T, (ops.size,), "p_T")
+    p = np.empty((ops.tgrid.n_steps + 1, ops.size))
+    p[-1] = _checked(p_T, (ops.size,), "p_T")
     if source is not None:
         source = _checked(source, p.shape, "source")
-    for m in range(msteps - 1, -1, -1):
-        p[m] = ops.step_adjoint(p[m + 1], m, None if source is None else source[m + 1])
+    ops.march_adjoint(p, source)
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, p)
 
 

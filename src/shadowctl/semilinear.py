@@ -7,8 +7,9 @@ the averaged coefficients
 
 so that a11*ybar + a12*zbar = f(ybar, zbar) exactly whenever f(0,0) = 0.
 The first reference is zero, where the averages are the origin partials,
-constant in space and time, so the first penalized solve doubles its
-Gramian factor in the cosine basis.  Each outer iteration solves the
+constant in space and time, so the first penalized solve is direct, on a
+Gramian factor doubled in the cosine basis; every later solve is
+preconditioned by that same factor.  Each outer iteration solves the
 penalized nulling problem for the frozen coefficients and re-linearizes
 around the controlled trajectory, Anderson-mixed with the previous one; the
 loop stops when the relative space-time update falls below tolerance.
@@ -162,16 +163,19 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     """Iterate linearize -> control -> re-linearize to a controlled fixed point.
 
     Starts from the zero reference trajectory x, whose averaged coefficients
-    are the origin linearization, constant in space and time; the first
-    penalized solve therefore takes a doubled Gramian factor and its
-    relative update reads 1.0.  Each pass freezes the averaged coefficients
-    at x and solves the penalized nulling problem; its controlled trajectory
-    g is the fixed-point map of x.  The next reference is Anderson-mixed
-    with memory 1 from the last two residuals f = g - x:
-    x <- g - gamma (g - g_prev), gamma = <df, f> / <df, df>.  The plain step x <- g, after which mixing
-    restarts from (g, f) alone, replaces the mixed one on the first pass, when
-    df = 0, and when the relative update ||f|| / max(||x||, ||g||) rose
-    against the previous pass (``oscillation_flagged``).  Stops when that
+    are the origin linearization (:func:`origin_coefficients`), constant in
+    space and time; the first penalized solve is therefore direct, its
+    relative update reads 1.0, and its ``StepOperators`` are the
+    preconditioning ``reference`` of every later :func:`hum_solve`, so that
+    all passes share one Gramian factor and one penalty fold.  Each pass
+    freezes the averaged coefficients at x and solves the penalized nulling
+    problem; its controlled trajectory g is the fixed-point map of x.  The
+    next reference is Anderson-mixed with memory 1 from the last two
+    residuals f = g - x: x <- g - gamma (g - g_prev), gamma = <df, f> /
+    <df, df>.  The plain step x <- g, after which mixing restarts from
+    (g, f) alone, replaces the mixed one on the first pass, when df = 0, and
+    when the relative update ||f|| / max(||x||, ||g||) rose against the
+    previous pass (``oscillation_flagged``).  Stops when that
     update drops below ``outer_tol`` or when the coefficients themselves are
     stationary (which is immediate for genuinely linear reactions); either
     exit counts as converged only if the last inner solve converged.  The
@@ -184,21 +188,28 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     hum_last: HumResult | None = None
     control: ControlField | None = None
     g_prev = f_prev = None
+    origin_ops: StepOperators | None = None
     converged = False
     oscillation = False
     cg_total = 0
     iterations = 0
 
     for it in range(1, config.max_outer + 1):
-        coeffs = linearized_coefficients(grid, tgrid, pair, x[:, :n], x[:, n:],
-                                         config.quadrature_nodes)
+        if origin_ops is None:
+            coeffs = origin_coefficients(grid, tgrid, pair)
+        else:
+            coeffs = linearized_coefficients(grid, tgrid, pair, x[:, :n], x[:, n:],
+                                             config.quadrature_nodes)
         if prev_coeffs is not None and _coeff_change(coeffs, prev_coeffs) <= 1e-13:
             # Stationary linearization: the previous control is already the
             # fixed point, so do not count this pass as an iteration.
             converged = hum_last.cg_converged
             break
         prev_coeffs = coeffs
-        hum_last = hum_solve(StepOperators(sigma, coeffs), y0, z0, config.hum)
+        ops = StepOperators(sigma, coeffs)
+        if origin_ops is None:
+            origin_ops = ops
+        hum_last = hum_solve(ops, y0, z0, config.hum, reference=origin_ops)
         control = hum_last.control
         cg_total += hum_last.cg_iterations
         iterations = it

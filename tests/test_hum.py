@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dtpqrt
+from scipy.linalg.lapack import dtpqrt, dtrtrs
 
 from shadowctl import hum, pde
 from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
@@ -19,7 +19,7 @@ from shadowctl.mesh import Grid1D, TimeGrid, _laplacian_stencil, norm_l2
 from shadowctl.nonlinear import arctan_family, make_pair, sigmoid_family
 from shadowctl.pde import (ControlField, StepOperators, constant_coefficients,
                            control_cost, solve_adjoint, solve_forward_linear)
-from shadowctl.semilinear import linearized_coefficients
+from shadowctl.semilinear import linearized_coefficients, origin_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -67,29 +67,6 @@ class TestGramian:
         grid, tgrid, coeffs, _, _ = small_problem
         with pytest.raises(ValueError, match="shape"):
             gramian_apply(StepOperators(1.0, coeffs), np.zeros(41))
-
-
-def _per_step_factor(ops):
-    """The factor from one backward sweep of step_adjoint block solves for
-    every coefficient field, as gramian_factor built it before its doubled
-    build and its in-place band-order sweep; the reference both must match."""
-    n2 = ops.size
-    chi = ops.grid.omega_indicator
-    window = np.flatnonzero(chi > 0.0)
-    weight = np.sqrt(ops.tgrid.dt * chi[window])[:, None]
-    steps_per_update = max(1, n2 // window.size)
-    r = np.zeros((n2, n2), order="F")
-    p = np.eye(n2)
-    steps = range(ops.tgrid.n_steps - 1, -1, -1)
-    for start in range(0, len(steps), steps_per_update):
-        rows = []
-        for m in steps[start:start + steps_per_update]:
-            p = ops.step_adjoint(p, m)
-            rows.append(weight * p[window])
-        r, _, _, info = dtpqrt(0, min(n2, 4), r, np.vstack(rows),
-                               overwrite_a=True, overwrite_b=True)
-        assert info == 0
-    return r
 
 
 def _longdouble_gramian(ops):
@@ -143,15 +120,20 @@ class TestGramianFactor:
         grid, tgrid, coeffs, _, _ = small_problem
         self._check_square_root(grid, tgrid, coeffs, 1.0)
 
-    def test_time_varying_coefficients(self):
-        grid = Grid1D(n_cells=16, omega_a=0.2, omega_b=0.55)
-        tgrid = TimeGrid(horizon=0.3, n_steps=30)
-        rng = np.random.default_rng(5)
-        pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
-        ybar, zbar = 2.0 * rng.standard_normal((2, 31, 16))
-        coeffs = linearized_coefficients(grid, tgrid, pair, ybar, zbar)
-        assert not coeffs.time_invariant
-        self._check_square_root(grid, tgrid, coeffs, 3.0)
+    @pytest.mark.parametrize("varying", ["time", "space"])
+    def test_field_that_is_not_constant_is_refused(self, varying):
+        # only a constant field has a cosine-basis factor; any other field
+        # is solved matrix-free, preconditioned by a constant one
+        grid = Grid1D(n_cells=14, omega_a=0.2, omega_b=0.6)
+        tgrid = TimeGrid(horizon=0.2, n_steps=12)
+        rng = np.random.default_rng(8)
+        shape = (13, 1) if varying == "time" else (14,)
+        coeffs = pde.CoefficientField(grid, tgrid, *(
+            np.broadcast_to(rng.uniform(-2.0, 2.0, shape), (13, 14)) for _ in range(4)))
+        assert coeffs.time_invariant == (varying == "space")
+        assert not coeffs.constant
+        with pytest.raises(ValueError, match="constant"):
+            gramian_factor(StepOperators(3.0, coeffs))
 
     def test_short_wide_stack(self):
         # 2 steps x 8 window cells = 16 rows for a 40 x 40 factor
@@ -232,50 +214,11 @@ class TestGramianFactor:
 
         monkeypatch.setattr(pde, "_band_lu", counted)
         monkeypatch.setattr(StepOperators, "step_adjoint", refuse)
-        monkeypatch.setattr(StepOperators, "adjoint_rows", refuse)
         ops = StepOperators(2.0, constant_coefficients(grid, tgrid, 0.2, 0.5, 1.0, -0.3))
         assert ops.coeffs.constant
-        assert hum._factor_and_basis(ops)[1] is not None
+        hum._factor_and_basis(ops)
         gramian_factor(ops)
         assert calls == []
-
-    def test_time_invariant_varying_in_space_takes_the_sweep(self):
-        grid = Grid1D(n_cells=14, omega_a=0.2, omega_b=0.6)
-        tgrid = TimeGrid(horizon=0.2, n_steps=12)
-        rng = np.random.default_rng(8)
-        coeffs = pde.CoefficientField(grid, tgrid, *(
-            np.broadcast_to(rng.uniform(-2.0, 2.0, 14), (13, 14)) for _ in range(4)))
-        assert coeffs.time_invariant and not coeffs.constant
-        ops = StepOperators(3.0, coeffs)
-        assert hum._factor_and_basis(ops)[1] is None
-        r = self._check_square_root(grid, tgrid, coeffs, 3.0)
-        assert np.array_equal(r, _per_step_factor(ops))
-
-    def test_band_order_sweep_is_the_step_adjoint_loop(self):
-        # 5 window cells do not divide 2n = 26, so folds take 5 steps
-        # (25 rows), and M = 23 ends on a short fold of 3
-        grid = Grid1D(n_cells=13, omega_a=0.3, omega_b=0.6)
-        tgrid = TimeGrid(horizon=0.3, n_steps=23)
-        window = np.count_nonzero(grid.omega_indicator)
-        stride = 26 // window
-        assert 26 % window != 0 and tgrid.n_steps % stride != 0
-        rng = np.random.default_rng(7)
-        shape = (24, 13)
-        coeffs = pde.CoefficientField(grid, tgrid, *(rng.uniform(-2.0, 2.0, shape)
-                                                     for _ in range(4)))
-        ops = StepOperators(4.0, coeffs)
-        assert not coeffs.time_invariant
-        assert np.array_equal(gramian_factor(ops), _per_step_factor(ops))
-
-    def test_time_varying_factor_is_the_per_step_sweep(self):
-        grid = Grid1D(n_cells=16, omega_a=0.2, omega_b=0.55)
-        tgrid = TimeGrid(horizon=0.3, n_steps=30)
-        rng = np.random.default_rng(6)
-        pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
-        ybar, zbar = 2.0 * rng.standard_normal((2, 31, 16))
-        ops = StepOperators(2.0, linearized_coefficients(grid, tgrid, pair, ybar, zbar))
-        assert not ops.coeffs.time_invariant
-        assert np.array_equal(gramian_factor(ops), _per_step_factor(ops))
 
 
 class TestHumSolve:
@@ -408,8 +351,9 @@ class TestHumSolve:
     @pytest.mark.parametrize("above", [False, True])
     def test_size_limit_picks_the_gramian_operator(self, above):
         # just below or just above the limit the solve must equal, bit for
-        # bit, conjugate residual run directly on the operator the size rule
-        # names: the square-root factor, or the matrix-free Gramian
+        # bit, the solver the size rule names run directly: the direct solve
+        # on the square-root factor with sqrt(eps) I folded in, or conjugate
+        # residual on the matrix-free Gramian
         n = hum._FACTOR_MAX_DIM // 2 + int(above)
         grid = Grid1D(n_cells=n, omega_a=0.3, omega_b=0.7)
         tgrid = TimeGrid(horizon=0.05, n_steps=6)
@@ -424,19 +368,20 @@ class TestHumSolve:
         if above:
             def apply_op(v):
                 return gramian_apply(ops, v) + 1e-6 * v
+            p_terminal, iters, *_ = _conjugate_gradient(apply_op, b, cfg.cg_tol,
+                                                        cfg.cg_max_iters)
         else:
             # constant coefficients: the factor and the solve are in the
             # cosine basis Q = diag(C, C), where the right side is Q^T b
             r, basis = hum._factor_and_basis(ops)
-            assert basis is not None
-            b = (b.reshape(2, -1) @ basis).ravel()
-
-            def apply_op(v):
-                return r.T @ (r @ v) + 1e-6 * v
-        p_terminal, iters, *_ = _conjugate_gradient(apply_op, b, cfg.cg_tol,
-                                                    cfg.cg_max_iters)
-        if not above:
-            p_terminal = (p_terminal.reshape(2, -1) @ basis.T).ravel()
+            r_eps, _, _, info = dtpqrt(2 * n, 4, r.copy(order="F"),
+                                       np.sqrt(cfg.epsilon) * np.eye(2 * n, order="F"))
+            assert info == 0
+            b_hat = (b.reshape(2, -1) @ basis).ravel()
+            w, info = dtrtrs(r_eps, b_hat, trans=1)
+            p_hat, info2 = dtrtrs(r_eps, w)
+            assert info == info2 == 0
+            p_terminal, iters = (p_hat.reshape(2, -1) @ basis.T).ravel(), 0
         assert res.cg_converged
         assert res.cg_iterations == iters
         assert np.array_equal(res.adjoint_terminal, p_terminal)
@@ -452,6 +397,133 @@ class TestHumSolve:
                                                          rel=1e-8)
         assert np.allclose(with_factor.adjoint_terminal, matrix_free.adjoint_terminal,
                            rtol=0.0, atol=1e-7 * np.abs(matrix_free.adjoint_terminal).max())
+
+
+def _default_problem(sigma):
+    """The package defaults (n = 100, M = 200) with a constant field."""
+    grid = Grid1D(n_cells=100, omega_a=0.3, omega_b=0.7)
+    tgrid = TimeGrid(horizon=0.5, n_steps=200)
+    x = grid.cell_centers
+    ops = StepOperators(sigma, constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0))
+    return ops, 0.1 * np.cos(np.pi * x), np.full(100, 0.1)
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("sigma", [1.0, 1000.0])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_normal_equations_hold_to_round_off(self, sigma, eps):
+        # the folded factor solves (R^T R + eps I) p = b to round-off at every
+        # penalty, where conjugate residual needs 90 to 1300 iterations
+        ops, y0, z0 = _default_problem(sigma)
+        res = hum_solve(ops, y0, z0, HumConfig(epsilon=eps, cg_tol=1e-12))
+        assert res.cg_iterations == 0 and res.cg_converged and res.residual_monotone
+        norm_b, residual = res.cg_residuals
+        assert residual <= 1e-13 * norm_b
+        # the reported residual is that of the solve in the cosine basis
+        r, r_eps, basis = hum._penalized_factor(ops, eps)
+        b_hat = (solve_forward_linear(ops, None, y0, z0).u[-1].reshape(2, -1)
+                 @ basis).ravel()
+        p_hat = hum._penalized_solve(r_eps, b_hat)
+        assert np.array_equal((p_hat.reshape(2, -1) @ basis.T).ravel(),
+                              res.adjoint_terminal)
+
+        def apply_op(v):
+            return r.T @ (r @ v) + eps * v
+
+        assert np.linalg.norm(b_hat) == norm_b
+        assert np.linalg.norm(apply_op(p_hat) - b_hat) == residual
+        p_cr, iters, _, converged, _ = _conjugate_gradient(apply_op, b_hat, 1e-12, 5000)
+        assert converged and iters > 50
+        # both solutions within their residuals of one another, which in p
+        # itself measured 1e-10 to 1e-7 relative
+        assert np.linalg.norm(apply_op(p_cr - p_hat)) <= 2e-12 * norm_b
+        assert np.linalg.norm(p_cr - p_hat) <= 1e-6 * np.linalg.norm(p_hat)
+
+    def test_penalty_fold_is_a_cholesky_factor(self, small_problem):
+        grid, tgrid, coeffs, _, _ = small_problem
+        ops = StepOperators(1.0, coeffs)
+        r, r_eps, _ = hum._penalized_factor(ops, 1e-4)
+        assert np.array_equal(r_eps, np.triu(r_eps))
+        gram = r.T @ r + 1e-4 * np.eye(40)
+        assert np.linalg.norm(r_eps.T @ r_eps - gram) <= 1e-14 * np.linalg.norm(gram)
+        # one factor per ops, one fold per penalty, each built once
+        assert hum._penalized_factor(ops, 1e-4)[1] is r_eps
+        assert hum._penalized_factor(ops, 1e-6)[0] is r
+
+
+def _varying_problem():
+    """A semilinear pass's field: the sigmoid/arctan pair linearized along a
+    decaying reference of amplitude 2, time-varying; its origin field is
+    the constant reference of the fixed point."""
+    grid = Grid1D(n_cells=24, omega_a=0.3, omega_b=0.7)
+    tgrid = TimeGrid(horizon=0.4, n_steps=40)
+    pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
+    x, decay = grid.cell_centers, 1.0 - tgrid.nodes[:, None] / 0.4
+    ybar = 2.0 * decay * np.cos(np.pi * x)
+    zbar = 2.0 * decay * np.ones_like(x)
+    coeffs = linearized_coefficients(grid, tgrid, pair, ybar, zbar)
+    assert not coeffs.time_invariant
+    origin = StepOperators(10.0, origin_coefficients(grid, tgrid, pair))
+    return (StepOperators(10.0, coeffs), origin,
+            0.1 * np.cos(np.pi * x), np.full(24, 0.1))
+
+
+class TestPreconditionedSolve:
+    def test_matches_a_dense_solve_in_few_iterations(self):
+        ops, origin, y0, z0 = _varying_problem()
+        cfg = HumConfig(epsilon=1e-8)
+        gram = np.column_stack([gramian_apply(ops, e) for e in np.eye(48)])
+        shifted = gram + cfg.epsilon * np.eye(48)
+        b = solve_forward_linear(ops, None, y0, z0).u[-1]
+        p_dense = np.linalg.solve(shifted, b)
+        assert np.linalg.norm(shifted @ p_dense - b) <= 1e-3 * cfg.cg_tol * np.linalg.norm(b)
+        iterations = {}
+        for name, reference in (("origin", origin), ("mean", None)):
+            res = hum_solve(ops, y0, z0, cfg, reference=reference)
+            assert res.cg_converged
+            assert (np.linalg.norm(shifted @ res.adjoint_terminal - b)
+                    <= cfg.cg_tol * np.linalg.norm(b))
+            iterations[name] = res.cg_iterations
+        _, unpreconditioned, *_ = _conjugate_gradient(
+            lambda v: shifted @ v, b, cfg.cg_tol, cfg.cg_max_iters)
+        # measured 6, 10 and 59
+        assert iterations["origin"] <= 10
+        assert iterations["origin"] < iterations["mean"] < unpreconditioned
+
+    def test_preconditioned_norm_is_monotone(self):
+        # the residual 2-norm rises on the first step, the minimized
+        # sqrt(r . M^-1 r) never does
+        ops, origin, y0, z0 = _varying_problem()
+        res = hum_solve(ops, y0, z0, HumConfig(epsilon=1e-8), reference=origin)
+        assert max(res.cg_residuals) > res.cg_residuals[0]
+        assert res.residual_monotone
+
+    def test_builds_only_the_reference_factor(self, monkeypatch):
+        ops, origin, y0, z0 = _varying_problem()
+        built = []
+        factor = hum._factor_and_basis
+
+        def counting(step_ops):
+            built.append(step_ops)
+            return factor(step_ops)
+
+        monkeypatch.setattr(hum, "_factor_and_basis", counting)
+        for eps in (1e-6, 1e-8):
+            hum_solve(ops, y0, z0, HumConfig(epsilon=eps), reference=origin)
+            hum_solve(origin, y0, z0, HumConfig(epsilon=eps))
+        assert built == [origin]
+
+    @pytest.mark.parametrize("bad", ["varying", "grid"])
+    def test_rejects_a_bad_reference(self, bad):
+        ops, origin, y0, z0 = _varying_problem()
+        if bad == "varying":
+            reference = ops
+        else:
+            other = Grid1D(n_cells=24, omega_a=0.2, omega_b=0.7)
+            reference = StepOperators(10.0, constant_coefficients(
+                other, ops.tgrid, 0.0, 0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="constant" if bad == "varying" else "grid"):
+            hum_solve(ops, y0, z0, reference=reference)
 
 
 class TestDualityResidual:
@@ -503,8 +575,7 @@ class TestEpsilonSweep:
         assert rep.cost_spread_last3 >= 0.0
 
     def test_rows_equal_single_solves(self, small_problem):
-        # each row is hum_solve at that penalty with the base settings kept;
-        # the iteration cap binds at the smaller penalty
+        # each row is hum_solve at that penalty with the base settings kept
         grid, tgrid, coeffs, y0, z0 = small_problem
         base = HumConfig(cg_tol=1e-6, cg_max_iters=5)
         rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0, (1e-2, 1e-4),
@@ -530,6 +601,21 @@ class TestEpsilonSweep:
         monkeypatch.setattr(pde, "_band_lu", counted)
         epsilon_sweep(StepOperators(1.0, coeffs), y0, z0, (1e-2, 1e-3, 1e-4))
         assert len(calls) == 1
+
+    def test_penalties_share_one_gramian_factor(self, small_problem, monkeypatch):
+        grid, tgrid, coeffs, y0, z0 = small_problem
+        calls = []
+        doubling = hum._cosine_doubling
+
+        def counted(*args):
+            calls.append(args)
+            return doubling(*args)
+
+        monkeypatch.setattr(hum, "_cosine_doubling", counted)
+        rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0,
+                            (1e-2, 1e-4, 1e-6, 1e-8))
+        assert len(calls) == 1
+        assert all(row.cg_iterations == 0 for row in rep.rows)
 
     def test_rejects_non_decreasing_schedule(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem

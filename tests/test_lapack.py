@@ -67,8 +67,9 @@ def test_routines_are_scipy_linalg_lapack_objects(fresh_python, imports):
         "print([_lapack.dgbtrf is lapack.dgbtrf is pde.dgbtrf,\n"
         "       _lapack.dgbtrs is lapack.dgbtrs is pde.dgbtrs,\n"
         "       _lapack.dtpqrt is lapack.dtpqrt is hum.dtpqrt,\n"
+        "       _lapack.dtrtrs is lapack.dtrtrs is hum.dtrtrs,\n"
         "       sys.modules['scipy.linalg._flapack'] is lapack._flapack])")
-    assert out.strip() == "[True, True, True, True]"
+    assert out.strip() == "[True, True, True, True, True]"
 
 
 @pytest.mark.parametrize("name, content", [
@@ -82,5 +83,5 @@ def test_unloadable_extension_falls_back_to_scipy_linalg(tmp_path, name,
     if content is not None:
         path.write_bytes(content)
     routines = _lapack._load(path)
-    expected = (lapack.dgbtrf, lapack.dgbtrs, lapack.dtpqrt)
+    expected = (lapack.dgbtrf, lapack.dgbtrs, lapack.dtpqrt, lapack.dtrtrs)
     assert all(a is b for a, b in zip(routines, expected, strict=True))

@@ -143,16 +143,29 @@ class TestSingleStep:
         assert got.shape == p.shape
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    def test_adjoint_rows_march_the_identity_back(self):
-        grid, tgrid, coeffs, _ = _step_case(24, "varying", 5)
-        ops = StepOperators(5.0, coeffs)
-        rows = np.array([0, 5, 23, 24, 47, 30])   # y and z rows, unsorted
-        got = list(ops.adjoint_rows(rows))
-        assert len(got) == tgrid.n_steps
-        p = np.eye(ops.size)
-        for m, block in zip(range(tgrid.n_steps - 1, -1, -1), got):
-            p = ops.step_adjoint(p, m)
-            assert np.array_equal(block, p[rows])
+    @pytest.mark.parametrize("sourced", [False, True], ids=["free", "sourced"])
+    @pytest.mark.parametrize("coefficients", ["constant", "varying"])
+    def test_adjoint_march_is_the_step_loop(self, coefficients, sourced):
+        # solve_adjoint's whole-march kernel gives the step_adjoint loop bit
+        # for bit; 71 rows, so the march array is permuted back in more than
+        # one block
+        grid = Grid1D(n_cells=16, omega_a=0.25, omega_b=0.75)
+        tgrid = TimeGrid(horizon=0.3, n_steps=70)
+        rng = np.random.default_rng(9)
+        coeffs = (constant_coefficients(grid, tgrid, 0.3, -0.2, 0.5, 0.1)
+                  if coefficients == "constant" else _random_coefficients(grid, tgrid, rng))
+        ops = StepOperators(3.0, coeffs)
+        p_T = rng.standard_normal(32)
+        source = rng.standard_normal((71, 32)) if sourced else None
+        dual = solve_adjoint(ops, p_T, source)
+        want = np.empty((71, 32))
+        want[70] = p_T
+        for m in range(69, -1, -1):
+            want[m] = ops.step_adjoint(want[m + 1], m,
+                                       None if source is None else source[m + 1])
+        assert dual.u.flags.c_contiguous
+        assert np.array_equal(dual.u, want)
+        assert not np.array_equal(dual.u[0], dual.u[-1])
 
     @pytest.mark.parametrize("kappa", [1.0, 1e3])
     def test_heat_step_matches_dense_solve(self, kappa):

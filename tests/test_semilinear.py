@@ -315,9 +315,10 @@ class TestFixedPointControl:
 
     def test_zero_start_doubles_the_first_factor_and_marches_once(
             self, pair, monkeypatch):
-        # the zero reference linearizes to the time-invariant origin
-        # coefficients, so only the later passes sweep step by step, and the
-        # honest re-run of the final control is the one semilinear march
+        # the zero reference linearizes to the constant origin coefficients,
+        # whose doubled factor is the only one a run builds: the later passes
+        # are preconditioned with it; the honest re-run of the final control
+        # is the one semilinear march
         builds, marches = [], []
         factor = hum._factor_and_basis
         march = semilinear.solve_forward_semilinear
@@ -333,7 +334,7 @@ class TestFixedPointControl:
         monkeypatch.setattr(hum, "_factor_and_basis", counting_factor)
         monkeypatch.setattr(semilinear, "solve_forward_semilinear", counting_march)
         res = _readme_run(pair, FixedPointConfig(hum=HumConfig(epsilon=1e-8)))
-        assert builds == [True, False, False, False, False]
+        assert builds == [True]
         assert len(marches) == 1
         assert res.update_history[0] == 1.0
 
