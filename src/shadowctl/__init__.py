@@ -18,8 +18,7 @@ from .experiments import (ControlRun, M1Record, ScalingReport, SweepReport,
                           measure_m1, measure_m1_scaling, measure_m2_scaling,
                           shadow_gap, sigma_sweep)
 from .hum import (EpsilonRow, EpsilonSweepReport, HumConfig, HumResult,
-                  duality_residual, epsilon_sweep, gramian_apply,
-                  gramian_factor, hum_solve)
+                  duality_residual, epsilon_sweep, gramian_apply, hum_solve)
 from .mesh import (DiscreteOperator, Grid1D, TimeGrid, inner_product,
                    mean_value, neumann_laplacian, norm_l2)
 from .nonlinear import (HypothesisReport, Nonlinearity, NonlinearityPair,
@@ -56,7 +55,7 @@ __all__ = [
     "solve_forward_semilinear", "solve_heat", "EnergyReport",
     "energy_functional", "SemigroupReport", "semigroup_checks",
     # hum
-    "HumConfig", "HumResult", "gramian_apply", "gramian_factor", "hum_solve",
+    "HumConfig", "HumResult", "gramian_apply", "hum_solve",
     "duality_residual", "EpsilonRow", "EpsilonSweepReport", "epsilon_sweep",
     # semilinear
     "FixedPointConfig", "FixedPointResult", "origin_coefficients",

@@ -23,7 +23,7 @@ rests on one factor, of a field constant in space and time:
 * In the cosine basis Q = diag(C, C) of the Neumann Laplacian the adjoint
   step of a constant field is n independent 2 x 2 blocks, and an upper-
   triangular R with Q^T Lambda Q = R^T R is doubled from them
-  (:func:`_cosine_doubling`): about log2(M) QR updates and no dense product
+  (:func:`_factor_and_basis`): about log2(M) QR updates and no dense product
   or step solve.  Folding sqrt(eps) I into a copy of R gives R_eps with
   R_eps^T R_eps = R^T R + eps I, a Cholesky factor of the penalized system
   that never forms R^T R, whose rounding would swamp small penalties.  Both
@@ -36,9 +36,9 @@ rests on one factor, of a field constant in space and time:
   the caller names, which the semilinear fixed point sets to its first
   pass, so that all its passes share one factor and one fold.
 
-Above the limit every field runs unpreconditioned conjugate residual on
-:func:`gramian_apply`, with memory that stays O(n); the factor takes
-O((2n)^2).  A solve whose data are zero builds and applies nothing.
+Above the limit every field runs conjugate residual on :func:`gramian_apply`
+with the identity as preconditioner and memory that stays O(n); the factor
+takes O((2n)^2).  A solve whose data are zero builds and applies nothing.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ from .pde import (ControlField, StepOperators, Trajectory,
 
 __all__ = [
     "HumConfig", "HumResult", "EpsilonRow", "EpsilonSweepReport",
-    "gramian_apply", "gramian_factor", "hum_solve", "duality_residual",
-    "epsilon_sweep",
+    "gramian_apply", "hum_solve", "duality_residual", "epsilon_sweep",
 ]
 
 # Largest stacked state size 2n for which hum_solve uses a Gramian factor
@@ -65,9 +64,6 @@ __all__ = [
 # factor is cheaper to build now, and only constant fields build one, but no
 # workload above 256 measures either path yet, so the limit stays.
 _FACTOR_MAX_DIM = 256
-
-# OpenBLAS runs a GEMM with m * n * k up to this many on the calling thread.
-_SERIAL_GEMM = 4 * 65536
 
 
 @dataclass(frozen=True)
@@ -127,16 +123,6 @@ def gramian_apply(ops: StepOperators, p_terminal: np.ndarray) -> np.ndarray:
     return solve_forward_linear(ops, observed, zero, zero).u[-1]
 
 
-def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in row blocks small enough that OpenBLAS computes each on the
-    calling thread (see :func:`_fold` for why that matters)."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    rows = max(1, _SERIAL_GEMM // (a.shape[1] * b.shape[1]))
-    for i in range(0, a.shape[0], rows):
-        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
-    return out
-
-
 def _fold(r: np.ndarray, rows: np.ndarray, triangular: bool = False) -> np.ndarray:
     """Upper-triangular factor of the stack [r; rows], by a triangular-
     pentagonal QR update (LAPACK ``dtpqrt``) that overwrites ``r`` and
@@ -144,8 +130,9 @@ def _fold(r: np.ndarray, rows: np.ndarray, triangular: bool = False) -> np.ndarr
     and upper triangular, which the update then exploits."""
     # Inner block size 4: measured no slower than 32 at these sizes.  It
     # keeps dtpqrt's own BLAS calls under OpenBLAS's multithreading
-    # threshold only while 4 * (2n)^2 <= _SERIAL_GEMM, that is 2n <= 256,
-    # the factor limit of hum_solve; larger direct calls may go threaded.
+    # threshold, a GEMM with m * n * k up to 4 * 65536 on the calling
+    # thread, only while 4 * (2n)^2 <= 4 * 65536, that is 2n <= 256, the
+    # factor limit of hum_solve; larger direct calls may go threaded.
     # A threaded call leaves the pool spinning for about 0.1 s afterwards,
     # which takes a core from whatever runs next on a 2-core host.
     r, _, _, info = dtpqrt(rows.shape[0] if triangular else 0, min(r.shape[0], 4),
@@ -173,20 +160,30 @@ def _mode_product(a: tuple, b: tuple) -> tuple:
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
 
-def _cosine_doubling(ops: StepOperators, window: np.ndarray,
-                     weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R, C) with R upper triangular and Q^T Lambda Q = R^T R, Q = diag(C, C)
-    the cosine basis of the Neumann Laplacian, for constant coefficients.
+def _factor_and_basis(ops: StepOperators) -> tuple[np.ndarray, np.ndarray]:
+    """(R, C): an upper-triangular R with Lambda = Q R^T R Q^T, where Q =
+    diag(C, C) acts on stacked states and C is the cosine basis of the
+    Neumann Laplacian, for coefficients constant in space and time
+    (``ValueError`` otherwise).
 
-    In that basis the adjoint step B is n independent 2 x 2 blocks B_k =
-    A_k^-T, A_k the step matrix's mode-k block, so G_k = G_1 B^(k-1) and R
-    is built by square-root doubling (Smith's iteration for Stein equations
-    in square-root form): with R_K the factor of the first K terms, R_2K
-    folds R_K B^K into R_K and R_(K+1) folds G_1 B^K into it, walking the
-    bits of M.  Every product with a power of B mixes column pairs, O(n^2),
-    so the folds are the only O(n^3) work.
+    Lambda is the sum over k = 1..M of G_k^T G_k, where G_k = sqrt(dt * chi)
+    * (B^k)[window] observes the window rows of phi k steps below the
+    terminal node and B is the adjoint step.  In the cosine basis B is n
+    independent 2 x 2 blocks B_k = A_k^-T, A_k the step matrix's mode-k
+    block, so G_k = G_1 B^(k-1) and R is built by square-root doubling
+    (Smith's iteration for Stein equations in square-root form): with R_K
+    the factor of the first K terms, R_2K folds R_K B^K into R_K and
+    R_(K+1) folds G_1 B^K into it, walking the bits of M.  Every product
+    with a power of B mixes column pairs, O(n^2), so the folds are the only
+    O(n^3) work.
     """
+    if not ops.coeffs.constant:
+        raise ValueError("a Gramian factor is built only for coefficients "
+                         "constant in space and time")
     n, dt, c = ops.grid.n_cells, ops.tgrid.dt, ops.coeffs
+    chi = ops.grid.omega_indicator
+    window = np.flatnonzero(chi > 0.0)
+    weight = np.sqrt(dt * chi[window])[:, None]
     basis, mu = _cosine_basis(ops.grid)
     # A_k = [[p, q], [r, s]], so B_k = [[s, -r], [-q, p]] / det A_k
     p = 1.0 + dt * mu - dt * c.a11[0, 0]
@@ -207,41 +204,6 @@ def _cosine_doubling(ops: StepOperators, window: np.ndarray,
             factor = _fold(factor, _times_modes(g1, b_k))
             b_k = _mode_product(b_k, b)
     return factor, basis
-
-
-def _factor_and_basis(ops: StepOperators) -> tuple[np.ndarray, np.ndarray]:
-    """(R, C): an upper-triangular R with Lambda = Q R^T R Q^T, where Q =
-    diag(C, C) acts on stacked states and C is the cosine basis, for
-    coefficients constant in space and time (see :func:`_cosine_doubling`).
-    """
-    if not ops.coeffs.constant:
-        raise ValueError("a Gramian factor is built only for coefficients "
-                         "constant in space and time")
-    chi = ops.grid.omega_indicator
-    window = np.flatnonzero(chi > 0.0)
-    weight = np.sqrt(ops.tgrid.dt * chi[window])[:, None]
-    return _cosine_doubling(ops, window, weight)
-
-
-def gramian_factor(ops: StepOperators) -> np.ndarray:
-    """Upper-triangular R with Lambda = R^T R of ``ops``, whose coefficients
-    must be constant in space and time (``ValueError`` otherwise).
-
-    Lambda is the sum over k = 1..M of G_k^T G_k, where G_k = sqrt(dt * chi)
-    * (B^k)[window] observes the window rows of phi (y fills the first n rows
-    of every state) k steps below the terminal node, and B^k stands for the
-    transposed steps marched back from the identity.  In the cosine basis
-    Q = diag(C, C) of the Neumann Laplacian B is n independent 2 x 2 blocks,
-    and the factor of Q^T Lambda Q is doubled from them by triangular-
-    pentagonal QR updates (LAPACK ``dtpqrt``; :func:`_cosine_doubling`).  It
-    is taken back to the stacked basis by two products with C^T and one more
-    fold.  :func:`hum_solve` uses the cosine-basis factor as it is.
-    """
-    r, basis = _factor_and_basis(ops)
-    n = ops.grid.n_cells
-    rotated = np.hstack([_serial_matmul(r[:, :n], basis.T),
-                         _serial_matmul(r[:, n:], basis.T)])
-    return _fold(np.zeros_like(r, order="F"), rotated)
 
 
 def _cached(ops: StepOperators, key, build):
@@ -295,23 +257,25 @@ def _preconditioner(ops: StepOperators, reference: StepOperators | None,
             ops.sigma, constant_coefficients(
                 ops.grid, ops.tgrid, *(float(np.mean(getattr(c, name)))
                                        for name in ("a11", "a12", "a21", "a22")))))
-    elif reference.grid != ops.grid or reference.tgrid != ops.tgrid:
-        raise ValueError("reference was built for a different grid")
     _, r_eps, basis = _penalized_factor(reference, epsilon)
     return lambda v: _from_modes(_penalized_solve(r_eps, _to_modes(v, basis)), basis)
 
 
+def _identity(v: np.ndarray) -> np.ndarray:
+    return v
+
+
 def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int,
-                        precondition=None):
+                        precondition=_identity):
     """Krylov solve of an SPD system, conjugate-residual variant, with an
-    optional SPD preconditioner ``precondition``, v -> M^-1 v.
+    SPD preconditioner ``precondition``, v -> M^-1 v, by default M = I.
 
     The conjugate-residual recurrence minimizes the residual norm
     sqrt(r . M^-1 r) over the growing Krylov space (unlike the classical
     recurrence, which minimizes the error in the operator norm and lets
     residual norms oscillate), so that norm is non-increasing by
-    construction; without a preconditioner it is the 2-norm.  One operator
-    application per iteration, and one of the preconditioner if given.
+    construction; with M = I it is the 2-norm.  One operator application
+    and one of the preconditioner per iteration.
 
     Returns (x, iterations, residual 2-norm history, converged, monotone),
     where ``monotone`` re-checks the minimized norm's history with one part
@@ -324,8 +288,8 @@ def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int,
     residuals = [norm_b]
     if norm_b == 0.0:
         return x, 0, residuals, True, True
-    z = r if precondition is None else precondition(r)
-    minimized = residuals if precondition is None else [float(np.sqrt(np.dot(r, z)))]
+    z = precondition(r)
+    minimized = [float(np.sqrt(np.dot(r, z)))]
     p = z.copy()
     az = apply_op(z)
     ap = az.copy()
@@ -333,7 +297,7 @@ def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int,
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        q = ap if precondition is None else precondition(ap)
+        q = precondition(ap)
         denom = float(np.dot(ap, q))
         if denom <= 0.0 or zaz <= 0.0:
             # loss of positive definiteness (round-off); stop with current x
@@ -344,11 +308,8 @@ def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int,
         r = r - alpha * ap
         norm_r = float(np.linalg.norm(r))
         residuals.append(norm_r)
-        if precondition is None:
-            z = r
-        else:
-            z = z - alpha * q
-            minimized.append(float(np.sqrt(max(float(np.dot(r, z)), 0.0))))
+        z = z - alpha * q
+        minimized.append(float(np.sqrt(max(float(np.dot(r, z)), 0.0))))
         if norm_r <= tol * norm_b:
             converged = True
             break
@@ -387,11 +348,14 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     b||) in the cosine basis.  Deterministic: repeated calls with equal
     inputs produce bit-identical results.
     """
+    if reference is not None:
+        if not reference.coeffs.constant:
+            raise ValueError("reference coefficients must be constant in space and time")
+        if reference.grid != ops.grid or reference.tgrid != ops.tgrid:
+            raise ValueError("reference was built for a different grid")
     free = solve_forward_linear(ops, None, y0, z0)
     b = free.u[-1]
     eps = config.epsilon
-    if reference is not None and not reference.coeffs.constant:
-        raise ValueError("reference coefficients must be constant in space and time")
 
     # zero data need no solve, so they build no factor and apply nothing
     factored = ops.size <= _FACTOR_MAX_DIM and bool(np.any(b))
@@ -408,7 +372,7 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
         p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
             lambda v: gramian_apply(ops, v) + eps * v, b, config.cg_tol,
             config.cg_max_iters,
-            _preconditioner(ops, reference, eps) if factored else None)
+            _preconditioner(ops, reference, eps) if factored else _identity)
 
     dual = solve_adjoint(ops, p_terminal)
     control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])
@@ -469,14 +433,6 @@ class EpsilonSweepReport:
     rows: tuple[EpsilonRow, ...]
     cost_spread_last3: float
     ratio_strictly_increasing_last3: bool
-
-    @property
-    def cost_bounded(self) -> bool:
-        return self.cost_spread_last3 < 0.10
-
-    @property
-    def ratio_bounded(self) -> bool:
-        return not self.ratio_strictly_increasing_last3
 
 
 def epsilon_sweep(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,

@@ -161,6 +161,8 @@ def read_fields_binary(path: str | Path) -> dict[str, np.ndarray]:
         raise FormatError(f"{path}: field names are not UTF-8") from None
     if len(names) != n_fields:
         raise FormatError(f"{path}: header names {len(names)} != count {n_fields}")
+    if len(set(names)) != n_fields:
+        raise FormatError(f"{path}: header repeats a field name")
     offset = 24 + header_len
     per_field = n_slices * n_cells * 8
     expected = offset + n_fields * per_field

@@ -10,7 +10,7 @@ backward-in-time dual system.  Every implicit Euler step is one solve with
 a banded LU factorization (LAPACK dgbtrf/dgbtrs): pentadiagonal for the
 two-component step (see :class:`StepOperators`), which the linear, dual and
 semilinear marchers all take, and tridiagonal for the heat steps of
-:class:`ShadowStepOperators` and :func:`solve_heat`.  The dual stepper
+:class:`ShadowStepOperators` and :func:`solve_heat`.  The dual march
 solves with the transpose on the same LU factors, so it applies the exact
 transpose of the forward one-step matrix and the discrete duality identity
 
@@ -28,8 +28,9 @@ sigma = inf, where z collapses onto its spatial mean, the scalar mode xi:
 their stacked state is (y; xi), of length n_cells + 1, and each step is
 the tridiagonal heat solve of y bordered by the a12 column and the mean
 row, closed by a one-unknown Schur complement.  The forward marchers take
-either ops, and the linear one hands its whole march to ``ops.march``;
-the dual marcher takes :class:`StepOperators` alone and hands its march to
+either ops: the linear one hands its whole march to ``ops.march``, and the
+semilinear one takes one ``ops.step_forward`` per fixed-point iterate.  The
+dual marcher takes :class:`StepOperators` alone and hands its march to
 ``ops.march_adjoint``.
 The lift reads xi as the constant field z = xi, and ``ops.restrict`` maps a
 field back to z-entries by its mean; both are the identity on a full
@@ -233,8 +234,8 @@ class StepOperators:
     in the interleaved unknowns (y_0, z_0, y_1, z_1, ...) it is pentadiagonal:
     a12, a21 on the first off-diagonals, the stencils of lap and sigma*lap on
     the second.  Each band is LU-factorized on first use, once if the
-    coefficients are constant in time.  The steps map stacked states,
-    vectors or column blocks, and the adjoint solves with the transpose on
+    coefficients are constant in time.  :meth:`step_forward` maps one
+    stacked state, and :meth:`march_adjoint` solves with the transpose on
     the same factors: the exact transpose of the forward step.  ``cache``
     keeps what solvers derive from these operators for later calls, such as
     the Gramian factor of :func:`~shadowctl.hum.hum_solve`.
@@ -276,31 +277,18 @@ class StepOperators:
             self._solvers[m] = _band_lu(band, 2)
         return self._solvers[m]
 
-    def step_forward(self, u: np.ndarray, m: int,
-                     source_y: np.ndarray | None = None) -> np.ndarray:
+    def step_forward(self, u: np.ndarray, m: int) -> np.ndarray:
         """Advance the stacked state from node m to node m + 1."""
-        rhs = u if source_y is None else u + np.concatenate(
-            [self.tgrid.dt * source_y, np.zeros(self.grid.n_cells)])
-        return self._solver(m)(rhs[self._interleave])[self._stack]
-
-    def step_adjoint(self, p: np.ndarray, m: int,
-                     source: np.ndarray | None = None) -> np.ndarray:
-        """Pull the stacked dual state back from node m + 1 to node m.
-
-        Solves with the exact transpose of the forward step matrix, which in
-        particular swaps the zero-order coupling blocks.
-        """
-        rhs = p if source is None else p + self.tgrid.dt * source
-        return self._solver(m)(rhs[self._interleave], trans=1)[self._stack]
+        return self._solver(m)(u[self._interleave])[self._stack]
 
     def march(self, u: np.ndarray, source_y: np.ndarray | None = None) -> None:
         """Fill rows 1..n_steps of the march array ``u`` from its row 0.
 
-        Step m takes row m of ``source_y``, shape (n_steps, n_cells), if
-        given, as :meth:`step_forward` takes its ``source_y``, and the values
-        equal those of that step loop.  The rows of ``u`` are marched in the
-        band's interleaved order, each step solving its row in place, and
-        permuted back at the end.
+        Step m adds dt times row m of ``source_y``, shape (n_steps,
+        n_cells), if given, to the y-entries of row m, and the values equal
+        those of the loop of :meth:`step_forward` on those sums.  The rows
+        of ``u`` are marched in the band's interleaved order, each step
+        solving its row in place, and permuted back at the end.
         """
         u[0] = u[0, self._interleave]
         scaled = None if source_y is None else self.tgrid.dt * source_y
@@ -316,11 +304,12 @@ class StepOperators:
         """Fill rows n_steps - 1..0 of the dual march array ``p`` from its
         last row, the backward counterpart of :meth:`march`.
 
-        Step m takes row m + 1 of ``source``, shape (n_steps + 1, size), if
-        given, as :meth:`step_adjoint` takes its ``source``, and the values
-        equal those of that step loop.  The rows are marched in the band's
-        interleaved order, each step solving its row in place with the
-        transpose, and permuted back at the end.
+        Step m adds dt times row m + 1 of ``source``, shape (n_steps + 1,
+        size), if given, to row m + 1 and solves with the exact transpose of
+        the forward step matrix, which in particular swaps the zero-order
+        coupling blocks.  The rows are marched in the band's interleaved
+        order, each step solving its row in place, and permuted back at the
+        end.
         """
         last = self.tgrid.n_steps
         p[last] = p[last, self._interleave]
@@ -405,11 +394,10 @@ class ShadowStepOperators:
         np.add(v, xi * w, out=out[:n])
         out[n] = xi
 
-    def step_forward(self, u: np.ndarray, m: int,
-                     source_y: np.ndarray | None = None) -> np.ndarray:
+    def step_forward(self, u: np.ndarray, m: int) -> np.ndarray:
         """Advance the stacked state (y; xi) from node m to node m + 1."""
         out = np.empty(self.size)
-        self._step(u, m, source_y, out)
+        self._step(u, m, None, out)
         return out
 
     def march(self, u: np.ndarray, source_y: np.ndarray | None = None) -> None:

@@ -13,8 +13,7 @@ from scipy.linalg.lapack import dtpqrt, dtrtrs
 
 from shadowctl import hum, pde
 from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
-                           epsilon_sweep, gramian_apply, gramian_factor,
-                           hum_solve)
+                           epsilon_sweep, gramian_apply, hum_solve)
 from shadowctl.mesh import Grid1D, TimeGrid, _laplacian_stencil, norm_l2
 from shadowctl.nonlinear import arctan_family, make_pair, sigmoid_family
 from shadowctl.pde import (ControlField, StepOperators, constant_coefficients,
@@ -105,15 +104,17 @@ def _longdouble_gramian(ops):
 class TestGramianFactor:
     @staticmethod
     def _check_square_root(grid, tgrid, coeffs, sigma):
+        # Q R^T R Q^T v against the matrix-free Lambda v, Q = diag(C, C)
         ops = StepOperators(sigma, coeffs)
-        r = gramian_factor(ops)
+        r, basis = hum._factor_and_basis(ops)
         assert r.shape == (2 * grid.n_cells,) * 2
         assert np.array_equal(r, np.triu(r))
         rng = np.random.default_rng(4)
         for v in rng.standard_normal((5, 2 * grid.n_cells)):
             ref = gramian_apply(ops, v)
-            err = np.linalg.norm(r.T @ (r @ v) - ref)
-            assert err <= 1e-13 * np.linalg.norm(ref)
+            v_hat = (v.reshape(2, -1) @ basis).ravel()
+            got = ((r.T @ (r @ v_hat)).reshape(2, -1) @ basis.T).ravel()
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
         return r
 
     def test_constant_coefficients(self, small_problem):
@@ -133,7 +134,7 @@ class TestGramianFactor:
         assert coeffs.time_invariant == (varying == "space")
         assert not coeffs.constant
         with pytest.raises(ValueError, match="constant"):
-            gramian_factor(StepOperators(3.0, coeffs))
+            hum._factor_and_basis(StepOperators(3.0, coeffs))
 
     def test_short_wide_stack(self):
         # 2 steps x 8 window cells = 16 rows for a 40 x 40 factor
@@ -187,17 +188,15 @@ class TestGramianFactor:
             # the mode-0 step block [[1 - dt a11, -dt a12], [-dt a21, 1 - dt a22]]
             assert (a[0] - a[3])**2 + 4.0 * a[1] * a[2] < 0.0
         gram = _longdouble_gramian(ops)
-        r = gramian_factor(ops)
         r_hat, basis = hum._factor_and_basis(ops)
-        assert np.array_equal(r, np.triu(r)) and np.array_equal(r_hat, np.triu(r_hat))
+        assert np.array_equal(r_hat, np.triu(r_hat))
         rng = np.random.default_rng(9)
         for v in rng.standard_normal((5, 2 * n)):
             ref = gram @ v.astype(np.longdouble)
             v_hat = (v.reshape(2, -1) @ basis).ravel()
-            in_basis = ((r_hat.T @ (r_hat @ v_hat)).reshape(2, -1) @ basis.T).ravel()
-            for got in (r.T @ (r @ v), in_basis):
-                err = np.linalg.norm(got.astype(np.longdouble) - ref)
-                assert err <= 1e-14 * np.linalg.norm(ref)
+            got = ((r_hat.T @ (r_hat @ v_hat)).reshape(2, -1) @ basis.T).ravel()
+            err = np.linalg.norm(got.astype(np.longdouble) - ref)
+            assert err <= 1e-14 * np.linalg.norm(ref)
 
     def test_constant_factor_makes_no_step_solve(self, monkeypatch):
         grid = Grid1D(n_cells=12, omega_a=0.3, omega_b=0.7)
@@ -209,15 +208,10 @@ class TestGramianFactor:
             calls.append(args)
             return band_lu(*args)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a step solve in the cosine-basis factor")
-
         monkeypatch.setattr(pde, "_band_lu", counted)
-        monkeypatch.setattr(StepOperators, "step_adjoint", refuse)
         ops = StepOperators(2.0, constant_coefficients(grid, tgrid, 0.2, 0.5, 1.0, -0.3))
         assert ops.coeffs.constant
         hum._factor_and_basis(ops)
-        gramian_factor(ops)
         assert calls == []
 
 
@@ -525,6 +519,44 @@ class TestPreconditionedSolve:
         with pytest.raises(ValueError, match="constant" if bad == "varying" else "grid"):
             hum_solve(ops, y0, z0, reference=reference)
 
+    @pytest.mark.parametrize("path", ["constant", "zero-data"])
+    def test_reference_grid_is_checked_on_every_path(self, path):
+        # neither the direct solve of a constant field nor zero data reach
+        # the preconditioner
+        ops, origin, y0, z0 = _varying_problem()
+        if path == "constant":
+            ops = origin
+        else:
+            y0, z0 = np.zeros(24), np.zeros(24)
+        other = Grid1D(n_cells=24, omega_a=0.2, omega_b=0.7)
+        reference = StepOperators(10.0, constant_coefficients(
+            other, ops.tgrid, 0.0, 0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="grid"):
+            hum_solve(ops, y0, z0, reference=reference)
+
+    def test_varying_field_above_the_limit_is_unpreconditioned(self, monkeypatch):
+        ops, _, y0, z0 = _varying_problem()
+        cfg = HumConfig(epsilon=1e-8)
+
+        def refuse(*args):
+            raise AssertionError("a Gramian factor built above the size limit")
+
+        monkeypatch.setattr(hum, "_FACTOR_MAX_DIM", ops.size - 1)
+        monkeypatch.setattr(hum, "_factor_and_basis", refuse)
+        res = hum_solve(ops, y0, z0, cfg)
+        assert res.cg_converged and res.cg_iterations > 0
+        gram = np.column_stack([gramian_apply(ops, e) for e in np.eye(48)])
+        shifted = gram + cfg.epsilon * np.eye(48)
+        b = solve_forward_linear(ops, None, y0, z0).u[-1]
+        assert (np.linalg.norm(shifted @ res.adjoint_terminal - b)
+                <= cfg.cg_tol * np.linalg.norm(b))
+        p, iters, residuals, converged, monotone = _conjugate_gradient(
+            lambda v: gramian_apply(ops, v) + cfg.epsilon * v, b, cfg.cg_tol,
+            cfg.cg_max_iters)
+        assert np.array_equal(res.adjoint_terminal, p)
+        assert ((res.cg_iterations, res.cg_residuals, res.cg_converged,
+                 res.residual_monotone) == (iters, tuple(residuals), converged, monotone))
+
 
 class TestDualityResidual:
     def test_mismatched_dual_system_is_flagged(self, small_problem):
@@ -605,13 +637,13 @@ class TestEpsilonSweep:
     def test_penalties_share_one_gramian_factor(self, small_problem, monkeypatch):
         grid, tgrid, coeffs, y0, z0 = small_problem
         calls = []
-        doubling = hum._cosine_doubling
+        factor = hum._factor_and_basis
 
         def counted(*args):
             calls.append(args)
-            return doubling(*args)
+            return factor(*args)
 
-        monkeypatch.setattr(hum, "_cosine_doubling", counted)
+        monkeypatch.setattr(hum, "_factor_and_basis", counted)
         rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0,
                             (1e-2, 1e-4, 1e-6, 1e-8))
         assert len(calls) == 1

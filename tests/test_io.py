@@ -198,6 +198,17 @@ class TestBinary:
         with pytest.raises(FormatError, match="past the end"):
             read_fields_binary(p)
 
+    def test_rejects_repeated_names(self, tmp_path):
+        # "y\nz" rewritten to "y\ny" keeps the count and the file size; read
+        # as one field "y" it would silently drop the first array
+        p = write_fields_binary(tmp_path / "fields.bin",
+                                {"y": np.zeros((3, 4)), "z": np.ones((3, 4))})
+        raw = p.read_bytes()
+        assert raw[24:27] == b"y\nz"
+        p.write_bytes(raw[:26] + b"y" + raw[27:])
+        with pytest.raises(FormatError, match="repeats"):
+            read_fields_binary(p)
+
     def test_rejects_unknown_version(self, tiny_problem, tmp_path):
         _, _, traj = tiny_problem
         p = write_fields_binary(tmp_path / "fields.bin", trajectory_fields(traj))

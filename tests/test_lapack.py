@@ -6,6 +6,7 @@ only be seen in a process that has imported nothing else.
 
 import json
 from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import pytest
 from scipy.linalg import lapack
@@ -16,6 +17,8 @@ from shadowctl import _lapack
 # cosine basis of the Gramian factor does without; the extension
 # scipy.linalg._flapack is expected to be loaded, so names match exactly
 LEFT_OUT = ("scipy.linalg", "scipy._lib", "numpy.f2py", "scipy.sparse", "scipy.fft")
+
+NUMBER_WORDS = ("no", "one", "two", "three", "four", "five", "six")
 
 PRINT_LOADED = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
@@ -85,3 +88,14 @@ def test_unloadable_extension_falls_back_to_scipy_linalg(tmp_path, name,
     routines = _lapack._load(path)
     expected = (lapack.dgbtrf, lapack.dgbtrs, lapack.dtpqrt, lapack.dtrtrs)
     assert all(a is b for a, b in zip(routines, expected, strict=True))
+
+
+def test_readme_install_names_every_routine(tmp_path):
+    # the Install paragraph counts and names the routines start-up loads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    install = readme.split("\n## Install\n", 1)[1].split("\n## ", 1)[0]
+    paragraph = " ".join(install.split("```", 1)[0].split())
+    # an f2py routine's __name__ reads "function dgbtrf"
+    names = [r.__name__.split()[-1] for r in _lapack._load(tmp_path / "missing")]
+    assert f"use {NUMBER_WORDS[len(names)]} of scipy's LAPACK routines" in paragraph
+    assert all(f"`{name}`" in paragraph for name in names), (names, paragraph)

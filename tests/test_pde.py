@@ -87,13 +87,11 @@ def _random_coefficients(grid, tgrid, rng, scale=0.5):
                             *(rng.uniform(-scale, scale, shape) for _ in range(4)))
 
 
-# (n_cells, sigma, coefficients, step, right-hand-side columns); the
-# multi-column case is the block call the Gramian factor makes
+# (n_cells, sigma, coefficients, step)
 STEP_CASES = [
-    pytest.param(8, 2.0, "constant", 0, None, id="small"),
-    pytest.param(64, 3.0, "varying", 17, None, id="varying-n64"),
-    pytest.param(40, 1e3, "varying", 3, None, id="stiff-sigma"),
-    pytest.param(24, 5.0, "varying", 9, 7, id="block-rhs"),
+    pytest.param(8, 2.0, "constant", 0, id="small"),
+    pytest.param(64, 3.0, "varying", 17, id="varying-n64"),
+    pytest.param(40, 1e3, "varying", 3, id="stiff-sigma"),
 ]
 
 
@@ -108,47 +106,43 @@ def _step_case(n, coefficients, seed):
     return grid, tgrid, coeffs, rng
 
 
+def _adjoint_step(ops, p, m):
+    # reference dual step: the transposed solve on the forward step's band
+    # LU, from node m + 1 to node m, on stacked states
+    return ops._solver(m)(p[ops._interleave], trans=1)[ops._stack]
+
+
 class TestSingleStep:
-    @pytest.mark.parametrize("n, sigma, coefficients, m, cols", STEP_CASES)
-    def test_forward_matches_dense_solve(self, n, sigma, coefficients, m, cols):
+    @pytest.mark.parametrize("n, sigma, coefficients, m", STEP_CASES)
+    def test_forward_matches_dense_solve(self, n, sigma, coefficients, m):
         grid, tgrid, coeffs, rng = _step_case(n, coefficients, 3)
         ops = StepOperators(sigma, coeffs)
         big = _dense_step_matrix(grid, tgrid, sigma, coeffs, m)
-        if cols is None:
-            u = rng.standard_normal(2 * n)
-            src = rng.standard_normal(n)
-            got = ops.step_forward(u, m, src)
-            want = np.linalg.solve(big, u + tgrid.dt * np.concatenate([src, np.zeros(n)]))
-        else:
-            u = rng.standard_normal((2 * n, cols))
-            got = ops.step_forward(u, m)
-            want = np.linalg.solve(big, u)
+        u = rng.standard_normal(2 * n)
+        got = ops.step_forward(u, m)
+        want = np.linalg.solve(big, u)
         assert got.shape == u.shape
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("n, sigma, coefficients, m, cols", STEP_CASES)
-    def test_adjoint_is_exact_transpose(self, n, sigma, coefficients, m, cols):
+    @pytest.mark.parametrize("n, sigma, coefficients, m", STEP_CASES)
+    def test_adjoint_is_exact_transpose(self, n, sigma, coefficients, m):
+        # step m of a sourced solve_adjoint, from node m + 1 as marched,
+        # against the dense transposed solve
         grid, tgrid, coeffs, rng = _step_case(n, coefficients, 4)
         ops = StepOperators(sigma, coeffs)
         big = _dense_step_matrix(grid, tgrid, sigma, coeffs, m)
-        if cols is None:
-            p = rng.standard_normal(2 * n)
-            src = rng.standard_normal(2 * n)
-            got = ops.step_adjoint(p, m, src)
-            want = np.linalg.solve(big.T, p + tgrid.dt * src)
-        else:
-            p = rng.standard_normal((2 * n, cols))
-            got = ops.step_adjoint(p, m)
-            want = np.linalg.solve(big.T, p)
-        assert got.shape == p.shape
+        source = rng.standard_normal((tgrid.n_steps + 1, 2 * n))
+        dual = solve_adjoint(ops, rng.standard_normal(2 * n), source)
+        got = dual.u[m]
+        want = np.linalg.solve(big.T, dual.u[m + 1] + tgrid.dt * source[m + 1])
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("sourced", [False, True], ids=["free", "sourced"])
     @pytest.mark.parametrize("coefficients", ["constant", "varying"])
     def test_adjoint_march_is_the_step_loop(self, coefficients, sourced):
-        # solve_adjoint's whole-march kernel gives the step_adjoint loop bit
-        # for bit; 71 rows, so the march array is permuted back in more than
-        # one block
+        # solve_adjoint's whole-march kernel gives the loop of single dual
+        # steps bit for bit; 71 rows, so the march array is permuted back in
+        # more than one block
         grid = Grid1D(n_cells=16, omega_a=0.25, omega_b=0.75)
         tgrid = TimeGrid(horizon=0.3, n_steps=70)
         rng = np.random.default_rng(9)
@@ -161,8 +155,8 @@ class TestSingleStep:
         want = np.empty((71, 32))
         want[70] = p_T
         for m in range(69, -1, -1):
-            want[m] = ops.step_adjoint(want[m + 1], m,
-                                       None if source is None else source[m + 1])
+            rhs = want[m + 1] if source is None else want[m + 1] + tgrid.dt * source[m + 1]
+            want[m] = _adjoint_step(ops, rhs, m)
         assert dual.u.flags.c_contiguous
         assert np.array_equal(dual.u, want)
         assert not np.array_equal(dual.u[0], dual.u[-1])
@@ -182,15 +176,16 @@ class TestSingleStep:
         assert np.max(np.abs(got[1] - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_single_step_duality(self):
+        # <A^-1 u, p5> = <u, A^-T p5> for step 4 of solve_adjoint, p5 -> p4
         grid = Grid1D(n_cells=12, omega_a=0.3, omega_b=0.7)
         tgrid = TimeGrid(horizon=0.2, n_steps=10)
         rng = np.random.default_rng(5)
         coeffs = _random_coefficients(grid, tgrid, rng)
         ops = StepOperators(7.0, coeffs)
         u = rng.standard_normal(24)
-        p = rng.standard_normal(24)
-        lhs = np.dot(ops.step_forward(u, 4), p)
-        rhs = np.dot(u, ops.step_adjoint(p, 4))
+        dual = solve_adjoint(ops, rng.standard_normal(24))
+        lhs = np.dot(ops.step_forward(u, 4), dual.u[5])
+        rhs = np.dot(u, dual.u[4])
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("controlled", [False, True], ids=["free", "controlled"])
@@ -213,8 +208,10 @@ class TestSingleStep:
         want = np.empty((71, ops.size))
         want[0] = np.concatenate([y0, z0])
         for m in range(70):
-            src = None if control is None else grid.omega_indicator * control.values[m]
-            want[m + 1] = ops.step_forward(want[m], m, src)
+            rhs = want[m].copy()
+            if control is not None:
+                rhs[:16] += tgrid.dt * (grid.omega_indicator * control.values[m])
+            want[m + 1] = ops.step_forward(rhs, m)
         assert traj.u.flags.c_contiguous
         assert np.array_equal(traj.u, want)
         assert not np.array_equal(traj.u[-1], traj.u[0])
@@ -259,13 +256,10 @@ class TestSingleStep:
         ops = ShadowStepOperators(coeffs)
         assert (ops.grid, ops.tgrid, ops.size) == (grid, tgrid, n + 1)
         assert ops.sigma == np.inf
-        u = rng.standard_normal(n + 1)
-        rhs = u.copy()
-        src = None
+        rhs = rng.standard_normal(n + 1)
         if sourced:
-            src = rng.standard_normal(n)
-            rhs[:n] += tgrid.dt * src
-        got = ops.step_forward(u, m, src)
+            rhs[:n] += tgrid.dt * rng.standard_normal(n)
+        got = ops.step_forward(rhs, m)
         want = np.linalg.solve(_dense_shadow_matrix(grid, tgrid, coeffs, m), rhs)
         assert got.shape == (n + 1,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
