@@ -13,7 +13,9 @@ windowed space-time norm of phi_a, and the controlled terminal state obeys
 eps down drives the terminal state to zero at rate sqrt(eps).
 
 Every solver here takes the :class:`~shadowctl.pde.StepOperators` of its
-system and builds none, so calls that share them share their factorizations.
+system, so calls that share them share their factorizations; the only ones
+built here are the mean field's, the default preconditioning reference
+below, cached on the ops they serve.  The reduced system has no dual march.
 States and dual data are whole stacked vectors of length 2n = ``ops.size``,
 y in the first n entries and z in the last n.
 
@@ -49,7 +51,7 @@ import numpy as np
 
 from ._lapack import dtpqrt, dtrtrs
 from .mesh import _cosine_basis
-from .pde import (ControlField, StepOperators, Trajectory,
+from .pde import (ControlField, StepOperators, Trajectory, _check_dual,
                   constant_coefficients, control_cost, solve_adjoint,
                   solve_forward_linear)
 
@@ -346,9 +348,12 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     ``cg_converged`` says the last is within ``cg_tol * ||b||``.  A direct
     solve reports 0 iterations and the history (||b||, ||R^T R p + eps p -
     b||) in the cosine basis.  Deterministic: repeated calls with equal
-    inputs produce bit-identical results.
+    inputs produce bit-identical results.  The reduced system, as ``ops`` or
+    ``reference``, raises ``ValueError`` before any march.
     """
+    _check_dual(ops)
     if reference is not None:
+        _check_dual(reference)
         if not reference.coeffs.constant:
             raise ValueError("reference coefficients must be constant in space and time")
         if reference.grid != ops.grid or reference.tgrid != ops.tgrid:

@@ -20,21 +20,20 @@ holds to round-off for any control and any terminal data.
 
 A frozen-coefficient system is named once, by its :class:`StepOperators`:
 the linear marchers take them, the semilinear one those of its reaction-free
-part, and all read sigma and the grids from them.  The
-marchers exchange whole stacked states (y; z), y first, of length
-``StepOperators.size``, and :class:`Trajectory` keeps their march array.
+part, and all read sigma and the grids from them.
 :class:`ShadowStepOperators` step the same system in the shadow limit
 sigma = inf, where z collapses onto its spatial mean, the scalar mode xi:
-their stacked state is (y; xi), of length n_cells + 1, and each step is
-the tridiagonal heat solve of y bordered by the a12 column and the mean
-row, closed by a one-unknown Schur complement.  The forward marchers take
-either ops: the linear one hands its whole march to ``ops.march``, and the
-semilinear one takes one ``ops.step_forward`` per fixed-point iterate.  The
-dual marcher takes :class:`StepOperators` alone and hands its march to
-``ops.march_adjoint``.
-The lift reads xi as the constant field z = xi, and ``ops.restrict`` maps a
-field back to z-entries by its mean; both are the identity on a full
-state.  :attr:`Trajectory.z` is the lifted field.
+their stacked state is (y; xi), of length n_cells + 1.  Each ops exposes
+one primitive, ``ops.solve(row, m, trans=0)``, which takes step m in place
+on a state held in the ops' solve order, with ``ops.order`` and
+``ops.restack`` permuting into and out of it and ``ops.y_entries`` and
+``ops.z_entries`` picking its components.  Each marcher owns its loop over
+the steps in that order and hands back stacked states (y; z), y first, of
+length ``ops.size``, in the march array that :class:`Trajectory` keeps.
+The forward marchers take either ops; the dual marcher takes
+:class:`StepOperators` alone, as the reduced step has no transpose yet.
+``ops.restrict`` maps a z field to the z-entries, by its mean for xi, and
+:attr:`Trajectory.z` lifts xi back to the constant field z = xi.
 
 Conventions: coefficient fields are node-indexed with shape
 (n_steps + 1, n_cells) and the step t_m -> t_{m+1} reads slice m; control
@@ -155,13 +154,6 @@ def control_cost(control: ControlField) -> float:
     return float(np.sqrt(sq))
 
 
-def _lift(u: np.ndarray, n_cells: int) -> np.ndarray:
-    """The z field, n_cells entries per state, of a stacked state or of an
-    array of them, as a read-only view: a one-entry xi of the shadow limit is
-    the constant field z = xi, and a full state's z is itself."""
-    return np.broadcast_to(u[..., n_cells:], u.shape[:-1] + (n_cells,))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """March array ``u``: row m is the stacked state (y; z) at node m, so
@@ -182,7 +174,7 @@ class Trajectory:
 
     @property
     def z(self) -> np.ndarray:
-        return _lift(self.u, self.grid.n_cells)
+        return np.broadcast_to(self.u[:, self.grid.n_cells:], self.y.shape)
 
     def terminal_norms(self) -> tuple[float, float]:
         return norm_l2(self.grid, self.y[-1]), norm_l2(self.grid, self.z[-1])
@@ -191,17 +183,17 @@ class Trajectory:
 def _band_lu(band: np.ndarray, k: int):
     """LU-factorize a band matrix with k sub- and superdiagonals, stored as
     LAPACK does (row k + i - j holds entry (i, j)); return ``solve(rhs,
-    trans=0, overwrite=False)``, which takes a vector or columns, ``trans=1``
-    the transpose.  With ``overwrite`` a Fortran-ordered float block of
-    columns is solved in place and returned."""
+    trans=0)``, which solves a vector or columns, with ``trans=1`` the
+    transpose, in place when ``rhs`` is a Fortran-ordered float array, and
+    returns the solution."""
     ab = np.zeros((3 * k + 1, band.shape[1]), order="F")
     ab[k:] = band   # the top k rows take the fill-in of row pivoting
     lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"band LU failed: dgbtrf returned info = {info}")
 
-    def solve(rhs: np.ndarray, trans: int = 0, overwrite: bool = False) -> np.ndarray:
-        return dgbtrs(lu, k, k, rhs, piv, trans=trans, overwrite_b=overwrite)[0]
+    def solve(rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        return dgbtrs(lu, k, k, rhs, piv, trans=trans, overwrite_b=True)[0]
     return solve
 
 
@@ -214,15 +206,31 @@ def _heat_band(grid: Grid1D, scale: float) -> np.ndarray:
     return band
 
 
-def _check_step_size(coeffs: CoefficientField) -> None:
-    """Reject a step at which dt * a_ij could make an implicit step singular."""
-    if coeffs.tgrid.dt * coeffs.max_sup >= 0.5:
-        raise ValueError(
-            f"dt * max coefficient sup-norm = {coeffs.tgrid.dt * coeffs.max_sup:.3g} "
-            "must stay below 0.5 for a safely invertible implicit step")
+class _Stepper:
+    """What both step operators share: the grids and the coefficient field,
+    the bound that keeps every implicit step safely invertible, and the
+    per-step factors, each made by the subclass's ``_build(m)`` on first use
+    and once if the coefficients are constant in time."""
+
+    def __init__(self, coeffs: CoefficientField) -> None:
+        if coeffs.tgrid.dt * coeffs.max_sup >= 0.5:
+            raise ValueError(
+                f"dt * max coefficient sup-norm = {coeffs.tgrid.dt * coeffs.max_sup:.3g} "
+                "must stay below 0.5 for a safely invertible implicit step")
+        self.grid = coeffs.grid
+        self.tgrid = coeffs.tgrid
+        self.coeffs = coeffs
+        self._factors: list = [None] * coeffs.tgrid.n_steps
+
+    def _factor(self, m: int):
+        if self.coeffs.time_invariant:
+            m = 0
+        if self._factors[m] is None:
+            self._factors[m] = self._build(m)
+        return self._factors[m]
 
 
-class StepOperators:
+class StepOperators(_Stepper):
     """Factorized one-step solvers for a frozen-coefficient system.
 
     Built from sigma and a coefficient field, whose grids it takes; every
@@ -233,30 +241,32 @@ class StepOperators:
     I - dt*A_m couples y_i and z_i only through the coefficient slice m, so
     in the interleaved unknowns (y_0, z_0, y_1, z_1, ...) it is pentadiagonal:
     a12, a21 on the first off-diagonals, the stencils of lap and sigma*lap on
-    the second.  Each band is LU-factorized on first use, once if the
-    coefficients are constant in time.  :meth:`step_forward` maps one
-    stacked state, and :meth:`march_adjoint` solves with the transpose on
-    the same factors: the exact transpose of the forward step.  ``cache``
-    keeps what solvers derive from these operators for later calls, such as
-    the Gramian factor of :func:`~shadowctl.hum.hum_solve`.
+    the second, and each band is LU-factorized.  That interleaved order is
+    the solve order: ``order`` permutes a stacked state into it,
+    :meth:`restack` a march array out of it, and ``y_entries`` and
+    ``z_entries`` pick the components.  :meth:`solve` takes one step in
+    place, with ``trans=1`` the exact transpose on the same factors.
+    ``cache`` keeps what solvers derive from these operators for later
+    calls, such as the Gramian factor of :func:`~shadowctl.hum.hum_solve`.
     """
 
+    y_entries = slice(0, None, 2)
+    z_entries = slice(1, None, 2)
+
     def __init__(self, sigma: float, coeffs: CoefficientField) -> None:
-        if not sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        _check_step_size(coeffs)
-        self.grid = grid = coeffs.grid
-        self.tgrid = tgrid = coeffs.tgrid
+        if not 0.0 < sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}; "
+                             "the shadow limit sigma = inf is ShadowStepOperators")
+        super().__init__(coeffs)
         self.sigma = float(sigma)
-        self.coeffs = coeffs
-        size, dt = self.size, tgrid.dt
+        size, dt = self.size, self.tgrid.dt
         # diffusion rows of the interleaved band: y and z columns alternate
-        heat = np.stack([_heat_band(grid, dt), _heat_band(grid, dt * sigma)], axis=-1)
+        heat = np.stack([_heat_band(self.grid, dt), _heat_band(self.grid, dt * sigma)],
+                        axis=-1)
         self._band = np.zeros((5, size))
         self._band[::2] = heat.reshape(3, size)
-        self._interleave = np.arange(size).reshape(2, -1).T.ravel()
+        self.order = np.arange(size).reshape(2, -1).T.ravel()
         self._stack = np.arange(size).reshape(-1, 2).T.ravel()
-        self._solvers: list = [None] * tgrid.n_steps
         self.cache: dict = {}
 
     @property
@@ -264,68 +274,25 @@ class StepOperators:
         """Length 2 n_cells of a stacked state."""
         return 2 * self.grid.n_cells
 
-    def _solver(self, m: int):
-        if self.coeffs.time_invariant:
-            m = 0
-        if self._solvers[m] is None:
-            dt, c = self.tgrid.dt, self.coeffs
-            band = self._band.copy()
-            band[1, 1::2] = -dt * c.a12[m]
-            band[2, 0::2] -= dt * c.a11[m]
-            band[2, 1::2] -= dt * c.a22[m]
-            band[3, 0::2] = -dt * c.a21[m]
-            self._solvers[m] = _band_lu(band, 2)
-        return self._solvers[m]
+    def _build(self, m: int):
+        dt, c = self.tgrid.dt, self.coeffs
+        band = self._band.copy()
+        band[1, 1::2] = -dt * c.a12[m]
+        band[2, 0::2] -= dt * c.a11[m]
+        band[2, 1::2] -= dt * c.a22[m]
+        band[3, 0::2] = -dt * c.a21[m]
+        return _band_lu(band, 2)
 
-    def step_forward(self, u: np.ndarray, m: int) -> np.ndarray:
-        """Advance the stacked state from node m to node m + 1."""
-        return self._solver(m)(u[self._interleave])[self._stack]
+    def solve(self, row: np.ndarray, m: int, trans: int = 0) -> None:
+        """Solve step m in place on ``row``, a contiguous state in the solve
+        order: from node m to node m + 1, or with ``trans=1`` the dual step
+        from node m + 1 to node m."""
+        self._factor(m)(row, trans=trans)
 
-    def march(self, u: np.ndarray, source_y: np.ndarray | None = None) -> None:
-        """Fill rows 1..n_steps of the march array ``u`` from its row 0.
-
-        Step m adds dt times row m of ``source_y``, shape (n_steps,
-        n_cells), if given, to the y-entries of row m, and the values equal
-        those of the loop of :meth:`step_forward` on those sums.  The rows
-        of ``u`` are marched in the band's interleaved order, each step
-        solving its row in place, and permuted back at the end.
-        """
-        u[0] = u[0, self._interleave]
-        scaled = None if source_y is None else self.tgrid.dt * source_y
-        for m in range(self.tgrid.n_steps):
-            row = u[m + 1]
-            row[:] = u[m]
-            if scaled is not None:
-                row[0::2] += scaled[m]
-            self._solver(m)(row, overwrite=True)
-        self._restack(u)
-
-    def march_adjoint(self, p: np.ndarray, source: np.ndarray | None = None) -> None:
-        """Fill rows n_steps - 1..0 of the dual march array ``p`` from its
-        last row, the backward counterpart of :meth:`march`.
-
-        Step m adds dt times row m + 1 of ``source``, shape (n_steps + 1,
-        size), if given, to row m + 1 and solves with the exact transpose of
-        the forward step matrix, which in particular swaps the zero-order
-        coupling blocks.  The rows are marched in the band's interleaved
-        order, each step solving its row in place, and permuted back at the
-        end.
-        """
-        last = self.tgrid.n_steps
-        p[last] = p[last, self._interleave]
-        scaled = None if source is None else self.tgrid.dt * source[:, self._interleave]
-        for m in range(last - 1, -1, -1):
-            row = p[m]
-            row[:] = p[m + 1]
-            if scaled is not None:
-                row += scaled[m + 1]
-            self._solver(m)(row, trans=1, overwrite=True)
-        self._restack(p)
-
-    def _restack(self, u: np.ndarray) -> None:
-        """Permute the rows of a march array from the band's interleaved
-        order back to stacked states, 64 rows at a time, so that no second
-        march array is allocated."""
+    def restack(self, u: np.ndarray) -> None:
+        """Permute the rows of a march array from the solve order back to
+        stacked states, 64 rows at a time, so that no second march array is
+        allocated."""
         for i in range(0, u.shape[0], 64):
             u[i:i + 64] = u[i:i + 64, self._stack]
 
@@ -334,91 +301,89 @@ class StepOperators:
         return field
 
 
-class ShadowStepOperators:
+class ShadowStepOperators(_Stepper):
     """Factorized one-step solver for the shadow limit of a frozen-coefficient
     system, the reduced counterpart of :class:`StepOperators`.
 
     As sigma -> inf the fast component z collapses onto its spatial mean,
     the scalar mode xi with d(xi)/dt = mean(a21 y + a22 xi).  A state is one
     stacked vector of length ``size`` = n_cells + 1, y in its first n_cells
-    entries and xi last; ``sigma`` is inf.  The implicit step from node m is
-    the tridiagonal heat block of y bordered by the a12 column and the mean
-    row dx a21 (dx the cell width, so dx * sum is the mean; f = ``source_y``,
-    the windowed control):
+    entries and xi last; ``sigma`` is inf.  The stacked order is the solve
+    order, so ``order`` and :meth:`restack` leave a state as it is.  The
+    implicit step from node m is the tridiagonal heat block of y bordered by
+    the a12 column and the mean row dx a21 (dx the cell width, so dx * sum
+    is the mean), with right-hand side (b; b_xi), the state at node m plus
+    dt times whatever source the marcher adds:
 
-        [ K_m                 -dt a12[m]             ] [y']   [y + dt f]
-        [ -dt dx a21[m]^T     1 - dt dx sum a22[m]   ] [xi'] = [xi      ]
+        [ K_m                 -dt a12[m]             ] [y']   [b   ]
+        [ -dt dx a21[m]^T     1 - dt dx sum a22[m]   ] [xi'] = [b_xi]
 
-    with K_m = I - dt lap - dt diag(a11[m]).  It is solved as v = K_m^-1 (y +
-    dt f), xi' = (xi + dt dx a21[m] . v) / s_m, y' = v + xi' w_m, where
+    with K_m = I - dt lap - dt diag(a11[m]).  It is solved as v = K_m^-1 b,
+    xi' = (b_xi + dt dx a21[m] . v) / s_m, y' = v + xi' w_m, where
     w_m = K_m^-1 (dt a12[m]) and s_m = 1 - dt dx sum a22[m] - dt dx a21[m] . w_m
     is the one-unknown Schur complement.  The bound dt * max|a_ij| < 0.5
-    keeps K_m an M-matrix and s_m positive.  The factors of a slice are built
-    on first use, once if the coefficients are constant in time.
+    keeps K_m an M-matrix and s_m positive.  The step has no transpose yet,
+    so the reduced system has no dual march.
     """
 
+    order = slice(None)
+
     def __init__(self, coeffs: CoefficientField) -> None:
-        _check_step_size(coeffs)
-        self.grid = coeffs.grid
-        self.tgrid = coeffs.tgrid
+        super().__init__(coeffs)
         self.sigma = np.inf
-        self.coeffs = coeffs
-        self._factors: list = [None] * coeffs.tgrid.n_steps
+        n = self.grid.n_cells
+        self.y_entries, self.z_entries = slice(0, n), slice(n, None)
 
     @property
     def size(self) -> int:
         """Length n_cells + 1 of a stacked state (y; xi)."""
         return self.grid.n_cells + 1
 
-    def _factor(self, m: int):
-        if self.coeffs.time_invariant:
-            m = 0
-        if self._factors[m] is None:
-            dt, dx, c = self.tgrid.dt, self.grid.spacing, self.coeffs
-            band = _heat_band(self.grid, dt)
-            band[1] -= dt * c.a11[m]
-            solve = _band_lu(band, 1)
-            w = solve(dt * c.a12[m])
-            mean_row = dt * dx * c.a21[m]
-            schur = 1.0 - dt * dx * np.sum(c.a22[m]) - mean_row @ w
-            self._factors[m] = solve, w, mean_row, schur
-        return self._factors[m]
+    def _build(self, m: int):
+        dt, dx, c = self.tgrid.dt, self.grid.spacing, self.coeffs
+        band = _heat_band(self.grid, dt)
+        band[1] -= dt * c.a11[m]
+        solve = _band_lu(band, 1)
+        w = solve(dt * c.a12[m])
+        mean_row = dt * dx * c.a21[m]
+        schur = 1.0 - dt * dx * np.sum(c.a22[m]) - mean_row @ w
+        return solve, w, mean_row, schur
 
-    def _step(self, u: np.ndarray, m: int, source_y: np.ndarray | None,
-              out: np.ndarray) -> None:
-        """Write the state after the step from node m into ``out``."""
-        n = self.grid.n_cells
+    def solve(self, row: np.ndarray, m: int, trans: int = 0) -> None:
+        """Solve step m in place on the stacked state ``row`` (y; xi), from
+        node m to node m + 1; ``trans=1`` raises ``ValueError``."""
+        if trans:
+            raise ValueError("the reduced system has no transposed step")
         solve, w, mean_row, schur = self._factor(m)
-        v = solve(u[:n] if source_y is None else u[:n] + self.tgrid.dt * source_y)
-        xi = (u[n] + mean_row @ v) / schur
-        np.add(v, xi * w, out=out[:n])
-        out[n] = xi
+        v = solve(row[:-1])
+        xi = (row[-1] + mean_row @ v) / schur
+        np.add(v, xi * w, out=row[:-1])
+        row[-1] = xi
 
-    def step_forward(self, u: np.ndarray, m: int) -> np.ndarray:
-        """Advance the stacked state (y; xi) from node m to node m + 1."""
-        out = np.empty(self.size)
-        self._step(u, m, None, out)
-        return out
-
-    def march(self, u: np.ndarray, source_y: np.ndarray | None = None) -> None:
-        """Fill rows 1..n_steps of the march array ``u`` from its row 0, as
-        :meth:`StepOperators.march` does, each step writing its row in place."""
-        for m in range(self.tgrid.n_steps):
-            self._step(u[m], m, None if source_y is None else source_y[m], u[m + 1])
+    def restack(self, u: np.ndarray) -> None:
+        """Nothing to permute: the solve order is the stacked order."""
 
     def restrict(self, field: np.ndarray) -> np.ndarray:
         """The one z-entry of a per-cell z field: its mean, as a 1-entry array."""
         return self.grid.spacing * np.sum(field, axis=-1, keepdims=True)
 
 
+def _check_dual(ops: StepOperators | ShadowStepOperators) -> None:
+    """Refuse the reduced system, whose step has no transpose."""
+    if isinstance(ops, ShadowStepOperators):
+        raise ValueError("the reduced system (ShadowStepOperators) has no dual "
+                         "march; solve_adjoint and hum_solve take StepOperators")
+
+
 def _forward_march(ops: StepOperators | ShadowStepOperators,
                    control: ControlField | None,
                    y0: np.ndarray, z0: np.ndarray) -> np.ndarray:
-    """Node array of a forward march of ``ops``, row 0 holding (y0; z0)."""
+    """Node array of a forward march of ``ops``, row 0 holding (y0; z0) in
+    the solve order."""
     n = ops.grid.n_cells
     u = np.empty((ops.tgrid.n_steps + 1, ops.size))
-    u[0, :n] = _checked(y0, (n,), "y0")
-    u[0, n:] = _checked(z0, (ops.size - n,), "z0")
+    u[0, ops.y_entries] = _checked(y0, (n,), "y0")
+    u[0, ops.z_entries] = _checked(z0, (ops.size - n,), "z0")
     if control is not None and (control.grid != ops.grid or control.tgrid != ops.tgrid):
         raise ValueError("control field was built for a different grid")
     return u
@@ -431,10 +396,20 @@ def solve_forward_linear(ops: StepOperators | ShadowStepOperators,
 
     The control is weighted by the window indicator and enters the y-equation
     only; ``control=None`` means free flow.  For :class:`ShadowStepOperators`
-    ``z0`` is the one-entry array (xi0,).
+    ``z0`` is the one-entry array (xi0,).  Each step adds dt times its
+    control slice to the y-entries of the state and solves in place.
     """
     u = _forward_march(ops, control, y0, z0)
-    ops.march(u, None if control is None else ops.grid.omega_indicator * control.values)
+    y = ops.y_entries
+    scaled = (None if control is None
+              else ops.tgrid.dt * (ops.grid.omega_indicator * control.values))
+    for m in range(ops.tgrid.n_steps):
+        row = u[m + 1]
+        row[:] = u[m]
+        if scaled is not None:
+            row[y] += scaled[m]
+        ops.solve(row, m)
+    ops.restack(u)
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
 
 
@@ -445,34 +420,27 @@ def solve_adjoint(ops: StepOperators, p_T: np.ndarray,
     ``p_T`` is a stacked dual state of length ``ops.size`` and ``source``,
     if given, a node-indexed array of them, shape (n_steps + 1, ops.size).
     Each backward step applies the transpose of the corresponding forward
-    step matrix; source row m + 1 enters the step down to node m, which
-    keeps the sourced duality identity exact.  Row m of the returned
-    trajectory holds the dual state at node m, phi in ``y`` and psi in ``z``.
+    step matrix, which in particular swaps the zero-order coupling blocks;
+    source row m + 1 enters the step down to node m, which keeps the
+    sourced duality identity exact.  Row m of the returned trajectory holds
+    the dual state at node m, phi in ``y`` and psi in ``z``.  The reduced
+    system has no dual march: :class:`ShadowStepOperators` raise
+    ``ValueError``.
     """
-    p = np.empty((ops.tgrid.n_steps + 1, ops.size))
-    p[-1] = _checked(p_T, (ops.size,), "p_T")
-    if source is not None:
-        source = _checked(source, p.shape, "source")
-    ops.march_adjoint(p, source)
+    _check_dual(ops)
+    last = ops.tgrid.n_steps
+    p = np.empty((last + 1, ops.size))
+    p[last] = _checked(p_T, (ops.size,), "p_T")[ops.order]
+    scaled = (None if source is None
+              else ops.tgrid.dt * _checked(source, p.shape, "source")[:, ops.order])
+    for m in range(last - 1, -1, -1):
+        row = p[m]
+        row[:] = p[m + 1]
+        if scaled is not None:
+            row += scaled[m + 1]
+        ops.solve(row, m, trans=1)
+    ops.restack(p)
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, p)
-
-
-def _nonlinear_step(update, start: np.ndarray, inner_tol: float,
-                    max_inner: int, m: int) -> np.ndarray:
-    """Resolve one implicit step by the fixed-point iteration v <- update(v),
-    warm-started at ``start``, until the sup-norm change is within
-    inner_tol * max(1, sup|v|)."""
-    v = start
-    for _ in range(max_inner):
-        v_new = update(v)
-        delta = float(np.abs(v_new - v).max())
-        v = v_new
-        if delta <= inner_tol * max(1.0, float(np.abs(v_new).max())):
-            return v
-    raise RuntimeError(
-        f"implicit reaction solve stalled at step {m}: "
-        f"last update {delta:.3e} above tolerance {inner_tol:.1e} "
-        f"after {max_inner} iterations")
 
 
 def solve_forward_semilinear(ops: StepOperators | ShadowStepOperators,
@@ -489,7 +457,8 @@ def solve_forward_semilinear(ops: StepOperators | ShadowStepOperators,
     ``z0 = (xi0,)`` and d(xi)/dt = mean g(y, xi).  Each step solves the fully
     implicit equation by fixed-point iteration on the reaction term: f and g
     are evaluated on y and the lifted z field, g is taken back to the
-    z-entries by ``ops.restrict``, and every iterate is one step of ``ops``.
+    z-entries by ``ops.restrict``, and every iterate is one step of ``ops``,
+    taken in place in its solve order.
     dt * max(C_f, C_g) < 1 is enforced so the per-step map is a contraction.
     """
     if ops.coeffs.max_sup != 0.0:
@@ -506,22 +475,33 @@ def solve_forward_semilinear(ops: StepOperators | ShadowStepOperators,
         raise ValueError(
             f"dt * max Lipschitz bound = {dt * cmax:.3g} must stay below 1 "
             "for the per-step fixed point to contract")
-    n = ops.grid.n_cells
+    y, z = ops.y_entries, ops.z_entries
     chi = ops.grid.omega_indicator
-    # each iterate is copied into w, so z is lifted once per march, not per iterate
+    # w holds the last iterate; its views, z lifted, are made once per march
     w = np.empty(ops.size)
-    wy, wz = w[:n], _lift(w, n)
+    wy, wz = w[y], np.broadcast_to(w[z], (ops.grid.n_cells,))
     for m in range(ops.tgrid.n_steps):
         src = chi * control.values[m] if control is not None else 0.0
-
-        def update(v: np.ndarray) -> np.ndarray:
-            w[:] = v
-            reaction = np.concatenate([
-                np.asarray(pair.f.value(wy, wz)) + src,
-                ops.restrict(np.asarray(pair.g.value(wy, wz)))])
-            return ops.step_forward(u[m] + dt * reaction, m)
-
-        u[m + 1] = _nonlinear_step(update, u[m], inner_tol, max_inner, m)
+        # iterate in place on row m + 1, from the state at node m, until the
+        # sup-norm change is within inner_tol * max(1, sup of the iterate)
+        row = u[m + 1]
+        w[:] = u[m]
+        for _ in range(max_inner):
+            row[y] = np.asarray(pair.f.value(wy, wz)) + src
+            row[z] = ops.restrict(np.asarray(pair.g.value(wy, wz)))
+            row *= dt
+            row += u[m]
+            ops.solve(row, m)
+            delta = float(np.abs(row - w).max())
+            if delta <= inner_tol * max(1.0, float(np.abs(row).max())):
+                break
+            w[:] = row
+        else:
+            raise RuntimeError(
+                f"implicit reaction solve stalled at step {m}: "
+                f"last update {delta:.3e} above tolerance {inner_tol:.1e} "
+                f"after {max_inner} iterations")
+    ops.restack(u)
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
 
 
@@ -536,8 +516,8 @@ def solve_heat(grid: Grid1D, tgrid: TimeGrid, kappa: float, u0: np.ndarray,
     if source is not None:
         source = _checked(source, u.shape, "source")
     for m in range(tgrid.n_steps):
-        rhs = u[m] if source is None else u[m] + tgrid.dt * source[m + 1]
-        u[m + 1] = solve(rhs)
+        u[m + 1] = u[m] if source is None else u[m] + tgrid.dt * source[m + 1]
+        solve(u[m + 1])
     return u
 
 

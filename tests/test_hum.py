@@ -16,8 +16,9 @@ from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
                            epsilon_sweep, gramian_apply, hum_solve)
 from shadowctl.mesh import Grid1D, TimeGrid, _laplacian_stencil, norm_l2
 from shadowctl.nonlinear import arctan_family, make_pair, sigmoid_family
-from shadowctl.pde import (ControlField, StepOperators, constant_coefficients,
-                           control_cost, solve_adjoint, solve_forward_linear)
+from shadowctl.pde import (ControlField, ShadowStepOperators, StepOperators,
+                           constant_coefficients, control_cost, solve_adjoint,
+                           solve_forward_linear)
 from shadowctl.semilinear import linearized_coefficients, origin_coefficients
 
 
@@ -233,6 +234,23 @@ class TestHumSolve:
         monkeypatch.setattr(hum, "_factor_and_basis", refuse)
         res = hum_solve(StepOperators(1.0, coeffs), np.zeros(20), np.zeros(20))
         assert res.cg_iterations == 0 and res.cg_converged
+
+    @pytest.mark.parametrize("role", ["gramian_apply", "ops", "reference"])
+    def test_reduced_system_is_refused(self, small_problem, role, monkeypatch):
+        # the reduced system has no dual march: refused before any step
+        grid, tgrid, coeffs, y0, z0 = small_problem
+        reduced = ShadowStepOperators(coeffs)
+        steps = []
+        for cls in (StepOperators, ShadowStepOperators):
+            monkeypatch.setattr(cls, "solve", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="reduced system"):
+            if role == "gramian_apply":
+                gramian_apply(reduced, np.ones(21))
+            elif role == "ops":
+                hum_solve(reduced, y0, [0.1])
+            else:
+                hum_solve(StepOperators(1.0, coeffs), y0, z0, reference=reduced)
+        assert steps == []
 
     def test_reported_norms_are_those_of_the_last_state(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem

@@ -64,6 +64,8 @@ def test_time_grid():
     assert np.allclose(np.diff(tg.nodes), tg.dt)
     with pytest.raises(ValueError):
         TimeGrid(horizon=0.0, n_steps=10)
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(horizon=np.inf, n_steps=10)
     with pytest.raises(ValueError):
         TimeGrid(horizon=1.0, n_steps=0)
 

@@ -106,10 +106,14 @@ def _step_case(n, coefficients, seed):
     return grid, tgrid, coeffs, rng
 
 
-def _adjoint_step(ops, p, m):
-    # reference dual step: the transposed solve on the forward step's band
-    # LU, from node m + 1 to node m, on stacked states
-    return ops._solver(m)(p[ops._interleave], trans=1)[ops._stack]
+def _step(ops, state, m, trans=0):
+    # one step of ops on a stacked state, from node m to node m + 1 or with
+    # trans=1 the dual step back: permuted into the solve order, solved in
+    # place there, and permuted back
+    rows = np.array(state, dtype=float)[None, ops.order]
+    ops.solve(rows[0], m, trans)
+    ops.restack(rows)
+    return rows[0]
 
 
 class TestSingleStep:
@@ -119,7 +123,7 @@ class TestSingleStep:
         ops = StepOperators(sigma, coeffs)
         big = _dense_step_matrix(grid, tgrid, sigma, coeffs, m)
         u = rng.standard_normal(2 * n)
-        got = ops.step_forward(u, m)
+        got = _step(ops, u, m)
         want = np.linalg.solve(big, u)
         assert got.shape == u.shape
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -156,7 +160,7 @@ class TestSingleStep:
         want[70] = p_T
         for m in range(69, -1, -1):
             rhs = want[m + 1] if source is None else want[m + 1] + tgrid.dt * source[m + 1]
-            want[m] = _adjoint_step(ops, rhs, m)
+            want[m] = _step(ops, rhs, m, trans=1)
         assert dual.u.flags.c_contiguous
         assert np.array_equal(dual.u, want)
         assert not np.array_equal(dual.u[0], dual.u[-1])
@@ -184,7 +188,7 @@ class TestSingleStep:
         ops = StepOperators(7.0, coeffs)
         u = rng.standard_normal(24)
         dual = solve_adjoint(ops, rng.standard_normal(24))
-        lhs = np.dot(ops.step_forward(u, 4), dual.u[5])
+        lhs = np.dot(_step(ops, u, 4), dual.u[5])
         rhs = np.dot(u, dual.u[4])
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
@@ -192,7 +196,7 @@ class TestSingleStep:
     @pytest.mark.parametrize("coefficients", ["constant", "varying"])
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "shadow"])
     def test_march_is_the_step_loop(self, reduced, coefficients, controlled):
-        # the ops' whole-march kernel gives the step_forward loop bit for bit;
+        # the march gives the loop of single stacked-order steps bit for bit;
         # 71 rows, so the march array is permuted back in more than one block
         grid = Grid1D(n_cells=16, omega_a=0.25, omega_b=0.75)
         tgrid = TimeGrid(horizon=0.3, n_steps=70)
@@ -211,7 +215,7 @@ class TestSingleStep:
             rhs = want[m].copy()
             if control is not None:
                 rhs[:16] += tgrid.dt * (grid.omega_indicator * control.values[m])
-            want[m + 1] = ops.step_forward(rhs, m)
+            want[m + 1] = _step(ops, rhs, m)
         assert traj.u.flags.c_contiguous
         assert np.array_equal(traj.u, want)
         assert not np.array_equal(traj.u[-1], traj.u[0])
@@ -259,7 +263,7 @@ class TestSingleStep:
         rhs = rng.standard_normal(n + 1)
         if sourced:
             rhs[:n] += tgrid.dt * rng.standard_normal(n)
-        got = ops.step_forward(rhs, m)
+        got = _step(ops, rhs, m)
         want = np.linalg.solve(_dense_shadow_matrix(grid, tgrid, coeffs, m), rhs)
         assert got.shape == (n + 1,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -275,10 +279,13 @@ class TestSingleStep:
         assert str(reduced.value) == str(full.value)
 
     def test_rejects_nonpositive_sigma(self):
+        # sigma = inf would march NaN; its limit is the reduced system
         grid = Grid1D(n_cells=8)
         tgrid = TimeGrid(horizon=0.1, n_steps=10)
-        with pytest.raises(ValueError, match="sigma"):
-            StepOperators(0.0, zero_coefficients(grid, tgrid))
+        for sigma in (0.0, np.inf):
+            with pytest.raises(ValueError, match="sigma must be positive and "
+                                                 "finite.*ShadowStepOperators"):
+                StepOperators(sigma, zero_coefficients(grid, tgrid))
 
 
 class TestHeatFlow:
@@ -445,7 +452,50 @@ class TestDuality:
         assert abs(lhs - rhs) < 1e-11 * max(abs(lhs), 1.0)
 
 
+def _stacked_semilinear(ops, pair, control, y0, z0, inner_tol=1e-10):
+    # reference semilinear march on stacked states: every fixed-point
+    # iterate concatenates the reaction and takes one stacked-order step
+    n, dt = ops.grid.n_cells, ops.tgrid.dt
+    chi = ops.grid.omega_indicator
+    u = np.empty((ops.tgrid.n_steps + 1, ops.size))
+    u[0] = np.concatenate([y0, z0])
+    for m in range(ops.tgrid.n_steps):
+        v = u[m]
+        for _ in range(50):
+            vy, vz = v[:n], np.broadcast_to(v[n:], (n,))
+            reaction = np.concatenate([pair.f.value(vy, vz) + chi * control.values[m],
+                                       ops.restrict(pair.g.value(vy, vz))])
+            v_new = _step(ops, u[m] + dt * reaction, m)
+            delta = np.max(np.abs(v_new - v))
+            v = v_new
+            if delta <= inner_tol * max(1.0, np.max(np.abs(v))):
+                break
+        else:
+            raise AssertionError(f"reference step {m} did not converge")
+        u[m + 1] = v
+    return u
+
+
 class TestSemilinear:
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "shadow"])
+    def test_march_is_the_stacked_step_loop(self, reduced):
+        # the march in the solve order gives the stacked-order loop bit for
+        # bit; 71 rows, so the march array is permuted back in two blocks
+        grid = Grid1D(n_cells=16, omega_a=0.25, omega_b=0.75)
+        tgrid = TimeGrid(horizon=0.3, n_steps=70)
+        rng = np.random.default_rng(13)
+        pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
+        coeffs = zero_coefficients(grid, tgrid)
+        ops = ShadowStepOperators(coeffs) if reduced else StepOperators(3.0, coeffs)
+        control = ControlField(grid, tgrid, rng.standard_normal((70, 16)))
+        y0 = 0.5 * np.cos(np.pi * grid.cell_centers)
+        z0 = rng.uniform(-0.5, 0.5, ops.size - 16)
+        traj = solve_forward_semilinear(ops, pair, control, y0, z0)
+        want = _stacked_semilinear(ops, pair, control, y0, z0)
+        assert traj.u.flags.c_contiguous
+        assert np.array_equal(traj.u, want)
+        assert not np.array_equal(traj.u[-1], traj.u[0])
+
     def test_matches_linear_solver_on_linear_pair(self):
         grid = Grid1D(n_cells=60)
         tgrid = TimeGrid(horizon=0.4, n_steps=80)
@@ -727,6 +777,32 @@ class TestValidation:
                 kwargs = {"xi0": [0.0], **bad}
                 xi0 = kwargs.pop("xi0")
                 _reduced_march(grid, tgrid, pair, None, np.zeros(10), xi0, **kwargs)
+
+    def test_reduced_system_has_no_dual_march(self, monkeypatch):
+        # refused before any step, and its step never runs forward where
+        # the transpose is asked for
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        ops = ShadowStepOperators(constant_coefficients(grid, tgrid, 0.1, 0.2, 0.3, 0.4))
+        steps = []
+        solve = ops.solve
+        monkeypatch.setattr(ops, "solve", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="reduced system"):
+            solve_adjoint(ops, np.ones(11))
+        assert steps == []
+        with pytest.raises(ValueError, match="reduced system"):
+            solve(np.ones(11), 0, trans=1)
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "shadow"])
+    def test_stalled_inner_solve_names_its_step(self, reduced):
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        coeffs = zero_coefficients(grid, tgrid)
+        ops = ShadowStepOperators(coeffs) if reduced else StepOperators(1.0, coeffs)
+        pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
+        with pytest.raises(RuntimeError, match="stalled at step 0.*after 1 iterations"):
+            solve_forward_semilinear(ops, pair, None, np.ones(10),
+                                     np.ones(ops.size - 10), max_inner=1)
 
     def test_semilinear_march_rejects_linearized_steps(self):
         # the reaction acts on top of the steps, so they must be reaction-free
