@@ -19,8 +19,7 @@ from .experiments import (ControlRun, M1Record, ScalingReport, SweepReport,
                           shadow_gap, sigma_sweep)
 from .hum import (EpsilonRow, EpsilonSweepReport, HumConfig, HumResult,
                   duality_residual, epsilon_sweep, gramian_apply, hum_solve)
-from .mesh import (DiscreteOperator, Grid1D, TimeGrid, inner_product,
-                   mean_value, neumann_laplacian, norm_l2)
+from .mesh import Grid1D, TimeGrid, inner_product, mean_value, norm_l2
 from .nonlinear import (HypothesisReport, Nonlinearity, NonlinearityPair,
                         arctan_family, check_hypotheses, linear_form,
                         linear_pair, make_pair, sigmoid_family)
@@ -42,8 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # mesh
-    "Grid1D", "TimeGrid", "DiscreteOperator", "neumann_laplacian",
-    "inner_product", "norm_l2", "mean_value",
+    "Grid1D", "TimeGrid", "inner_product", "norm_l2", "mean_value",
     # nonlinear
     "Nonlinearity", "NonlinearityPair", "HypothesisReport", "sigmoid_family",
     "arctan_family", "linear_form", "make_pair", "linear_pair",

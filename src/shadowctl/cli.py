@@ -28,7 +28,7 @@ from . import io as sio
 from .config import (ConfigError, RunConfig, build_fixed_point_config,
                      build_grid, build_hum_config, build_initial_data,
                      build_pair, build_tgrid, load_config, serialize_config)
-from .experiments import _gap_series, control_and_reduce, sigma_sweep
+from .experiments import _gap_series, _sweep_row, control_and_reduce, sigma_sweep
 from .hum import duality_residual, gramian_apply, hum_solve
 from .mesh import Grid1D, TimeGrid
 from .nonlinear import arctan_family, check_hypotheses, make_pair, sigmoid_family
@@ -57,11 +57,15 @@ def _dump_trajectory(out: Path, cfg: RunConfig, traj, control) -> None:
             sio.write_fields_binary(out / "control.bin", sio.control_fields(control))
 
 
+def _problem(cfg: RunConfig):
+    """(grid, tgrid, pair, y0, z0) of the configured problem."""
+    grid, tgrid, pair = build_grid(cfg), build_tgrid(cfg), build_pair(cfg)
+    return (grid, tgrid, pair, *build_initial_data(cfg, grid))
+
+
 def _cmd_hum(cfg: RunConfig, out: Path, seed: int) -> int:
     """solve one penalized nulling problem with frozen coefficients"""
-    grid, tgrid = build_grid(cfg), build_tgrid(cfg)
-    pair = build_pair(cfg)
-    y0, z0 = build_initial_data(cfg, grid)
+    grid, tgrid, pair, y0, z0 = _problem(cfg)
     ops = StepOperators(cfg.problem_sigma, origin_coefficients(grid, tgrid, pair))
     result = hum_solve(ops, y0, z0, build_hum_config(cfg))
     traj = result.trajectory
@@ -91,9 +95,7 @@ def _cmd_hum(cfg: RunConfig, out: Path, seed: int) -> int:
 
 def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int) -> int:
     """run the fixed-point control scheme on the semilinear system"""
-    grid, tgrid = build_grid(cfg), build_tgrid(cfg)
-    pair = build_pair(cfg)
-    y0, z0 = build_initial_data(cfg, grid)
+    grid, tgrid, pair, y0, z0 = _problem(cfg)
     result = fixed_point_control(grid, tgrid, cfg.problem_sigma, pair, y0, z0,
                                  build_fixed_point_config(cfg))
     report = {
@@ -127,45 +129,37 @@ def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int) -> int:
 
 def _cmd_shadow(cfg: RunConfig, out: Path, seed: int) -> int:
     """compare the controlled fast component with its reduced model"""
-    grid, tgrid = build_grid(cfg), build_tgrid(cfg)
-    pair = build_pair(cfg)
-    y0, z0 = build_initial_data(cfg, grid)
-    sigma = cfg.problem_sigma
-    run = control_and_reduce(grid, tgrid, sigma, cfg.problem_mode, pair, y0, z0,
-                             build_hum_config(cfg), build_fixed_point_config(cfg))
-    traj, reduced = run.trajectory, run.reduced
+    grid, tgrid, pair, y0, z0 = _problem(cfg)
+    run = control_and_reduce(grid, tgrid, cfg.problem_sigma, cfg.problem_mode, pair,
+                             y0, z0, build_fixed_point_config(cfg))
     t0 = cfg.experiment_t0_fraction * tgrid.horizon
-    # shadow_gap and the series that gap.dat writes
-    series, gap = _gap_series(traj, reduced, t0)
-    xi_T = float(reduced.u[-1, -1])
-    term_y, term_z = traj.terminal_norms()
+    row = _sweep_row(run, cfg.problem_sigma, t0)
     report = {
         "command": "shadow",
-        "sigma": sigma,
+        "sigma": row.sigma,
         "mode": cfg.problem_mode,
         "t0": t0,
-        "shadow_gap": gap,
-        "xi_terminal": xi_T,
-        "terminal_norm_y": term_y,
-        "terminal_norm_z": term_z,
-        "converged": run.converged,
+        "shadow_gap": row.shadow_gap,
+        "xi_terminal": row.xi_terminal,
+        "terminal_norm_y": row.terminal_norm_y,
+        "terminal_norm_z": row.terminal_norm_z,
+        "converged": row.converged,
     }
     sio.write_json_report(out / "report.json", report)
-    _dump_trajectory(out, cfg, traj, run.control)
-    sio.write_series_dat(out / "gap.dat", tgrid.nodes, series, header="t gap")
-    print(f"shadow: sigma={sigma:g} gap={gap:.6g} xi(T)={xi_T:.6g}")
-    return 0 if run.converged else 1
+    _dump_trajectory(out, cfg, run.trajectory, run.control)
+    sio.write_series_dat(out / "gap.dat", tgrid.nodes,
+                         _gap_series(run.trajectory, run.reduced), header="t gap")
+    print(f"shadow: sigma={row.sigma:g} gap={row.shadow_gap:.6g} "
+          f"xi(T)={row.xi_terminal:.6g}")
+    return 0 if row.converged else 1
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, seed: int) -> int:
     """recompute the control across the configured sigma list"""
-    grid, tgrid = build_grid(cfg), build_tgrid(cfg)
-    pair = build_pair(cfg)
-    y0, z0 = build_initial_data(cfg, grid)
+    grid, tgrid, pair, y0, z0 = _problem(cfg)
     report = sigma_sweep(grid, tgrid, cfg.problem_sigma_list, pair, y0, z0,
                          mode=cfg.problem_mode,
                          t0_fraction=cfg.experiment_t0_fraction,
-                         hum_config=build_hum_config(cfg),
                          fp_config=build_fixed_point_config(cfg))
     rows = [dataclasses.asdict(r) for r in report.rows]
     payload = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hum import HumConfig, hum_solve
+from .hum import hum_solve
 from .mesh import Grid1D, TimeGrid, mean_value, norm_l2
 from .nonlinear import NonlinearityPair
 from .pde import (ControlField, ShadowStepOperators, StepOperators, Trajectory,
@@ -36,33 +36,32 @@ __all__ = [
 def fit_decay_rate(xs, ys) -> float:
     """Least-squares slope of log(ys) against log(xs).
 
-    Both sequences must be strictly positive with at least two entries.
+    Both sequences must be strictly positive and finite, with at least two
+    entries.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need two equal-length 1-d sequences of at least 2 points")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ValueError("log-log fit requires strictly positive data")
+    if not np.all((0.0 < xs) & (xs < np.inf) & (0.0 < ys) & (ys < np.inf)):
+        raise ValueError("log-log fit requires strictly positive, finite data")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _gap_series(traj: Trajectory, reduced: Trajectory,
-                t0: float) -> tuple[np.ndarray, float]:
+def _gap_series(traj: Trajectory, reduced: Trajectory) -> np.ndarray:
     """||z(t_m, .) - xi(t_m)||_{L2} at every node t_m, xi read as the
-    constant field of the reduced trajectory, and its sup over nodes t_m >= t0."""
+    constant field of the reduced trajectory."""
     if traj.grid != reduced.grid or traj.tgrid != reduced.tgrid:
         raise ValueError("trajectories live on different grids")
-    if not 0.0 <= t0 < traj.tgrid.horizon:
-        raise ValueError(f"t0 must lie in [0, horizon), got {t0}")
     diff = traj.z - reduced.z
-    series = np.sqrt(traj.grid.spacing * np.sum(diff * diff, axis=1))
-    return series, float(np.max(series[traj.tgrid.nodes >= t0]))
+    return np.sqrt(traj.grid.spacing * np.sum(diff * diff, axis=1))
 
 
 def shadow_gap(traj: Trajectory, reduced: Trajectory, t0: float) -> float:
     """sup over nodes t_m >= t0 of ||z(t_m, .) - xi(t_m)||_{L2}."""
-    return _gap_series(traj, reduced, t0)[1]
+    if not 0.0 <= t0 < traj.tgrid.horizon:
+        raise ValueError(f"t0 must lie in [0, horizon), got {t0}")
+    return float(np.max(_gap_series(traj, reduced)[traj.tgrid.nodes >= t0]))
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,21 @@ class ControlRun:
 
 def control_and_reduce(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
                        pair: NonlinearityPair, y0: np.ndarray, z0: np.ndarray,
-                       hum_config: HumConfig,
                        fp_config: FixedPointConfig) -> ControlRun:
     """Control the system at one diffusion ratio and drive the reduction.
 
     In "linear" mode the reactions are frozen at their origin partials, the
-    control is one penalized solve, and the reduced model is the shadow limit
-    of the same linearized system; in "semilinear" mode the control comes
-    from the fixed-point scheme and the reduced model keeps the nonlinear pair.
+    control is one penalized solve with ``fp_config.hum``, and the reduced
+    model is the shadow limit of the same linearized system; in "semilinear"
+    mode the control comes from the fixed-point scheme and the reduced model
+    keeps the nonlinear pair.
     """
     if mode not in ("linear", "semilinear"):
         raise ValueError(f"mode must be 'linear' or 'semilinear', got {mode!r}")
     xi0 = [mean_value(grid, z0)]
     if mode == "linear":
         coeffs = origin_coefficients(grid, tgrid, pair)
-        res = hum_solve(StepOperators(sigma, coeffs), y0, z0, hum_config)
+        res = hum_solve(StepOperators(sigma, coeffs), y0, z0, fp_config.hum)
         control, traj = res.control, res.trajectory
         outer, cg_iters, converged = 0, res.cg_iterations, res.cg_converged
         reduced = solve_forward_linear(ShadowStepOperators(coeffs), control, y0, xi0)
@@ -138,39 +137,33 @@ class SweepReport:
     control_deltas: tuple[float, ...]
 
 
-def _sweep_row(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
-               pair: NonlinearityPair, y0: np.ndarray, z0: np.ndarray,
-               hum_config: HumConfig, fp_config: FixedPointConfig,
-               t0: float) -> tuple[SweepRow, ControlField]:
-    run = control_and_reduce(grid, tgrid, sigma, mode, pair, y0, z0,
-                             hum_config, fp_config)
+def _sweep_row(run: ControlRun, sigma: float, t0: float) -> SweepRow:
+    """The report row of one controlled run at ``sigma``, its gap taken past t0."""
     term_y, term_z = run.trajectory.terminal_norms()
-    row = SweepRow(sigma=float(sigma),
-                   control_cost=control_cost(run.control),
-                   terminal_norm_y=term_y, terminal_norm_z=term_z,
-                   sigma_grad_z=energy_functional(run.trajectory).sigma_grad_z,
-                   shadow_gap=shadow_gap(run.trajectory, run.reduced, t0),
-                   xi_terminal=float(run.reduced.u[-1, -1]),
-                   outer_iterations=run.outer_iterations,
-                   cg_iterations=run.cg_iterations,
-                   converged=run.converged)
-    return row, run.control
+    return SweepRow(sigma=float(sigma),
+                    control_cost=control_cost(run.control),
+                    terminal_norm_y=term_y, terminal_norm_z=term_z,
+                    sigma_grad_z=energy_functional(run.trajectory).sigma_grad_z,
+                    shadow_gap=shadow_gap(run.trajectory, run.reduced, t0),
+                    xi_terminal=float(run.reduced.u[-1, -1]),
+                    outer_iterations=run.outer_iterations,
+                    cg_iterations=run.cg_iterations,
+                    converged=run.converged)
 
 
 def sigma_sweep(grid: Grid1D, tgrid: TimeGrid, sigmas,
                 pair: NonlinearityPair, y0: np.ndarray, z0: np.ndarray,
                 mode: str = "semilinear",
                 t0_fraction: float = 0.1,
-                hum_config: HumConfig = HumConfig(),
                 fp_config: FixedPointConfig = FixedPointConfig()) -> SweepReport:
     """Control the system for each diffusion ratio and compare to the reduction.
 
-    For every sigma the control is recomputed (frozen-coefficient solve in
-    "linear" mode, full fixed-point scheme in "semilinear" mode), the reduced
-    system is driven by the same control, and the row records cost, terminal
-    norms, the weighted gradient energy of z, and the gap past the initial
-    layer.  Rows are computed one after another in sigma order, and reports
-    are reproducible bit for bit.
+    For every sigma :func:`control_and_reduce` recomputes the control
+    (frozen-coefficient solve with ``fp_config.hum`` in "linear" mode, full
+    fixed-point scheme in "semilinear" mode) and drives the reduced system
+    with it, and the row records cost, terminal norms, the weighted gradient
+    energy of z, and the gap past the initial layer.  Rows are computed one
+    after another in sigma order, and reports are reproducible bit for bit.
     """
     sig = [float(s) for s in sigmas]
     if len(sig) < 2 or any(b <= a for a, b in zip(sig, sig[1:])):
@@ -180,10 +173,14 @@ def sigma_sweep(grid: Grid1D, tgrid: TimeGrid, sigmas,
     if not (0.0 < t0_fraction < 1.0):
         raise ValueError(f"t0_fraction must lie in (0, 1), got {t0_fraction}")
     t0 = t0_fraction * tgrid.horizon
-    results = [_sweep_row(grid, tgrid, s, mode, pair, y0, z0,
-                          hum_config, fp_config, t0) for s in sig]
-    rows = tuple(r for r, _ in results)
-    controls = [c for _, c in results]
+
+    def row_and_control(s: float) -> tuple[SweepRow, ControlField]:
+        # keeps only the control of each run, so its trajectories are freed
+        # before the next sigma
+        run = control_and_reduce(grid, tgrid, s, mode, pair, y0, z0, fp_config)
+        return _sweep_row(run, s, t0), run.control
+
+    rows, controls = zip(*map(row_and_control, sig))
     gaps = [r.shadow_gap for r in rows]
     costs = [r.control_cost for r in rows]
     slope = fit_decay_rate(sig, gaps) if min(gaps) > 0.0 else float("-inf")

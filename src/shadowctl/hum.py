@@ -77,8 +77,8 @@ class HumConfig:
     cg_max_iters: int = 500
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (0.0 < self.cg_tol <= 1e-2):
             raise ValueError(f"cg_tol must lie in (0, 1e-2], got {self.cg_tol}")
         if self.cg_max_iters < 1:

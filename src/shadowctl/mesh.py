@@ -10,13 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 
 # Smallest indicator mass, in cells, of an accepted control window.
 _MIN_WINDOW_MASS = 1e-6
@@ -123,14 +118,6 @@ class TimeGrid:
         return t
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """A square sparse operator on cell values together with a symmetry tag."""
-
-    matrix: sp.spmatrix
-    symmetric: bool = True
-
-
 def _laplacian_stencil(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal, shape (n_cells,), and off-diagonal, shape (n_cells - 1,),
     of the symmetric tridiagonal Neumann Laplacian on cell centers."""
@@ -152,28 +139,6 @@ def _cosine_basis(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     c[:, 0] = np.sqrt(1.0 / n)
     mu = (2.0 / grid.spacing * np.sin(0.5 * np.pi / n * k))**2
     return c, mu
-
-
-def neumann_laplacian(grid: Grid1D) -> DiscreteOperator:
-    """Three-point Neumann Laplacian on cell centers.
-
-    Interior rows are (1, -2, 1)/h**2; the first and last rows are the
-    one-sided (−1, 1)/h**2 stencils that encode zero-flux boundaries.  The
-    matrix is symmetric with zero row sums and is negative semidefinite; its
-    kernel is spanned by the constant vector.
-
-    Returns
-    -------
-    DiscreteOperator
-        CSR matrix of shape (n_cells, n_cells) with ``symmetric=True``.
-    """
-    # the solvers write the stencil into band storage instead, so only this
-    # sparse form loads scipy.sparse
-    import scipy.sparse as sp
-
-    main, off = _laplacian_stencil(grid)
-    lap = sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
-    return DiscreteOperator(matrix=lap, symmetric=True)
 
 
 def inner_product(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> float:

@@ -197,8 +197,9 @@ def check_hypotheses(pair: NonlinearityPair,
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be at least 1000, got {n_samples}")
-    if not box_halfwidth > 0:
-        raise ValueError(f"box_halfwidth must be positive, got {box_halfwidth}")
+    if not 0.0 < box_halfwidth < np.inf:
+        raise ValueError(
+            f"box_halfwidth must be positive and finite, got {box_halfwidth}")
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box_halfwidth, box_halfwidth, size=(n_samples, 2))

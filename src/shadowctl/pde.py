@@ -168,6 +168,12 @@ class Trajectory:
     sigma: float
     u: np.ndarray
 
+    def __post_init__(self) -> None:
+        rows, n = self.tgrid.n_steps + 1, self.grid.n_cells
+        if np.shape(self.u) not in ((rows, 2 * n), (rows, n + 1)):
+            raise ValueError(f"march array must have shape ({rows}, {2 * n}) or "
+                             f"({rows}, {n + 1}), got {np.shape(self.u)}")
+
     @property
     def y(self) -> np.ndarray:
         return self.u[:, :self.grid.n_cells]
@@ -510,6 +516,8 @@ def solve_heat(grid: Grid1D, tgrid: TimeGrid, kappa: float, u0: np.ndarray,
     """Node slices (n_steps + 1, n_cells) of u_t = kappa lap u + F from u0,
     by implicit Euler; slice m + 1 of the node-indexed source F, if given,
     enters the step to node m + 1."""
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     solve = _band_lu(_heat_band(grid, tgrid.dt * kappa), 1)
     u = np.empty((tgrid.n_steps + 1, grid.n_cells))
     u[0] = _checked(u0, (grid.n_cells,), "u0")
@@ -584,8 +592,8 @@ def semigroup_checks(grid: Grid1D, tgrid: TimeGrid, sigma: float) -> SemigroupRe
     log-linear fit of the L2 norm.  Also reports the worst drift of the
     spatial mean, which the implicit stepper conserves.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
     # The stepper preserves spatial means identically (the ones-row
     # annihilates the Laplacian), so the constant check carries the mean

@@ -48,8 +48,9 @@ class FixedPointConfig:
     hum: HumConfig = field(default_factory=HumConfig)
 
     def __post_init__(self) -> None:
-        if not self.outer_tol > 0.0:
-            raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
+        if not 0.0 < self.outer_tol < np.inf:
+            raise ValueError(
+                f"outer_tol must be positive and finite, got {self.outer_tol}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
         if self.quadrature_nodes < 4:
@@ -70,7 +71,7 @@ class FixedPointResult:
     converged: bool
     oscillation_flagged: bool
     cg_iterations_total: int
-    hum_last: HumResult | None
+    hum_last: HumResult
 
     @property
     def terminal_total(self) -> float:
@@ -184,35 +185,24 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     n = grid.n_cells
     x = np.zeros((tgrid.n_steps + 1, 2 * n))
     history: list[float] = []
-    prev_coeffs: CoefficientField | None = None
-    hum_last: HumResult | None = None
-    control: ControlField | None = None
+    ops = origin_ops = StepOperators(sigma, origin_coefficients(grid, tgrid, pair))
     g_prev = f_prev = None
-    origin_ops: StepOperators | None = None
     converged = False
     oscillation = False
     cg_total = 0
-    iterations = 0
 
     for it in range(1, config.max_outer + 1):
-        if origin_ops is None:
-            coeffs = origin_coefficients(grid, tgrid, pair)
-        else:
+        if it > 1:
             coeffs = linearized_coefficients(grid, tgrid, pair, x[:, :n], x[:, n:],
                                              config.quadrature_nodes)
-        if prev_coeffs is not None and _coeff_change(coeffs, prev_coeffs) <= 1e-13:
-            # Stationary linearization: the previous control is already the
-            # fixed point, so do not count this pass as an iteration.
-            converged = hum_last.cg_converged
-            break
-        prev_coeffs = coeffs
-        ops = StepOperators(sigma, coeffs)
-        if origin_ops is None:
-            origin_ops = ops
+            if _coeff_change(coeffs, ops.coeffs) <= 1e-13:
+                # Stationary linearization: the previous control is already the
+                # fixed point, so do not count this pass as an iteration.
+                converged = hum_last.cg_converged
+                break
+            ops = StepOperators(sigma, coeffs)
         hum_last = hum_solve(ops, y0, z0, config.hum, reference=origin_ops)
-        control = hum_last.control
         cg_total += hum_last.cg_iterations
-        iterations = it
         g = hum_last.trajectory.u
         f = g - x
         # h * dt weights the space-time norm of f, x and g, so it cancels
@@ -233,12 +223,12 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         g_prev, f_prev = g, f
 
     reaction_free = StepOperators(sigma, zero_coefficients(grid, tgrid))
-    final = solve_forward_semilinear(reaction_free, pair, control, y0, z0)
+    final = solve_forward_semilinear(reaction_free, pair, hum_last.control, y0, z0)
     term_y, term_z = final.terminal_norms()
     return FixedPointResult(
-        control=control, trajectory=final,
+        control=hum_last.control, trajectory=final,
         terminal_y=term_y, terminal_z=term_z,
-        outer_iterations=iterations,
+        outer_iterations=len(history),
         update_history=tuple(history),
         converged=converged,
         oscillation_flagged=oscillation,

@@ -11,11 +11,13 @@ import pytest
 from shadowctl.experiments import (fit_decay_rate, measure_m1,
                                    measure_m1_scaling, measure_m2_scaling,
                                    shadow_gap, sigma_sweep)
+from shadowctl.hum import HumConfig, hum_solve
 from shadowctl.mesh import Grid1D, TimeGrid, mean_value
 from shadowctl.nonlinear import (arctan_family, linear_form, make_pair,
                                  sigmoid_family)
 from shadowctl.pde import (ShadowStepOperators, StepOperators, Trajectory,
                            solve_forward_semilinear, zero_coefficients)
+from shadowctl.semilinear import FixedPointConfig, origin_coefficients
 
 
 @pytest.fixture()
@@ -51,6 +53,7 @@ class TestFitDecayRate:
         ([1.0, 2.0], [1.0, 0.0]),
         ([1.0, -2.0], [1.0, 1.0]),
         ([1.0, 2.0, 3.0], [1.0, 1.0]),
+        ([1.0, 2.0], [np.inf, 1.0]),
     ])
     def test_rejects_degenerate_input(self, xs, ys):
         with pytest.raises(ValueError):
@@ -200,6 +203,20 @@ class TestSigmaSweep:
         assert all(r.converged for r in rep.rows)
         assert all(r.outer_iterations >= 1 for r in rep.rows)
         assert all(r.shadow_gap > 0.0 for r in rep.rows)
+
+    def test_linear_mode_solves_with_the_fixed_point_hum_config(self, pair):
+        # the one HumConfig of the control path is fp_config.hum, here far
+        # from the default penalty, in linear mode as in semilinear mode
+        grid = Grid1D(n_cells=16)
+        tgrid = TimeGrid(horizon=0.2, n_steps=20)
+        y0, z0 = 0.1 * np.cos(np.pi * grid.cell_centers), np.full(16, 0.1)
+        hum_config = HumConfig(epsilon=1e-10)
+        rep = sigma_sweep(grid, tgrid, (1.0, 4.0), pair, y0, z0, mode="linear",
+                          fp_config=FixedPointConfig(hum=hum_config))
+        coeffs = origin_coefficients(grid, tgrid, pair)
+        for row in rep.rows:
+            want = hum_solve(StepOperators(row.sigma, coeffs), y0, z0, hum_config)
+            assert row.control_cost == want.control_cost
 
     def test_deterministic_and_job_invariant(self, small_setup, pair):
         grid, tgrid, y0, z0 = small_setup

@@ -682,6 +682,9 @@ class TestHumConfig:
         {"cg_tol": 0.0},
         {"cg_tol": 0.5},
         {"cg_max_iters": 0},
+        {"epsilon": np.inf},
+        {"epsilon": np.nan},
+        {"cg_tol": np.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

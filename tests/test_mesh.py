@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from shadowctl.mesh import (DiscreteOperator, Grid1D, TimeGrid, _cosine_basis,
-                            _laplacian_stencil, inner_product, mean_value,
-                            neumann_laplacian, norm_l2)
+from shadowctl.mesh import (Grid1D, TimeGrid, _cosine_basis, _laplacian_stencil,
+                            inner_product, mean_value, norm_l2)
+
+
+def _dense_laplacian(grid):
+    # the stencil the solvers write into band storage, as a dense matrix
+    main, off = _laplacian_stencil(grid)
+    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def test_grid_basic_layout():
@@ -73,37 +78,37 @@ def test_time_grid():
 class TestNeumannLaplacian:
     def test_constant_in_kernel(self):
         grid = Grid1D(n_cells=50)
-        lap = neumann_laplacian(grid)
+        lap = _dense_laplacian(grid)
         c = 3.7 * np.ones(50)
-        assert np.max(np.abs(lap.matrix @ c)) == 0.0
+        # rows summed product by product: a BLAS matvec may fuse multiply
+        # and add, and round 2500 * 3.7 differently in each term
+        assert np.max(np.abs(np.sum(lap * c, axis=1))) == 0.0
 
     def test_row_sums_exactly_zero(self):
-        lap = neumann_laplacian(Grid1D(n_cells=33))
-        sums = np.asarray(lap.matrix.sum(axis=1)).ravel()
+        lap = _dense_laplacian(Grid1D(n_cells=33))
+        sums = lap.sum(axis=1)
         assert np.max(np.abs(sums)) == 0.0
 
     def test_symmetric(self):
-        lap = neumann_laplacian(Grid1D(n_cells=21))
-        dense = lap.matrix.toarray()
-        assert lap.symmetric
+        dense = _dense_laplacian(Grid1D(n_cells=21))
         assert np.max(np.abs(dense - dense.T)) == 0.0
 
     def test_negative_semidefinite(self):
-        dense = neumann_laplacian(Grid1D(n_cells=40)).matrix.toarray()
+        dense = _dense_laplacian(Grid1D(n_cells=40))
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.max() <= 1e-12 * abs(eigs.min())
 
     def test_smallest_nonzero_eigenvalue_near_pi_squared(self):
         # analytic spectrum of -L: (2/h^2)(1 - cos(k pi / n)) -> (k pi)^2
         grid = Grid1D(n_cells=200)
-        dense = -neumann_laplacian(grid).matrix.toarray()
+        dense = -_dense_laplacian(grid)
         eigs = np.sort(np.linalg.eigvalsh(dense))
         assert abs(eigs[0]) <= 1e-9
         assert eigs[1] == pytest.approx(np.pi**2, rel=5e-3)
 
     def test_green_identity_exact(self):
         grid = Grid1D(n_cells=37)
-        lap = neumann_laplacian(grid).matrix
+        lap = _dense_laplacian(grid)
         rng = np.random.default_rng(7)
         for _ in range(5):
             u = rng.standard_normal(37)
@@ -115,15 +120,10 @@ class TestNeumannLaplacian:
 
     def test_mean_of_laplacian_vanishes(self):
         grid = Grid1D(n_cells=64)
-        lap = neumann_laplacian(grid).matrix
+        lap = _dense_laplacian(grid)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(64)
         assert abs(mean_value(grid, lap @ u)) <= 1e-12 * norm_l2(grid, lap @ u)
-
-    def test_discrete_operator_type(self):
-        op = neumann_laplacian(Grid1D(n_cells=8))
-        assert isinstance(op, DiscreteOperator)
-        assert op.matrix.shape == (8, 8)
 
     @pytest.mark.parametrize("n", [4, 5, 64])
     def test_cosine_basis_diagonalizes_the_stencil(self, n):
@@ -131,8 +131,7 @@ class TestNeumannLaplacian:
         # round-off on the scale of the largest eigenvalue 4 / h^2
         grid = Grid1D(n_cells=n)
         c, mu = _cosine_basis(grid)
-        main, off = _laplacian_stencil(grid)
-        lap = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        lap = _dense_laplacian(grid)
         k = np.arange(n)
         assert mu[0] == 0.0
         assert np.allclose(mu, 4 * n**2 * np.sin(np.pi * k / (2 * n))**2,
@@ -141,8 +140,8 @@ class TestNeumannLaplacian:
         assert np.max(np.abs(c.T @ lap @ c + np.diag(mu))) <= 4 * n * 2.2e-16 * 4 * n**2
 
     def test_cli_import_does_not_load_scipy_sparse(self, fresh_python):
-        # the solvers take the stencil in band storage; only this sparse
-        # form needs scipy.sparse, so the commands do not pay for its import
+        # the solvers take the stencil in band storage and nothing in the
+        # package needs scipy.sparse, so the commands do not pay for its import
         out = fresh_python(
             "import shadowctl.cli, sys; print('scipy.sparse' in sys.modules)")
         assert out.strip() == "False"

@@ -129,6 +129,13 @@ class TestCheckHypotheses:
         with pytest.raises(ValueError):
             check_hypotheses(pair, n_samples=100)
 
+    @pytest.mark.parametrize("halfwidth", [0.0, np.inf, np.nan])
+    def test_rejects_bad_box(self, halfwidth):
+        # an infinite box cannot be sampled uniformly
+        pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
+        with pytest.raises(ValueError, match="box_halfwidth"):
+            check_hypotheses(pair, box_halfwidth=halfwidth)
+
     def test_h2_violation_detected(self):
         # shifted reaction: nonzero at the origin
         bad = make_pair(linear_form(1.0, 0.0), arctan_family(1.0))

@@ -11,8 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shadowctl.mesh import (Grid1D, TimeGrid, inner_product, mean_value,
-                            neumann_laplacian, norm_l2)
+from shadowctl.mesh import Grid1D, TimeGrid, _laplacian_stencil, mean_value, norm_l2
 from shadowctl.nonlinear import (arctan_family, linear_form, linear_pair,
                                  make_pair, sigmoid_family)
 from shadowctl.pde import (CoefficientField, ControlField, ShadowStepOperators,
@@ -21,6 +20,12 @@ from shadowctl.pde import (CoefficientField, ControlField, ShadowStepOperators,
                            solve_adjoint, solve_forward_linear,
                            solve_forward_semilinear, solve_heat,
                            zero_coefficients)
+
+
+def _dense_laplacian(grid):
+    # the stencil the solvers write into band storage, as a dense matrix
+    main, off = _laplacian_stencil(grid)
+    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def _reduced_march(grid, tgrid, pair, control, y0, xi0, **kwargs):
@@ -35,7 +40,7 @@ def _gauss_seidel_shadow(grid, tgrid, pair, control, y0, xi0, inner_tol):
     # fashion, the new y from the heat solve, then xi from the mean of g at
     # that y, until the sup-norm update is within inner_tol * max(1, sup|v|)
     n, dt = grid.n_cells, tgrid.dt
-    heat = np.eye(n) - dt * neumann_laplacian(grid).matrix.toarray()
+    heat = np.eye(n) - dt * _dense_laplacian(grid)
     chi = grid.omega_indicator
     u = np.empty((tgrid.n_steps + 1, n + 1))
     u[0] = np.append(y0, xi0)
@@ -59,7 +64,7 @@ def _gauss_seidel_shadow(grid, tgrid, pair, control, y0, xi0, inner_tol):
 def _dense_step_matrix(grid, tgrid, sigma, coeffs, m):
     n = grid.n_cells
     dt = tgrid.dt
-    lap = neumann_laplacian(grid).matrix.toarray()
+    lap = _dense_laplacian(grid)
     big = np.zeros((2 * n, 2 * n))
     big[:n, :n] = np.eye(n) - dt * lap - dt * np.diag(coeffs.a11[m])
     big[:n, n:] = -dt * np.diag(coeffs.a12[m])
@@ -72,7 +77,7 @@ def _dense_shadow_matrix(grid, tgrid, coeffs, m):
     # the heat block of y bordered by the a12 column and the mean row of g
     n = grid.n_cells
     dt, h = tgrid.dt, grid.spacing
-    lap = neumann_laplacian(grid).matrix.toarray()
+    lap = _dense_laplacian(grid)
     big = np.zeros((n + 1, n + 1))
     big[:n, :n] = np.eye(n) - dt * lap - dt * np.diag(coeffs.a11[m])
     big[:n, n] = -dt * coeffs.a12[m]
@@ -173,7 +178,7 @@ class TestSingleStep:
         u0 = rng.standard_normal(30)
         source = rng.standard_normal((2, 30))
         got = solve_heat(grid, tgrid, kappa, u0, source)
-        lap = neumann_laplacian(grid).matrix.toarray()
+        lap = _dense_laplacian(grid)
         big = np.eye(30) - tgrid.dt * kappa * lap
         want = np.linalg.solve(big, u0 + tgrid.dt * source[1])
         assert np.array_equal(got[0], u0)
@@ -742,10 +747,12 @@ class TestSemigroupChecks:
         assert rep.sigma_dt_product == pytest.approx(100.0 * np.pi**2 * 2e-5)
 
     def test_rejects_nonpositive_sigma(self):
+        # an infinite or NaN rate would march NaN into the report
         grid = Grid1D(n_cells=50)
         tgrid = TimeGrid(horizon=0.1, n_steps=10)
-        with pytest.raises(ValueError, match="sigma"):
-            semigroup_checks(grid, tgrid, -1.0)
+        for sigma in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                semigroup_checks(grid, tgrid, sigma)
 
 
 _BAD_MARCH_ARGUMENTS = [
@@ -836,6 +843,24 @@ class TestValidation:
                   "non-finite": np.full((6, 10), np.nan)}[defect]
         with pytest.raises(ValueError, match="source"):
             solve_heat(grid, tgrid, 1.0, np.zeros(10), source)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.inf, np.nan])
+    def test_heat_rejects_bad_rate(self, kappa):
+        # kappa < 0 would march the backward heat equation, inf and nan NaN
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            solve_heat(grid, tgrid, kappa, np.ones(10))
+
+    @pytest.mark.parametrize("shape", [(3, 32), (20, 32), (21, 31), (21, 18), (21,)])
+    def test_trajectory_rejects_bad_march_array(self, shape):
+        # 21 rows and 32 (full) or 17 (reduced) columns are the valid shapes
+        grid = Grid1D(n_cells=16)
+        tgrid = TimeGrid(horizon=0.2, n_steps=20)
+        for width in (32, 17):
+            Trajectory(grid, tgrid, 1.0, np.zeros((21, width)))
+        with pytest.raises(ValueError, match="march array"):
+            Trajectory(grid, tgrid, 1.0, np.zeros(shape))
 
     def test_bad_initial_shape(self):
         grid = Grid1D(n_cells=10)

@@ -378,6 +378,7 @@ class TestFixedPointConfig:
         {"outer_tol": float("nan")},
         {"max_outer": -3},
         {"quadrature_nodes": 3},
+        {"outer_tol": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
