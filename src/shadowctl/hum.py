@@ -20,27 +20,35 @@ States and dual data are whole stacked vectors of length 2n = ``ops.size``,
 y in the first n entries and z in the last n.
 
 Up to the size 2n = ``_FACTOR_MAX_DIM`` of the stacked state, the solve
-rests on one factor, of a field constant in space and time:
+rests on the Gramian of a field constant in space and time:
 
 * In the cosine basis Q = diag(C, C) of the Neumann Laplacian the adjoint
-  step of a constant field is n independent 2 x 2 blocks, and an upper-
-  triangular R with Q^T Lambda Q = R^T R is doubled from them
-  (:func:`_factor_and_basis`): about log2(M) QR updates and no dense product
-  or step solve.  Folding sqrt(eps) I into a copy of R gives R_eps with
-  R_eps^T R_eps = R^T R + eps I, a Cholesky factor of the penalized system
-  that never forms R^T R, whose rounding would swamp small penalties.  Both
-  are cached per ``StepOperators``, the fold once per penalty.
-* A constant field is solved directly by two triangular solves with R_eps.
-* Any other field runs preconditioned conjugate residual on
-  :func:`gramian_apply` + eps I, two marches per iteration, preconditioned
-  by the direct solve of a constant reference field (Concus and Golub, SIAM
-  J. Numer. Anal. 10, 1973): the field's space-time mean, or the reference
-  the caller names, which the semilinear fixed point sets to its first
-  pass, so that all its passes share one factor and one fold.
+  step of such a field is n independent 2 x 2 blocks, and G = Q^T Lambda Q
+  is assembled from them with no step solve (:func:`_factor_and_basis`).
+  G + eps I gets one packed Cholesky factor per penalty (``dpptrf``); both
+  are cached per ``StepOperators``.
+* A constant field is solved directly: one ``dpptrs`` solve and one step of
+  refinement with the residual taken through the observation, never through
+  G, whose rounding costs small penalties up to two digits of pT (corrected
+  semi-normal equations: A. Bjorck, Linear Algebra Appl. 88/89, 1987).
+* Any other field runs conjugate residual on :func:`gramian_apply` + eps I,
+  two marches per iteration, preconditioned by the unrefined direct solve
+  of a constant reference field (Concus and Golub, SIAM J. Numer. Anal. 10,
+  1973): the field's space-time mean, or the reference the caller names,
+  which the semilinear fixed point sets to its first pass, so that all its
+  passes share one Gramian and one factor.
 
 Above the limit every field runs conjugate residual on :func:`gramian_apply`
-with the identity as preconditioner and memory that stays O(n); the factor
-takes O((2n)^2).  A solve whose data are zero builds and applies nothing.
+with the identity as preconditioner and memory that stays O(n).  A solve
+whose data are zero builds and applies nothing.
+
+Building and solving with G keeps every BLAS and LAPACK call on the calling
+thread: ``dpptrf`` and ``dpptrs`` are level 2, which OpenBLAS never threads,
+and products are split into chunks of at most ``_SERIAL_GEMM`` multiply-adds.
+A threaded call leaves OpenBLAS's pool spinning, taking a core from what runs
+next on a 2-core host: on 2 vCPUs an unsplit 200^3 product (7 ms; 1.5 ms in
+chunks) and ``dpotrf`` of order 200 (250 ms; ``dpptrf`` 0.4 ms) each left
+about 120 ms of CPU spinning in the 0.3 s after it.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._lapack import dtpqrt, dtrtrs
+from ._lapack import dpptrf, dpptrs
 from .mesh import _cosine_basis
 from .pde import (ControlField, StepOperators, Trajectory, _check_dual,
                   constant_coefficients, control_cost, solve_adjoint,
@@ -60,12 +68,17 @@ __all__ = [
     "gramian_apply", "hum_solve", "duality_residual", "epsilon_sweep",
 ]
 
-# Largest stacked state size 2n for which hum_solve uses a Gramian factor
-# (module docstring).  Set at a crossover measured with the former SuperLU
-# step kernel and a factor of its own for every coefficient field.  The
-# factor is cheaper to build now, and only constant fields build one, but no
-# workload above 256 measures either path yet, so the limit stays.
+# Largest stacked state size 2n for which hum_solve uses the Gramian G
+# (module docstring).  G took 1.3-2.0, 3.3-5.2, 13-19 and 440-750 ms to build
+# at 2n = 200, 320, 500 and 1000 (sigma = 1, M = 200, 2 vCPUs), each
+# penalty's factor 0.4-0.7, 1.2-1.7, 3.8-5.6 and 39-57 ms, against 8.8-20.8
+# ms for one matrix-free application; no workload above 256 measures either
+# path yet, so the limit stays.
 _FACTOR_MAX_DIM = 256
+
+# OpenBLAS runs a product with m * n * k up to 64^3 on the calling thread
+# (module docstring); from 2n = 726 on, chunks are single rows.
+_SERIAL_GEMM = 64**3
 
 
 @dataclass(frozen=True)
@@ -125,117 +138,102 @@ def gramian_apply(ops: StepOperators, p_terminal: np.ndarray) -> np.ndarray:
     return solve_forward_linear(ops, observed, zero, zero).u[-1]
 
 
-def _fold(r: np.ndarray, rows: np.ndarray, triangular: bool = False) -> np.ndarray:
-    """Upper-triangular factor of the stack [r; rows], by a triangular-
-    pentagonal QR update (LAPACK ``dtpqrt``) that overwrites ``r`` and
-    leaves ``rows`` as it was; ``triangular`` says that ``rows`` is square
-    and upper triangular, which the update then exploits."""
-    # Inner block size 4: measured no slower than 32 at these sizes.  It
-    # keeps dtpqrt's own BLAS calls under OpenBLAS's multithreading
-    # threshold, a GEMM with m * n * k up to 4 * 65536 on the calling
-    # thread, only while 4 * (2n)^2 <= 4 * 65536, that is 2n <= 256, the
-    # factor limit of hum_solve; larger direct calls may go threaded.
-    # A threaded call leaves the pool spinning for about 0.1 s afterwards,
-    # which takes a core from whatever runs next on a 2-core host.
-    r, _, _, info = dtpqrt(rows.shape[0] if triangular else 0, min(r.shape[0], 4),
-                           r, rows, overwrite_a=True)
-    if info != 0:
-        raise RuntimeError(f"dtpqrt rejected argument {-info}")
-    return r
-
-
-def _times_modes(x: np.ndarray, b: tuple) -> np.ndarray:
-    """x @ B for a matrix B of per-mode 2 x 2 blocks ``b`` = (b11, b12, b21,
-    b22), each of shape (n,): B holds mode k's block in rows and columns k
-    and n + k, so each column pair (k, n + k) of x is mixed by its block."""
-    n = b[0].size
-    xy, xz = x[:, :n], x[:, n:]
-    out = np.empty(x.shape, order="F")
-    out[:, :n] = xy * b[0] + xz * b[2]
-    out[:, n:] = xy * b[1] + xz * b[3]
-    return out
-
-
 def _mode_product(a: tuple, b: tuple) -> tuple:
     """The per-mode 2 x 2 blocks of the product of two block matrices."""
     return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
 
-def _factor_and_basis(ops: StepOperators) -> tuple[np.ndarray, np.ndarray]:
-    """(R, C): an upper-triangular R with Lambda = Q R^T R Q^T, where Q =
-    diag(C, C) acts on stacked states and C is the cosine basis of the
-    Neumann Laplacian, for coefficients constant in space and time
-    (``ValueError`` otherwise).
+def _serial_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T b, summed over chunks of rows small enough that each product runs
+    on the calling thread (module docstring)."""
+    rows = max(1, _SERIAL_GEMM // (a.shape[1] * b.shape[1]))
+    return sum(a[i:i + rows].T @ b[i:i + rows] for i in range(0, a.shape[0], rows))
 
-    Lambda is the sum over k = 1..M of G_k^T G_k, where G_k = sqrt(dt * chi)
-    * (B^k)[window] observes the window rows of phi k steps below the
-    terminal node and B is the adjoint step.  In the cosine basis B is n
-    independent 2 x 2 blocks B_k = A_k^-T, A_k the step matrix's mode-k
-    block, so G_k = G_1 B^(k-1) and R is built by square-root doubling
-    (Smith's iteration for Stein equations in square-root form): with R_K
-    the factor of the first K terms, R_2K folds R_K B^K into R_K and
-    R_(K+1) folds G_1 B^K into it, walking the bits of M.  Every product
-    with a power of B mixes column pairs, O(n^2), so the folds are the only
-    O(n^3) work.
+
+def _factor_and_basis(ops: StepOperators):
+    """(G, C, (E, W)) for coefficients constant in space and time
+    (``ValueError`` otherwise): Lambda = Q G Q^T with Q = diag(C, C), C the
+    cosine basis of the Neumann Laplacian, and the observation (E, W).
+
+    Lambda sums O_k^T O_k over k = 1..M, where O_k = W (B^k)[y rows], W =
+    sqrt(dt * chi) C[window] and B is the adjoint step.  In the cosine basis
+    B is n independent 2 x 2 blocks B_j, so (B^k)[y rows] is two diagonals,
+    E[:, k - 1, j] = (B_j^k)[0, :], and G = [[D, D], [D, D]] * (E^T E),
+    elementwise, with D = W^T W.  The rows of E are doubled, B^(K + i) =
+    B^i B^K, in O(M n) work; D and E^T E take O(n^2 M).  Entries of E below
+    sqrt(tiny) are zeroed, so that no product is subnormal.
     """
     if not ops.coeffs.constant:
-        raise ValueError("a Gramian factor is built only for coefficients "
+        raise ValueError("the cosine-basis Gramian is built only for coefficients "
                          "constant in space and time")
-    n, dt, c = ops.grid.n_cells, ops.tgrid.dt, ops.coeffs
+    n, m, dt, c = ops.grid.n_cells, ops.tgrid.n_steps, ops.tgrid.dt, ops.coeffs
     chi = ops.grid.omega_indicator
     window = np.flatnonzero(chi > 0.0)
-    weight = np.sqrt(dt * chi[window])[:, None]
     basis, mu = _cosine_basis(ops.grid)
-    # A_k = [[p, q], [r, s]], so B_k = [[s, -r], [-q, p]] / det A_k
+    # the step's mode-j block is [[p, q], [r, s]], so B_j = [[s, -r], [-q, p]] / det
     p = 1.0 + dt * mu - dt * c.a11[0, 0]
     s = 1.0 + dt * ops.sigma * mu - dt * c.a22[0, 0]
     q, r = -dt * c.a12[0, 0], -dt * c.a21[0, 0]
     det = p * s - q * r
-    b = (s / det, -r / det, -q / det, p / det)
-    g1 = _times_modes(np.hstack([weight * basis[window],
-                                 np.zeros((window.size, n))]), b)
-    factor = _fold(np.zeros((2 * n, 2 * n), order="F"), g1)
-    # factor covers the first K terms and b_k = B^K, from K = 1; each later
-    # bit of M doubles K and a 1 bit adds one
-    b_k = b
-    for bit in bin(ops.tgrid.n_steps)[3:]:
-        factor = _fold(factor, _times_modes(factor, b_k))
-        b_k = _mode_product(b_k, b_k)
-        if bit == "1":
-            factor = _fold(factor, _times_modes(g1, b_k))
-            b_k = _mode_product(b_k, b)
-    return factor, basis
+    # e holds the first rows of B^1..B^K, power the blocks of B^K
+    power, done = (s / det, -r / det, -q / det, p / det), 1
+    e = np.empty((2, m, n))
+    e[:, 0] = power[:2]
+    while done < m:
+        e_y, e_z = e[:, :min(done, m - done)]
+        e[:, done:done + len(e_y)] = (e_y * power[0] + e_z * power[2],
+                                      e_y * power[1] + e_z * power[3])
+        power, done = _mode_product(power, power), 2 * done
+    e[np.abs(e) < np.sqrt(np.finfo(float).tiny)] = 0.0
+    w = np.sqrt(dt * chi[window])[:, None] * basis[window]
+    d = _serial_gram(w, w)
+    yz = d * _serial_gram(e[0], e[1])
+    return np.block([[d * _serial_gram(e[0], e[0]), yz],
+                     [yz.T, d * _serial_gram(e[1], e[1])]]), basis, (e, w)
+
+
+def _observed_gramian(observation: tuple, v: np.ndarray) -> np.ndarray:
+    """G v, through the observation (E, W) of :func:`_factor_and_basis`."""
+    e, w = observation
+    observed = _serial_gram((e * v.reshape(2, 1, -1)).sum(axis=0).T, w.T)
+    return (e * _serial_gram(observed.T, w)).sum(axis=1).ravel()
 
 
 def _cached(ops: StepOperators, key, build):
     """``build()``, made once per ``ops`` and kept in ``ops.cache`` under
-    ``key``: the cosine factor (R, C), the fold R_eps of each penalty, and
-    the default preconditioning reference of a field that is not constant."""
+    ``key``: :func:`_factor_and_basis`, each penalty's Cholesky factor, and a
+    field's default preconditioning reference."""
     if key not in ops.cache:
         ops.cache[key] = build()
     return ops.cache[key]
 
 
 def _penalized_factor(ops: StepOperators, epsilon: float):
-    """(R, R_eps, C) of constant-coefficient ``ops``: the cosine factor, and
-    the upper-triangular R_eps with R_eps^T R_eps = R^T R + eps I, made by
-    folding sqrt(eps) I, itself triangular, into a copy of R."""
-    r, basis = _cached(ops, "factor", lambda: _factor_and_basis(ops))
-    r_eps = _cached(ops, ("fold", epsilon), lambda: _fold(
-        r.copy(order="F"), np.sqrt(epsilon) * np.eye(r.shape[0], order="F"),
-        triangular=True))
-    return r, r_eps, basis
+    """(G, U, C, (E, W)): :func:`_factor_and_basis` of ``ops`` with U, the
+    upper Cholesky factor of G + eps I packed by columns (``dpptrf``);
+    ``ValueError`` when a penalty below about 2.2e-16 max|G| leaves it indefinite."""
+    g, basis, observation = _cached(ops, "factor", lambda: _factor_and_basis(ops))
+
+    def cholesky():
+        size = g.shape[0]
+        # G's lower triangle by rows is its upper one by columns
+        packed = g[np.tri(size, dtype=bool)]
+        diagonal = np.arange(size)
+        packed[diagonal * (diagonal + 3) // 2] += epsilon
+        packed, info = dpptrf(size, packed, overwrite_ap=True)
+        if info != 0:
+            floor = np.finfo(float).eps * g.diagonal().max()
+            raise ValueError(f"epsilon = {epsilon:.3g} is below the round-off floor of "
+                             f"the Gramian, about {floor:.3g} (dpptrf info = {info})")
+        return packed
+
+    return g, _cached(ops, ("cholesky", epsilon), cholesky), basis, observation
 
 
-def _penalized_solve(r_eps: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """R_eps^-1 R_eps^-T v, by two triangular solves (LAPACK ``dtrtrs``)."""
-    w, info = dtrtrs(r_eps, v, trans=1)
-    if info == 0:
-        w, info = dtrtrs(r_eps, w)
-    if info != 0:
-        raise RuntimeError(f"dtrtrs returned info = {info}")
-    return w
+def _penalized_solve(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(G + eps I)^-1 v = U^-1 U^-T v, by LAPACK ``dpptrs``."""
+    return dpptrs(v.size, factor, v)[0]
 
 
 def _to_modes(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -250,7 +248,7 @@ def _from_modes(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _preconditioner(ops: StepOperators, reference: StepOperators | None,
                     epsilon: float):
-    """v -> Q R_eps^-1 R_eps^-T Q^T v, the direct solve of the constant
+    """v -> Q (G + eps I)^-1 Q^T v, the unrefined direct solve of the constant
     ``reference`` field, by default the space-time mean of the field of
     ``ops``."""
     if reference is None:
@@ -259,8 +257,8 @@ def _preconditioner(ops: StepOperators, reference: StepOperators | None,
             ops.sigma, constant_coefficients(
                 ops.grid, ops.tgrid, *(float(np.mean(getattr(c, name)))
                                        for name in ("a11", "a12", "a21", "a22")))))
-    _, r_eps, basis = _penalized_factor(reference, epsilon)
-    return lambda v: _from_modes(_penalized_solve(r_eps, _to_modes(v, basis)), basis)
+    _, factor, basis, _ = _penalized_factor(reference, epsilon)
+    return lambda v: _from_modes(_penalized_solve(factor, _to_modes(v, basis)), basis)
 
 
 def _identity(v: np.ndarray) -> np.ndarray:
@@ -346,8 +344,8 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     The solver history keeps one meaning on every path: ``cg_residuals``
     holds residual 2-norms of the normal equations, from ||b|| on, and
     ``cg_converged`` says the last is within ``cg_tol * ||b||``.  A direct
-    solve reports 0 iterations and the history (||b||, ||R^T R p + eps p -
-    b||) in the cosine basis.  Deterministic: repeated calls with equal
+    solve reports 0 iterations and the history (||b||, ||G p + eps p - b||)
+    in the cosine basis.  Deterministic: repeated calls with equal
     inputs produce bit-identical results.  The reduced system, as ``ops`` or
     ``reference``, raises ``ValueError`` before any march.
     """
@@ -365,11 +363,13 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     # zero data need no solve, so they build no factor and apply nothing
     factored = ops.size <= _FACTOR_MAX_DIM and bool(np.any(b))
     if factored and ops.coeffs.constant:
-        r, r_eps, basis = _penalized_factor(ops, eps)
+        g, factor, basis, observation = _penalized_factor(ops, eps)
         b_hat = _to_modes(b, basis)
-        p_hat = _penalized_solve(r_eps, b_hat)
+        p_hat = _penalized_solve(factor, b_hat)
+        p_hat += _penalized_solve(factor, b_hat - eps * p_hat
+                                  - _observed_gramian(observation, p_hat))
         residuals = [float(np.linalg.norm(b_hat)),
-                     float(np.linalg.norm(r.T @ (r @ p_hat) + eps * p_hat - b_hat))]
+                     float(np.linalg.norm(g @ p_hat + eps * p_hat - b_hat))]
         p_terminal, iters = _from_modes(p_hat, basis), 0
         converged = residuals[1] <= config.cg_tol * residuals[0]
         monotone = _non_increasing(residuals)
@@ -448,8 +448,8 @@ def epsilon_sweep(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     divided by sqrt(eps) (expected bounded, not monotonically growing), the
     two signatures of a uniform-in-penalty control bound.  Every penalty
     steps with the factorizations of ``ops`` and solves with its one
-    Gramian factor (or that of its reference field), folding each penalty
-    into it once.
+    Gramian (or that of its reference field), with one Cholesky factor of
+    G + eps I per penalty.
     """
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):

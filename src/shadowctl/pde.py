@@ -253,7 +253,7 @@ class StepOperators(_Stepper):
     ``z_entries`` pick the components.  :meth:`solve` takes one step in
     place, with ``trans=1`` the exact transpose on the same factors.
     ``cache`` keeps what solvers derive from these operators for later
-    calls, such as the Gramian factor of :func:`~shadowctl.hum.hum_solve`.
+    calls, such as the Gramian and factors of :func:`~shadowctl.hum.hum_solve`.
     """
 
     y_entries = slice(0, None, 2)

@@ -8,8 +8,8 @@ the averaged coefficients
 so that a11*ybar + a12*zbar = f(ybar, zbar) exactly whenever f(0,0) = 0.
 The first reference is zero, where the averages are the origin partials,
 constant in space and time, so the first penalized solve is direct, on a
-Gramian factor doubled in the cosine basis; every later solve is
-preconditioned by that same factor.  Each outer iteration solves the
+Gramian assembled in the cosine basis; every later solve is preconditioned
+by its Cholesky factor.  Each outer iteration solves the
 penalized nulling problem for the frozen coefficients and re-linearizes
 around the controlled trajectory, Anderson-mixed with the previous one; the
 loop stops when the relative space-time update falls below tolerance.
@@ -168,7 +168,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     space and time; the first penalized solve is therefore direct, its
     relative update reads 1.0, and its ``StepOperators`` are the
     preconditioning ``reference`` of every later :func:`hum_solve`, so that
-    all passes share one Gramian factor and one penalty fold.  Each pass
+    all passes share one Gramian and one Cholesky factor.  Each pass
     freezes the averaged coefficients at x and solves the penalized nulling
     problem; its controlled trajectory g is the fixed-point map of x.  The
     next reference is Anderson-mixed with memory 1 from the last two

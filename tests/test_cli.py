@@ -199,6 +199,14 @@ class TestDefaultsAndErrors:
         assert "below the minimum" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_penalty_below_the_round_off_floor_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("grid.n_cells = 20\ntime.horizon = 0.05\ntime.n_steps = 2\n"
+                       "hum.epsilon = 1e-300\n")
+        assert run(cfg, tmp_path / "hum", "hum") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: epsilon = 1e-300 is below the round-off floor")
+
     def test_negative_seed_exits_2(self, cfg_file, tmp_path):
         assert run(cfg_file, tmp_path / "o", "hum", "--seed", "-1") == 2
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dtpqrt, dtrtrs
+from scipy.linalg.lapack import dpptrf, dpptrs
 
 from shadowctl import hum, pde
 from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
@@ -102,25 +102,42 @@ def _longdouble_gramian(ops):
     return gram
 
 
+def _longdouble_solve(a, b):
+    """a^-1 b by Gaussian elimination with partial pivoting, in the dtype of
+    ``a`` and ``b``."""
+    a, b = a.copy(), b.copy()
+    size = b.size
+    for j in range(size):
+        pivot = j + int(np.argmax(np.abs(a[j:, j])))
+        a[[j, pivot]], b[[j, pivot]] = a[[pivot, j]], b[[pivot, j]]
+        factors = a[j + 1:, j] / a[j, j]
+        a[j + 1:, j:] -= np.outer(factors, a[j, j:])
+        b[j + 1:] -= factors * b[j]
+    x = np.zeros_like(b)
+    for j in reversed(range(size)):
+        x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
+    return x
+
+
 class TestGramianFactor:
     @staticmethod
-    def _check_square_root(grid, tgrid, coeffs, sigma):
-        # Q R^T R Q^T v against the matrix-free Lambda v, Q = diag(C, C)
+    def _check_gramian(grid, tgrid, coeffs, sigma):
+        # Q G Q^T v against the matrix-free Lambda v, Q = diag(C, C)
         ops = StepOperators(sigma, coeffs)
-        r, basis = hum._factor_and_basis(ops)
-        assert r.shape == (2 * grid.n_cells,) * 2
-        assert np.array_equal(r, np.triu(r))
+        g, basis, _ = hum._factor_and_basis(ops)
+        assert g.shape == (2 * grid.n_cells,) * 2
+        assert np.array_equal(g, g.T)
         rng = np.random.default_rng(4)
         for v in rng.standard_normal((5, 2 * grid.n_cells)):
             ref = gramian_apply(ops, v)
             v_hat = (v.reshape(2, -1) @ basis).ravel()
-            got = ((r.T @ (r @ v_hat)).reshape(2, -1) @ basis.T).ravel()
+            got = ((g @ v_hat).reshape(2, -1) @ basis.T).ravel()
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-        return r
+        return g
 
     def test_constant_coefficients(self, small_problem):
         grid, tgrid, coeffs, _, _ = small_problem
-        self._check_square_root(grid, tgrid, coeffs, 1.0)
+        self._check_gramian(grid, tgrid, coeffs, 1.0)
 
     @pytest.mark.parametrize("varying", ["time", "space"])
     def test_field_that_is_not_constant_is_refused(self, varying):
@@ -138,28 +155,29 @@ class TestGramianFactor:
             hum._factor_and_basis(StepOperators(3.0, coeffs))
 
     def test_short_wide_stack(self):
-        # 2 steps x 8 window cells = 16 rows for a 40 x 40 factor
+        # 2 steps x 8 window cells: a 40 x 40 Gramian of rank 16
         grid = Grid1D(n_cells=20, omega_a=0.3, omega_b=0.7)
         tgrid = TimeGrid(horizon=0.05, n_steps=2)
         coeffs = constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0)
         assert np.count_nonzero(grid.omega_indicator) == 8
-        r = self._check_square_root(grid, tgrid, coeffs, 1.0)
-        assert np.linalg.matrix_rank(r) == 16
+        g = self._check_gramian(grid, tgrid, coeffs, 1.0)
+        assert np.linalg.matrix_rank(g) == 16
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 13])
     @pytest.mark.parametrize("omega", [(0.25, 0.6), (0.5, 0.53)])
     def test_doubling_at_every_bit_pattern(self, n_steps, omega):
-        # powers of two, all-ones and mixed bit patterns of M; the second
-        # window is one cut cell, so the observation G_1 is a single row
+        # powers of two, all-ones and mixed bit patterns of M, which the
+        # doubling of the powers B^k cuts short at M; the second window is
+        # one cut cell, so D has rank one
         grid = Grid1D(n_cells=12, omega_a=omega[0], omega_b=omega[1])
         tgrid = TimeGrid(horizon=0.2, n_steps=n_steps)
         coeffs = constant_coefficients(grid, tgrid, 0.3, 1.0, 1.0, -0.2)
         assert coeffs.time_invariant
-        self._check_square_root(grid, tgrid, coeffs, 5.0)
+        self._check_gramian(grid, tgrid, coeffs, 5.0)
 
     # sigma stays moderate: at sigma * dt / h^2 of several hundred the step
     # solves of the gramian_apply reference lose digits of their own, and the
-    # per-step factor then misses 1e-13 as well.  Derandomized, so the bound
+    # cosine-basis Gramian then misses 1e-13 as well.  Derandomized, so the bound
     # is checked on the same examples every run.
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_steps=st.integers(1, 40),
@@ -170,8 +188,8 @@ class TestGramianFactor:
                                                    width, a, sigma):
         grid = Grid1D(n_cells=10, omega_a=omega_a, omega_b=omega_a + width)
         tgrid = TimeGrid(horizon=0.2, n_steps=n_steps)
-        self._check_square_root(grid, tgrid,
-                                constant_coefficients(grid, tgrid, *a), sigma)
+        self._check_gramian(grid, tgrid, constant_coefficients(grid, tgrid, *a),
+                            sigma)
 
     # (n_cells, n_steps, sigma, a11, a12, a21, a22); the last three have
     # a12 * a21 < 0 with complex mode pairs, the last at sigma dt / h^2 = 1800
@@ -189,13 +207,13 @@ class TestGramianFactor:
             # the mode-0 step block [[1 - dt a11, -dt a12], [-dt a21, 1 - dt a22]]
             assert (a[0] - a[3])**2 + 4.0 * a[1] * a[2] < 0.0
         gram = _longdouble_gramian(ops)
-        r_hat, basis = hum._factor_and_basis(ops)
-        assert np.array_equal(r_hat, np.triu(r_hat))
+        g_hat, basis, _ = hum._factor_and_basis(ops)
+        assert np.array_equal(g_hat, g_hat.T)
         rng = np.random.default_rng(9)
         for v in rng.standard_normal((5, 2 * n)):
             ref = gram @ v.astype(np.longdouble)
             v_hat = (v.reshape(2, -1) @ basis).ravel()
-            got = ((r_hat.T @ (r_hat @ v_hat)).reshape(2, -1) @ basis.T).ravel()
+            got = ((g_hat @ v_hat).reshape(2, -1) @ basis.T).ravel()
             err = np.linalg.norm(got.astype(np.longdouble) - ref)
             assert err <= 1e-14 * np.linalg.norm(ref)
 
@@ -364,8 +382,8 @@ class TestHumSolve:
     def test_size_limit_picks_the_gramian_operator(self, above):
         # just below or just above the limit the solve must equal, bit for
         # bit, the solver the size rule names run directly: the direct solve
-        # on the square-root factor with sqrt(eps) I folded in, or conjugate
-        # residual on the matrix-free Gramian
+        # with the packed Cholesky factor of G + eps I, or conjugate residual
+        # on the matrix-free Gramian
         n = hum._FACTOR_MAX_DIM // 2 + int(above)
         grid = Grid1D(n_cells=n, omega_a=0.3, omega_b=0.7)
         tgrid = TimeGrid(horizon=0.05, n_steps=6)
@@ -385,14 +403,18 @@ class TestHumSolve:
         else:
             # constant coefficients: the factor and the solve are in the
             # cosine basis Q = diag(C, C), where the right side is Q^T b
-            r, basis = hum._factor_and_basis(ops)
-            r_eps, _, _, info = dtpqrt(2 * n, 4, r.copy(order="F"),
-                                       np.sqrt(cfg.epsilon) * np.eye(2 * n, order="F"))
+            # and one step of refinement, its residual taken through the
+            # observation that G is the Gramian of
+            g, basis, observation = hum._factor_and_basis(ops)
+            shifted = g + cfg.epsilon * np.eye(2 * n)
+            u, info = dpptrf(2 * n, shifted[np.tril_indices(2 * n)])
             assert info == 0
             b_hat = (b.reshape(2, -1) @ basis).ravel()
-            w, info = dtrtrs(r_eps, b_hat, trans=1)
-            p_hat, info2 = dtrtrs(r_eps, w)
-            assert info == info2 == 0
+            p_hat, info2 = dpptrs(2 * n, u, b_hat)
+            correction, info3 = dpptrs(2 * n, u, b_hat - cfg.epsilon * p_hat
+                                       - hum._observed_gramian(observation, p_hat))
+            assert info == info2 == info3 == 0
+            p_hat += correction
             p_terminal, iters = (p_hat.reshape(2, -1) @ basis.T).ravel(), 0
         assert res.cg_converged
         assert res.cg_iterations == iters
@@ -424,7 +446,7 @@ class TestDirectSolve:
     @pytest.mark.parametrize("sigma", [1.0, 1000.0])
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])
     def test_normal_equations_hold_to_round_off(self, sigma, eps):
-        # the folded factor solves (R^T R + eps I) p = b to round-off at every
+        # the Cholesky factor solves (G + eps I) p = b to round-off at every
         # penalty, where conjugate residual needs 90 to 1300 iterations
         ops, y0, z0 = _default_problem(sigma)
         res = hum_solve(ops, y0, z0, HumConfig(epsilon=eps, cg_tol=1e-12))
@@ -432,15 +454,17 @@ class TestDirectSolve:
         norm_b, residual = res.cg_residuals
         assert residual <= 1e-13 * norm_b
         # the reported residual is that of the solve in the cosine basis
-        r, r_eps, basis = hum._penalized_factor(ops, eps)
+        g, factor, basis, observation = hum._penalized_factor(ops, eps)
         b_hat = (solve_forward_linear(ops, None, y0, z0).u[-1].reshape(2, -1)
                  @ basis).ravel()
-        p_hat = hum._penalized_solve(r_eps, b_hat)
+        p_hat = hum._penalized_solve(factor, b_hat)
+        p_hat += hum._penalized_solve(
+            factor, b_hat - eps * p_hat - hum._observed_gramian(observation, p_hat))
         assert np.array_equal((p_hat.reshape(2, -1) @ basis.T).ravel(),
                               res.adjoint_terminal)
 
         def apply_op(v):
-            return r.T @ (r @ v) + eps * v
+            return g @ v + eps * v
 
         assert np.linalg.norm(b_hat) == norm_b
         assert np.linalg.norm(apply_op(p_hat) - b_hat) == residual
@@ -454,13 +478,73 @@ class TestDirectSolve:
     def test_penalty_fold_is_a_cholesky_factor(self, small_problem):
         grid, tgrid, coeffs, _, _ = small_problem
         ops = StepOperators(1.0, coeffs)
-        r, r_eps, _ = hum._penalized_factor(ops, 1e-4)
-        assert np.array_equal(r_eps, np.triu(r_eps))
-        gram = r.T @ r + 1e-4 * np.eye(40)
-        assert np.linalg.norm(r_eps.T @ r_eps - gram) <= 1e-14 * np.linalg.norm(gram)
-        # one factor per ops, one fold per penalty, each built once
-        assert hum._penalized_factor(ops, 1e-4)[1] is r_eps
-        assert hum._penalized_factor(ops, 1e-6)[0] is r
+        g, packed, _, _ = hum._penalized_factor(ops, 1e-4)
+        # the upper triangle packed by columns
+        u = np.zeros((40, 40))
+        u.T[np.tril_indices(40)] = packed
+        gram = g + 1e-4 * np.eye(40)
+        assert np.linalg.norm(u.T @ u - gram) <= 1e-14 * np.linalg.norm(gram)
+        # one Gramian per ops, one factor per penalty, each built once
+        assert hum._penalized_factor(ops, 1e-4)[1] is packed
+        assert hum._penalized_factor(ops, 1e-6)[0] is g
+
+    def test_observation_applies_the_gramian(self, small_problem):
+        # the refinement's residual goes through the observation (E, W)
+        # that G is the Gramian of
+        grid, tgrid, coeffs, _, _ = small_problem
+        g, _, observation = hum._factor_and_basis(StepOperators(1.0, coeffs))
+        for v in np.random.default_rng(6).standard_normal((5, 40)):
+            ref = g @ v
+            got = hum._observed_gramian(observation, v)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    # ||p - p_ld|| / ||p_ld|| that the deleted square-root route (dtpqrt
+    # doubling, sqrt(eps) I folded in, two dtrtrs solves) measured on these
+    # cases, and Cholesky of G + eps I without the refinement step; the
+    # refined solve measured within 3% of the first row's numbers
+    #   (n, sigma)     eps: 1e-6     1e-8     1e-10    1e-12
+    #   (8, 1)   square root 4.5e-15  2.3e-14  6.0e-13  1.1e-11
+    #            Cholesky    3.0e-14  1.9e-12  1.1e-11  1.4e-11
+    #   (20, 100)            3.2e-14  3.6e-13  4.2e-12  4.0e-10
+    #                        3.1e-14  1.8e-12  4.3e-11  4.3e-09
+    #   (12, 1000)           5.9e-14  3.8e-13  7.1e-12  2.9e-10
+    #                        7.8e-14  1.5e-12  1.7e-10  2.1e-09
+    #   (24, 1)              3.5e-14  3.1e-13  2.9e-12  5.1e-11
+    #                        6.6e-14  9.2e-13  1.2e-11  7.5e-10
+    # The bound is 10x the square-root route's; the middle two cases have
+    # a12 * a21 < 0.
+    @pytest.mark.parametrize("case, bounds", [
+        ((8, 8, 1.0, (0.0, 0.0, 1.0, 0.0)), (4.5e-14, 2.3e-13, 6.0e-12, 1.1e-10)),
+        ((20, 16, 100.0, (0.5, -1.9, 1.9, 0.5)), (3.2e-13, 3.6e-12, 4.2e-11, 4.0e-9)),
+        ((12, 16, 1000.0, (1.0, 2.0, -2.0, 0.5)), (5.9e-13, 3.8e-12, 7.1e-11, 2.9e-9)),
+        ((24, 24, 1.0, (0.0, 0.0, 1.0, 0.0)), (3.5e-13, 3.1e-12, 2.9e-11, 5.1e-10)),
+    ], ids=["n8-sigma1", "n20-sigma100", "n12-sigma1000", "n24-sigma1"])
+    def test_matches_a_longdouble_solve(self, case, bounds):
+        n, n_steps, sigma, a = case
+        grid = Grid1D(n_cells=n, omega_a=0.25, omega_b=0.6)
+        tgrid = TimeGrid(horizon=0.2, n_steps=n_steps)
+        ops = StepOperators(sigma, constant_coefficients(grid, tgrid, *a))
+        gram = _longdouble_gramian(ops)
+        x = grid.cell_centers
+        y0, z0 = np.cos(np.pi * x), 0.5 * np.cos(2 * np.pi * x) + 0.2
+        b = solve_forward_linear(ops, None, y0, z0).u[-1].astype(np.longdouble)
+        for eps, bound in zip((1e-6, 1e-8, 1e-10, 1e-12), bounds):
+            p = hum_solve(ops, y0, z0, HumConfig(epsilon=eps)).adjoint_terminal
+            p_ld = _longdouble_solve(gram + np.longdouble(eps) * np.eye(2 * n), b)
+            err = np.linalg.norm(p.astype(np.longdouble) - p_ld) / np.linalg.norm(p_ld)
+            assert err <= bound, (eps, float(err))
+
+    def test_penalty_below_the_round_off_floor_is_refused(self):
+        # 2 steps x 8 window cells: G has rank 16 of 40, so G + eps I is
+        # indefinite in floating point once eps is below about u max|G|;
+        # the square-root route returned an unconverged solve there
+        grid = Grid1D(n_cells=20, omega_a=0.3, omega_b=0.7)
+        tgrid = TimeGrid(horizon=0.05, n_steps=2)
+        ops = StepOperators(1.0, constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0))
+        x = grid.cell_centers
+        with pytest.raises(ValueError, match=r"epsilon = 1e-300 is below the "
+                                             r"round-off floor of the Gramian, about"):
+            hum_solve(ops, np.cos(np.pi * x), np.full(20, 0.1), HumConfig(epsilon=1e-300))
 
 
 def _varying_problem():

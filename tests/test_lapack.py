@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from scipy.linalg import lapack
 
-from shadowctl import _lapack
+from shadowctl import _lapack, hum, pde
 
 # what `import scipy.linalg.lapack` would bring in, and scipy.fft, which the
 # cosine basis of the Gramian factor does without; the extension
@@ -69,8 +69,8 @@ def test_routines_are_scipy_linalg_lapack_objects(fresh_python, imports):
         "from shadowctl import _lapack, hum, pde\n"
         "print([_lapack.dgbtrf is lapack.dgbtrf is pde.dgbtrf,\n"
         "       _lapack.dgbtrs is lapack.dgbtrs is pde.dgbtrs,\n"
-        "       _lapack.dtpqrt is lapack.dtpqrt is hum.dtpqrt,\n"
-        "       _lapack.dtrtrs is lapack.dtrtrs is hum.dtrtrs,\n"
+        "       _lapack.dpptrf is lapack.dpptrf is hum.dpptrf,\n"
+        "       _lapack.dpptrs is lapack.dpptrs is hum.dpptrs,\n"
         "       sys.modules['scipy.linalg._flapack'] is lapack._flapack])")
     assert out.strip() == "[True, True, True, True, True]"
 
@@ -86,7 +86,7 @@ def test_unloadable_extension_falls_back_to_scipy_linalg(tmp_path, name,
     if content is not None:
         path.write_bytes(content)
     routines = _lapack._load(path)
-    expected = (lapack.dgbtrf, lapack.dgbtrs, lapack.dtpqrt, lapack.dtrtrs)
+    expected = (lapack.dgbtrf, lapack.dgbtrs, lapack.dpptrf, lapack.dpptrs)
     assert all(a is b for a, b in zip(routines, expected, strict=True))
 
 
@@ -99,3 +99,14 @@ def test_readme_install_names_every_routine(tmp_path):
     names = [r.__name__.split()[-1] for r in _lapack._load(tmp_path / "missing")]
     assert f"use {NUMBER_WORDS[len(names)]} of scipy's LAPACK routines" in paragraph
     assert all(f"`{name}`" in paragraph for name in names), (names, paragraph)
+
+
+def test_every_loaded_routine_is_imported_by_a_solver(tmp_path):
+    # a routine that neither solver imports is a dead load at every start-up
+    loaded = {name: value for name, value in vars(_lapack).items()
+              if type(value).__name__ == "fortran"}
+    assert set(loaded) == {r.__name__.split()[-1]
+                           for r in _lapack._load(tmp_path / "missing")}
+    for name, routine in loaded.items():
+        assert any(getattr(solver, name, None) is routine
+                   for solver in (pde, hum)), name
