@@ -100,8 +100,6 @@ def _parse_float(key: str, raw: str) -> float:
 
 
 def _parse_value(field_name: str, default, key: str, raw: str):
-    if isinstance(default, bool):  # pragma: no cover - no bool keys today
-        raise ConfigError(f"{key}: unsupported type")
     if isinstance(default, int):
         return _parse_int(key, raw)
     if isinstance(default, float):

@@ -243,17 +243,17 @@ def measure_m1(grid: Grid1D, tgrid: TimeGrid, sigma: float,
 
 
 def measure_m1_scaling(grid: Grid1D, sigmas, z0: np.ndarray,
-                       tau_max: float = 1.0, n_steps: int = 400) -> ScalingReport:
+                       n_steps: int = 400) -> ScalingReport:
     """sup sqrt(t)*M1 across sigmas on windows scaled by 1/sigma.
 
-    Each sigma runs on the horizon tau_max / sigma with the same step count,
+    Each sigma runs on the horizon 1 / sigma with the same step count,
     so the one measurement differs from the next only through the diffusion
     ratio; the expected log-log slope is -1/2.
     """
     sig = [float(s) for s in sigmas]
     sups = []
     for s in sig:
-        tg = TimeGrid(horizon=tau_max / s, n_steps=n_steps)
+        tg = TimeGrid(horizon=1.0 / s, n_steps=n_steps)
         sups.append(measure_m1(grid, tg, s, z0).sup_sqrt_t_m1)
     return ScalingReport(sigmas=tuple(sig), values=tuple(sups),
                          slope=fit_decay_rate(sig, sups))
@@ -261,18 +261,18 @@ def measure_m1_scaling(grid: Grid1D, sigmas, z0: np.ndarray,
 
 def measure_m2_scaling(grid: Grid1D, sigmas, pair: NonlinearityPair,
                        y0: np.ndarray, z0: np.ndarray,
-                       tau_max: float = 5.0, n_steps: int = 400) -> ScalingReport:
+                       n_steps: int = 400) -> ScalingReport:
     """Accumulated response to the mean-free reaction residual across sigmas.
 
     For each sigma the free semilinear flow provides R = g(y, z) - mean g,
     and v_t = sigma lap v + R is accumulated implicitly from v(0) = 0 on a
-    window scaled by 1/sigma (long enough for the response to saturate);
+    window of length 5 / sigma (long enough for the response to saturate);
     reported is sup_t ||v(t)||, expected to scale like sigma^(-1).
     """
     sig = [float(s) for s in sigmas]
     sups = []
     for s in sig:
-        tg = TimeGrid(horizon=tau_max / s, n_steps=n_steps)
+        tg = TimeGrid(horizon=5.0 / s, n_steps=n_steps)
         traj = solve_forward_semilinear(StepOperators(s, zero_coefficients(grid, tg)),
                                         pair, None, y0, z0)
         gvals = np.asarray(pair.g.value(traj.y, traj.z))

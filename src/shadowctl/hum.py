@@ -53,7 +53,7 @@ about 120 ms of CPU spinning in the 0.3 s after it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,7 +170,7 @@ def _factor_and_basis(ops: StepOperators):
     n, m, dt, c = ops.grid.n_cells, ops.tgrid.n_steps, ops.tgrid.dt, ops.coeffs
     chi = ops.grid.omega_indicator
     window = np.flatnonzero(chi > 0.0)
-    basis, mu = _cosine_basis(ops.grid)
+    basis, mu = _cosine_basis(n)
     # the step's mode-j block is [[p, q], [r, s]], so B_j = [[s, -r], [-q, p]] / det
     p = 1.0 + dt * mu - dt * c.a11[0, 0]
     s = 1.0 + dt * ops.sigma * mu - dt * c.a22[0, 0]
@@ -441,8 +441,9 @@ class EpsilonSweepReport:
 
 
 def epsilon_sweep(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
-                  epsilons, base_config: HumConfig = HumConfig()) -> EpsilonSweepReport:
-    """Run the penalized solve across a decreasing penalty schedule.
+                  epsilons) -> EpsilonSweepReport:
+    """Run the penalized solve, default :class:`HumConfig` but for the
+    penalty, across a decreasing penalty schedule.
 
     Tracks the control cost (expected to stabilize) and the terminal norm
     divided by sqrt(eps) (expected bounded, not monotonically growing), the
@@ -456,7 +457,7 @@ def epsilon_sweep(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
         raise ValueError("epsilons must be a strictly decreasing sequence of length >= 2")
     rows = []
     for eps in eps_list:
-        res = hum_solve(ops, y0, z0, replace(base_config, epsilon=eps))
+        res = hum_solve(ops, y0, z0, HumConfig(epsilon=eps))
         rows.append(EpsilonRow(
             epsilon=eps, control_cost=res.control_cost,
             terminal_y=res.terminal_y, terminal_z=res.terminal_z,

@@ -9,7 +9,7 @@ values (cut cells).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -128,16 +128,19 @@ def _laplacian_stencil(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return main, off
 
 
-def _cosine_basis(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal eigenvectors C, shape (n_cells, n_cells), and eigenvalues
-    mu, shape (n_cells,), of minus the Laplacian of :func:`_laplacian_stencil`:
-    L C = C diag(-mu), with C[i, k] = c_k cos(pi k (i + 1/2) / n), c_0 =
-    sqrt(1/n), c_k = sqrt(2/n), and mu_k = (4 / h^2) sin^2(pi k / (2n))."""
-    n = grid.n_cells
+@cache
+def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors C, shape (n, n), and eigenvalues mu, shape
+    (n,), of minus the Laplacian of :func:`_laplacian_stencil` on a grid of n
+    cells: L C = C diag(-mu), with C[i, k] = c_k cos(pi k (i + 1/2) / n), c_0
+    = sqrt(1/n), c_k = sqrt(2/n), and mu_k = (4 / h^2) sin^2(pi k / (2n)).
+    Read-only, computed once per n."""
     k = np.arange(n)
     c = np.cos(np.pi / n * np.outer(np.arange(n) + 0.5, k)) * np.sqrt(2.0 / n)
     c[:, 0] = np.sqrt(1.0 / n)
-    mu = (2.0 / grid.spacing * np.sin(0.5 * np.pi / n * k))**2
+    h = 1.0 / n   # Grid1D.spacing
+    mu = (2.0 / h * np.sin(0.5 * np.pi / n * k))**2
+    c.flags.writeable = mu.flags.writeable = False
     return c, mu
 
 

@@ -17,6 +17,9 @@ import numpy as np
 
 Scalar2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+# Absolute tolerance of the finite-difference cross-check of the partials.
+_DERIV_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -30,25 +33,26 @@ class Nonlinearity:
     d_dy: Scalar2
     d_dz: Scalar2
     lipschitz: float
-    label: str = ""
 
 
 @dataclass(frozen=True)
 class NonlinearityPair:
-    """The coupled reaction (f, g) with its declared structural constants."""
+    """The coupled reaction (f, g).  Its coupling constants are read off
+    dg/dy(0, 0): the floor is its magnitude, the sign its sign (+1 at 0)."""
 
     f: Nonlinearity
     g: Nonlinearity
-    a21_floor: float
-    a21_sign: float
+
+    def _coupling_at_origin(self) -> float:
+        return float(np.asarray(self.g.d_dy(np.float64(0.0), np.float64(0.0))))
 
     @property
-    def lipschitz_f(self) -> float:
-        return self.f.lipschitz
+    def a21_floor(self) -> float:
+        return abs(self._coupling_at_origin())
 
     @property
-    def lipschitz_g(self) -> float:
-        return self.g.lipschitz
+    def a21_sign(self) -> float:
+        return -1.0 if self._coupling_at_origin() < 0.0 else 1.0
 
 
 def sigmoid_family(k: float) -> Nonlinearity:
@@ -68,8 +72,7 @@ def sigmoid_family(k: float) -> Nonlinearity:
         u = np.asarray(y) + np.asarray(z)
         return (1.0 + np.abs(u) ** k) ** (-1.0 / k - 1.0)
 
-    return Nonlinearity(value=value, d_dy=slope, d_dz=slope, lipschitz=1.0,
-                        label=f"sigmoid(k={k:g})")
+    return Nonlinearity(value=value, d_dy=slope, d_dz=slope, lipschitz=1.0)
 
 
 def arctan_family(k: float) -> Nonlinearity:
@@ -90,11 +93,10 @@ def arctan_family(k: float) -> Nonlinearity:
         u = np.asarray(y) + np.asarray(z)
         return k / (1.0 + (k * u) ** 2)
 
-    return Nonlinearity(value=value, d_dy=slope, d_dz=slope, lipschitz=k,
-                        label=f"arctan(k={k:g})")
+    return Nonlinearity(value=value, d_dy=slope, d_dz=slope, lipschitz=k)
 
 
-def linear_form(a: float, b: float, label: str = "") -> Nonlinearity:
+def linear_form(a: float, b: float) -> Nonlinearity:
     """Affine-free component a*y + b*z with constant partials."""
 
     def value(y, z):
@@ -106,21 +108,16 @@ def linear_form(a: float, b: float, label: str = "") -> Nonlinearity:
     def d_dz(y, z):
         return np.full(np.broadcast(np.asarray(y), np.asarray(z)).shape, float(b))
 
-    return Nonlinearity(value=value, d_dy=d_dy, d_dz=d_dz,
-                        lipschitz=abs(a) + abs(b), label=label or f"linear({a:g},{b:g})")
+    return Nonlinearity(value=value, d_dy=d_dy, d_dz=d_dz, lipschitz=abs(a) + abs(b))
 
 
-def make_pair(f: Nonlinearity, g: Nonlinearity,
-              a21_floor: float | None = None) -> NonlinearityPair:
-    """Assemble a pair; the coupling floor defaults to |dg/dy(0, 0)|."""
-    origin = float(np.asarray(g.d_dy(np.float64(0.0), np.float64(0.0))))
-    if a21_floor is None:
-        a21_floor = abs(origin)
-    sign = -1.0 if origin < 0.0 else 1.0
-    if a21_floor == 0.0:
+def make_pair(f: Nonlinearity, g: Nonlinearity) -> NonlinearityPair:
+    """Assemble a pair, warning when its coupling floor |dg/dy(0, 0)| is 0."""
+    pair = NonlinearityPair(f=f, g=g)
+    if pair.a21_floor == 0.0:
         warnings.warn("zero y-coupling in g violates the sign-floor condition",
                       stacklevel=2)
-    return NonlinearityPair(f=f, g=g, a21_floor=float(a21_floor), a21_sign=sign)
+    return pair
 
 
 def linear_pair(a: float, b: float, c: float, d: float) -> NonlinearityPair:
@@ -129,7 +126,7 @@ def linear_pair(a: float, b: float, c: float, d: float) -> NonlinearityPair:
     The y-coupling constant c plays the role of dg/dy; c = 0 is constructed
     but flagged (floor 0) so the hypothesis checker reports the violation.
     """
-    return make_pair(linear_form(a, b), linear_form(c, d), a21_floor=abs(c))
+    return make_pair(linear_form(a, b), linear_form(c, d))
 
 
 @dataclass(frozen=True)
@@ -174,14 +171,14 @@ def _fd_partials(fn: Scalar2, y: np.ndarray, z: np.ndarray, step: float):
 def check_hypotheses(pair: NonlinearityPair,
                      box_halfwidth: float = 10.0,
                      n_samples: int = 2000,
-                     deriv_tol: float = 1e-6,
                      seed: int = 0) -> HypothesisReport:
     """Sample the box [-r, r]^2 and test the structural hypotheses.
 
     Checks, in order: per-partial derivative bounds against the declared
     constants (H1); exact vanishing at the origin (H2); the coupling floor and
     ray-wise sign constancy of dg/dy (H3).  Every analytic partial is also
-    cross-validated against central finite differences on a subsample.
+    cross-validated against central finite differences on a subsample, to
+    an absolute tolerance of 1e-6.
 
     Parameters
     ----------
@@ -190,8 +187,6 @@ def check_hypotheses(pair: NonlinearityPair,
         Half-width r of the sampling box.
     n_samples : int
         Number of sampled points; at least 1000.
-    deriv_tol : float
-        Absolute tolerance for the finite-difference cross-check.
     seed : int
         Seed for the sampling generator; results are deterministic per seed.
     """
@@ -211,14 +206,13 @@ def check_hypotheses(pair: NonlinearityPair,
                               np.max(np.abs(pair.f.d_dz(ys, zs)))))
     max_partial_g = float(max(np.max(np.abs(pair.g.d_dy(ys, zs))),
                               np.max(np.abs(pair.g.d_dz(ys, zs)))))
-    slack_f = 1e-8 * max(1.0, pair.lipschitz_f)
-    slack_g = 1e-8 * max(1.0, pair.lipschitz_g)
-    h1_ok = (max_partial_f <= pair.lipschitz_f + slack_f
-             and max_partial_g <= pair.lipschitz_g + slack_g)
+    lipschitz_f, lipschitz_g = pair.f.lipschitz, pair.g.lipschitz
+    h1_ok = (max_partial_f <= lipschitz_f + 1e-8 * max(1.0, lipschitz_f)
+             and max_partial_g <= lipschitz_g + 1e-8 * max(1.0, lipschitz_g))
     if not h1_ok:
         violations.append(
             f"H1: sampled partial maxima ({max_partial_f:.6g}, {max_partial_g:.6g}) "
-            f"exceed declared bounds ({pair.lipschitz_f:.6g}, {pair.lipschitz_g:.6g})")
+            f"exceed declared bounds ({lipschitz_f:.6g}, {lipschitz_g:.6g})")
 
     # H2: both components vanish at the origin.
     zero = np.float64(0.0)
@@ -229,13 +223,12 @@ def check_hypotheses(pair: NonlinearityPair,
         violations.append(f"H2: f(0,0) = {f_origin:.3e}, g(0,0) = {g_origin:.3e}")
 
     # H3: coupling floor at the origin and sign constancy along rays.
-    coupling_at_origin = float(np.asarray(pair.g.d_dy(zero, zero)))
+    coupling_at_origin = pair._coupling_at_origin()
     deltas = np.linspace(0.0, 1.0, 33)
     ray_vals = pair.a21_sign * np.asarray(
         pair.g.d_dy(deltas[:, None] * ys[None, :], deltas[:, None] * zs[None, :]))
     min_signed = float(np.min(ray_vals))
-    floor_ok = (pair.a21_floor > 0.0
-                and pair.a21_sign * coupling_at_origin >= pair.a21_floor - 1e-12)
+    floor_ok = pair.a21_floor > 0.0
     rays_ok = min_signed >= -1e-12
     h3_ok = floor_ok and rays_ok
     if not floor_ok:
@@ -256,22 +249,22 @@ def check_hypotheses(pair: NonlinearityPair,
                                np.max(np.abs(fd_fz - pair.f.d_dz(ysub, zsub)))))
     max_fd_error_g = float(max(np.max(np.abs(fd_gy - pair.g.d_dy(ysub, zsub))),
                                np.max(np.abs(fd_gz - pair.g.d_dz(ysub, zsub)))))
-    derivatives_ok = max_fd_error_f <= deriv_tol and max_fd_error_g <= deriv_tol
+    derivatives_ok = max_fd_error_f <= _DERIV_TOL and max_fd_error_g <= _DERIV_TOL
     if not derivatives_ok:
         violations.append(
             f"derivative: finite-difference mismatch ({max_fd_error_f:.3e}, "
-            f"{max_fd_error_g:.3e}) above {deriv_tol:.3e}")
+            f"{max_fd_error_g:.3e}) above {_DERIV_TOL:.3e}")
 
     return HypothesisReport(
         ok=h1_ok and h2_ok and h3_ok and derivatives_ok,
         h1_ok=h1_ok, h2_ok=h2_ok, h3_ok=h3_ok, derivatives_ok=derivatives_ok,
         max_partial_f=max_partial_f, max_partial_g=max_partial_g,
-        lipschitz_f=pair.lipschitz_f, lipschitz_g=pair.lipschitz_g,
+        lipschitz_f=lipschitz_f, lipschitz_g=lipschitz_g,
         f_origin=f_origin, g_origin=g_origin,
         coupling_at_origin=coupling_at_origin,
         a21_floor=pair.a21_floor, a21_sign=pair.a21_sign,
         min_signed_coupling=min_signed,
         max_fd_error_f=max_fd_error_f, max_fd_error_g=max_fd_error_g,
-        deriv_tol=deriv_tol, n_samples=n_samples, box_halfwidth=box_halfwidth,
+        deriv_tol=_DERIV_TOL, n_samples=n_samples, box_halfwidth=box_halfwidth,
         violations=tuple(violations),
     )

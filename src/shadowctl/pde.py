@@ -419,31 +419,23 @@ def solve_forward_linear(ops: StepOperators | ShadowStepOperators,
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
 
 
-def solve_adjoint(ops: StepOperators, p_T: np.ndarray,
-                  source: np.ndarray | None = None) -> Trajectory:
+def solve_adjoint(ops: StepOperators, p_T: np.ndarray) -> Trajectory:
     """March the dual of the system of ``ops`` backward from the state p_T.
 
-    ``p_T`` is a stacked dual state of length ``ops.size`` and ``source``,
-    if given, a node-indexed array of them, shape (n_steps + 1, ops.size).
-    Each backward step applies the transpose of the corresponding forward
-    step matrix, which in particular swaps the zero-order coupling blocks;
-    source row m + 1 enters the step down to node m, which keeps the
-    sourced duality identity exact.  Row m of the returned trajectory holds
-    the dual state at node m, phi in ``y`` and psi in ``z``.  The reduced
-    system has no dual march: :class:`ShadowStepOperators` raise
-    ``ValueError``.
+    ``p_T`` is a stacked dual state of length ``ops.size``.  Each backward
+    step applies the transpose of the corresponding forward step matrix,
+    which in particular swaps the zero-order coupling blocks.  Row m of the
+    returned trajectory holds the dual state at node m, phi in ``y`` and psi
+    in ``z``.  The reduced system has no dual march:
+    :class:`ShadowStepOperators` raise ``ValueError``.
     """
     _check_dual(ops)
     last = ops.tgrid.n_steps
     p = np.empty((last + 1, ops.size))
     p[last] = _checked(p_T, (ops.size,), "p_T")[ops.order]
-    scaled = (None if source is None
-              else ops.tgrid.dt * _checked(source, p.shape, "source")[:, ops.order])
     for m in range(last - 1, -1, -1):
         row = p[m]
         row[:] = p[m + 1]
-        if scaled is not None:
-            row += scaled[m + 1]
         ops.solve(row, m, trans=1)
     ops.restack(p)
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, p)
@@ -476,7 +468,7 @@ def solve_forward_semilinear(ops: StepOperators | ShadowStepOperators,
         raise ValueError(f"inner_tol must be positive and finite, got {inner_tol}")
     if max_inner < 1:
         raise ValueError(f"max_inner must be at least 1, got {max_inner}")
-    cmax = max(pair.lipschitz_f, pair.lipschitz_g)
+    cmax = max(pair.f.lipschitz, pair.g.lipschitz)
     if dt * cmax >= 1.0:
         raise ValueError(
             f"dt * max Lipschitz bound = {dt * cmax:.3g} must stay below 1 "

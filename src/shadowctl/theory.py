@@ -29,6 +29,11 @@ __all__ = [
 
 _EPS40 = 0.5  # slack used in the envelope-comparison inequality
 
+# The dense x lattice, endpoints included, on which the profile is verified
+# and the weights' extrema are taken.
+_X_LATTICE = np.linspace(0.0, 1.0, 4001)
+_X_LATTICE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Eta0:
@@ -51,11 +56,10 @@ class Eta0:
 
 
 def eta0_1d(interior: tuple[float, float] = (0.4, 0.6),
-            q_coeffs: tuple[float, ...] = (1.0,),
-            n_check: int = 4001) -> Eta0:
+            q_coeffs: tuple[float, ...] = (1.0,)) -> Eta0:
     """Construct and verify the weight profile.
 
-    Verifies on a dense open lattice: positivity of q and of eta0 inside
+    Verifies on the dense x lattice: positivity of q and of eta0 inside
     (0, 1), vanishing at the endpoints, and |eta0'| > 0 at every sampled
     point outside ``interior`` (endpoints excluded, where the double zeros of
     the prefactor force eta0' = 0).
@@ -64,7 +68,7 @@ def eta0_1d(interior: tuple[float, float] = (0.4, 0.6),
     if not (0.0 < a < b < 1.0):
         raise ValueError(f"interior must satisfy 0 < a < b < 1, got {interior}")
     eta = Eta0(q_coeffs=tuple(float(c) for c in q_coeffs), interior=(float(a), float(b)))
-    xs = np.linspace(0.0, 1.0, n_check)[1:-1]
+    xs = _X_LATTICE[1:-1]
     q = np.polynomial.polynomial.polyval(xs, eta.q_coeffs)
     if np.min(q) <= 0.0:
         raise ValueError("q must be strictly positive on (0, 1)")
@@ -159,10 +163,9 @@ def _auto_lambda(eta_max: float) -> float:
 
 def build_weights(horizon: float,
                   sup_norms: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-                  lam: float | None = None,
-                  eta: Eta0 | None = None,
-                  n_dense: int = 4001) -> CarlemanWeights:
-    """Assemble weights for a horizon and coefficient sup-norms.
+                  lam: float | None = None) -> CarlemanWeights:
+    """Assemble weights of the default profile :func:`eta0_1d` for a horizon
+    and coefficient sup-norms.
 
     ``lam=None`` picks the smallest power of two for which the sampled
     envelope comparison with slack 1/2 holds; the scaled parameter is
@@ -172,11 +175,8 @@ def build_weights(horizon: float,
         raise ValueError(f"horizon must be positive, got {horizon}")
     if any(v < 0.0 for v in sup_norms):
         raise ValueError("sup_norms must be nonnegative")
-    if eta is None:
-        eta = eta0_1d()
-    xs = np.linspace(0.0, 1.0, n_dense)
-    xs.flags.writeable = False
-    eta_max = float(np.max(eta.value(xs)))
+    eta = eta0_1d()
+    eta_max = float(np.max(eta.value(_X_LATTICE)))
     if lam is None:
         lam = _auto_lambda(eta_max)
     if not lam > 0.0:
@@ -186,7 +186,7 @@ def build_weights(horizon: float,
     T = float(horizon)
     s = s0 * (T + T**2 + T**2 * max(sup_norms) ** (2.0 / 3.0))
     return CarlemanWeights(eta=eta, lam=float(lam), s=float(s), horizon=T,
-                           eta_max=eta_max, x_lattice=xs)
+                           eta_max=eta_max, x_lattice=_X_LATTICE)
 
 
 @dataclass(frozen=True)
@@ -244,10 +244,9 @@ class WeightCheckReport:
                 and self.lower_bound_ok and self.sandwich_ok)
 
 
-def weight_inequality_checks(w: CarlemanWeights,
-                             n_time: int = 201,
-                             margin: float = 0.01) -> WeightCheckReport:
-    """Sample the weight inequalities on an interior space-time lattice.
+def weight_inequality_checks(w: CarlemanWeights) -> WeightCheckReport:
+    """Sample the weight inequalities on an interior space-time lattice: 201
+    times spanning [T/100, 99T/100] by the x lattice of ``w``.
 
     Checks, with relative slack 1e-12:
 
@@ -260,10 +259,8 @@ def weight_inequality_checks(w: CarlemanWeights,
     * the envelope sandwich alpha_star <= alpha <= alpha_hat and
       xi_hat <= xi_w <= xi_star on the extrema lattice.
     """
-    if not (0.0 < margin < 0.5):
-        raise ValueError(f"margin must lie in (0, 1/2), got {margin}")
     T = w.horizon
-    ts = np.linspace(margin * T, (1.0 - margin) * T, n_time)
+    ts = np.linspace(0.01 * T, 0.99 * T, 201)
     xs = w.x_lattice
     s = w.s
     tol = 1e-12

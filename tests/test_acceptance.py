@@ -172,8 +172,7 @@ def test_ac04_cost_stabilizes_as_penalty_vanishes():
     y0 = 0.1 * np.cos(np.pi * x)
     z0 = np.full(grid.n_cells, 0.1)
     rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0,
-                        (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-                        HumConfig(cg_tol=1e-9))
+                        (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
     spread = rep.cost_spread_last3
     growing = rep.ratio_strictly_increasing_last3
 

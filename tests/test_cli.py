@@ -113,6 +113,11 @@ class TestCommands:
         assert report["lambda"] >= report["checks"]["lambda_threshold"]
         printed = capsys.readouterr().out
         assert "all_ok" in printed
+        # the package defaults, horizon 0.5
+        assert main(["weights", "--out", str(tmp_path / "default")]) == 0
+        report = json.loads((tmp_path / "default" / "weights.json").read_text())
+        assert ((report["lambda"], report["s"], report["eta_max"], report["K"],
+                 report["K_energy"]) == (16.0, 0.75, 0.0625, 3.0, 1.5))
 
     def test_check_hypotheses(self, cfg_file, tmp_path):
         out = tmp_path / "hyp"
@@ -120,6 +125,10 @@ class TestCommands:
         report = json.loads((out / "hypotheses.json").read_text())
         assert report["ok"] is True
         assert report["h1_ok"] and report["h2_ok"] and report["h3_ok"]
+        # the configured pair is the default sigmoid/arctan one
+        assert ((report["deriv_tol"], report["a21_floor"], report["a21_sign"],
+                 report["n_samples"], report["box_halfwidth"])
+                == (1e-6, 1.0, 1.0, 2000, 10.0))
 
     def test_selftest_passes(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "self"

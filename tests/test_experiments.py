@@ -11,6 +11,7 @@ import pytest
 from shadowctl.experiments import (fit_decay_rate, measure_m1,
                                    measure_m1_scaling, measure_m2_scaling,
                                    shadow_gap, sigma_sweep)
+from shadowctl import mesh
 from shadowctl.hum import HumConfig, hum_solve
 from shadowctl.mesh import Grid1D, TimeGrid, mean_value
 from shadowctl.nonlinear import (arctan_family, linear_form, make_pair,
@@ -158,8 +159,7 @@ class TestM1:
         # horizons shrink with sigma, so the sup scales exactly like 1/sqrt(sigma)
         grid = Grid1D(n_cells=60)
         z0 = 0.1 * np.cos(np.pi * grid.cell_centers)
-        rep = measure_m1_scaling(grid, (1.0, 4.0, 16.0), z0,
-                                 tau_max=1.0, n_steps=300)
+        rep = measure_m1_scaling(grid, (1.0, 4.0, 16.0), z0, n_steps=300)
         assert rep.slope == pytest.approx(-0.5, abs=0.075)
         assert len(rep.values) == 3
 
@@ -170,7 +170,7 @@ class TestM2:
         y0 = 0.1 * np.cos(np.pi * grid.cell_centers)
         z0 = np.full(60, 0.1)
         rep = measure_m2_scaling(grid, (1.0, 10.0, 100.0), pair, y0, z0,
-                                 tau_max=5.0, n_steps=200)
+                                 n_steps=200)
         assert -1.3 <= rep.slope <= -0.6
         assert rep.values[0] > rep.values[-1]
 
@@ -193,6 +193,14 @@ class TestSigmaSweep:
         assert all(r.outer_iterations == 0 for r in rep.rows)
         assert rep.gap_strictly_decreasing
         assert len(rep.control_deltas) == 1
+
+    def test_linear_mode_builds_the_cosine_basis_once(self, small_setup, pair):
+        # each row factors its own Gramian, but the basis depends only on
+        # the cell count, so the four rows share one build
+        grid, tgrid, y0, z0 = small_setup
+        mesh._cosine_basis.cache_clear()
+        sigma_sweep(grid, tgrid, (1.0, 4.0, 16.0, 64.0), pair, y0, z0, mode="linear")
+        assert mesh._cosine_basis.cache_info()[:2] == (3, 1)   # hits, misses
 
     def test_semilinear_mode_gap_decays(self, small_setup, pair):
         grid, tgrid, y0, z0 = small_setup

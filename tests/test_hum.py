@@ -709,15 +709,12 @@ class TestEpsilonSweep:
         assert rep.cost_spread_last3 >= 0.0
 
     def test_rows_equal_single_solves(self, small_problem):
-        # each row is hum_solve at that penalty with the base settings kept
+        # each row is hum_solve at that penalty with the default settings
         grid, tgrid, coeffs, y0, z0 = small_problem
-        base = HumConfig(cg_tol=1e-6, cg_max_iters=5)
-        rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0, (1e-2, 1e-4),
-                            base)
+        rep = epsilon_sweep(StepOperators(1.0, coeffs), y0, z0, (1e-2, 1e-4))
         for row in rep.rows:
             res = hum_solve(StepOperators(1.0, coeffs), y0, z0,
-                            HumConfig(epsilon=row.epsilon, cg_tol=1e-6,
-                                      cg_max_iters=5))
+                            HumConfig(epsilon=row.epsilon))
             assert ((row.control_cost, row.terminal_y, row.terminal_z,
                      row.terminal_total, row.cg_iterations)
                     == (res.control_cost, res.terminal_y, res.terminal_z,

@@ -130,7 +130,8 @@ class TestNeumannLaplacian:
         # C^T C = I and C^T L C = -diag(mu) with the closed-form mu, to
         # round-off on the scale of the largest eigenvalue 4 / h^2
         grid = Grid1D(n_cells=n)
-        c, mu = _cosine_basis(grid)
+        c, mu = _cosine_basis(n)
+        assert not c.flags.writeable and not mu.flags.writeable
         lap = _dense_laplacian(grid)
         k = np.arange(n)
         assert mu[0] == 0.0

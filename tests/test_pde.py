@@ -135,20 +135,19 @@ class TestSingleStep:
 
     @pytest.mark.parametrize("n, sigma, coefficients, m", STEP_CASES)
     def test_adjoint_is_exact_transpose(self, n, sigma, coefficients, m):
-        # step m of a sourced solve_adjoint, from node m + 1 as marched,
-        # against the dense transposed solve
+        # step m of solve_adjoint, from node m + 1 as marched, against the
+        # dense transposed solve
         grid, tgrid, coeffs, rng = _step_case(n, coefficients, 4)
         ops = StepOperators(sigma, coeffs)
         big = _dense_step_matrix(grid, tgrid, sigma, coeffs, m)
-        source = rng.standard_normal((tgrid.n_steps + 1, 2 * n))
-        dual = solve_adjoint(ops, rng.standard_normal(2 * n), source)
+        dual = solve_adjoint(ops, rng.standard_normal(2 * n))
         got = dual.u[m]
-        want = np.linalg.solve(big.T, dual.u[m + 1] + tgrid.dt * source[m + 1])
+        want = np.linalg.solve(big.T, dual.u[m + 1])
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("sourced", [False, True], ids=["free", "sourced"])
-    @pytest.mark.parametrize("coefficients", ["constant", "varying"])
-    def test_adjoint_march_is_the_step_loop(self, coefficients, sourced):
+    @pytest.mark.parametrize("coefficients", ["constant", "varying"],
+                             ids=["constant-free", "varying-free"])
+    def test_adjoint_march_is_the_step_loop(self, coefficients):
         # solve_adjoint's whole-march kernel gives the loop of single dual
         # steps bit for bit; 71 rows, so the march array is permuted back in
         # more than one block
@@ -159,13 +158,11 @@ class TestSingleStep:
                   if coefficients == "constant" else _random_coefficients(grid, tgrid, rng))
         ops = StepOperators(3.0, coeffs)
         p_T = rng.standard_normal(32)
-        source = rng.standard_normal((71, 32)) if sourced else None
-        dual = solve_adjoint(ops, p_T, source)
+        dual = solve_adjoint(ops, p_T)
         want = np.empty((71, 32))
         want[70] = p_T
         for m in range(69, -1, -1):
-            rhs = want[m + 1] if source is None else want[m + 1] + tgrid.dt * source[m + 1]
-            want[m] = _step(ops, rhs, m, trans=1)
+            want[m] = _step(ops, want[m + 1], m, trans=1)
         assert dual.u.flags.c_contiguous
         assert np.array_equal(dual.u, want)
         assert not np.array_equal(dual.u[0], dual.u[-1])
@@ -435,27 +432,6 @@ class TestDuality:
         rhs = tgrid.dt * float(np.sum((chi * control.values) * adj.y[:-1]))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
-    def test_sourced_adjoint_identity(self):
-        # forward source in y pairs with phi at node m; adjoint source pairs
-        # with the state at node m + 1
-        grid = Grid1D(n_cells=30)
-        tgrid = TimeGrid(horizon=0.2, n_steps=50)
-        rng = np.random.default_rng(9)
-        coeffs = _random_coefficients(grid, tgrid, rng)
-        u0, v0, pT, qT = rng.standard_normal((4, 30))
-        control = ControlField(grid, tgrid, rng.standard_normal((50, 30)))
-        f1 = rng.standard_normal((51, 30))
-        f2 = rng.standard_normal((51, 30))
-        fwd = solve_forward_linear(StepOperators(2.0, coeffs), control, u0, v0)
-        adj = solve_adjoint(StepOperators(2.0, coeffs), np.concatenate([pT, qT]),
-                            source=np.hstack([f1, f2]))
-        chi = grid.omega_indicator
-        lhs = (np.dot(fwd.y[-1], pT) + np.dot(fwd.z[-1], qT)
-               - np.dot(u0, adj.y[0]) - np.dot(v0, adj.z[0]))
-        rhs = tgrid.dt * float(np.sum((chi * control.values) * adj.y[:-1]))
-        rhs -= tgrid.dt * float(np.sum(fwd.y[1:] * f1[1:]) + np.sum(fwd.z[1:] * f2[1:]))
-        assert abs(lhs - rhs) < 1e-11 * max(abs(lhs), 1.0)
-
 
 def _stacked_semilinear(ops, pair, control, y0, z0, inner_tol=1e-10):
     # reference semilinear march on stacked states: every fixed-point
@@ -516,6 +492,7 @@ class TestSemilinear:
         assert np.max(np.abs(lin.y - sem.y)) < 1e-8
         assert np.max(np.abs(lin.z - sem.z)) < 1e-8
 
+    @pytest.mark.filterwarnings("ignore:zero y-coupling")
     def test_zero_reaction_steps_like_the_linear_marcher(self):
         # the semilinear march steps with the reaction-free StepOperators
         grid = Grid1D(n_cells=30, omega_a=0.2, omega_b=0.6)
@@ -523,7 +500,7 @@ class TestSemilinear:
         rng = np.random.default_rng(11)
         control = ControlField(grid, tgrid, rng.standard_normal((40, 30)))
         y0, z0 = rng.standard_normal((2, 30))
-        pair = make_pair(linear_form(0.0, 0.0), linear_form(0.0, 0.0), a21_floor=1.0)
+        pair = make_pair(linear_form(0.0, 0.0), linear_form(0.0, 0.0))
         for sigma in (1.0, 250.0):
             ops = StepOperators(sigma, zero_coefficients(grid, tgrid))
             sem = solve_forward_semilinear(ops, pair, control, y0, z0)
@@ -820,19 +797,19 @@ class TestValidation:
             solve_forward_semilinear(ops, linear_pair(0.0, 0.0, 1.0, 0.0), None,
                                      np.zeros(10), np.zeros(10))
 
-    @pytest.mark.parametrize("argument", ["p_T", "source"])
-    @pytest.mark.parametrize("defect", ["shape", "non-finite"])
-    def test_adjoint_rejects_bad_states(self, argument, defect):
+    @pytest.mark.parametrize("defect", ["shape", "non-finite"],
+                             ids=["shape-p_T", "non-finite-p_T"])
+    def test_adjoint_rejects_bad_states(self, defect):
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.1, n_steps=5)
         ops = StepOperators(1.0, zero_coefficients(grid, tgrid))
-        args = {"p_T": np.ones(20), "source": np.ones((6, 20))}
+        p_T = np.ones(20)
         if defect == "shape":
-            args[argument] = args[argument][..., :10]
+            p_T = p_T[:10]
         else:
-            args[argument][..., 3] = np.nan
-        with pytest.raises(ValueError, match=f"{argument} .*{defect}"):
-            solve_adjoint(ops, **args)
+            p_T[3] = np.nan
+        with pytest.raises(ValueError, match=f"p_T .*{defect}"):
+            solve_adjoint(ops, p_T)
 
     @pytest.mark.parametrize("defect", ["short", "width", "non-finite"])
     def test_heat_rejects_bad_source(self, defect):

@@ -64,6 +64,7 @@ class TestBuildWeights:
         assert w.big_m0 == pytest.approx(np.exp(1.0), rel=1e-12)
         assert w.m0_tilde == pytest.approx(np.exp(2.0) - np.exp(1.0), rel=1e-12)
         assert w.big_m0_tilde == pytest.approx(np.exp(2.0) - 1.0, rel=1e-12)
+        assert len(build_weights(0.5).x_lattice) == 4001
 
     def test_scaled_parameter_with_coefficients(self):
         # s = T + T^2 + T^2 max^(2/3) = 2 + 4 + 4 at T = 2, unit norms
@@ -164,7 +165,3 @@ class TestWeightInequalities:
         rep = weight_inequality_checks(build_weights(2.0,
                                                      sup_norms=(1.0, 1.0, 1.0, 1.0)))
         assert rep.all_ok
-
-    def test_rejects_bad_margin(self):
-        with pytest.raises(ValueError, match="margin"):
-            weight_inequality_checks(build_weights(1.0), margin=0.6)
