@@ -19,14 +19,15 @@ below, cached on the ops they serve.  The reduced system has no dual march.
 States and dual data are whole stacked vectors of length 2n = ``ops.size``,
 y in the first n entries and z in the last n.
 
-Up to the size 2n = ``_FACTOR_MAX_DIM`` of the stacked state, the solve
-rests on the Gramian of a field constant in space and time:
+At every size the solve rests on the Gramian of a field constant in space
+and time:
 
 * In the cosine basis Q = diag(C, C) of the Neumann Laplacian the adjoint
   step of such a field is n independent 2 x 2 blocks, and G = Q^T Lambda Q
   is assembled from them with no step solve (:func:`_factor_and_basis`).
   G + eps I gets one packed Cholesky factor per penalty (``dpptrf``); both
-  are cached per ``StepOperators``.
+  are cached per ``StepOperators``.  G holds (2n)^2 doubles and its factor
+  half that.
 * A constant field is solved directly: one ``dpptrs`` solve and one step of
   refinement with the residual taken through the observation, never through
   G, whose rounding costs small penalties up to two digits of pT (corrected
@@ -38,9 +39,7 @@ rests on the Gramian of a field constant in space and time:
   which the semilinear fixed point sets to its first pass, so that all its
   passes share one Gramian and one factor.
 
-Above the limit every field runs conjugate residual on :func:`gramian_apply`
-with the identity as preconditioner and memory that stays O(n).  A solve
-whose data are zero builds and applies nothing.
+A solve whose data are zero builds and applies nothing.
 
 Building and solving with G keeps every BLAS and LAPACK call on the calling
 thread: ``dpptrf`` and ``dpptrs`` are level 2, which OpenBLAS never threads,
@@ -67,14 +66,6 @@ __all__ = [
     "HumConfig", "HumResult", "EpsilonRow", "EpsilonSweepReport",
     "gramian_apply", "hum_solve", "duality_residual", "epsilon_sweep",
 ]
-
-# Largest stacked state size 2n for which hum_solve uses the Gramian G
-# (module docstring).  G took 1.3-2.0, 3.3-5.2, 13-19 and 440-750 ms to build
-# at 2n = 200, 320, 500 and 1000 (sigma = 1, M = 200, 2 vCPUs), each
-# penalty's factor 0.4-0.7, 1.2-1.7, 3.8-5.6 and 39-57 ms, against 8.8-20.8
-# ms for one matrix-free application; no workload above 256 measures either
-# path yet, so the limit stays.
-_FACTOR_MAX_DIM = 256
 
 # OpenBLAS runs a product with m * n * k up to 64^3 on the calling thread
 # (module docstring); from 2n = 726 on, chunks are single rows.
@@ -332,14 +323,14 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     """Compute the penalized terminal-nulling control for the system of ``ops``.
 
     Solves the normal equations (Lambda + eps I) pT = free(T) (module
-    docstring): directly, when 2n is within the size limit and the
-    coefficients are constant; by conjugate residual on :func:`gramian_apply`
-    otherwise, preconditioned within the limit by the direct solve of
-    ``reference``, a constant-coefficient ``StepOperators`` on the same
-    grids, or of the field's space-time mean when it is None.  It then
-    extracts the control h^m = -phi^m on the window from the dual solve at
-    pT, re-runs the controlled forward problem, and returns that trajectory
-    with honest terminal norms from it, the free one in the same norm.
+    docstring): not at all when free(T) = 0; directly when the coefficients
+    are constant; otherwise by conjugate residual on :func:`gramian_apply`,
+    preconditioned by the direct solve of ``reference``, a
+    constant-coefficient ``StepOperators`` on the same grids, or of the
+    field's space-time mean when it is None.  It then extracts the control
+    h^m = -phi^m on the window from the dual solve at pT, re-runs the
+    controlled forward problem, and returns that trajectory with honest
+    terminal norms from it, the free one in the same norm.
 
     The solver history keeps one meaning on every path: ``cg_residuals``
     holds residual 2-norms of the normal equations, from ||b|| on, and
@@ -360,9 +351,11 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     b = free.u[-1]
     eps = config.epsilon
 
-    # zero data need no solve, so they build no factor and apply nothing
-    factored = ops.size <= _FACTOR_MAX_DIM and bool(np.any(b))
-    if factored and ops.coeffs.constant:
+    if not np.any(b):
+        # zero data need no solve, so they build no factor and apply nothing
+        p_terminal, iters, residuals, converged, monotone = (
+            np.zeros_like(b), 0, [0.0], True, True)
+    elif ops.coeffs.constant:
         g, factor, basis, observation = _penalized_factor(ops, eps)
         b_hat = _to_modes(b, basis)
         p_hat = _penalized_solve(factor, b_hat)
@@ -376,8 +369,7 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     else:
         p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
             lambda v: gramian_apply(ops, v) + eps * v, b, config.cg_tol,
-            config.cg_max_iters,
-            _preconditioner(ops, reference, eps) if factored else _identity)
+            config.cg_max_iters, _preconditioner(ops, reference, eps))
 
     dual = solve_adjoint(ops, p_terminal)
     control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])

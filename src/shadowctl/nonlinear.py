@@ -233,8 +233,7 @@ def check_hypotheses(pair: NonlinearityPair,
     h3_ok = floor_ok and rays_ok
     if not floor_ok:
         violations.append(
-            f"H3: |dg/dy(0,0)| = {abs(coupling_at_origin):.6g} does not clear the "
-            f"declared floor {pair.a21_floor:.6g} > 0")
+            f"H3: dg/dy(0,0) = {pair.a21_floor:.6g}, so the y-coupling has no positive floor")
     if not rays_ok:
         violations.append(
             f"H3: dg/dy changes sign along sampled rays (min signed value {min_signed:.3e})")

@@ -169,7 +169,7 @@ def build_weights(horizon: float,
 
     ``lam=None`` picks the smallest power of two for which the sampled
     envelope comparison with slack 1/2 holds; the scaled parameter is
-    s = s0 (T + T^2 + T^2 max_norm^(2/3)) with s0 = max(1, 1/(16 m0)).
+    s = T + T^2 + T^2 max_norm^(2/3).
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -181,10 +181,8 @@ def build_weights(horizon: float,
         lam = _auto_lambda(eta_max)
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    m0 = 1.0
-    s0 = max(1.0, 1.0 / (16.0 * m0))
     T = float(horizon)
-    s = s0 * (T + T**2 + T**2 * max(sup_norms) ** (2.0 / 3.0))
+    s = T + T**2 + T**2 * max(sup_norms) ** (2.0 / 3.0)
     return CarlemanWeights(eta=eta, lam=float(lam), s=float(s), horizon=T,
                            eta_max=eta_max, x_lattice=_X_LATTICE)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpptrf, dpptrs
 
 from shadowctl import hum, pde
 from shadowctl.hum import (HumConfig, _conjugate_gradient, duality_residual,
@@ -234,6 +233,41 @@ class TestGramianFactor:
         assert calls == []
 
 
+class _RecordedProducts(np.ndarray):
+    """An array whose products record the shapes of their operands."""
+
+    shapes = []
+
+    def __matmul__(self, other):
+        _RecordedProducts.shapes.append((self.shape, other.shape))
+        return np.asarray(self) @ np.asarray(other)
+
+
+class TestSerialGram:
+    @pytest.mark.parametrize("rows, cols_a, cols_b", [
+        (200, 300, 300),  # two rows a chunk, 100 chunks
+        (40, 30, 50),  # one chunk
+        (5, 600, 600),  # 600^2 > 64^3: single rows
+    ])
+    def test_chunked_product_equals_the_gram_product(self, rows, cols_a, cols_b,
+                                                     monkeypatch):
+        rng = np.random.default_rng(rows)
+        a, b = rng.standard_normal((rows, cols_a)), rng.standard_normal((rows, cols_b))
+        monkeypatch.setattr(_RecordedProducts, "shapes", [])
+        got = hum._serial_gram(a.view(_RecordedProducts), b)
+        # every partial sum of a k-term dot product errs by at most k u |a|^T |b|
+        bound = rows * np.finfo(float).eps * (np.abs(a).T @ np.abs(b))
+        assert type(got) is np.ndarray
+        assert np.all(np.abs(got - a.T @ b) <= bound)
+        chunks = _RecordedProducts.shapes
+        assert sum(shape_a[1] for shape_a, _ in chunks) == rows
+        for (m, k), (k_b, n) in chunks:
+            assert (m, n, k_b) == (cols_a, cols_b, k)
+            assert k == 1 or m * n * k <= hum._SERIAL_GEMM
+        if cols_a * cols_b > hum._SERIAL_GEMM:
+            assert len(chunks) == rows
+
+
 class TestHumSolve:
     def test_zero_data_yields_zero_control(self, small_problem):
         grid, tgrid, coeffs, _, _ = small_problem
@@ -378,59 +412,27 @@ class TestHumSolve:
         assert max(costs[1:]) <= 1.01 * min(costs[1:])
         assert np.all(np.diff(ratios) <= 0.0)
 
-    @pytest.mark.parametrize("above", [False, True])
-    def test_size_limit_picks_the_gramian_operator(self, above):
-        # just below or just above the limit the solve must equal, bit for
-        # bit, the solver the size rule names run directly: the direct solve
-        # with the packed Cholesky factor of G + eps I, or conjugate residual
-        # on the matrix-free Gramian
-        n = hum._FACTOR_MAX_DIM // 2 + int(above)
-        grid = Grid1D(n_cells=n, omega_a=0.3, omega_b=0.7)
-        tgrid = TimeGrid(horizon=0.05, n_steps=6)
-        coeffs = constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0)
-        x = grid.cell_centers
-        y0, z0 = 0.1 * np.cos(np.pi * x), np.full(n, 0.1)
-        cfg = HumConfig(epsilon=1e-6)
-        res = hum_solve(StepOperators(1.0, coeffs), y0, z0, cfg)
-        ops = StepOperators(1.0, coeffs)
-        free = solve_forward_linear(ops, None, y0, z0)
-        b = np.concatenate([free.y[-1], free.z[-1]])
-        if above:
-            def apply_op(v):
-                return gramian_apply(ops, v) + 1e-6 * v
-            p_terminal, iters, *_ = _conjugate_gradient(apply_op, b, cfg.cg_tol,
-                                                        cfg.cg_max_iters)
-        else:
-            # constant coefficients: the factor and the solve are in the
-            # cosine basis Q = diag(C, C), where the right side is Q^T b
-            # and one step of refinement, its residual taken through the
-            # observation that G is the Gramian of
-            g, basis, observation = hum._factor_and_basis(ops)
-            shifted = g + cfg.epsilon * np.eye(2 * n)
-            u, info = dpptrf(2 * n, shifted[np.tril_indices(2 * n)])
-            assert info == 0
-            b_hat = (b.reshape(2, -1) @ basis).ravel()
-            p_hat, info2 = dpptrs(2 * n, u, b_hat)
-            correction, info3 = dpptrs(2 * n, u, b_hat - cfg.epsilon * p_hat
-                                       - hum._observed_gramian(observation, p_hat))
-            assert info == info2 == info3 == 0
-            p_hat += correction
-            p_terminal, iters = (p_hat.reshape(2, -1) @ basis.T).ravel(), 0
-        assert res.cg_converged
-        assert res.cg_iterations == iters
-        assert np.array_equal(res.adjoint_terminal, p_terminal)
-
-    def test_factor_and_matrix_free_paths_agree(self, small_problem, monkeypatch):
+    def test_factor_and_matrix_free_paths_agree(self, small_problem):
         grid, tgrid, coeffs, y0, z0 = small_problem
         cfg = HumConfig(epsilon=1e-6, cg_tol=1e-11)
-        with_factor = hum_solve(StepOperators(1.0, coeffs), y0, z0, cfg)
-        monkeypatch.setattr(hum, "_FACTOR_MAX_DIM", 2 * grid.n_cells - 1)
-        matrix_free = hum_solve(StepOperators(1.0, coeffs), y0, z0, cfg)
-        assert with_factor.cg_converged and matrix_free.cg_converged
-        assert with_factor.control_cost == pytest.approx(matrix_free.control_cost,
-                                                         rel=1e-8)
-        assert np.allclose(with_factor.adjoint_terminal, matrix_free.adjoint_terminal,
-                           rtol=0.0, atol=1e-7 * np.abs(matrix_free.adjoint_terminal).max())
+        ops = StepOperators(1.0, coeffs)
+        with_factor = hum_solve(ops, y0, z0, cfg)
+        p_terminal, _, _, converged, _ = _matrix_free_solve(ops, y0, z0, cfg)
+        assert with_factor.cg_converged and converged
+        matrix_free_cost = control_cost(
+            ControlField(grid, tgrid, -solve_adjoint(ops, p_terminal).y[:-1]))
+        assert with_factor.control_cost == pytest.approx(matrix_free_cost, rel=1e-8)
+        assert np.allclose(with_factor.adjoint_terminal, p_terminal,
+                           rtol=0.0, atol=1e-7 * np.abs(p_terminal).max())
+
+
+def _matrix_free_solve(ops, y0, z0, cfg):
+    """Unpreconditioned conjugate residual on gramian_apply + eps I: the
+    reference solver of the normal equations, (p, iterations, residuals,
+    converged, monotone)."""
+    b = solve_forward_linear(ops, None, y0, z0).u[-1]
+    return _conjugate_gradient(lambda v: gramian_apply(ops, v) + cfg.epsilon * v,
+                               b, cfg.cg_tol, cfg.cg_max_iters)
 
 
 def _default_problem(sigma):
@@ -547,12 +549,12 @@ class TestDirectSolve:
             hum_solve(ops, np.cos(np.pi * x), np.full(20, 0.1), HumConfig(epsilon=1e-300))
 
 
-def _varying_problem():
+def _varying_problem(n_cells=24, n_steps=40):
     """A semilinear pass's field: the sigmoid/arctan pair linearized along a
     decaying reference of amplitude 2, time-varying; its origin field is
     the constant reference of the fixed point."""
-    grid = Grid1D(n_cells=24, omega_a=0.3, omega_b=0.7)
-    tgrid = TimeGrid(horizon=0.4, n_steps=40)
+    grid = Grid1D(n_cells=n_cells, omega_a=0.3, omega_b=0.7)
+    tgrid = TimeGrid(horizon=0.4, n_steps=n_steps)
     pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
     x, decay = grid.cell_centers, 1.0 - tgrid.nodes[:, None] / 0.4
     ybar = 2.0 * decay * np.cos(np.pi * x)
@@ -561,7 +563,7 @@ def _varying_problem():
     assert not coeffs.time_invariant
     origin = StepOperators(10.0, origin_coefficients(grid, tgrid, pair))
     return (StepOperators(10.0, coeffs), origin,
-            0.1 * np.cos(np.pi * x), np.full(24, 0.1))
+            0.1 * np.cos(np.pi * x), np.full(n_cells, 0.1))
 
 
 class TestPreconditionedSolve:
@@ -636,28 +638,61 @@ class TestPreconditionedSolve:
         with pytest.raises(ValueError, match="grid"):
             hum_solve(ops, y0, z0, reference=reference)
 
-    def test_varying_field_above_the_limit_is_unpreconditioned(self, monkeypatch):
-        ops, _, y0, z0 = _varying_problem()
-        cfg = HumConfig(epsilon=1e-8)
+
+class TestAboveTheOldSizeLimit:
+    """2n = 258, above the 256 at which every field once ran unpreconditioned
+    conjugate residual: the solve takes the same path as at any size."""
+
+    def test_constant_field_is_solved_directly(self):
+        _, origin, y0, z0 = _varying_problem(129, 6)
+        cfg = HumConfig(epsilon=1e-6, cg_tol=1e-11)
+        res = hum_solve(origin, y0, z0, cfg)
+        assert res.cg_iterations == 0 and res.cg_converged
+        p_terminal, _, _, converged, _ = _matrix_free_solve(origin, y0, z0, cfg)
+        assert converged
+        assert np.allclose(res.adjoint_terminal, p_terminal,
+                           rtol=0.0, atol=1e-7 * np.abs(p_terminal).max())
+
+    def test_varying_field_builds_only_the_reference_factor(self, monkeypatch):
+        ops, origin, y0, z0 = _varying_problem(129, 6)
+        built = []
+        factor = hum._factor_and_basis
+
+        def counting(step_ops):
+            built.append(step_ops)
+            return factor(step_ops)
+
+        monkeypatch.setattr(hum, "_factor_and_basis", counting)
+        res = hum_solve(ops, y0, z0, HumConfig(epsilon=1e-8), reference=origin)
+        # measured 10, and 144 unpreconditioned
+        assert res.cg_converged and 0 < res.cg_iterations <= 12
+        assert built == [origin]
+
+    def test_zero_data_build_nothing(self, monkeypatch):
+        ops, origin, _, _ = _varying_problem(129, 6)
 
         def refuse(*args):
-            raise AssertionError("a Gramian factor built above the size limit")
+            raise AssertionError("factor built for a solve with no iteration")
 
-        monkeypatch.setattr(hum, "_FACTOR_MAX_DIM", ops.size - 1)
         monkeypatch.setattr(hum, "_factor_and_basis", refuse)
-        res = hum_solve(ops, y0, z0, cfg)
-        assert res.cg_converged and res.cg_iterations > 0
-        gram = np.column_stack([gramian_apply(ops, e) for e in np.eye(48)])
-        shifted = gram + cfg.epsilon * np.eye(48)
-        b = solve_forward_linear(ops, None, y0, z0).u[-1]
-        assert (np.linalg.norm(shifted @ res.adjoint_terminal - b)
-                <= cfg.cg_tol * np.linalg.norm(b))
-        p, iters, residuals, converged, monotone = _conjugate_gradient(
-            lambda v: gramian_apply(ops, v) + cfg.epsilon * v, b, cfg.cg_tol,
-            cfg.cg_max_iters)
-        assert np.array_equal(res.adjoint_terminal, p)
-        assert ((res.cg_iterations, res.cg_residuals, res.cg_converged,
-                 res.residual_monotone) == (iters, tuple(residuals), converged, monotone))
+        zero = np.zeros(129)
+        for step_ops in (ops, origin):
+            res = hum_solve(step_ops, zero, zero)
+            assert (res.cg_iterations, res.cg_residuals, res.cg_converged,
+                    res.residual_monotone) == (0, (0.0,), True, True)
+            assert not np.any(res.adjoint_terminal)
+
+    @pytest.mark.parametrize("field", ["constant", "varying"])
+    def test_deterministic(self, field):
+        ops, origin, y0, z0 = _varying_problem(129, 6)
+        if field == "constant":
+            ops = origin
+        first, second = (hum_solve(ops, y0, z0, HumConfig(epsilon=1e-8))
+                         for _ in range(2))
+        assert np.array_equal(first.adjoint_terminal, second.adjoint_terminal)
+        assert np.array_equal(first.control.values, second.control.values)
+        assert (first.control_cost, first.cg_residuals) == (second.control_cost,
+                                                            second.cg_residuals)
 
 
 class TestDualityResidual:

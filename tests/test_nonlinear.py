@@ -98,7 +98,8 @@ class TestLinearForms:
         assert any("coupling" in str(w.message).lower() for w in caught)
         report = check_hypotheses(pair, n_samples=1000)
         assert not report.h3_ok
-        assert any("H3" in v for v in report.violations)
+        assert ("H3: dg/dy(0,0) = 0, so the y-coupling has no positive floor"
+                in report.violations)
 
 
 class TestCheckHypotheses:
