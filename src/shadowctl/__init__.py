@@ -27,7 +27,7 @@ from .pde import (CoefficientField, ControlField, EnergyReport,
                   SemigroupReport, ShadowStepOperators, StepOperators,
                   Trajectory, constant_coefficients, control_cost,
                   energy_functional, semigroup_checks, solve_adjoint,
-                  solve_forward_linear, solve_forward_semilinear, solve_heat,
+                  solve_forward_linear, solve_forward_semilinear,
                   zero_coefficients)
 from .semilinear import (CouplingReport, FixedPointConfig, FixedPointResult,
                          coupling_floor_check, fixed_point_control,
@@ -50,7 +50,7 @@ __all__ = [
     "CoefficientField", "ControlField", "Trajectory", "StepOperators",
     "ShadowStepOperators", "constant_coefficients", "zero_coefficients",
     "control_cost", "solve_forward_linear", "solve_adjoint",
-    "solve_forward_semilinear", "solve_heat", "EnergyReport",
+    "solve_forward_semilinear", "EnergyReport",
     "energy_functional", "SemigroupReport", "semigroup_checks",
     # hum
     "HumConfig", "HumResult", "gramian_apply", "hum_solve",

@@ -116,11 +116,10 @@ def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int) -> int:
     sio.write_series_dat(out / "state_norm.dat", tgrid.nodes,
                          _norm_history(result.trajectory),
                          header="t state_norm")
-    if result.update_history:
-        sio.write_series_dat(out / "updates.dat",
-                             np.arange(1, len(result.update_history) + 1),
-                             np.asarray(result.update_history),
-                             header="iteration relative_update")
+    sio.write_series_dat(out / "updates.dat",
+                         np.arange(1, len(result.update_history) + 1),
+                         np.asarray(result.update_history),
+                         header="iteration relative_update")
     print(f"semilinear: converged={result.converged} "
           f"outer={result.outer_iterations} "
           f"terminal={result.terminal_total:.6g}")

@@ -9,10 +9,10 @@ together with its linearizations (frozen coefficient fields a_ij) and the
 backward-in-time dual system.  Every implicit Euler step is one solve with
 a banded LU factorization (LAPACK dgbtrf/dgbtrs): pentadiagonal for the
 two-component step (see :class:`StepOperators`), which the linear, dual and
-semilinear marchers all take, and tridiagonal for the heat steps of
-:class:`ShadowStepOperators` and :func:`solve_heat`.  The dual march
-solves with the transpose on the same LU factors, so it applies the exact
-transpose of the forward one-step matrix and the discrete duality identity
+semilinear marchers all take, and tridiagonal for the heat step of
+:class:`ShadowStepOperators`.  The dual march solves with the transpose on
+the same LU factors, so it applies the exact transpose of the forward
+one-step matrix and the discrete duality identity
 
     <u(T), p(T)> = <u(0), p(0)> + dt sum_m <chi h^m, phi^m>
 
@@ -57,7 +57,7 @@ __all__ = [
     "SemigroupReport", "StepOperators", "ShadowStepOperators",
     "constant_coefficients", "zero_coefficients", "control_cost",
     "solve_forward_linear", "solve_adjoint", "solve_forward_semilinear",
-    "solve_heat", "energy_functional", "semigroup_checks",
+    "energy_functional", "semigroup_checks",
 ]
 
 
@@ -503,24 +503,6 @@ def solve_forward_semilinear(ops: StepOperators | ShadowStepOperators,
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
 
 
-def solve_heat(grid: Grid1D, tgrid: TimeGrid, kappa: float, u0: np.ndarray,
-               source: np.ndarray | None = None) -> np.ndarray:
-    """Node slices (n_steps + 1, n_cells) of u_t = kappa lap u + F from u0,
-    by implicit Euler; slice m + 1 of the node-indexed source F, if given,
-    enters the step to node m + 1."""
-    if not 0.0 < kappa < np.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    solve = _band_lu(_heat_band(grid, tgrid.dt * kappa), 1)
-    u = np.empty((tgrid.n_steps + 1, grid.n_cells))
-    u[0] = _checked(u0, (grid.n_cells,), "u0")
-    if source is not None:
-        source = _checked(source, u.shape, "source")
-    for m in range(tgrid.n_steps):
-        u[m + 1] = u[m] if source is None else u[m] + tgrid.dt * source[m + 1]
-        solve(u[m + 1])
-    return u
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Space-time energy norms of a trajectory."""
@@ -582,10 +564,12 @@ def semigroup_checks(grid: Grid1D, tgrid: TimeGrid, sigma: float) -> SemigroupRe
     (i) constants are exact equilibria; (ii) the mean-zero mode cos(pi x)
     decays at rate sigma * lambda_1 with lambda_1 = pi^2, recovered here by a
     log-linear fit of the L2 norm.  Also reports the worst drift of the
-    spatial mean, which the implicit stepper conserves.
+    spatial mean, which the implicit stepper conserves.  Both marches are the
+    z-component of free flows of one reaction-free :class:`StepOperators`,
+    whose z-rows are the heat step at rate sigma.
     """
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    ops = StepOperators(sigma, zero_coefficients(grid, tgrid))
+    y0 = np.zeros(grid.n_cells)
 
     # The stepper preserves spatial means identically (the ones-row
     # annihilates the Laplacian), so the constant check carries the mean
@@ -595,10 +579,10 @@ def semigroup_checks(grid: Grid1D, tgrid: TimeGrid, sigma: float) -> SemigroupRe
     const = 0.7
     zc = np.full(grid.n_cells, const)
     mean0 = mean_value(grid, zc)
-    fluct = solve_heat(grid, tgrid, sigma, zc - mean0)[-1]
+    fluct = solve_forward_linear(ops, None, y0, zc - mean0).z[-1]
     constant_error = float(np.max(np.abs(mean0 + fluct - const)) / const)
 
-    z = solve_heat(grid, tgrid, sigma, np.cos(np.pi * grid.cell_centers))
+    z = solve_forward_linear(ops, None, y0, np.cos(np.pi * grid.cell_centers)).z
     norms = np.array([norm_l2(grid, zm) for zm in z])
     means = np.array([mean_value(grid, zm) for zm in z])
     fitted = float(np.polyfit(tgrid.nodes, np.log(norms), 1)[0])

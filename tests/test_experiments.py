@@ -163,6 +163,14 @@ class TestM1:
         assert rep.slope == pytest.approx(-0.5, abs=0.075)
         assert len(rep.values) == 3
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_rate(self, sigma):
+        # sigma <= 0 would march no or backward diffusion, inf and nan NaN
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.1, n_steps=5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            measure_m1(grid, tgrid, sigma, np.ones(10))
+
 
 class TestM2:
     def test_scaling_slope(self, pair):
@@ -173,6 +181,31 @@ class TestM2:
                                  n_steps=200)
         assert -1.3 <= rep.slope <= -0.6
         assert rep.values[0] > rep.values[-1]
+
+    def test_response_matches_a_dense_forced_march(self, pair):
+        # v^{m+1} = (I - dt sigma L)^-1 (v^m + dt P g(y^{m+1}, z^{m+1})) from
+        # v^0 = 0, along the free semilinear trajectory; z0 has a mean-free
+        # part, so the free heat flow of z0 is not constant
+        grid = Grid1D(n_cells=16)
+        x = grid.cell_centers
+        y0 = 0.1 * np.cos(np.pi * x)
+        z0 = 0.1 + 0.05 * np.cos(np.pi * x)
+        sigmas = (1.0, 10.0)
+        rep = measure_m2_scaling(grid, sigmas, pair, y0, z0, n_steps=40)
+        main, off = mesh._laplacian_stencil(grid)
+        lap = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        for sigma, got in zip(sigmas, rep.values):
+            tgrid = TimeGrid(horizon=5.0 / sigma, n_steps=40)
+            dt = tgrid.dt
+            traj = solve_forward_semilinear(
+                StepOperators(sigma, zero_coefficients(grid, tgrid)), pair, None, y0, z0)
+            step = np.eye(16) - dt * sigma * lap
+            v, want = np.zeros(16), 0.0
+            for m in range(40):
+                g = np.asarray(pair.g.value(traj.y[m + 1], traj.z[m + 1]))
+                v = np.linalg.solve(step, v + dt * (g - mean_value(grid, g)))
+                want = max(want, mesh.norm_l2(grid, v))
+            assert got == pytest.approx(want, rel=1e-7)
 
     @pytest.mark.filterwarnings("ignore:zero y-coupling")
     def test_zero_reaction_is_rejected_as_degenerate(self):

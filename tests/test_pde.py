@@ -18,8 +18,7 @@ from shadowctl.pde import (CoefficientField, ControlField, ShadowStepOperators,
                            StepOperators, Trajectory, constant_coefficients,
                            control_cost, energy_functional, semigroup_checks,
                            solve_adjoint, solve_forward_linear,
-                           solve_forward_semilinear, solve_heat,
-                           zero_coefficients)
+                           solve_forward_semilinear, zero_coefficients)
 
 
 def _dense_laplacian(grid):
@@ -166,20 +165,6 @@ class TestSingleStep:
         assert dual.u.flags.c_contiguous
         assert np.array_equal(dual.u, want)
         assert not np.array_equal(dual.u[0], dual.u[-1])
-
-    @pytest.mark.parametrize("kappa", [1.0, 1e3])
-    def test_heat_step_matches_dense_solve(self, kappa):
-        grid = Grid1D(n_cells=30)
-        tgrid = TimeGrid(horizon=0.01, n_steps=1)
-        rng = np.random.default_rng(10)
-        u0 = rng.standard_normal(30)
-        source = rng.standard_normal((2, 30))
-        got = solve_heat(grid, tgrid, kappa, u0, source)
-        lap = _dense_laplacian(grid)
-        big = np.eye(30) - tgrid.dt * kappa * lap
-        want = np.linalg.solve(big, u0 + tgrid.dt * source[1])
-        assert np.array_equal(got[0], u0)
-        assert np.max(np.abs(got[1] - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_single_step_duality(self):
         # <A^-1 u, p5> = <u, A^-T p5> for step 4 of solve_adjoint, p5 -> p4
@@ -810,24 +795,6 @@ class TestValidation:
             p_T[3] = np.nan
         with pytest.raises(ValueError, match=f"p_T .*{defect}"):
             solve_adjoint(ops, p_T)
-
-    @pytest.mark.parametrize("defect", ["short", "width", "non-finite"])
-    def test_heat_rejects_bad_source(self, defect):
-        # a node-indexed source has one row per node, n_steps + 1 of them
-        grid = Grid1D(n_cells=10)
-        tgrid = TimeGrid(horizon=0.1, n_steps=5)
-        source = {"short": np.ones((5, 10)), "width": np.ones((6, 9)),
-                  "non-finite": np.full((6, 10), np.nan)}[defect]
-        with pytest.raises(ValueError, match="source"):
-            solve_heat(grid, tgrid, 1.0, np.zeros(10), source)
-
-    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.inf, np.nan])
-    def test_heat_rejects_bad_rate(self, kappa):
-        # kappa < 0 would march the backward heat equation, inf and nan NaN
-        grid = Grid1D(n_cells=10)
-        tgrid = TimeGrid(horizon=0.1, n_steps=5)
-        with pytest.raises(ValueError, match="kappa must be positive and finite"):
-            solve_heat(grid, tgrid, kappa, np.ones(10))
 
     @pytest.mark.parametrize("shape", [(3, 32), (20, 32), (21, 31), (21, 18), (21,)])
     def test_trajectory_rejects_bad_march_array(self, shape):

@@ -4,17 +4,12 @@
 those raised by the test tooling itself while it reports a failure.
 """
 
-import tomllib
-from pathlib import Path
-
 pytest_plugins = ["pytester"]
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
-
-def test_failing_property_is_reported_not_internal_error(pytester):
-    settings = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"]
-    entries = "".join(f"    {entry!r},\n" for entry in settings["filterwarnings"])
+def test_failing_property_is_reported_not_internal_error(pytester, pytestconfig):
+    entries = "".join(f"    {entry!r},\n"
+                      for entry in pytestconfig.getini("filterwarnings"))
     pytester.makepyprojecttoml(
         f"[tool.pytest.ini_options]\nfilterwarnings = [\n{entries}]\n")
     pytester.makepyfile(
