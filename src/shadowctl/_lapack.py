@@ -1,8 +1,10 @@
 """The four LAPACK routines the solvers call, loaded without ``scipy.linalg``.
 
-``pde`` factors and solves the banded step with ``dgbtrf``/``dgbtrs``, and
-``hum`` factors the penalized Gramian with the packed Cholesky ``dpptrf``
-and solves with it by ``dpptrs``.  ``import scipy.linalg.lapack`` would run the whole
+``pde`` factors each banded step matrix with ``dgbtrf`` and takes each step
+as two triangular band solves with ``dtbtrs``, which runs a triangle in one
+``dtbsv`` call where ``dgbtrs`` makes one BLAS call per column, and ``hum``
+factors the penalized Gramian with the packed Cholesky ``dpptrf`` and solves
+with it by ``dpptrs``.  ``import scipy.linalg.lapack`` would run the whole
 ``scipy.linalg`` package, and with it ``scipy._lib`` and ``numpy.f2py``,
 which takes longer than most commands compute.  This module loads only the
 f2py extension that holds the routines,
@@ -21,7 +23,7 @@ from pathlib import Path
 
 
 def _load(path: Path):
-    """``dgbtrf, dgbtrs, dpptrf, dpptrs`` from the extension at ``path``.
+    """``dgbtrf, dtbtrs, dpptrf, dpptrs`` from the extension at ``path``.
 
     Falls back to ``scipy.linalg.lapack`` when ``path`` cannot be loaded.
     """
@@ -34,9 +36,9 @@ def _load(path: Path):
         spec.loader.exec_module(lib)
     except ImportError:
         from scipy.linalg import lapack as lib
-    return lib.dgbtrf, lib.dgbtrs, lib.dpptrf, lib.dpptrs
+    return lib.dgbtrf, lib.dtbtrs, lib.dpptrf, lib.dpptrs
 
 
 _scipy = importlib.util.find_spec("scipy")
-dgbtrf, dgbtrs, dpptrf, dpptrs = _load(Path(
+dgbtrf, dtbtrs, dpptrf, dpptrs = _load(Path(
     _scipy.submodule_search_locations[0], "linalg", "_flapack" + EXTENSION_SUFFIXES[0]))

@@ -104,6 +104,7 @@ def _cmd_semilinear(cfg: RunConfig, out: Path, seed: int) -> int:
         "converged": result.converged,
         "outer_iterations": result.outer_iterations,
         "update_history": list(result.update_history),
+        "coupling_floor": list(result.coupling_floor),
         "oscillation_flagged": result.oscillation_flagged,
         "control_cost": result.hum_last.control_cost,
         "terminal_norm_y": result.terminal_y,

@@ -68,6 +68,7 @@ class FixedPointResult:
     terminal_z: float
     outer_iterations: int
     update_history: tuple[float, ...]
+    coupling_floor: tuple[float, ...]
     converged: bool
     oscillation_flagged: bool
     cg_iterations_total: int
@@ -181,10 +182,15 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
     stationary (which is immediate for genuinely linear reactions); either
     exit counts as converged only if the last inner solve converged.  The
     final control is re-run through the semilinear march once.
+    ``coupling_floor`` holds, one entry per pass, the window floor
+    :func:`coupling_floor_check` of that pass's coefficients, signed by the
+    pair's coupling sign: a run that does not converge shows there whether
+    its coupling collapsed where the control acts.
     """
     n = grid.n_cells
     x = np.zeros((tgrid.n_steps + 1, 2 * n))
     history: list[float] = []
+    floors: list[float] = []
     ops = origin_ops = StepOperators(sigma, origin_coefficients(grid, tgrid, pair))
     g_prev = f_prev = None
     converged = False
@@ -201,6 +207,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
                 converged = hum_last.cg_converged
                 break
             ops = StepOperators(sigma, coeffs)
+        floors.append(coupling_floor_check(ops.coeffs, pair.a21_sign).min_signed_a21)
         hum_last = hum_solve(ops, y0, z0, config.hum, reference=origin_ops)
         cg_total += hum_last.cg_iterations
         g = hum_last.trajectory.u
@@ -230,6 +237,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         terminal_y=term_y, terminal_z=term_z,
         outer_iterations=len(history),
         update_history=tuple(history),
+        coupling_floor=tuple(floors),
         converged=converged,
         oscillation_flagged=oscillation,
         cg_iterations_total=cg_total,

@@ -5,6 +5,8 @@ can be checked without spawning subprocesses.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,13 @@ hum.cg_tol = 1e-9
 fixed_point.max_outer = 20
 output.formats = json, csv, binary
 """
+
+
+# the README's desk-scale semilinear example config
+README_SEMILINEAR_CFG = re.search(
+    r"^```ini\n(# desk-scale semilinear run\n.*?)^```",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.M | re.S).group(1)
 
 
 @pytest.fixture()
@@ -64,6 +73,22 @@ class TestCommands:
         assert report["converged"] is True
         assert report["outer_iterations"] >= 1
         assert (out / "updates.dat").exists()
+
+    def test_semilinear_reports_each_pass_coupling_floor(self, tmp_path, capsys):
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(README_SEMILINEAR_CFG)
+        out = tmp_path / "sem"
+        assert run(cfg, out, "semilinear") == 0
+        report = json.loads((out / "report.json").read_text())
+        floors = report["coupling_floor"]
+        assert len(floors) == report["outer_iterations"] == 5
+        assert all(floor > 0.0 for floor in floors)
+        # the first pass is linearized at the origin, where arctan' is 1
+        assert floors[0] == 1.0
+        # stdout keeps its one summary line
+        assert capsys.readouterr().out == (
+            f"semilinear: converged=True outer=5 "
+            f"terminal={report['terminal_norm_total']:.6g}\n")
 
     def test_shadow_gap_series(self, cfg_file, tmp_path):
         out = tmp_path / "shadow"

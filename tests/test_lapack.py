@@ -68,7 +68,7 @@ def test_routines_are_scipy_linalg_lapack_objects(fresh_python, imports):
         "from scipy.linalg import lapack\n"
         "from shadowctl import _lapack, hum, pde\n"
         "print([_lapack.dgbtrf is lapack.dgbtrf is pde.dgbtrf,\n"
-        "       _lapack.dgbtrs is lapack.dgbtrs is pde.dgbtrs,\n"
+        "       _lapack.dtbtrs is lapack.dtbtrs is pde.dtbtrs,\n"
         "       _lapack.dpptrf is lapack.dpptrf is hum.dpptrf,\n"
         "       _lapack.dpptrs is lapack.dpptrs is hum.dpptrs,\n"
         "       sys.modules['scipy.linalg._flapack'] is lapack._flapack])")
@@ -86,7 +86,7 @@ def test_unloadable_extension_falls_back_to_scipy_linalg(tmp_path, name,
     if content is not None:
         path.write_bytes(content)
     routines = _lapack._load(path)
-    expected = (lapack.dgbtrf, lapack.dgbtrs, lapack.dpptrf, lapack.dpptrs)
+    expected = (lapack.dgbtrf, lapack.dtbtrs, lapack.dpptrf, lapack.dpptrs)
     assert all(a is b for a, b in zip(routines, expected, strict=True))
 
 

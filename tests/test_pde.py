@@ -10,7 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
+from shadowctl import pde
 from shadowctl.mesh import Grid1D, TimeGrid, _laplacian_stencil, mean_value, norm_l2
 from shadowctl.nonlinear import (arctan_family, linear_form, linear_pair,
                                  make_pair, sigmoid_family)
@@ -273,6 +277,87 @@ class TestSingleStep:
             with pytest.raises(ValueError, match="sigma must be positive and "
                                                  "finite.*ShadowStepOperators"):
                 StepOperators(sigma, zero_coefficients(grid, tgrid))
+
+
+def _step_band(k, sigma, coeffs):
+    """The band that ``_band_lu`` receives for step 0 of the full (k = 2)
+    or the reduced (k = 1) system."""
+    bands = []
+    band_lu = pde._band_lu
+
+    def captured(band, kk):
+        bands.append(band)
+        return band_lu(band, kk)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "_band_lu", captured)
+        ops = StepOperators(sigma, coeffs) if k == 2 else ShadowStepOperators(coeffs)
+        ops.solve(np.zeros(ops.size), 0)
+    return bands[0]
+
+
+def _dense_from_band(band, k):
+    # LAPACK band storage: row k + i - j holds entry (i, j)
+    size = band.shape[1]
+    a = np.zeros((size, size))
+    for d in range(-k, k + 1):
+        j = np.arange(max(0, -d), min(size, size - d))
+        a[j + d, j] = band[k + d, j]
+    return a
+
+
+class TestBandLU:
+    """The step kernel on fields at the step bound dt * max|a_ij| < 0.5."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2]), n=st.integers(4, 48),
+           log_sigma=st.floats(-3.0, 6.0), frac=st.floats(0.9, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_solves_match_lapack_and_dense_at_the_step_bound(
+            self, k, n, log_sigma, frac, seed):
+        grid = Grid1D(n_cells=n, omega_a=0.25, omega_b=0.75)
+        tgrid = TimeGrid(horizon=0.1, n_steps=8)
+        rng = np.random.default_rng(seed)
+        shape = (tgrid.n_steps + 1, n)
+        # every entry at the bound, each with its own sign
+        coeffs = CoefficientField(grid, tgrid, *(
+            rng.choice([-1.0, 1.0], shape) * frac * 0.4999 / tgrid.dt
+            for _ in range(4)))
+        band = _step_band(k, 10.0 ** log_sigma, coeffs)
+        ab = np.zeros((3 * k + 1, band.shape[1]), order="F")
+        ab[k:] = band
+        lu, piv, info = lapack.dgbtrf(ab, k, k)
+        assert info == 0
+        np.testing.assert_array_equal(piv, np.arange(band.shape[1]))
+
+        solve = pde._band_lu(band, k)
+        rhs = rng.standard_normal(band.shape[1])
+        forward = solve(rhs.copy())
+        expected = lapack.dgbtrs(lu, k, k, rhs, piv)[0]
+        np.testing.assert_array_equal(forward, expected)
+
+        # round-off: a componentwise backward error of a few units, and so
+        # a forward error within eps * cond of the dense transposed solve
+        dual = solve(rhs.copy(), trans=1)
+        at = _dense_from_band(band, k).T
+        dense = np.linalg.solve(at, rhs)
+        eps = np.finfo(float).eps
+        scale = np.abs(at) @ np.abs(dual) + np.abs(rhs)
+        assert np.max(np.abs(at @ dual - rhs) / scale) <= 4 * eps
+        assert (np.abs(dual - dense).max()
+                <= 4 * eps * np.linalg.cond(at, 1) * np.abs(dense).max())
+
+        # a strided rhs is solved in a copy, handed back as the result
+        for trans, want in ((0, forward), (1, dual)):
+            cols = np.zeros((band.shape[1], 2))
+            cols[:, 0] = rhs
+            np.testing.assert_array_equal(solve(cols[:, 0], trans), want)
+
+    def test_a_pivoting_factorization_raises(self):
+        # [[1, 4], [2, 1]]: the larger entry of column 0 is below the diagonal
+        band = np.array([[0.0, 4.0], [1.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(RuntimeError, match="pivoted"):
+            pde._band_lu(band, 1)
 
 
 class TestHeatFlow:
