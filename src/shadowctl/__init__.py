@@ -22,14 +22,14 @@ from .hum import (EpsilonRow, EpsilonSweepReport, HumConfig, HumResult,
 from .mesh import Grid1D, TimeGrid, inner_product, mean_value, norm_l2
 from .nonlinear import (HypothesisReport, Nonlinearity, NonlinearityPair,
                         arctan_family, check_hypotheses, linear_form,
-                        linear_pair, make_pair, sigmoid_family)
+                        make_pair, sigmoid_family)
 from .pde import (CoefficientField, ControlField, EnergyReport,
                   SemigroupReport, ShadowStepOperators, StepOperators,
                   Trajectory, constant_coefficients, control_cost,
                   energy_functional, semigroup_checks, solve_adjoint,
                   solve_forward_linear, solve_forward_semilinear,
                   zero_coefficients)
-from .semilinear import (CouplingReport, FixedPointConfig, FixedPointResult,
+from .semilinear import (FixedPointConfig, FixedPointResult,
                          coupling_floor_check, fixed_point_control,
                          linearized_coefficients, origin_coefficients)
 from .theory import (CarlemanWeights, Eta0, ObservabilityConstants,
@@ -44,8 +44,7 @@ __all__ = [
     "Grid1D", "TimeGrid", "inner_product", "norm_l2", "mean_value",
     # nonlinear
     "Nonlinearity", "NonlinearityPair", "HypothesisReport", "sigmoid_family",
-    "arctan_family", "linear_form", "make_pair", "linear_pair",
-    "check_hypotheses",
+    "arctan_family", "linear_form", "make_pair", "check_hypotheses",
     # pde
     "CoefficientField", "ControlField", "Trajectory", "StepOperators",
     "ShadowStepOperators", "constant_coefficients", "zero_coefficients",
@@ -57,7 +56,7 @@ __all__ = [
     "duality_residual", "EpsilonRow", "EpsilonSweepReport", "epsilon_sweep",
     # semilinear
     "FixedPointConfig", "FixedPointResult", "origin_coefficients",
-    "linearized_coefficients", "CouplingReport", "coupling_floor_check",
+    "linearized_coefficients", "coupling_floor_check",
     "fixed_point_control",
     # theory
     "Eta0", "eta0_1d", "CarlemanWeights", "build_weights",

@@ -153,7 +153,7 @@ def _sweep_row(run: ControlRun, sigma: float, t0: float) -> SweepRow:
 
 def sigma_sweep(grid: Grid1D, tgrid: TimeGrid, sigmas,
                 pair: NonlinearityPair, y0: np.ndarray, z0: np.ndarray,
-                mode: str = "semilinear",
+                mode: str,
                 t0_fraction: float = 0.1,
                 fp_config: FixedPointConfig = FixedPointConfig()) -> SweepReport:
     """Control the system for each diffusion ratio and compare to the reduction.

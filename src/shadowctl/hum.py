@@ -13,9 +13,8 @@ windowed space-time norm of phi_a, and the controlled terminal state obeys
 eps down drives the terminal state to zero at rate sqrt(eps).
 
 Every solver here takes the :class:`~shadowctl.pde.StepOperators` of its
-system, so calls that share them share their factorizations; the only ones
-built here are the mean field's, the default preconditioning reference
-below, cached on the ops they serve.  The reduced system has no dual march.
+system, so calls that share them share their factorizations; this module
+builds none of its own.  The reduced system has no dual march.
 States and dual data are whole stacked vectors of length 2n = ``ops.size``,
 y in the first n entries and z in the last n.
 
@@ -34,10 +33,9 @@ and time:
   semi-normal equations: A. Bjorck, Linear Algebra Appl. 88/89, 1987).
 * Any other field runs conjugate residual on :func:`gramian_apply` + eps I,
   two marches per iteration, preconditioned by the unrefined direct solve
-  of a constant reference field (Concus and Golub, SIAM J. Numer. Anal. 10,
-  1973): the field's space-time mean, or the reference the caller names,
-  which the semilinear fixed point sets to its first pass, so that all its
-  passes share one Gramian and one factor.
+  of the constant reference field the caller names (Concus and Golub, SIAM
+  J. Numer. Anal. 10, 1973); the semilinear fixed point names its first
+  pass, so that all its passes share one Gramian and one factor.
 
 A solve whose data are zero builds and applies nothing.
 
@@ -59,8 +57,7 @@ import numpy as np
 from ._lapack import dpptrf, dpptrs
 from .mesh import _cosine_basis
 from .pde import (ControlField, StepOperators, Trajectory, _check_dual,
-                  constant_coefficients, control_cost, solve_adjoint,
-                  solve_forward_linear)
+                  control_cost, solve_adjoint, solve_forward_linear)
 
 __all__ = [
     "HumConfig", "HumResult", "EpsilonRow", "EpsilonSweepReport",
@@ -193,8 +190,7 @@ def _observed_gramian(observation: tuple, v: np.ndarray) -> np.ndarray:
 
 def _cached(ops: StepOperators, key, build):
     """``build()``, made once per ``ops`` and kept in ``ops.cache`` under
-    ``key``: :func:`_factor_and_basis`, each penalty's Cholesky factor, and a
-    field's default preconditioning reference."""
+    ``key``: :func:`_factor_and_basis` and each penalty's Cholesky factor."""
     if key not in ops.cache:
         ops.cache[key] = build()
     return ops.cache[key]
@@ -237,29 +233,17 @@ def _from_modes(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (v.reshape(2, -1) @ basis.T).ravel()
 
 
-def _preconditioner(ops: StepOperators, reference: StepOperators | None,
-                    epsilon: float):
+def _preconditioner(reference: StepOperators, epsilon: float):
     """v -> Q (G + eps I)^-1 Q^T v, the unrefined direct solve of the constant
-    ``reference`` field, by default the space-time mean of the field of
-    ``ops``."""
-    if reference is None:
-        c = ops.coeffs
-        reference = _cached(ops, "mean", lambda: StepOperators(
-            ops.sigma, constant_coefficients(
-                ops.grid, ops.tgrid, *(float(np.mean(getattr(c, name)))
-                                       for name in ("a11", "a12", "a21", "a22")))))
+    ``reference`` field."""
     _, factor, basis, _ = _penalized_factor(reference, epsilon)
     return lambda v: _from_modes(_penalized_solve(factor, _to_modes(v, basis)), basis)
 
 
-def _identity(v: np.ndarray) -> np.ndarray:
-    return v
-
-
 def _conjugate_gradient(apply_op, b: np.ndarray, tol: float, max_iters: int,
-                        precondition=_identity):
+                        precondition):
     """Krylov solve of an SPD system, conjugate-residual variant, with an
-    SPD preconditioner ``precondition``, v -> M^-1 v, by default M = I.
+    SPD preconditioner ``precondition``, v -> M^-1 v.
 
     The conjugate-residual recurrence minimizes the residual norm
     sqrt(r . M^-1 r) over the growing Krylov space (unlike the classical
@@ -326,8 +310,8 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     docstring): not at all when free(T) = 0; directly when the coefficients
     are constant; otherwise by conjugate residual on :func:`gramian_apply`,
     preconditioned by the direct solve of ``reference``, a
-    constant-coefficient ``StepOperators`` on the same grids, or of the
-    field's space-time mean when it is None.  It then extracts the control
+    constant-coefficient ``StepOperators`` on the same grids, which such a
+    field requires.  It then extracts the control
     h^m = -phi^m on the window from the dual solve at pT, re-runs the
     controlled forward problem, and returns that trajectory with honest
     terminal norms from it, the free one in the same norm.
@@ -338,10 +322,15 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     solve reports 0 iterations and the history (||b||, ||G p + eps p - b||)
     in the cosine basis.  Deterministic: repeated calls with equal
     inputs produce bit-identical results.  The reduced system, as ``ops`` or
-    ``reference``, raises ``ValueError`` before any march.
+    ``reference``, and a field that is not constant with no ``reference``
+    raise ``ValueError`` before any march.
     """
     _check_dual(ops)
-    if reference is not None:
+    if reference is None:
+        if not ops.coeffs.constant:
+            raise ValueError("coefficients that are not constant need a constant "
+                             "reference to precondition with")
+    else:
         _check_dual(reference)
         if not reference.coeffs.constant:
             raise ValueError("reference coefficients must be constant in space and time")
@@ -369,7 +358,7 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     else:
         p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
             lambda v: gramian_apply(ops, v) + eps * v, b, config.cg_tol,
-            config.cg_max_iters, _preconditioner(ops, reference, eps))
+            config.cg_max_iters, _preconditioner(reference, eps))
 
     dual = solve_adjoint(ops, p_terminal)
     control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])
@@ -440,8 +429,8 @@ def epsilon_sweep(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     Tracks the control cost (expected to stabilize) and the terminal norm
     divided by sqrt(eps) (expected bounded, not monotonically growing), the
     two signatures of a uniform-in-penalty control bound.  Every penalty
-    steps with the factorizations of ``ops`` and solves with its one
-    Gramian (or that of its reference field), with one Cholesky factor of
+    steps with the factorizations of ``ops``, whose coefficients must be
+    constant, and solves with its one Gramian, with one Cholesky factor of
     G + eps I per penalty.
     """
     eps_list = [float(e) for e in epsilons]

@@ -118,6 +118,10 @@ def write_fields_binary(path: str | Path, fields: dict[str, np.ndarray]) -> Path
     if not fields:
         raise ValueError("fields must be non-empty")
     names = sorted(fields)
+    for k in names:
+        if "\n" in k:
+            raise ValueError(f"field name {k!r} contains a newline, which "
+                             "separates names in the header")
     arrays = [np.ascontiguousarray(fields[k], dtype=np.float64) for k in names]
     shape = arrays[0].shape
     if len(shape) != 2:
@@ -125,12 +129,13 @@ def write_fields_binary(path: str | Path, fields: dict[str, np.ndarray]) -> Path
     for k, a in zip(names, arrays):
         if a.shape != shape:
             raise ValueError(f"field {k!r} has shape {a.shape}, expected {shape}")
+    # a name with no UTF-8 encoding raises here, before a file is opened
+    header = "\n".join(names).encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIII", _VERSION, len(names), *shape))
-        header = "\n".join(names).encode()
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for a in arrays:

@@ -120,15 +120,6 @@ def make_pair(f: Nonlinearity, g: Nonlinearity) -> NonlinearityPair:
     return pair
 
 
-def linear_pair(a: float, b: float, c: float, d: float) -> NonlinearityPair:
-    """Constant-coefficient reaction f = a y + b z, g = c y + d z.
-
-    The y-coupling constant c plays the role of dg/dy; c = 0 is constructed
-    but flagged (floor 0) so the hypothesis checker reports the violation.
-    """
-    return make_pair(linear_form(a, b), linear_form(c, d))
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Structured outcome of the sampled structural checks."""

@@ -99,11 +99,6 @@ class CoefficientField:
         return max(self.sup_norms)
 
     @cached_property
-    def time_invariant(self) -> bool:
-        return all(np.ptp(getattr(self, n), axis=0).max() == 0.0
-                   for n in ("a11", "a12", "a21", "a22"))
-
-    @cached_property
     def constant(self) -> bool:
         """Whether each field holds one value, in space and in time."""
         return all(np.ptp(getattr(self, n)) == 0.0
@@ -187,29 +182,28 @@ class Trajectory:
         return norm_l2(self.grid, self.y[-1]), norm_l2(self.grid, self.z[-1])
 
 
-def _band_lu(band: np.ndarray, k: int):
+def _band_lu(ab: np.ndarray, k: int):
     """LU-factorize a band matrix with k sub- and superdiagonals, stored as
-    LAPACK does (row k + i - j holds entry (i, j)); return ``solve(rhs,
-    trans=0)``, which solves a vector or columns, with ``trans=1`` the
-    transpose, in place when ``rhs`` is a Fortran-ordered float array, and
-    returns the solution.
+    ``dgbtrf`` takes it: a Fortran-ordered (3k + 1)-row array whose row
+    2k + i - j holds entry (i, j) and whose top k rows are zero, for the
+    fill-in of row pivoting.  Return ``solve(rhs, trans=0)``, which solves a
+    vector or columns, with ``trans=1`` the transpose, in place when ``rhs``
+    is a Fortran-ordered float array, and returns the solution.
 
-    ``dgbtrf`` factors; each solve is two triangular band solves with
-    ``dtbtrs``, unit-diagonal L from the multiplier rows and then U, or U
-    and then L with the transposes.  ``dgbtrs`` would make one BLAS call
-    per column (``dger`` in its L sweep, ``dgemv`` in its transposed one),
-    where ``dtbtrs`` runs each triangle in one ``dtbsv`` call.  At 2n = 200,
-    on one core of a 2-vCPU Intel Xeon, a solve took 3.6-5.2 us forward and
-    3.9-5.1 us transposed, against 6.2-9.4 and 9.8-18.0 us with ``dgbtrs``
-    (best of ``timeit``, four runs each).  The forward L sweep is
-    column-oriented like ``dgbtrs``'s, so forward solves round alike.  Both
-    step matrices are strictly diagonally dominant by columns under the
-    step bound dt * max|a_ij| < 0.5, so row pivoting never swaps a row; a
-    factorization that pivots raises ``RuntimeError``.  Only the two
-    triangles' bands are kept.
+    ``dgbtrf`` factors ``ab`` in place; each solve is two triangular band
+    solves with ``dtbtrs``, unit-diagonal L from the multiplier rows and
+    then U, or U and then L with the transposes.  ``dgbtrs`` would make one
+    BLAS call per column (``dger`` in its L sweep, ``dgemv`` in its
+    transposed one), where ``dtbtrs`` runs each triangle in one ``dtbsv``
+    call.  At 2n = 200, on one core of a 2-vCPU Intel Xeon, a solve took
+    3.6-5.2 us forward and 3.9-5.1 us transposed, against 6.2-9.4 and
+    9.8-18.0 us with ``dgbtrs`` (best of ``timeit``, four runs each).  The
+    forward L sweep is column-oriented like ``dgbtrs``'s, so forward solves
+    round alike.  Both step matrices are strictly diagonally dominant by
+    columns under the step bound dt * max|a_ij| < 0.5, so row pivoting never
+    swaps a row; a factorization that pivots raises ``RuntimeError``.  Only
+    the two triangles' bands are kept.
     """
-    ab = np.zeros((3 * k + 1, band.shape[1]), order="F")
-    ab[k:] = band   # the top k rows take the fill-in of row pivoting
     lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"band LU failed: dgbtrf returned info = {info}")
@@ -233,11 +227,12 @@ def _band_lu(band: np.ndarray, k: int):
 
 
 def _heat_band(grid: Grid1D, scale: float) -> np.ndarray:
-    """Band storage (k = 1) of the scalar step matrix I - scale * lap."""
+    """The scalar step matrix I - scale * lap in :func:`_band_lu`'s storage,
+    k = 1."""
     main, off = _laplacian_stencil(grid)
-    band = np.zeros((3, grid.n_cells))
-    band[0, 1:] = band[2, :-1] = -scale * off
-    band[1] = 1.0 - scale * main
+    band = np.zeros((4, grid.n_cells), order="F")
+    band[1, 1:] = band[3, :-1] = -scale * off
+    band[2] = 1.0 - scale * main
     return band
 
 
@@ -245,7 +240,7 @@ class _Stepper:
     """What both step operators share: the grids and the coefficient field,
     the bound that keeps every implicit step safely invertible, and the
     per-step factors, each made by the subclass's ``_build(m)`` on first use
-    and once if the coefficients are constant in time."""
+    and once if the coefficients are constant."""
 
     def __init__(self, coeffs: CoefficientField) -> None:
         if coeffs.tgrid.dt * coeffs.max_sup >= 0.5:
@@ -258,7 +253,7 @@ class _Stepper:
         self._factors: list = [None] * coeffs.tgrid.n_steps
 
     def _factor(self, m: int):
-        if self.coeffs.time_invariant:
+        if self.coeffs.constant:
             m = 0
         if self._factors[m] is None:
             self._factors[m] = self._build(m)
@@ -298,8 +293,8 @@ class StepOperators(_Stepper):
         # diffusion rows of the interleaved band: y and z columns alternate
         heat = np.stack([_heat_band(self.grid, dt), _heat_band(self.grid, dt * sigma)],
                         axis=-1)
-        self._band = np.zeros((5, size))
-        self._band[::2] = heat.reshape(3, size)
+        self._band = np.zeros((7, size))
+        self._band[2::2] = heat[1:].reshape(3, size)
         self.order = np.arange(size).reshape(2, -1).T.ravel()
         self._stack = np.arange(size).reshape(-1, 2).T.ravel()
         self.cache: dict = {}
@@ -311,11 +306,11 @@ class StepOperators(_Stepper):
 
     def _build(self, m: int):
         dt, c = self.tgrid.dt, self.coeffs
-        band = self._band.copy()
-        band[1, 1::2] = -dt * c.a12[m]
-        band[2, 0::2] -= dt * c.a11[m]
-        band[2, 1::2] -= dt * c.a22[m]
-        band[3, 0::2] = -dt * c.a21[m]
+        band = self._band.copy(order="F")
+        band[3, 1::2] = -dt * c.a12[m]
+        band[4, 0::2] -= dt * c.a11[m]
+        band[4, 1::2] -= dt * c.a22[m]
+        band[5, 0::2] = -dt * c.a21[m]
         return _band_lu(band, 2)
 
     def solve(self, row: np.ndarray, m: int, trans: int = 0) -> None:
@@ -377,7 +372,7 @@ class ShadowStepOperators(_Stepper):
     def _build(self, m: int):
         dt, dx, c = self.tgrid.dt, self.grid.spacing, self.coeffs
         band = _heat_band(self.grid, dt)
-        band[1] -= dt * c.a11[m]
+        band[2] -= dt * c.a11[m]
         solve = _band_lu(band, 1)
         w = solve(dt * c.a12[m])
         mean_row = dt * dx * c.a21[m]

@@ -32,9 +32,8 @@ from .pde import (CoefficientField, ControlField, StepOperators, Trajectory,
                   zero_coefficients)
 
 __all__ = [
-    "FixedPointConfig", "FixedPointResult", "CouplingReport",
-    "origin_coefficients", "linearized_coefficients", "coupling_floor_check",
-    "fixed_point_control",
+    "FixedPointConfig", "FixedPointResult", "origin_coefficients",
+    "linearized_coefficients", "coupling_floor_check", "fixed_point_control",
 ]
 
 
@@ -131,25 +130,14 @@ def linearized_coefficients(grid: Grid1D, tgrid: TimeGrid,
                             *(sums[id(d)][1].copy() for d in partials))
 
 
-@dataclass(frozen=True)
-class CouplingReport:
-    """Sign-adjusted minimum of the y-coupling coefficient on the window."""
-
-    min_signed_a21: float
-    a21_sign: float
-    positive: bool
-
-
-def coupling_floor_check(coeffs: CoefficientField, sign: float = 1.0) -> CouplingReport:
+def coupling_floor_check(coeffs: CoefficientField, sign: float = 1.0) -> float:
     """Smallest sign-adjusted a21 value over window cells and all time nodes.
 
     A positive result certifies that the averaged coupling keeps the
     declared sign with a strictly positive floor where the control acts.
     """
     window = coeffs.grid.omega_indicator > 0.0
-    vals = sign * coeffs.a21[:, window]
-    m = float(np.min(vals))
-    return CouplingReport(min_signed_a21=m, a21_sign=float(sign), positive=m > 0.0)
+    return float(np.min(sign * coeffs.a21[:, window]))
 
 
 def _coeff_change(a: CoefficientField, b: CoefficientField) -> float:
@@ -207,7 +195,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
                 converged = hum_last.cg_converged
                 break
             ops = StepOperators(sigma, coeffs)
-        floors.append(coupling_floor_check(ops.coeffs, pair.a21_sign).min_signed_a21)
+        floors.append(coupling_floor_check(ops.coeffs, pair.a21_sign))
         hum_last = hum_solve(ops, y0, z0, config.hum, reference=origin_ops)
         cg_total += hum_last.cg_iterations
         g = hum_last.trajectory.u

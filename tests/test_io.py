@@ -242,6 +242,16 @@ class TestBinary:
         with pytest.raises(ValueError, match="2-d"):
             write_fields_binary(tmp_path / "x.bin", {"a": np.zeros(5)})
 
+    @pytest.mark.parametrize("name, message", [("a\nb", "newline"),
+                                               ("\udcff", "encode")])
+    def test_rejects_a_name_its_reader_cannot_read(self, tmp_path, name, message):
+        # newlines separate the names in the header, so "a\nb" would read
+        # back as two names for one field; a lone surrogate has no UTF-8
+        p = tmp_path / "x.bin"
+        with pytest.raises(ValueError, match=message):
+            write_fields_binary(p, {name: np.zeros((2, 3))})
+        assert not p.exists()
+
 
 class TestJson:
     def test_output_is_standard_json(self, tmp_path):

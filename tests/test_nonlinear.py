@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shadowctl.nonlinear import (arctan_family, check_hypotheses, linear_form,
-                                 linear_pair, make_pair, sigmoid_family)
+                                 make_pair, sigmoid_family)
 
 
 class TestSigmoidFamily:
@@ -86,14 +86,14 @@ class TestLinearForms:
         assert np.all(g.d_dz(y, y) == -1.5)
 
     def test_linear_pair_floor(self):
-        pair = linear_pair(1.0, 0.5, -2.0, 0.25)
+        pair = make_pair(linear_form(1.0, 0.5), linear_form(-2.0, 0.25))
         assert pair.a21_floor == pytest.approx(2.0)
         assert pair.a21_sign == -1.0
 
     def test_linear_pair_zero_coupling_flagged(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            pair = linear_pair(1.0, 0.5, 0.0, 0.25)
+            pair = make_pair(linear_form(1.0, 0.5), linear_form(0.0, 0.25))
         assert pair.a21_floor == 0.0
         assert any("coupling" in str(w.message).lower() for w in caught)
         report = check_hypotheses(pair, n_samples=1000)

@@ -16,8 +16,8 @@ from scipy.linalg import lapack
 
 from shadowctl import pde
 from shadowctl.mesh import Grid1D, TimeGrid, _laplacian_stencil, mean_value, norm_l2
-from shadowctl.nonlinear import (arctan_family, linear_form, linear_pair,
-                                 make_pair, sigmoid_family)
+from shadowctl.nonlinear import (arctan_family, linear_form, make_pair,
+                                 sigmoid_family)
 from shadowctl.pde import (CoefficientField, ControlField, ShadowStepOperators,
                            StepOperators, Trajectory, constant_coefficients,
                            control_cost, energy_functional, semigroup_checks,
@@ -280,13 +280,14 @@ class TestSingleStep:
 
 
 def _step_band(k, sigma, coeffs):
-    """The band that ``_band_lu`` receives for step 0 of the full (k = 2)
-    or the reduced (k = 1) system."""
+    """A copy of the (3k + 1)-row array that ``_band_lu`` receives, and
+    factors in place, for step 0 of the full (k = 2) or the reduced (k = 1)
+    system."""
     bands = []
     band_lu = pde._band_lu
 
     def captured(band, kk):
-        bands.append(band)
+        bands.append(band.copy(order="F"))
         return band_lu(band, kk)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -297,12 +298,12 @@ def _step_band(k, sigma, coeffs):
 
 
 def _dense_from_band(band, k):
-    # LAPACK band storage: row k + i - j holds entry (i, j)
+    # dgbtrf's band storage: row 2k + i - j holds entry (i, j)
     size = band.shape[1]
     a = np.zeros((size, size))
     for d in range(-k, k + 1):
         j = np.arange(max(0, -d), min(size, size - d))
-        a[j + d, j] = band[k + d, j]
+        a[j + d, j] = band[2 * k + d, j]
     return a
 
 
@@ -324,13 +325,12 @@ class TestBandLU:
             rng.choice([-1.0, 1.0], shape) * frac * 0.4999 / tgrid.dt
             for _ in range(4)))
         band = _step_band(k, 10.0 ** log_sigma, coeffs)
-        ab = np.zeros((3 * k + 1, band.shape[1]), order="F")
-        ab[k:] = band
-        lu, piv, info = lapack.dgbtrf(ab, k, k)
+        assert not np.any(band[:k])
+        lu, piv, info = lapack.dgbtrf(band, k, k)
         assert info == 0
         np.testing.assert_array_equal(piv, np.arange(band.shape[1]))
 
-        solve = pde._band_lu(band, k)
+        solve = pde._band_lu(band.copy(order="F"), k)
         rhs = rng.standard_normal(band.shape[1])
         forward = solve(rhs.copy())
         expected = lapack.dgbtrs(lu, k, k, rhs, piv)[0]
@@ -355,9 +355,36 @@ class TestBandLU:
 
     def test_a_pivoting_factorization_raises(self):
         # [[1, 4], [2, 1]]: the larger entry of column 0 is below the diagonal
-        band = np.array([[0.0, 4.0], [1.0, 1.0], [2.0, 0.0]])
+        band = np.array([[0.0, 0.0], [0.0, 4.0], [1.0, 1.0], [2.0, 0.0]], order="F")
         with pytest.raises(RuntimeError, match="pivoted"):
             pde._band_lu(band, 1)
+
+    def test_factoring_a_step_twice_gives_equal_factors(self):
+        # each factorization fills in its own copy of the ops' template and
+        # factors that copy in place, leaving the template as it was
+        grid = Grid1D(n_cells=12, omega_a=0.25, omega_b=0.75)
+        tgrid = TimeGrid(horizon=0.1, n_steps=6)
+        rng = np.random.default_rng(3)
+        ops = StepOperators(4.0, CoefficientField(grid, tgrid, *(
+            rng.uniform(-2.0, 2.0, (7, 12)) for _ in range(4))))
+        template = ops._band.copy()
+        given, factored = [], []
+        band_lu = pde._band_lu
+
+        def recorded(ab, k):
+            given.append(ab.copy())
+            solve = band_lu(ab, k)
+            factored.append(ab.copy())
+            return solve
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde, "_band_lu", recorded)
+            ops._build(3)
+            ops._build(3)
+        np.testing.assert_array_equal(given[0], given[1])
+        np.testing.assert_array_equal(factored[0], factored[1])
+        assert not np.array_equal(factored[0], given[0])
+        np.testing.assert_array_equal(ops._band, template)
 
 
 class TestHeatFlow:
@@ -551,7 +578,7 @@ class TestSemilinear:
         grid = Grid1D(n_cells=60)
         tgrid = TimeGrid(horizon=0.4, n_steps=80)
         a, b, c, d = 0.4, -0.3, 0.6, 0.2
-        pair = linear_pair(a, b, c, d)
+        pair = make_pair(linear_form(a, b), linear_form(c, d))
         coeffs = constant_coefficients(grid, tgrid, a, b, c, d)
         x = grid.cell_centers
         y0 = np.cos(np.pi * x)
@@ -581,7 +608,7 @@ class TestSemilinear:
     def test_control_enters_y_equation(self):
         grid = Grid1D(n_cells=40, omega_a=0.3, omega_b=0.7)
         tgrid = TimeGrid(horizon=0.2, n_steps=40)
-        pair = linear_pair(0.0, 0.0, 0.0, 0.0)
+        pair = make_pair(linear_form(0.0, 0.0), linear_form(0.0, 0.0))
         control = ControlField(grid, tgrid, np.ones((40, 40)))
         traj = solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
                                         pair, control, np.zeros(40), np.zeros(40))
@@ -592,7 +619,7 @@ class TestSemilinear:
     def test_rejects_coarse_steps_against_lipschitz_bound(self):
         grid = Grid1D(n_cells=20)
         tgrid = TimeGrid(horizon=1.0, n_steps=2)
-        pair = linear_pair(0.0, 0.0, 3.0, 0.0)   # bound 3, dt = 0.5
+        pair = make_pair(linear_form(0.0, 0.0), linear_form(3.0, 0.0))   # bound 3, dt = 0.5
         with pytest.raises(ValueError, match="Lipschitz"):
             solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
                                      pair, None, np.zeros(20), np.zeros(20))
@@ -627,8 +654,8 @@ class TestShadow:
         rng = np.random.default_rng(12)
         control = ControlField(grid, tgrid, rng.standard_normal((100, 40)))
         y0 = np.cos(np.pi * grid.cell_centers)
-        fixed = _reduced_march(grid, tgrid, linear_pair(*a), control, y0, [0.3],
-                               inner_tol=1e-13)
+        pair = make_pair(linear_form(*a[:2]), linear_form(*a[2:]))
+        fixed = _reduced_march(grid, tgrid, pair, control, y0, [0.3], inner_tol=1e-13)
         ops = ShadowStepOperators(constant_coefficients(grid, tgrid, *a))
         direct = solve_forward_linear(ops, control, y0, [0.3])
         assert direct.u.shape == (101, 41) and direct.sigma == np.inf
@@ -726,7 +753,7 @@ class TestControlField:
         else:
             control = ControlField(Grid1D(n_cells=10, omega_a=0.2), tgrid,
                                    np.ones((3, 10)))
-        pair = linear_pair(0.1, 0.2, 0.3, 0.4)
+        pair = make_pair(linear_form(0.1, 0.2), linear_form(0.3, 0.4))
         with pytest.raises(ValueError, match="different grid"):
             if marcher == "semilinear":
                 solve_forward_semilinear(StepOperators(1.0, zero_coefficients(grid, tgrid)),
@@ -817,7 +844,7 @@ class TestValidation:
         # rejected before marching, not by a stalled or crashed inner solve
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.1, n_steps=5)
-        pair = linear_pair(0.1, 0.2, 0.3, 0.4)
+        pair = make_pair(linear_form(0.1, 0.2), linear_form(0.3, 0.4))
         (name, value), = bad.items()
         # xi0 is the z0 of the reduced march, one entry long: a one-entry
         # xi0 reaches the finiteness check, a longer one the shape check
@@ -863,9 +890,9 @@ class TestValidation:
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.1, n_steps=5)
         ops = StepOperators(1.0, constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0))
+        pair = make_pair(linear_form(0.0, 0.0), linear_form(1.0, 0.0))
         with pytest.raises(ValueError, match="reaction-free"):
-            solve_forward_semilinear(ops, linear_pair(0.0, 0.0, 1.0, 0.0), None,
-                                     np.zeros(10), np.zeros(10))
+            solve_forward_semilinear(ops, pair, None, np.zeros(10), np.zeros(10))
 
     @pytest.mark.parametrize("defect", ["shape", "non-finite"],
                              ids=["shape-p_T", "non-finite-p_T"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from shadowctl import hum, semilinear
 from shadowctl.hum import HumConfig
 from shadowctl.mesh import Grid1D, TimeGrid
-from shadowctl.nonlinear import (arctan_family, linear_pair, make_pair,
+from shadowctl.nonlinear import (arctan_family, linear_form, make_pair,
                                  sigmoid_family)
 from shadowctl.pde import (StepOperators, constant_coefficients,
                            solve_forward_semilinear, zero_coefficients)
@@ -113,7 +113,7 @@ class TestLinearizedCoefficients:
     def test_linear_pair_recovers_constants(self):
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.2, n_steps=5)
-        lp = linear_pair(0.7, -0.4, 1.3, 0.2)
+        lp = make_pair(linear_form(0.7, -0.4), linear_form(1.3, 0.2))
         ybar, zbar = _random_reference(grid, tgrid, seed=2)
         c = linearized_coefficients(grid, tgrid, lp, ybar, zbar, n_quad=8)
         assert np.max(np.abs(c.a11 - 0.7)) < 1e-14
@@ -151,7 +151,7 @@ class TestLinearizedCoefficients:
     def test_distinct_partials_are_averaged_separately(self):
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.2, n_steps=5)
-        lp = linear_pair(0.7, -0.4, 1.3, 0.2)
+        lp = make_pair(linear_form(0.7, -0.4), linear_form(1.3, 0.2))
         calls = [[] for _ in range(4)]
         f, g = lp.f, lp.g
         counted = dataclasses.replace(
@@ -224,17 +224,13 @@ class TestCouplingFloor:
         grid = Grid1D(n_cells=10, omega_a=0.3, omega_b=0.7)
         tgrid = TimeGrid(horizon=0.1, n_steps=4)
         c = constant_coefficients(grid, tgrid, 0.0, 0.0, 0.8, 0.0)
-        rep = coupling_floor_check(c)
-        assert rep.positive
-        assert rep.min_signed_a21 == pytest.approx(0.8)
+        assert coupling_floor_check(c) == pytest.approx(0.8)
 
     def test_negative_sign_convention(self):
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.1, n_steps=4)
         c = constant_coefficients(grid, tgrid, 0.0, 0.0, -0.5, 0.0)
-        rep = coupling_floor_check(c, sign=-1.0)
-        assert rep.positive
-        assert rep.min_signed_a21 == pytest.approx(0.5)
+        assert coupling_floor_check(c, sign=-1.0) == pytest.approx(0.5)
 
     def test_sign_change_inside_window_fails(self):
         grid = Grid1D(n_cells=10, omega_a=0.3, omega_b=0.7)
@@ -243,8 +239,7 @@ class TestCouplingFloor:
         zeros = np.zeros((5, 10))
         from shadowctl.pde import CoefficientField
         c = CoefficientField(grid, tgrid, zeros, zeros, a21, zeros)
-        rep = coupling_floor_check(c)
-        assert not rep.positive
+        assert coupling_floor_check(c) < 0.0
 
 
 class TestFixedPointControl:
@@ -252,7 +247,7 @@ class TestFixedPointControl:
         # the linearization of a linear pair is stationary immediately
         grid = Grid1D(n_cells=30)
         tgrid = TimeGrid(horizon=0.5, n_steps=50)
-        lp = linear_pair(0.3, 0.2, 1.0, 0.1)
+        lp = make_pair(linear_form(0.3, 0.2), linear_form(1.0, 0.1))
         x = grid.cell_centers
         res = fixed_point_control(grid, tgrid, 1.0, lp,
                                   0.1 * np.cos(np.pi * x), np.full(30, 0.1))
@@ -324,7 +319,7 @@ class TestFixedPointControl:
         march = semilinear.solve_forward_semilinear
 
         def counting_factor(ops):
-            builds.append(ops.coeffs.time_invariant)
+            builds.append(ops.coeffs.constant)
             return factor(ops)
 
         def counting_march(*args, **kwargs):
