@@ -22,8 +22,8 @@ from .hum import hum_solve
 from .mesh import Grid1D, TimeGrid, mean_value, norm_l2
 from .nonlinear import NonlinearityPair
 from .pde import (ControlField, ShadowStepOperators, StepOperators, Trajectory,
-                  control_cost, energy_functional, solve_forward_linear,
-                  solve_forward_semilinear, zero_coefficients)
+                  _march_in_modes, control_cost, energy_functional,
+                  solve_forward_linear, solve_forward_semilinear, zero_coefficients)
 from .semilinear import FixedPointConfig, fixed_point_control, origin_coefficients
 
 __all__ = [
@@ -83,7 +83,8 @@ def control_and_reduce(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
 
     In "linear" mode the reactions are frozen at their origin partials, the
     control is one penalized solve with ``fp_config.hum``, and the reduced
-    model is the shadow limit of the same linearized system; in "semilinear"
+    model is the shadow limit of the same linearized system, marched per
+    cosine mode at sigma = inf; in "semilinear"
     mode the control comes from the fixed-point scheme and the reduced model
     keeps the nonlinear pair.
     """
@@ -95,7 +96,7 @@ def control_and_reduce(grid: Grid1D, tgrid: TimeGrid, sigma: float, mode: str,
         res = hum_solve(StepOperators(sigma, coeffs), y0, z0, fp_config.hum)
         control, traj = res.control, res.trajectory
         outer, cg_iters, converged = 0, res.cg_iterations, res.cg_converged
-        reduced = solve_forward_linear(ShadowStepOperators(coeffs), control, y0, xi0)
+        reduced = _march_in_modes(ShadowStepOperators(coeffs), control, y0, xi0)
     else:
         fp = fixed_point_control(grid, tgrid, sigma, pair, y0, z0, fp_config)
         control, traj = fp.control, fp.trajectory

@@ -13,29 +13,35 @@ windowed space-time norm of phi_a, and the controlled terminal state obeys
 eps down drives the terminal state to zero at rate sqrt(eps).
 
 Every solver here takes the :class:`~shadowctl.pde.StepOperators` of its
-system, so calls that share them share their factorizations; this module
-builds none of its own.  The reduced system has no dual march.
-States and dual data are whole stacked vectors of length 2n = ``ops.size``,
-y in the first n entries and z in the last n.
+system, so calls that share them share their factorizations and cached
+Gramians; this module builds no ops of its own.  The reduced system has no
+dual march.  States and dual data are whole stacked vectors of length
+2n = ``ops.size``, y in the first n entries and z in the last n.
 
 At every size the solve rests on the Gramian of a field constant in space
 and time:
 
-* In the cosine basis Q = diag(C, C) of the Neumann Laplacian the adjoint
-  step of such a field is n independent 2 x 2 blocks, and G = Q^T Lambda Q
-  is assembled from them with no step solve (:func:`_factor_and_basis`).
-  G + eps I gets one packed Cholesky factor per penalty (``dpptrf``); both
-  are cached per ``StepOperators``.  G holds (2n)^2 doubles and its factor
-  half that.
-* A constant field is solved directly: one ``dpptrs`` solve and one step of
-  refinement with the residual taken through the observation, never through
-  G, whose rounding costs small penalties up to two digits of pT (corrected
-  semi-normal equations: A. Bjorck, Linear Algebra Appl. 88/89, 1987).
+* In the cosine basis Q = diag(C, C) of the Neumann Laplacian the step of
+  such a field is n independent 2 x 2 blocks
+  (:func:`~shadowctl.pde._mode_blocks`), and G = Q^T Lambda Q is assembled
+  from the adjoint blocks' powers with no step solve
+  (:func:`_factor_and_basis`).  G + eps I gets one packed Cholesky factor
+  per penalty (``dpptrf``); both are cached per ``StepOperators``.  G holds
+  (2n)^2 doubles and its factor half that.
+* A constant field is solved in that basis end to end, with no banded
+  march (:func:`_solve_in_modes`): the free terminal state is a binary
+  power of the blocks, pT one ``dpptrs`` solve and one step of refinement
+  with the residual taken through the observation, never through G, whose
+  rounding costs small penalties up to two digits of pT (corrected
+  semi-normal equations: A. Bjorck, Linear Algebra Appl. 88/89, 1987), the
+  control one product of the observation's powers by C, and the controlled
+  run :func:`~shadowctl.pde._march_in_modes`.  Every step is exact per
+  mode, so the solve holds at any sigma.
 * Any other field runs conjugate residual on :func:`gramian_apply` + eps I,
-  two marches per iteration, preconditioned by the unrefined direct solve
-  of the constant reference field the caller names (Concus and Golub, SIAM
-  J. Numer. Anal. 10, 1973); the semilinear fixed point names its first
-  pass, so that all its passes share one Gramian and one factor.
+  two banded marches per iteration, preconditioned by the unrefined direct
+  solve of the constant reference field the caller names (Concus and
+  Golub, SIAM J. Numer. Anal. 10, 1973); the semilinear fixed point names
+  its first pass, so that all its passes share one Gramian and one factor.
 
 A solve whose data are zero builds and applies nothing.
 
@@ -56,18 +62,14 @@ import numpy as np
 
 from ._lapack import dpptrf, dpptrs
 from .mesh import _cosine_basis
-from .pde import (ControlField, StepOperators, Trajectory, _check_dual,
+from .pde import (_SERIAL_GEMM, ControlField, StepOperators, Trajectory, _check_dual,
+                  _initial_state, _march_in_modes, _mode_blocks, _serial_product,
                   control_cost, solve_adjoint, solve_forward_linear)
 
 __all__ = [
     "HumConfig", "HumResult", "EpsilonRow", "EpsilonSweepReport",
     "gramian_apply", "hum_solve", "duality_residual", "epsilon_sweep",
 ]
-
-# OpenBLAS runs a product with m * n * k up to 64^3 on the calling thread
-# (module docstring); from 2n = 726 on, chunks are single rows.
-_SERIAL_GEMM = 64**3
-
 
 @dataclass(frozen=True)
 class HumConfig:
@@ -132,6 +134,25 @@ def _mode_product(a: tuple, b: tuple) -> tuple:
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
 
+def _mode_power(blocks: tuple, k: int) -> tuple:
+    """The per-mode blocks of a block matrix to the power k >= 1, by binary
+    powering: O(n log k) work."""
+    power = None
+    while True:
+        if k & 1:
+            power = blocks if power is None else _mode_product(power, blocks)
+        k >>= 1
+        if not k:
+            return power
+        blocks = _mode_product(blocks, blocks)
+
+
+def _mode_apply(blocks: tuple, v: np.ndarray) -> np.ndarray:
+    """The block matrix applied to a stacked state v in the cosine basis."""
+    y, z = v.reshape(2, -1)
+    return np.concatenate([blocks[0] * y + blocks[1] * z, blocks[2] * y + blocks[3] * z])
+
+
 def _serial_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^T b, summed over chunks of rows small enough that each product runs
     on the calling thread (module docstring)."""
@@ -155,17 +176,14 @@ def _factor_and_basis(ops: StepOperators):
     if not ops.coeffs.constant:
         raise ValueError("the cosine-basis Gramian is built only for coefficients "
                          "constant in space and time")
-    n, m, dt, c = ops.grid.n_cells, ops.tgrid.n_steps, ops.tgrid.dt, ops.coeffs
+    n, m, dt = ops.grid.n_cells, ops.tgrid.n_steps, ops.tgrid.dt
     chi = ops.grid.omega_indicator
     window = np.flatnonzero(chi > 0.0)
-    basis, mu = _cosine_basis(n)
-    # the step's mode-j block is [[p, q], [r, s]], so B_j = [[s, -r], [-q, p]] / det
-    p = 1.0 + dt * mu - dt * c.a11[0, 0]
-    s = 1.0 + dt * ops.sigma * mu - dt * c.a22[0, 0]
-    q, r = -dt * c.a12[0, 0], -dt * c.a21[0, 0]
-    det = p * s - q * r
+    basis = _cosine_basis(n)[0]
+    # B_j is the transpose of the step's inverse block [[i0, i1], [i2, i3]];
     # e holds the first rows of B^1..B^K, power the blocks of B^K
-    power, done = (s / det, -r / det, -q / det, p / det), 1
+    i0, i1, i2, i3 = _mode_blocks(ops)
+    power, done = (i0, i2, i1, i3), 1
     e = np.empty((2, m, n))
     e[:, 0] = power[:2]
     while done < m:
@@ -307,11 +325,12 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
     """Compute the penalized terminal-nulling control for the system of ``ops``.
 
     Solves the normal equations (Lambda + eps I) pT = free(T) (module
-    docstring): not at all when free(T) = 0; directly when the coefficients
-    are constant; otherwise by conjugate residual on :func:`gramian_apply`,
-    preconditioned by the direct solve of ``reference``, a
-    constant-coefficient ``StepOperators`` on the same grids, which such a
-    field requires.  It then extracts the control
+    docstring): not at all when free(T) = 0; directly, and in the cosine
+    basis end to end, when the coefficients are constant
+    (:func:`_solve_in_modes`); otherwise by conjugate residual on
+    :func:`gramian_apply`, preconditioned by the direct solve of
+    ``reference``, a constant-coefficient ``StepOperators`` on the same
+    grids, which such a field requires.  It then extracts the control
     h^m = -phi^m on the window from the dual solve at pT, re-runs the
     controlled forward problem, and returns that trajectory with honest
     terminal norms from it, the free one in the same norm.
@@ -336,33 +355,79 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
             raise ValueError("reference coefficients must be constant in space and time")
         if reference.grid != ops.grid or reference.tgrid != ops.tgrid:
             raise ValueError("reference was built for a different grid")
+    if ops.coeffs.constant:
+        return _solve_in_modes(ops, y0, z0, config)
     free = solve_forward_linear(ops, None, y0, z0)
     b = free.u[-1]
     eps = config.epsilon
-
     if not np.any(b):
         # zero data need no solve, so they build no factor and apply nothing
-        p_terminal, iters, residuals, converged, monotone = (
-            np.zeros_like(b), 0, [0.0], True, True)
-    elif ops.coeffs.constant:
-        g, factor, basis, observation = _penalized_factor(ops, eps)
-        b_hat = _to_modes(b, basis)
+        p_terminal, history = np.zeros_like(b), (0, [0.0], True, True)
+    else:
+        p_terminal, *history = _conjugate_gradient(
+            lambda v: gramian_apply(ops, v) + eps * v, b, config.cg_tol,
+            config.cg_max_iters, _preconditioner(reference, eps))
+    dual = solve_adjoint(ops, p_terminal)
+    control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])
+    controlled = solve_forward_linear(ops, control, y0, z0)
+    return _result(config, control, controlled, p_terminal, history,
+                   duality_residual(control, controlled, dual),
+                   float(np.hypot(*free.terminal_norms())))
+
+
+def _solve_in_modes(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
+                    config: HumConfig) -> HumResult:
+    """:func:`hum_solve` of a field constant in space and time, in the cosine
+    basis end to end, with no step band built or solved.
+
+    With A^-1 the per-mode inverse step (:func:`~shadowctl.pde._mode_blocks`)
+    and B = A^-T the adjoint step, the free terminal state is
+    b = A^-M Q^T (y0; z0), from a binary power of the blocks.  The dual's
+    y-rows at nodes m = 0..M-1 are the first rows of B^(M-m) applied to pT,
+    E[0, M-1-m] * pT_y + E[1, M-1-m] * pT_z with the E of
+    :func:`_factor_and_basis`, so one product by C gives the control; its
+    state at node 0, which the duality residual reads, is B^M pT.  The
+    controlled march is :func:`~shadowctl.pde._march_in_modes`.
+    """
+    n, eps = ops.grid.n_cells, config.epsilon
+    basis = _cosine_basis(n)[0]
+    u0 = _to_modes(_initial_state(ops, None, y0, z0), basis)
+    power = _mode_power(_mode_blocks(ops), ops.tgrid.n_steps)   # A^-M
+    b_hat = _mode_apply(power, u0)
+    if not np.any(b_hat):
+        # zero data need no solve, so they build no factor and apply nothing
+        p_hat, history = np.zeros_like(b_hat), (0, [0.0], True, True)
+        phi = np.zeros((ops.tgrid.n_steps, n))
+    else:
+        g, factor, _, observation = _penalized_factor(ops, eps)
         p_hat = _penalized_solve(factor, b_hat)
         p_hat += _penalized_solve(factor, b_hat - eps * p_hat
                                   - _observed_gramian(observation, p_hat))
         residuals = [float(np.linalg.norm(b_hat)),
                      float(np.linalg.norm(g @ p_hat + eps * p_hat - b_hat))]
-        p_terminal, iters = _from_modes(p_hat, basis), 0
-        converged = residuals[1] <= config.cg_tol * residuals[0]
-        monotone = _non_increasing(residuals)
-    else:
-        p_terminal, iters, residuals, converged, monotone = _conjugate_gradient(
-            lambda v: gramian_apply(ops, v) + eps * v, b, config.cg_tol,
-            config.cg_max_iters, _preconditioner(reference, eps))
+        history = (0, residuals, residuals[1] <= config.cg_tol * residuals[0],
+                   _non_increasing(residuals))
+        e = observation[0]
+        phi = e[0, ::-1] * p_hat[:n]
+        phi += e[1, ::-1] * p_hat[n:]
+        _serial_product(phi, basis.T)
+    control = ControlField(ops.grid, ops.tgrid, -phi)
+    controlled = _march_in_modes(ops, control, y0, z0)
+    p_terminal = _from_modes(p_hat, basis)
+    p_initial = _from_modes(_mode_apply((power[0], power[2], power[1], power[3]), p_hat),
+                            basis)
+    return _result(config, control, controlled, p_terminal, history,
+                   _duality_defect(control, controlled, p_terminal, p_initial, phi),
+                   float(np.sqrt(ops.grid.spacing) * np.linalg.norm(b_hat)))
 
-    dual = solve_adjoint(ops, p_terminal)
-    control = ControlField(ops.grid, ops.tgrid, -dual.y[:-1])
-    controlled = solve_forward_linear(ops, control, y0, z0)
+
+def _result(config: HumConfig, control: ControlField, controlled: Trajectory,
+            p_terminal: np.ndarray, history, duality: float,
+            free_terminal_norm: float) -> HumResult:
+    """The :class:`HumResult` of a solve, its terminal norms read off the
+    controlled trajectory; ``history`` is (iterations, residuals, converged,
+    monotone)."""
+    iters, residuals, converged, monotone = history
     term_y, term_z = controlled.terminal_norms()
     return HumResult(
         control=control, trajectory=controlled, epsilon=config.epsilon,
@@ -370,8 +435,7 @@ def hum_solve(ops: StepOperators, y0: np.ndarray, z0: np.ndarray,
         adjoint_terminal=p_terminal,
         cg_iterations=iters, cg_residuals=tuple(residuals),
         cg_converged=converged, residual_monotone=monotone,
-        duality_residual=duality_residual(control, controlled, dual),
-        free_terminal_norm=float(np.hypot(*free.terminal_norms())),
+        duality_residual=duality, free_terminal_norm=free_terminal_norm,
     )
 
 
@@ -390,13 +454,22 @@ def duality_residual(control: ControlField, state: Trajectory,
     grid, tgrid = control.grid, control.tgrid
     if any(x.grid != grid or x.tgrid != tgrid for x in (state, dual)):
         raise ValueError("control, state and dual were built for a different grid")
+    return _duality_defect(control, state, dual.u[-1], dual.u[0], dual.y[:-1])
+
+
+def _duality_defect(control: ControlField, state: Trajectory, dual_terminal: np.ndarray,
+                    dual_initial: np.ndarray, dual_y: np.ndarray) -> float:
+    """:func:`duality_residual` of a dual given by its stacked states at
+    nodes M and 0 and its y-rows at nodes 0..M-1."""
+    grid, n = control.grid, control.grid.n_cells
     h_sp = grid.spacing
     chi = grid.omega_indicator
-    terminal = h_sp * (float(np.dot(state.y[-1], dual.y[-1]))
-                       + float(np.dot(state.z[-1], dual.z[-1])))
-    initial = h_sp * (float(np.dot(state.y[0], dual.y[0]))
-                      + float(np.dot(state.z[0], dual.z[0])))
-    pairing = tgrid.dt * h_sp * float(np.sum(chi[None, :] * control.values * dual.y[:-1]))
+    terminal = h_sp * (float(np.dot(state.y[-1], dual_terminal[:n]))
+                       + float(np.dot(state.z[-1], dual_terminal[n:])))
+    initial = h_sp * (float(np.dot(state.y[0], dual_initial[:n]))
+                      + float(np.dot(state.z[0], dual_initial[n:])))
+    pairing = (control.tgrid.dt * h_sp
+               * float(np.sum(chi[None, :] * control.values * dual_y)))
     scale = max(abs(terminal), abs(initial), abs(pairing), 1e-300)
     return abs(terminal - initial - pairing) / scale
 

@@ -6,14 +6,27 @@ The controlled system on Omega = (0, 1) with zero-flux boundaries is
     z_t - sigma lap z = g(y, z),
 
 together with its linearizations (frozen coefficient fields a_ij) and the
-backward-in-time dual system.  Every implicit Euler step is one solve with
-a banded LU factorization (:func:`_band_lu`: LAPACK dgbtrf per step matrix,
-two triangular band solves dtbtrs per step): pentadiagonal for the
-two-component step (see :class:`StepOperators`), which the linear, dual and
-semilinear marchers all take, and tridiagonal for the heat step of
-:class:`ShadowStepOperators`.  The dual march solves with the transpose on
-the same LU factors, so it applies the exact transpose of the forward
-one-step matrix and the discrete duality identity
+backward-in-time dual system.  An implicit Euler step takes one of two
+exact forms:
+
+* For coefficients constant in space and time, :func:`_march_in_modes`
+  steps each mode of the cosine basis of the Neumann Laplacian on its own:
+  the step is n independent 2 x 2 blocks, whose inverses
+  :func:`_mode_blocks` gives in a form finite at every sigma, the shadow
+  limit sigma = inf included.  The penalized solve of
+  :func:`~shadowctl.hum.hum_solve` and the linear-mode reduced model take
+  this march, and neither builds a step band.
+* Otherwise the step is one solve with a banded LU factorization
+  (:func:`_band_lu`: LAPACK dgbtrf per step matrix, two triangular band
+  solves dtbtrs per step): pentadiagonal for the two-component step (see
+  :class:`StepOperators`), which the linear, dual and semilinear marchers
+  all take, and tridiagonal for the heat step of
+  :class:`ShadowStepOperators`.  These marchers take constant fields too;
+  their digits fall as sigma grows, in proportion to sigma dt / h^2.
+
+The dual march solves with the transpose on the same LU factors, so it
+applies the exact transpose of the forward one-step matrix and the discrete
+duality identity
 
     <u(T), p(T)> = <u(0), p(0)> + dt sum_m <chi h^m, phi^m>
 
@@ -50,7 +63,8 @@ from functools import cached_property
 import numpy as np
 
 from ._lapack import dgbtrf, dtbtrs
-from .mesh import Grid1D, TimeGrid, _laplacian_stencil, mean_value, norm_l2
+from .mesh import (Grid1D, TimeGrid, _cosine_basis, _laplacian_stencil, mean_value,
+                   norm_l2)
 from .nonlinear import NonlinearityPair
 
 __all__ = [
@@ -60,6 +74,11 @@ __all__ = [
     "solve_forward_linear", "solve_adjoint", "solve_forward_semilinear",
     "energy_functional", "semigroup_checks",
 ]
+
+
+# OpenBLAS runs a product with m * n * k up to 64^3 on the calling thread
+# (:mod:`shadowctl.hum`'s docstring); from 2n = 726 on, chunks are single rows.
+_SERIAL_GEMM = 64**3
 
 
 def _checked(a, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -405,17 +424,25 @@ def _check_dual(ops: StepOperators | ShadowStepOperators) -> None:
                          "march; solve_adjoint and hum_solve take StepOperators")
 
 
+def _initial_state(ops: StepOperators | ShadowStepOperators,
+                   control: ControlField | None,
+                   y0: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """The stacked state (y0; z0) of a forward march of ``ops``, once the
+    data and the control's grids are checked."""
+    n = ops.grid.n_cells
+    state = np.concatenate([_checked(y0, (n,), "y0"), _checked(z0, (ops.size - n,), "z0")])
+    if control is not None and (control.grid != ops.grid or control.tgrid != ops.tgrid):
+        raise ValueError("control field was built for a different grid")
+    return state
+
+
 def _forward_march(ops: StepOperators | ShadowStepOperators,
                    control: ControlField | None,
                    y0: np.ndarray, z0: np.ndarray) -> np.ndarray:
     """Node array of a forward march of ``ops``, row 0 holding (y0; z0) in
     the solve order."""
-    n = ops.grid.n_cells
     u = np.empty((ops.tgrid.n_steps + 1, ops.size))
-    u[0, ops.y_entries] = _checked(y0, (n,), "y0")
-    u[0, ops.z_entries] = _checked(z0, (ops.size - n,), "z0")
-    if control is not None and (control.grid != ops.grid or control.tgrid != ops.tgrid):
-        raise ValueError("control field was built for a different grid")
+    u[0] = _initial_state(ops, control, y0, z0)[ops.order]
     return u
 
 
@@ -440,6 +467,95 @@ def solve_forward_linear(ops: StepOperators | ShadowStepOperators,
             row[y] += scaled[m]
         ops.solve(row, m)
     ops.restack(u)
+    return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
+
+
+def _serial_product(a: np.ndarray, b: np.ndarray) -> None:
+    """a <- a b for a square b, in chunks of rows small enough that each
+    product runs on the calling thread."""
+    rows = max(1, _SERIAL_GEMM // (a.shape[1] * b.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        a[i:i + rows] = a[i:i + rows] @ b
+
+
+def _mode_blocks(ops: StepOperators | ShadowStepOperators) -> tuple[np.ndarray, ...]:
+    """The inverse step of a field constant in space and time, per mode of
+    the cosine basis Q = diag(C, C) of :func:`~shadowctl.mesh._cosine_basis`.
+
+    In Q the step matrix is n independent 2 x 2 blocks [[p, q], [r, s]], one
+    per mode j, with p = 1 + dt mu_j - dt a11, q = -dt a12, r = -dt a21 and
+    s = 1 + dt sigma mu_j - dt a22.  Returns (i0, i1, i2, i3), arrays of
+    length n holding the inverse blocks [[i0, i1], [i2, i3]] in the
+    s-division form i0 = 1 / (p - q r / s), i1 = -(q / s) i0,
+    i2 = -(r / s) i0, i3 = (p / s) i0.  It is finite for every sigma: at
+    sigma = inf (:class:`ShadowStepOperators`) every mode j >= 1 has s = inf
+    and the block [[1 / p, 0], [0, 0]], and mode 0, where mu_0 = 0, keeps its
+    2 x 2 block, the bordered mean step.
+    """
+    n, dt, c = ops.grid.n_cells, ops.tgrid.dt, ops.coeffs
+    mu = _cosine_basis(n)[1]
+    fast = np.zeros(n)
+    with np.errstate(over="ignore"):
+        # mu_0 = 0, where 0 * inf would not be; an overflow to inf is the limit
+        fast[1:] = dt * ops.sigma * mu[1:]
+    p = 1.0 + dt * mu - dt * c.a11[0, 0]
+    s = 1.0 + fast - dt * c.a22[0, 0]
+    q, r = -dt * c.a12[0, 0], -dt * c.a21[0, 0]
+    i0 = 1.0 / (p - q * r / s)
+    return i0, -(q / s) * i0, -(r / s) * i0, (p / s) * i0
+
+
+def _march_in_modes(ops: StepOperators | ShadowStepOperators,
+                    control: ControlField | None,
+                    y0: np.ndarray, z0: np.ndarray) -> Trajectory:
+    """:func:`solve_forward_linear` for coefficients constant in space and
+    time (``ValueError`` otherwise), stepped per cosine mode.
+
+    The data and the control are taken to the cosine basis by one product
+    with C each, every step applies the inverse blocks of :func:`_mode_blocks`
+    to each mode, and one product takes the march array back.  No step band
+    is built or solved, and the step is exact at every sigma, including the
+    shadow limit: for :class:`ShadowStepOperators` the z-entry marched is the
+    mean mode's coordinate sqrt(n) xi, C's column 0 being 1 / sqrt(n), and
+    the z-modes j >= 1, which vanish at sigma = inf, are not stored.
+    """
+    if not ops.coeffs.constant:
+        raise ValueError("the per-mode march takes coefficients constant in "
+                         "space and time")
+    state = _initial_state(ops, control, y0, z0)
+    n, size, steps = ops.grid.n_cells, ops.size, ops.tgrid.n_steps
+    nz = size - n   # the z-modes stored: n, or the mean mode alone
+    basis = _cosine_basis(n)[0]
+    i0, i1, i2, i3 = _mode_blocks(ops)
+    u = np.empty((steps + 1, size))
+    # row m + 1 starts as step m's image of the source, A^-1 (dt C^T chi h^m; 0)
+    if control is None:
+        u[1:] = 0.0
+    else:
+        source = ops.tgrid.dt * (ops.grid.omega_indicator * control.values)
+        _serial_product(source, basis)
+        np.multiply(source, i0, out=u[1:, :n])
+        np.multiply(source[:, :nz], i2[:nz], out=u[1:, n:])
+    u[0, :n] = state[:n] @ basis
+    u[0, n:] = state[n:] @ basis if nz == n else np.sqrt(n) * state[n:]
+    # u^(m+1) += same * u^m + cross * u^m[partner]: the diagonal of each
+    # block, and its off-diagonal, which pairs y-mode j with z-mode j
+    same = np.concatenate([i0, i3[:nz]])
+    cross = np.concatenate([i1[:nz], np.zeros(n - nz), i2[:nz]])
+    partner = np.concatenate([np.arange(n, size), np.arange(nz, n), np.arange(nz)])
+    term = np.empty(size)
+    for m in range(steps):
+        row, following = u[m], u[m + 1]
+        np.multiply(same, row, out=term)
+        following += term
+        np.multiply(cross, row[partner], out=term)
+        following += term
+    if nz == n:
+        _serial_product(u.reshape(-1, n), basis.T)
+    else:
+        _serial_product(u[:, :n], basis.T)
+        u[:, n] /= np.sqrt(n)
+    u[0] = state   # the data themselves, not their round trip through C
     return Trajectory(ops.grid, ops.tgrid, ops.sigma, u)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shadowctl import pde
 from shadowctl.cli import _norm_history, main
 from shadowctl.io import read_fields_binary
 from shadowctl.mesh import Grid1D, TimeGrid
@@ -129,6 +130,35 @@ class TestCommands:
         assert len(rows_csv) == 3   # header + one row per sigma
         assert (out / "cost_vs_sigma.dat").exists()
         assert (out / "gap_vs_sigma.dat").exists()
+
+    @pytest.mark.parametrize("command", ["hum", "sweep", "shadow"])
+    def test_linear_mode_factors_no_step_band(self, cfg_file, tmp_path, monkeypatch,
+                                              command):
+        # constant fields are marched per cosine mode, the reduced one too
+        calls = []
+        band_lu = pde._band_lu
+
+        def counted(*args):
+            calls.append(None)
+            return band_lu(*args)
+
+        monkeypatch.setattr(pde, "_band_lu", counted)
+        assert run(cfg_file, tmp_path / command, command) == 0
+        assert calls == []
+
+    def test_hum_at_huge_sigma_reaches_the_shadow_limit(self, tmp_path):
+        # the banded free march once returned a non-finite state at 1e300,
+        # and the command exited 1 with "p_T contains non-finite values"
+        costs = {}
+        for sigma in ("1e12", "1e300"):
+            cfg = tmp_path / f"sigma{sigma}.cfg"
+            cfg.write_text(SMALL_CFG.replace("problem.sigma = 2", f"problem.sigma = {sigma}"))
+            out = tmp_path / sigma
+            assert run(cfg, out, "hum") == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["cg_converged"] and report["duality_residual"] <= 1e-13
+            costs[sigma] = report["control_cost"]
+        assert costs["1e300"] == pytest.approx(costs["1e12"], rel=1e-9)
 
     def test_weights_report(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "weights"

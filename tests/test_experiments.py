@@ -228,12 +228,14 @@ class TestSigmaSweep:
         assert len(rep.control_deltas) == 1
 
     def test_linear_mode_builds_the_cosine_basis_once(self, small_setup, pair):
-        # each row factors its own Gramian, but the basis depends only on
-        # the cell count, so the four rows share one build
+        # each row factors its own Gramian and marches per cosine mode, but
+        # the basis depends only on the cell count, so the four rows share
+        # one build
         grid, tgrid, y0, z0 = small_setup
         mesh._cosine_basis.cache_clear()
         sigma_sweep(grid, tgrid, (1.0, 4.0, 16.0, 64.0), pair, y0, z0, mode="linear")
-        assert mesh._cosine_basis.cache_info()[:2] == (3, 1)   # hits, misses
+        hits, misses = mesh._cosine_basis.cache_info()[:2]
+        assert misses == 1 and hits >= 3
 
     def test_semilinear_mode_gap_decays(self, small_setup, pair):
         grid, tgrid, y0, z0 = small_setup

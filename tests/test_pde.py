@@ -700,6 +700,93 @@ class TestShadow:
             _reduced_march(grid, tgrid, pair, None, np.zeros(20), [0.0])
 
 
+def _mode_problem(sigma, a=(0.5, 1.0, 1.0, -0.5)):
+    """The per-mode march's ops, a random control and data: n = 24, M = 30."""
+    grid = Grid1D(n_cells=24, omega_a=0.3, omega_b=0.7)
+    tgrid = TimeGrid(horizon=0.3, n_steps=30)
+    coeffs = constant_coefficients(grid, tgrid, *a)
+    ops = (ShadowStepOperators(coeffs) if sigma == np.inf
+           else StepOperators(sigma, coeffs))
+    rng = np.random.default_rng(21)
+    control = ControlField(grid, tgrid, rng.standard_normal((30, 24)))
+    return ops, control, np.cos(np.pi * grid.cell_centers), rng.standard_normal(ops.size - 24)
+
+
+class TestPerModeMarch:
+    @pytest.mark.parametrize("sigma", [1.0, 1e3, 1e300, np.inf])
+    def test_blocks_invert_the_step(self, sigma):
+        ops, *_ = _mode_problem(sigma)
+        dt, mu = ops.tgrid.dt, pde._cosine_basis(24)[1]
+        i0, i1, i2, i3 = pde._mode_blocks(ops)
+        assert all(np.all(np.isfinite(b)) for b in (i0, i1, i2, i3))
+        p = 1.0 + dt * mu - dt * 0.5
+        q, r = -dt * 1.0, -dt * 1.0
+        if sigma == np.inf:
+            # the limit blocks [[1 / p, 0], [0, 0]], and mode 0's bordered step
+            assert np.array_equal(i0[1:], 1.0 / p[1:])
+            assert not np.any(i1[1:]) and not np.any(i2[1:]) and not np.any(i3[1:])
+            s = np.full(24, 1.0 + dt * 0.5)
+        else:
+            s = 1.0 + dt * sigma * mu + dt * 0.5
+        modes = slice(None) if sigma < 1e100 else slice(0, 1)
+        for j in np.arange(24)[modes]:
+            step = np.array([[p[j], q], [r, s[j]]])
+            inverse = np.array([[i0[j], i1[j]], [i2[j], i3[j]]])
+            assert np.abs(step @ inverse - np.eye(2)).max() <= 4e-16
+
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 1e3, 1e5])
+    def test_matches_the_banded_march(self, sigma):
+        # within the banded march's own error, which grows like sigma dt / h^2
+        ops, control, y0, z0 = _mode_problem(sigma)
+        got = pde._march_in_modes(ops, control, y0, z0)
+        want = solve_forward_linear(ops, control, y0, z0)
+        assert got.sigma == sigma and got.u.shape == want.u.shape
+        assert np.array_equal(got.u[0], want.u[0])
+        stiffness = max(1.0, sigma * ops.tgrid.dt / ops.grid.spacing**2)
+        err = np.abs(got.u - want.u).max() / np.abs(want.u).max()
+        assert err <= 10.0 * np.finfo(float).eps * stiffness   # measured 1.2 at most
+
+    @pytest.mark.parametrize("a", [(0.5, 1.0, 1.0, -0.5), (1.0, 2.0, -2.0, 0.5)])
+    def test_shadow_limit_matches_the_bordered_march(self, a):
+        # sigma = inf per mode is exact: the march of the mean-mode coordinate
+        # sqrt(n) xi is the bordered step of ShadowStepOperators
+        ops, control, y0, xi0 = _mode_problem(np.inf, a)
+        got = pde._march_in_modes(ops, control, y0, xi0)
+        want = solve_forward_linear(ops, control, y0, xi0)
+        assert got.sigma == np.inf and got.u.shape == (31, 25)
+        for part in (np.s_[:, :24], np.s_[:, 24]):
+            assert (np.abs(got.u[part] - want.u[part]).max()
+                    <= 1e-13 * np.abs(want.u[part]).max())
+
+    def test_large_sigma_reaches_the_shadow_limit(self):
+        # at sigma = 1e300 the full per-mode march is the reduced one: z is
+        # the constant field xi from the first step on
+        full, control, y0, _ = _mode_problem(1e300)
+        reduced = ShadowStepOperators(full.coeffs)
+        z0 = np.linspace(-1.0, 1.0, 24)
+        got = pde._march_in_modes(full, control, y0, z0)
+        want = pde._march_in_modes(reduced, control, y0, [mean_value(full.grid, z0)])
+        assert np.abs(got.y - want.y).max() <= 1e-13 * np.abs(want.y).max()
+        assert np.abs(got.z[1:] - want.z[1:]).max() <= 1e-13 * np.abs(want.z).max()
+
+    def test_refuses_a_field_that_is_not_constant(self):
+        grid, tgrid, coeffs, _ = _step_case(8, "varying", 3)
+        with pytest.raises(ValueError, match="constant"):
+            pde._march_in_modes(StepOperators(2.0, coeffs), None, np.zeros(8), np.zeros(8))
+
+    @pytest.mark.parametrize("sigma", [2.0, np.inf])
+    def test_rejects_bad_data_like_the_banded_march(self, sigma):
+        ops, control, y0, z0 = _mode_problem(sigma)
+        for args, match in (((control, y0[:-1], z0), "y0"),
+                            ((control, y0, np.append(z0, np.nan)), "z0"),
+                            ((ControlField(Grid1D(n_cells=24, omega_a=0.2), ops.tgrid,
+                                           np.zeros((30, 24))), y0, z0), "different grid")):
+            with pytest.raises(ValueError, match=match):
+                pde._march_in_modes(ops, *args)
+            with pytest.raises(ValueError, match=match):
+                solve_forward_linear(ops, *args)
+
+
 class TestControlField:
     def test_support_confined_to_window(self):
         grid = Grid1D(n_cells=10, omega_a=0.3, omega_b=0.7)
