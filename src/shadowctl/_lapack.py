@@ -1,13 +1,16 @@
-"""The four LAPACK routines the solvers call, loaded without ``scipy.linalg``.
+"""The two LAPACK routines of the banded step, loaded without ``scipy.linalg``.
 
 ``pde`` factors each banded step matrix with ``dgbtrf`` and takes each step
 as two triangular band solves with ``dtbtrs``, which runs a triangle in one
-``dtbsv`` call where ``dgbtrs`` makes one BLAS call per column, and ``hum``
-factors the penalized Gramian with the packed Cholesky ``dpptrf`` and solves
-with it by ``dpptrs``.  ``import scipy.linalg.lapack`` would run the whole
-``scipy.linalg`` package, and with it ``scipy._lib`` and ``numpy.f2py``,
-which takes longer than most commands compute.  This module loads only the
-f2py extension that holds the routines,
+``dtbsv`` call where ``dgbtrs`` makes one BLAS call per column.  Nothing
+else in the package calls scipy, so ``pde`` imports this module at its
+first band factorization: a command that builds no step band (``hum`` and the
+linear-mode ``shadow`` and ``sweep``, which solve in the cosine basis, and
+``weights`` and ``check-hypotheses``) never loads scipy, nor the second copy
+of OpenBLAS that scipy links.  ``import scipy.linalg.lapack`` would run the
+whole ``scipy.linalg`` package, and with it ``scipy._lib`` and
+``numpy.f2py``, which takes longer than most commands compute.  This module
+loads only the f2py extension that holds the routines,
 ``scipy/linalg/_flapack<EXT_SUFFIX>``, under its own module name, so a later
 ``import scipy.linalg`` reuses it and the routines are the same objects.
 
@@ -23,7 +26,7 @@ from pathlib import Path
 
 
 def _load(path: Path):
-    """``dgbtrf, dtbtrs, dpptrf, dpptrs`` from the extension at ``path``.
+    """``dgbtrf, dtbtrs`` from the extension at ``path``.
 
     Falls back to ``scipy.linalg.lapack`` when ``path`` cannot be loaded.
     """
@@ -36,9 +39,9 @@ def _load(path: Path):
         spec.loader.exec_module(lib)
     except ImportError:
         from scipy.linalg import lapack as lib
-    return lib.dgbtrf, lib.dtbtrs, lib.dpptrf, lib.dpptrs
+    return lib.dgbtrf, lib.dtbtrs
 
 
 _scipy = importlib.util.find_spec("scipy")
-dgbtrf, dtbtrs, dpptrf, dpptrs = _load(Path(
+dgbtrf, dtbtrs = _load(Path(
     _scipy.submodule_search_locations[0], "linalg", "_flapack" + EXTENSION_SUFFIXES[0]))

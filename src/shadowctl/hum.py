@@ -25,12 +25,14 @@ and time:
   such a field is n independent 2 x 2 blocks
   (:func:`~shadowctl.pde._mode_blocks`), and G = Q^T Lambda Q is assembled
   from the adjoint blocks' powers with no step solve
-  (:func:`_factor_and_basis`).  G + eps I gets one packed Cholesky factor
-  per penalty (``dpptrf``); both are cached per ``StepOperators``.  G holds
-  (2n)^2 doubles and its factor half that.
+  (:func:`_factor_and_basis`).  G + eps I gets one blocked Cholesky factor
+  per penalty (:func:`_block_cholesky`); both are cached per
+  ``StepOperators``.  G holds (2n)^2 doubles and its factor about half
+  that, plus the inverses of its diagonal blocks.
 * A constant field is solved in that basis end to end, with no banded
   march (:func:`_solve_in_modes`): the free terminal state is a binary
-  power of the blocks, pT one ``dpptrs`` solve and one step of refinement
+  power of the blocks, pT one blocked forward and back substitution
+  (:func:`_penalized_solve`) and one step of refinement
   with the residual taken through the observation, never through G, whose
   rounding costs small penalties up to two digits of pT (corrected
   semi-normal equations: A. Bjorck, Linear Algebra Appl. 88/89, 1987), the
@@ -46,12 +48,21 @@ and time:
 A solve whose data are zero builds and applies nothing.
 
 Building and solving with G keeps every BLAS and LAPACK call on the calling
-thread: ``dpptrf`` and ``dpptrs`` are level 2, which OpenBLAS never threads,
-and products are split into chunks of at most ``_SERIAL_GEMM`` multiply-adds.
-A threaded call leaves OpenBLAS's pool spinning, taking a core from what runs
-next on a 2-core host: on 2 vCPUs an unsplit 200^3 product (7 ms; 1.5 ms in
-chunks) and ``dpotrf`` of order 200 (250 ms; ``dpptrf`` 0.4 ms) each left
-about 120 ms of CPU spinning in the 0.3 s after it.
+thread.  Products are split into chunks of at most ``_SERIAL_GEMM``
+multiply-adds (:func:`_serial_gram`).  The factor hands
+``np.linalg.cholesky`` and ``np.linalg.inv`` diagonal blocks of
+``_CHOLESKY_BLOCK`` = 32 rows or fewer, below the limit of 96: numpy's
+OpenBLAS keeps ``dpotrf`` on the calling thread up to 127 rows and the
+inverse (``dgesv``) up to 99.  The substitutions are matrix-vector products
+(``dgemv``), which stayed on the calling thread at every size measured, up
+to 96 x 2000 and 200 x 200.  A threaded call leaves OpenBLAS's pool
+spinning, taking a core from what runs next on a 2-core host: on 2 vCPUs an
+unsplit 200^3 product (7 ms; 1.5 ms in chunks) left about 120 ms of CPU
+spinning in the 0.3 s after it, and ``cholesky`` of order 128 and ``inv`` of
+order 100 each left 134 ms, against 0.1 ms at 127 and 99 rows.  Within the
+limit, smaller blocks factor faster, as ``inv`` costs more per row as its
+order grows: at 2n = 200 and 320 the factor took 0.47 and 1.0 ms in blocks
+of 32 rows, against 0.68 and 1.6 ms in blocks of 96.
 """
 
 from __future__ import annotations
@@ -60,7 +71,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dpptrf, dpptrs
 from .mesh import _cosine_basis
 from .pde import (_SERIAL_GEMM, ControlField, StepOperators, Trajectory, _check_dual,
                   _initial_state, _march_in_modes, _mode_blocks, _serial_product,
@@ -70,6 +80,13 @@ __all__ = [
     "HumConfig", "HumResult", "EpsilonRow", "EpsilonSweepReport",
     "gramian_apply", "hum_solve", "duality_residual", "epsilon_sweep",
 ]
+
+# the rows of a diagonal block of the Cholesky factor: at most 96 keep it on
+# the calling thread (module docstring), and 32 factored fastest
+_CHOLESKY_BLOCK = 32
+# the fewest rows a chunk of _serial_gram holds
+_GRAM_ROWS = 8
+
 
 @dataclass(frozen=True)
 class HumConfig:
@@ -155,9 +172,20 @@ def _mode_apply(blocks: tuple, v: np.ndarray) -> np.ndarray:
 
 def _serial_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^T b, summed over chunks of rows small enough that each product runs
-    on the calling thread (module docstring)."""
-    rows = max(1, _SERIAL_GEMM // (a.shape[1] * b.shape[1]))
-    return sum(a[i:i + rows].T @ b[i:i + rows] for i in range(0, a.shape[0], rows))
+    on the calling thread (module docstring).  A product so wide that a
+    chunk would hold fewer than ``_GRAM_ROWS`` rows is taken in tiles of b's
+    columns instead: single-row chunks are outer products, which run at
+    memory speed (at 2n = 2000, one core of a 2-vCPU Intel Xeon built the
+    Gramian in 2.6 s that way and in 0.18 s in tiles)."""
+    width = max(1, _SERIAL_GEMM // (a.shape[1] * _GRAM_ROWS))
+    if b.shape[1] > width:
+        return np.concatenate([_serial_gram(a, b[:, j:j + width])
+                               for j in range(0, b.shape[1], width)], axis=1)
+    rows = max(1, _SERIAL_GEMM // max(1, a.shape[1] * b.shape[1]))
+    gram = a[:rows].T @ b[:rows]
+    for i in range(rows, a.shape[0], rows):
+        gram += a[i:i + rows].T @ b[i:i + rows]
+    return gram
 
 
 def _factor_and_basis(ops: StepOperators):
@@ -214,31 +242,62 @@ def _cached(ops: StepOperators, key, build):
     return ops.cache[key]
 
 
+def _block_cholesky(a: np.ndarray) -> tuple:
+    """The upper Cholesky factor U of a symmetric positive definite ``a``,
+    U^T U = a, by block rows of at most ``_CHOLESKY_BLOCK``; ``a`` is
+    overwritten, and ``np.linalg.LinAlgError`` raised when a block is not
+    positive definite.
+
+    Block row k (rows start:stop) is held as (start, stop, L^-1, P): L the
+    lower Cholesky factor of its diagonal block, U[k, k] = L^T, and P =
+    U[k, stop:], the panel right of it.  Left-looking: the block row takes
+    the Schur update of the rows above it, a[k, start:] - U[:start, k]^T
+    U[:start, start:], then L and L^-1 from its diagonal block, then P =
+    L^-1 a[k, stop:].  The panels hold fewer numbers than U's upper
+    triangle, and the inverses at most 32 per row of ``a``.
+    """
+    size = a.shape[0]
+    count = -(-size // _CHOLESKY_BLOCK)
+    bounds = [size * k // count for k in range(count + 1)]
+    factor = []
+    for start, stop in zip(bounds, bounds[1:]):
+        if start:
+            a[start:stop, start:] -= _serial_gram(a[:start, start:stop], a[:start, start:])
+        inverse = np.linalg.inv(np.linalg.cholesky(a[start:stop, start:stop]))
+        panel = a[start:stop, stop:] = _serial_gram(inverse.T, a[start:stop, stop:])
+        factor.append((start, stop, inverse, panel))
+    return tuple(factor)
+
+
 def _penalized_factor(ops: StepOperators, epsilon: float):
     """(G, U, C, (E, W)): :func:`_factor_and_basis` of ``ops`` with U, the
-    upper Cholesky factor of G + eps I packed by columns (``dpptrf``);
+    upper Cholesky factor of G + eps I by block rows (:func:`_block_cholesky`);
     ``ValueError`` when a penalty below about 2.2e-16 max|G| leaves it indefinite."""
     g, basis, observation = _cached(ops, "factor", lambda: _factor_and_basis(ops))
 
     def cholesky():
-        size = g.shape[0]
-        # G's lower triangle by rows is its upper one by columns
-        packed = g[np.tri(size, dtype=bool)]
-        diagonal = np.arange(size)
-        packed[diagonal * (diagonal + 3) // 2] += epsilon
-        packed, info = dpptrf(size, packed, overwrite_ap=True)
-        if info != 0:
+        penalized = g.copy()
+        penalized.flat[::g.shape[0] + 1] += epsilon
+        try:
+            return _block_cholesky(penalized)
+        except np.linalg.LinAlgError:
             floor = np.finfo(float).eps * g.diagonal().max()
             raise ValueError(f"epsilon = {epsilon:.3g} is below the round-off floor of "
-                             f"the Gramian, about {floor:.3g} (dpptrf info = {info})")
-        return packed
+                             f"the Gramian, about {floor:.3g}") from None
 
     return g, _cached(ops, ("cholesky", epsilon), cholesky), basis, observation
 
 
-def _penalized_solve(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(G + eps I)^-1 v = U^-1 U^-T v, by LAPACK ``dpptrs``."""
-    return dpptrs(v.size, factor, v)[0]
+def _penalized_solve(factor: tuple, v: np.ndarray) -> np.ndarray:
+    """(G + eps I)^-1 v = U^-1 U^-T v, by forward and back substitution over
+    the block rows of U (:func:`_block_cholesky`)."""
+    x = v.copy()
+    for start, stop, inverse, panel in factor:
+        x[start:stop] = inverse @ x[start:stop]
+        x[stop:] -= x[start:stop] @ panel
+    for start, stop, inverse, panel in reversed(factor):
+        x[start:stop] = (x[start:stop] - panel @ x[stop:]) @ inverse
+    return x
 
 
 def _to_modes(v: np.ndarray, basis: np.ndarray) -> np.ndarray:

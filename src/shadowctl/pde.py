@@ -18,7 +18,8 @@ exact forms:
   this march, and neither builds a step band.
 * Otherwise the step is one solve with a banded LU factorization
   (:func:`_band_lu`: LAPACK dgbtrf per step matrix, two triangular band
-  solves dtbtrs per step): pentadiagonal for the two-component step (see
+  solves dtbtrs per step, both from scipy, which the first such
+  factorization loads): pentadiagonal for the two-component step (see
   :class:`StepOperators`), which the linear, dual and semilinear marchers
   all take, and tridiagonal for the heat step of
   :class:`ShadowStepOperators`.  These marchers take constant fields too;
@@ -58,11 +59,10 @@ fields carry one slice per step, shape (n_steps, n_cells), slice m acting on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from ._lapack import dgbtrf, dtbtrs
 from .mesh import (Grid1D, TimeGrid, _cosine_basis, _laplacian_stencil, mean_value,
                    norm_l2)
 from .nonlinear import NonlinearityPair
@@ -77,7 +77,7 @@ __all__ = [
 
 
 # OpenBLAS runs a product with m * n * k up to 64^3 on the calling thread
-# (:mod:`shadowctl.hum`'s docstring); from 2n = 726 on, chunks are single rows.
+# (:mod:`shadowctl.hum`'s docstring).
 _SERIAL_GEMM = 64**3
 
 
@@ -201,6 +201,16 @@ class Trajectory:
         return norm_l2(self.grid, self.y[-1]), norm_l2(self.grid, self.z[-1])
 
 
+@cache
+def _band_routines():
+    """(``dgbtrf``, ``dtbtrs``), scipy's, imported at the first band
+    factorization, so that a command which builds no step band never loads
+    scipy (:mod:`shadowctl._lapack`).  Cached: an import statement in
+    :func:`_band_lu` added 2-7 us to each factorization's 12 us."""
+    from ._lapack import dgbtrf, dtbtrs
+    return dgbtrf, dtbtrs
+
+
 def _band_lu(ab: np.ndarray, k: int):
     """LU-factorize a band matrix with k sub- and superdiagonals, stored as
     ``dgbtrf`` takes it: a Fortran-ordered (3k + 1)-row array whose row
@@ -223,6 +233,7 @@ def _band_lu(ab: np.ndarray, k: int):
     swaps a row; a factorization that pivots raises ``RuntimeError``.  Only
     the two triangles' bands are kept.
     """
+    dgbtrf, dtbtrs = _band_routines()
     lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"band LU failed: dgbtrf returned info = {info}")

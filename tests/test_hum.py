@@ -243,13 +243,15 @@ class _RecordedProducts(np.ndarray):
 
 
 class TestSerialGram:
-    @pytest.mark.parametrize("rows, cols_a, cols_b", [
-        (200, 300, 300),  # two rows a chunk, 100 chunks
-        (40, 30, 50),  # one chunk
-        (5, 600, 600),  # 600^2 > 64^3: single rows
-    ])
+    @pytest.mark.parametrize("rows, cols_a, cols_b, products", [
+        (200, 100, 100, 8),  # 26 rows a chunk: the Gramian at n = 100
+        (40, 30, 50, 1),  # one chunk
+        # tiles of 109 columns in chunks of 8 rows, and one of 82 in 10s
+        (200, 300, 300, 25 + 25 + 20),
+        (5, 600, 600, 12),  # 600^2 > 64^3: 12 tiles of b, one chunk each
+    ], ids=["200-100-100", "40-30-50", "200-300-300", "5-600-600"])
     def test_chunked_product_equals_the_gram_product(self, rows, cols_a, cols_b,
-                                                     monkeypatch):
+                                                     products, monkeypatch):
         rng = np.random.default_rng(rows)
         a, b = rng.standard_normal((rows, cols_a)), rng.standard_normal((rows, cols_b))
         monkeypatch.setattr(_RecordedProducts, "shapes", [])
@@ -259,12 +261,12 @@ class TestSerialGram:
         assert type(got) is np.ndarray
         assert np.all(np.abs(got - a.T @ b) <= bound)
         chunks = _RecordedProducts.shapes
-        assert sum(shape_a[1] for shape_a, _ in chunks) == rows
+        assert len(chunks) == products
+        # the chunks cover a^T b once: every row of it, rows x cols_b in all
+        assert sum(k * n for (_, k), (_, n) in chunks) == rows * cols_b
         for (m, k), (k_b, n) in chunks:
-            assert (m, n, k_b) == (cols_a, cols_b, k)
-            assert k == 1 or m * n * k <= hum._SERIAL_GEMM
-        if cols_a * cols_b > hum._SERIAL_GEMM:
-            assert len(chunks) == rows
+            assert m == cols_a and k == k_b
+            assert m * n * k <= hum._SERIAL_GEMM
 
 
 class TestHumSolve:
@@ -458,6 +460,25 @@ def _default_problem(sigma):
     return ops, 0.1 * np.cos(np.pi * x), np.full(100, 0.1)
 
 
+def _upper_factor(factor: tuple, size: int) -> np.ndarray:
+    """U, U^T U = G + eps I, from the block rows of hum._block_cholesky: each
+    diagonal block from its stored inverse, which at these sizes rounds
+    L^-1 back to L at about 1e-16 relative."""
+    u = np.zeros((size, size))
+    for start, stop, inverse, panel in factor:
+        u[start:stop, start:stop] = np.linalg.inv(inverse).T
+        u[start:stop, stop:] = panel
+    return u
+
+
+def _recorded(calls: list, name: str, function):
+    """``function``, recording its name and its first argument's shape."""
+    def record(a, *args, **kwargs):
+        calls.append((name, np.shape(a)))
+        return function(a, *args, **kwargs)
+    return record
+
+
 class TestDirectSolve:
     @pytest.mark.parametrize("sigma", [1.0, 1000.0])
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])
@@ -494,15 +515,44 @@ class TestDirectSolve:
     def test_penalty_fold_is_a_cholesky_factor(self, small_problem):
         grid, tgrid, coeffs, _, _ = small_problem
         ops = StepOperators(1.0, coeffs)
-        g, packed, _, _ = hum._penalized_factor(ops, 1e-4)
-        # the upper triangle packed by columns
-        u = np.zeros((40, 40))
-        u.T[np.tril_indices(40)] = packed
+        g, factor, _, _ = hum._penalized_factor(ops, 1e-4)
+        u = _upper_factor(factor, 40)
         gram = g + 1e-4 * np.eye(40)
         assert np.linalg.norm(u.T @ u - gram) <= 1e-14 * np.linalg.norm(gram)
         # one Gramian per ops, one factor per penalty, each built once
-        assert hum._penalized_factor(ops, 1e-4)[1] is packed
+        assert hum._penalized_factor(ops, 1e-4)[1] is factor
         assert hum._penalized_factor(ops, 1e-6)[0] is g
+
+    @pytest.mark.parametrize("n", [20, 64, 100, 160])
+    def test_factor_keeps_blas_on_the_calling_thread(self, n, monkeypatch):
+        # np.linalg sees blocks of at most 96 rows, the most that numpy's
+        # OpenBLAS factors and inverts on the calling thread, and every
+        # product is one of _serial_gram's chunks (hum's module docstring)
+        grid = Grid1D(n_cells=n, omega_a=0.3, omega_b=0.7)
+        tgrid = TimeGrid(horizon=0.2, n_steps=10)
+        ops = StepOperators(1.0, constant_coefficients(grid, tgrid, 0.0, 0.0, 1.0, 0.0))
+        g = hum._penalized_factor(ops, 1e-2)[0]   # the Gramian, built unrecorded
+        calls = []
+        for name in np.linalg.__all__:
+            function = getattr(np.linalg, name)
+            if callable(function) and not isinstance(function, type):
+                monkeypatch.setattr(np.linalg, name, _recorded(calls, name, function))
+        gram = hum._serial_gram
+        monkeypatch.setattr(_RecordedProducts, "shapes", [])
+        monkeypatch.setattr(hum, "_serial_gram",
+                            lambda a, b: gram(np.asarray(a).view(_RecordedProducts), b))
+        factor = hum._penalized_factor(ops, 1e-3)[1]
+        blocks = -(-2 * n // hum._CHOLESKY_BLOCK)
+        assert len(factor) == blocks
+        assert sorted(name for name, _ in calls) == ["cholesky"] * blocks + ["inv"] * blocks
+        assert all(shape[0] <= 96 for _, shape in calls)
+        products = _RecordedProducts.shapes
+        assert len(products) >= 2 * (blocks - 1)
+        for (m, k), (k_b, cols) in products:
+            assert k == k_b and m * cols * k <= hum._SERIAL_GEMM
+        u = _upper_factor(factor, 2 * n)
+        penalized = g + 1e-3 * np.eye(2 * n)
+        assert np.linalg.norm(u.T @ u - penalized) <= 1e-14 * np.linalg.norm(penalized)
 
     def test_observation_applies_the_gramian(self, small_problem):
         # the refinement's residual goes through the observation (E, W)

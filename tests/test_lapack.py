@@ -1,6 +1,7 @@
-"""The solvers' LAPACK routines come from scipy's extension alone.
+"""The banded step's LAPACK routines come from scipy's extension alone, and
+only a command that builds a step band loads it.
 
-Each start-up check runs in a fresh interpreter: what a command imports can
+Each import check runs in a fresh interpreter: what a command imports can
 only be seen in a process that has imported nothing else.
 """
 
@@ -11,11 +12,12 @@ from pathlib import Path
 import pytest
 from scipy.linalg import lapack
 
-from shadowctl import _lapack, hum, pde
+from shadowctl import _lapack, pde
 
 # what `import scipy.linalg.lapack` would bring in, and scipy.fft, which the
-# cosine basis of the Gramian factor does without; the extension
-# scipy.linalg._flapack is expected to be loaded, so names match exactly
+# cosine basis of the Gramian factor does without; a command that builds a
+# step band is expected to load the extension scipy.linalg._flapack, so
+# names match exactly
 LEFT_OUT = ("scipy.linalg", "scipy._lib", "numpy.f2py", "scipy.sparse", "scipy.fft")
 
 NUMBER_WORDS = ("no", "one", "two", "three", "four", "five", "six")
@@ -40,39 +42,52 @@ for command in {commands!r}:
 """
 
 
-def test_cli_import_loads_only_the_lapack_extension(fresh_python):
+def scipy_modules(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.split(".")[0] == "scipy"}
+
+
+def run_commands(fresh_python, tmp_path, commands) -> set[str]:
+    """The modules loaded after running ``commands`` on TINY_CFG in one
+    fresh interpreter."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    return loaded(fresh_python(RUN_COMMANDS.format(commands=commands) + PRINT_LOADED,
+                               str(cfg), str(tmp_path / "out")))
+
+
+def test_cli_import_loads_no_scipy(fresh_python):
     modules = loaded(fresh_python("import shadowctl.cli; " + PRINT_LOADED))
-    assert modules.isdisjoint(LEFT_OUT)
-    assert "scipy.linalg._flapack" in modules
+    assert scipy_modules(modules) == set()
 
 
 @pytest.mark.parametrize("commands", [["hum"],
-                                      ["semilinear", "shadow", "sweep",
-                                       "weights", "check-hypotheses",
-                                       "selftest"]])
+                                      ["shadow", "sweep", "weights",
+                                       "check-hypotheses"]])
 def test_commands_import_no_scipy_later(fresh_python, tmp_path, commands):
-    # the import cost must not move from start-up into the first command
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_CFG)
-    modules = loaded(fresh_python(
-        RUN_COMMANDS.format(commands=commands) + PRINT_LOADED,
-        str(cfg), str(tmp_path / "out")))
+    # TINY_CFG is linear mode: every field is constant and solved in the
+    # cosine basis, so these commands build no step band
+    assert scipy_modules(run_commands(fresh_python, tmp_path, commands)) == set()
+
+
+@pytest.mark.parametrize("command", ["semilinear", "selftest"])
+def test_banded_commands_load_only_the_lapack_extension(fresh_python, tmp_path,
+                                                        command):
+    modules = run_commands(fresh_python, tmp_path, [command])
+    assert "scipy.linalg._flapack" in modules
     assert modules.isdisjoint(LEFT_OUT)
 
 
-@pytest.mark.parametrize("imports", ["shadowctl, scipy.linalg",
-                                     "scipy.linalg, shadowctl"])
+@pytest.mark.parametrize("imports", ["shadowctl._lapack, scipy.linalg",
+                                     "scipy.linalg, shadowctl._lapack"])
 def test_routines_are_scipy_linalg_lapack_objects(fresh_python, imports):
     out = fresh_python(
         f"import sys, {imports}\n"
         "from scipy.linalg import lapack\n"
-        "from shadowctl import _lapack, hum, pde\n"
-        "print([_lapack.dgbtrf is lapack.dgbtrf is pde.dgbtrf,\n"
-        "       _lapack.dtbtrs is lapack.dtbtrs is pde.dtbtrs,\n"
-        "       _lapack.dpptrf is lapack.dpptrf is hum.dpptrf,\n"
-        "       _lapack.dpptrs is lapack.dpptrs is hum.dpptrs,\n"
+        "from shadowctl import _lapack\n"
+        "print([_lapack.dgbtrf is lapack.dgbtrf,\n"
+        "       _lapack.dtbtrs is lapack.dtbtrs,\n"
         "       sys.modules['scipy.linalg._flapack'] is lapack._flapack])")
-    assert out.strip() == "[True, True, True, True, True]"
+    assert out.strip() == "[True, True, True]"
 
 
 @pytest.mark.parametrize("name, content", [
@@ -86,12 +101,12 @@ def test_unloadable_extension_falls_back_to_scipy_linalg(tmp_path, name,
     if content is not None:
         path.write_bytes(content)
     routines = _lapack._load(path)
-    expected = (lapack.dgbtrf, lapack.dtbtrs, lapack.dpptrf, lapack.dpptrs)
+    expected = (lapack.dgbtrf, lapack.dtbtrs)
     assert all(a is b for a, b in zip(routines, expected, strict=True))
 
 
 def test_readme_install_names_every_routine(tmp_path):
-    # the Install paragraph counts and names the routines start-up loads
+    # the Install paragraph counts and names the routines the banded step loads
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     install = readme.split("\n## Install\n", 1)[1].split("\n## ", 1)[0]
     paragraph = " ".join(install.split("```", 1)[0].split())
@@ -102,11 +117,11 @@ def test_readme_install_names_every_routine(tmp_path):
 
 
 def test_every_loaded_routine_is_imported_by_a_solver(tmp_path):
-    # a routine that neither solver imports is a dead load at every start-up
+    # a routine that the band LU does not import is a dead load
     loaded = {name: value for name, value in vars(_lapack).items()
               if type(value).__name__ == "fortran"}
     assert set(loaded) == {r.__name__.split()[-1]
                            for r in _lapack._load(tmp_path / "missing")}
-    for name, routine in loaded.items():
-        assert any(getattr(solver, name, None) is routine
-                   for solver in (pde, hum)), name
+    imported = pde._band_routines()
+    assert len(imported) == len(loaded)
+    assert all(any(r is routine for r in imported) for routine in loaded.values())

@@ -378,3 +378,36 @@ class TestFixedPointConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FixedPointConfig(**kwargs)
+
+
+class _RecordedDots(np.ndarray):
+    """An array whose products record the shapes of their operands."""
+
+    shapes = []
+
+    def __matmul__(self, other):
+        _RecordedDots.shapes.append((self.shape, other.shape))
+        return np.asarray(self) @ np.asarray(other)
+
+
+class TestSerialDot:
+    @pytest.mark.parametrize("shape", [
+        (81, 128),  # the README march array: 10,368 entries, two chunks
+        (64, 128),  # exactly one chunk
+        (3, 5),
+        (3, 8193),  # 24,579 entries: four chunks, the last of 3
+    ])
+    def test_chunked_dot_equals_the_dot(self, shape, monkeypatch):
+        rng = np.random.default_rng(shape[1])
+        a, b = rng.standard_normal((2, *shape))
+        monkeypatch.setattr(_RecordedDots, "shapes", [])
+        got = semilinear._serial_dot(a.view(_RecordedDots), b)
+        # every partial sum of a k-term dot product errs by at most k u |a|.|b|
+        bound = a.size * np.finfo(float).eps * float(np.sum(np.abs(a * b)))
+        assert type(got) is float
+        assert abs(got - float(np.sum(a.astype(np.longdouble) * b))) <= bound
+        chunks = _RecordedDots.shapes
+        assert [shape_a for shape_a, _ in chunks] == [shape_b for _, shape_b in chunks]
+        assert sum(size for (size,), _ in chunks) == a.size
+        assert all(size <= semilinear._SERIAL_DOT for (size,), _ in chunks)
+        assert semilinear._SERIAL_DOT <= 10_000
