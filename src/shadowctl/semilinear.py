@@ -93,11 +93,28 @@ def origin_coefficients(grid: Grid1D, tgrid: TimeGrid,
         pair.g.d_dy(0.0, 0.0), pair.g.d_dz(0.0, 0.0))
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``n`` points on [-1, 1], by
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Legendre recurrence, off-diagonal k / sqrt(4 k^2 - 1), and
+    the weights 2 v_0^2 from the first entries of its eigenvectors.  Both
+    are symmetrized about 0 and the weights scaled to sum to 2, as
+    ``numpy.polynomial.legendre.leggauss`` does, whose nine modules this
+    leaves unloaded."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 * vectors[0] ** 2
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    return nodes, weights * (2.0 / weights.sum())
+
+
 @cache
 def _ray_quadrature(n_quad: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of ``n_quad`` points mapped to [0, 1],
     read-only, computed once per ``n_quad``."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = _gauss_legendre(n_quad)
     deltas = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
     deltas.flags.writeable = weights.flags.writeable = False

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import shadowctl
+from shadowctl import experiments, hum, pde
 
 SRC = str(Path(shadowctl.__file__).resolve().parents[1])
 
@@ -26,3 +27,20 @@ def fresh_python():
         assert out.returncode == 0, out.stderr
         return out.stdout
     return run
+
+
+@pytest.fixture()
+def mode_marches(monkeypatch):
+    """The ops type of every per-mode march made while the test runs, by
+    whichever module makes it."""
+    calls = []
+    march = pde._march_in_modes
+
+    def counted(ops, *args):
+        calls.append(type(ops).__name__)
+        return march(ops, *args)
+
+    for module in (pde, hum, experiments):
+        if hasattr(module, "_march_in_modes"):
+            monkeypatch.setattr(module, "_march_in_modes", counted)
+    return calls

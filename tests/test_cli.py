@@ -4,6 +4,7 @@ Every command runs through ``main`` in-process so exit codes and artifacts
 can be checked without spawning subprocesses.
 """
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shadowctl import pde
+from shadowctl import cli, pde
 from shadowctl.cli import _norm_history, main
 from shadowctl.io import read_fields_binary
 from shadowctl.mesh import Grid1D, TimeGrid
@@ -99,6 +100,18 @@ class TestCommands:
         assert len(lines) == 1 + 51
         report = json.loads((out / "report.json").read_text())
         assert report["shadow_gap"] >= 0.0
+
+    def test_linear_shadow_marches_once(self, cfg_file, tmp_path, mode_marches):
+        # xi is the controlled z's mean mode, so the gap series is the norm
+        # of the fluctuation z - mean z and the reduced model needs no march
+        out = tmp_path / "shadow"
+        assert run(cfg_file, out, "shadow") == 0
+        assert mode_marches == ["StepOperators"]
+        z = read_fields_binary(out / "trajectory.bin")["z"]
+        fluctuation = z - np.mean(z, axis=1, keepdims=True)
+        gap = np.loadtxt(out / "gap.dat")[:, 1]
+        want = np.sqrt(np.sum(fluctuation**2, axis=1) / 32)
+        assert np.max(np.abs(gap - want)) <= 1e-12 * np.max(want)
 
     def test_semilinear_unconverged_inner_solve_exits_1(self, tmp_path):
         # three CG iterations cannot converge, so neither can the outer loop
@@ -270,6 +283,30 @@ class TestDefaultsAndErrors:
         assert run(cfg, tmp_path / "hum", "hum") == 1
         err = capsys.readouterr().err
         assert err.startswith("solver error: epsilon = 1e-300 is below the round-off floor")
+
+    def test_parser_is_built_once_per_process(self, cfg_file, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(cfg_file, tmp_path / "a", "weights") == 0
+        assert run(cfg_file, tmp_path / "b", "check-hypotheses") == 0
+        # one top-level parser and one per command, all from the first call
+        assert built.count("shadowctl") == 1
+        assert len(built) == 1 + len(cli._COMMANDS)
+
+    def test_help_is_the_freshly_built_parsers(self, capsys):
+        fresh = cli._build_parser.__wrapped__().format_help()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exited:
+                main(["--help"])
+            assert exited.value.code == 0
+            assert capsys.readouterr().out == fresh
 
     def test_negative_seed_exits_2(self, cfg_file, tmp_path):
         assert run(cfg_file, tmp_path / "o", "hum", "--seed", "-1") == 2

@@ -8,10 +8,12 @@ number; everything else is checked through structural cases and slopes.
 import numpy as np
 import pytest
 
-from shadowctl.experiments import (fit_decay_rate, measure_m1,
+from shadowctl import mesh, pde
+from shadowctl.config import (RunConfig, build_fixed_point_config, build_grid,
+                              build_initial_data, build_pair, build_tgrid)
+from shadowctl.experiments import (control_and_reduce, fit_decay_rate, measure_m1,
                                    measure_m1_scaling, measure_m2_scaling,
                                    shadow_gap, sigma_sweep)
-from shadowctl import mesh
 from shadowctl.hum import HumConfig, hum_solve
 from shadowctl.mesh import Grid1D, TimeGrid, mean_value
 from shadowctl.nonlinear import (arctan_family, linear_form, make_pair,
@@ -72,45 +74,36 @@ class TestShadowGap:
         grid, tgrid, shape = self._pairing()
         z = np.full(shape, 0.4)
         traj = Trajectory(grid, tgrid, 1.0, np.hstack([np.zeros(shape), z]))
-        red = Trajectory(grid, tgrid, np.inf,
-                         np.hstack([np.zeros(shape), np.full((shape[0], 1), 0.4)]))
-        assert shadow_gap(traj, red, 0.1) == 0.0
+        assert shadow_gap(traj, np.full(shape[0], 0.4), 0.1) == 0.0
 
     def test_constant_offset_gap(self):
         grid, tgrid, shape = self._pairing()
         traj = Trajectory(grid, tgrid, 1.0,
                           np.hstack([np.zeros(shape), np.full(shape, 0.9)]))
-        red = Trajectory(grid, tgrid, np.inf,
-                         np.hstack([np.zeros(shape), np.full((shape[0], 1), 0.6)]))
-        assert shadow_gap(traj, red, 0.0) == pytest.approx(0.3, rel=1e-12)
+        assert shadow_gap(traj, np.full(shape[0], 0.6), 0.0) == pytest.approx(0.3, rel=1e-12)
 
     def test_early_disagreement_ignored_past_t0(self):
         grid, tgrid, shape = self._pairing(msteps=10)
         z = np.zeros(shape)
         z[0] = 100.0   # initial-layer transient only
         traj = Trajectory(grid, tgrid, 1.0, np.hstack([np.zeros(shape), z]))
-        red = Trajectory(grid, tgrid, np.inf,
-                         np.hstack([np.zeros(shape), np.zeros((shape[0], 1))]))
-        assert shadow_gap(traj, red, 0.05) == 0.0
-        assert shadow_gap(traj, red, 0.0) == pytest.approx(100.0)
+        xi = np.zeros(shape[0])
+        assert shadow_gap(traj, xi, 0.05) == 0.0
+        assert shadow_gap(traj, xi, 0.0) == pytest.approx(100.0)
 
-    def test_rejects_mismatched_grids(self):
+    def test_rejects_wrong_length_xi(self):
+        # xi holds one entry per node, 11 here
         grid, tgrid, shape = self._pairing()
-        other = Grid1D(n_cells=shape[1] + 1)
         traj = Trajectory(grid, tgrid, 1.0, np.zeros((shape[0], 2 * shape[1])))
-        red = Trajectory(other, tgrid, np.inf,
-                         np.hstack([np.zeros((shape[0], shape[1] + 1)),
-                                    np.zeros((shape[0], 1))]))
-        with pytest.raises(ValueError, match="different grids"):
-            shadow_gap(traj, red, 0.1)
+        for xi in (np.zeros(10), np.zeros(12), np.zeros((shape[0], 1))):
+            with pytest.raises(ValueError, match="one entry per node"):
+                shadow_gap(traj, xi, 0.1)
 
     def test_rejects_bad_t0(self):
         grid, tgrid, shape = self._pairing()
         traj = Trajectory(grid, tgrid, 1.0, np.zeros((shape[0], 2 * shape[1])))
-        red = Trajectory(grid, tgrid, np.inf,
-                         np.hstack([np.zeros(shape), np.zeros((shape[0], 1))]))
         with pytest.raises(ValueError, match="t0"):
-            shadow_gap(traj, red, 1.0)
+            shadow_gap(traj, np.zeros(shape[0]), 1.0)
 
     def test_two_mode_closed_form(self):
         # y = 0 and z0 = xi0 + a cos(pi x) with g = c y + d z: the gap is the
@@ -127,9 +120,37 @@ class TestShadowGap:
         red = solve_forward_semilinear(
             ShadowStepOperators(zero_coefficients(grid, tgrid)), two_mode, None,
             y0, [mean_value(grid, z0)])
-        got = shadow_gap(traj, red, 0.05)
+        got = shadow_gap(traj, red.u[:, -1], 0.05)
         want = a * np.exp((d - sigma * np.pi**2) * 0.05) / np.sqrt(2.0)
         assert got == pytest.approx(want, rel=2e-2)
+
+
+class TestLinearReduction:
+    """In linear mode the reduced model's xi is the controlled z's mean mode."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 1e3, 1e300])
+    @pytest.mark.parametrize("window", [None, (0.315, 0.7237)], ids=["defaults", "cut-cells"])
+    def test_xi_is_the_reduced_mode_march(self, sigma, window):
+        cfg = RunConfig()
+        grid, tgrid = build_grid(cfg), build_tgrid(cfg)
+        if window is not None:
+            grid = mesh.Grid1D(grid.n_cells, *window)
+            assert np.any((0.0 < grid.omega_indicator) & (grid.omega_indicator < 1.0))
+        pair = build_pair(cfg)
+        y0, z0 = build_initial_data(cfg, grid)
+        run = control_and_reduce(grid, tgrid, sigma, "linear", pair, y0, z0,
+                                 build_fixed_point_config(cfg))
+        coeffs = origin_coefficients(grid, tgrid, pair)
+        want = pde._march_in_modes(ShadowStepOperators(coeffs), run.control, y0,
+                                   [mean_value(grid, z0)]).u[:, -1]
+        assert run.xi.shape == (tgrid.n_steps + 1,)
+        assert np.max(np.abs(run.xi - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_sweep_marches_each_row_once(self, small_setup, pair, mode_marches):
+        # one controlled march per row; xi needs no march of its own
+        grid, tgrid, y0, z0 = small_setup
+        sigma_sweep(grid, tgrid, (1.0, 4.0, 16.0), pair, y0, z0, mode="linear")
+        assert mode_marches == ["StepOperators"] * 3
 
 
 class TestM1:

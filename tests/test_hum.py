@@ -269,6 +269,27 @@ class TestSerialGram:
             assert m * n * k <= hum._SERIAL_GEMM
 
 
+class TestSerialProduct:
+    @pytest.mark.parametrize("rows, n", [(402, 400), (402, 1000), (20, 400)])
+    def test_tiled_product_equals_the_product(self, rows, n, monkeypatch):
+        # from n = 363 on a row chunk would hold one row: chunks of at least
+        # 8 rows, in tiles of b's columns, cover a b once
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((rows, n)), rng.standard_normal((n, n))
+        want = a @ b
+        got = a.copy()
+        monkeypatch.setattr(_RecordedProducts, "shapes", [])
+        pde._serial_product(got.view(_RecordedProducts), b)
+        bound = n * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got - want) <= bound)
+        chunks = _RecordedProducts.shapes
+        assert sum(m * k for (m, _), (_, k) in chunks) == rows * n
+        for (m, k), (k_b, width) in chunks:
+            assert k == k_b == n
+            assert m >= 8
+            assert m * k * width <= hum._SERIAL_GEMM
+
+
 class TestHumSolve:
     def test_zero_data_yields_zero_control(self, small_problem):
         grid, tgrid, coeffs, _, _ = small_problem

@@ -1,5 +1,6 @@
 """The banded step's LAPACK routines come from scipy's extension alone, and
-only a command that builds a step band loads it.
+only a command that builds a step band loads it.  The solvers load no
+``numpy.polynomial`` module either.
 
 Each import check runs in a fresh interpreter: what a command imports can
 only be seen in a process that has imported nothing else.
@@ -75,6 +76,14 @@ def test_banded_commands_load_only_the_lapack_extension(fresh_python, tmp_path,
     modules = run_commands(fresh_python, tmp_path, [command])
     assert "scipy.linalg._flapack" in modules
     assert modules.isdisjoint(LEFT_OUT)
+
+
+@pytest.mark.parametrize("command", ["semilinear", "selftest"])
+def test_solver_commands_load_no_numpy_polynomial(fresh_python, tmp_path, command):
+    # the ray quadrature builds its Gauss-Legendre rule with eigh; the
+    # `weights` command still loads numpy.polynomial, for theory's polyval
+    modules = run_commands(fresh_python, tmp_path, [command])
+    assert {name for name in modules if name.startswith("numpy.polynomial")} == set()
 
 
 @pytest.mark.parametrize("imports", ["shadowctl._lapack, scipy.linalg",

@@ -66,11 +66,11 @@ def _random_reference(grid, tgrid, seed=0, amplitude=2.0):
 
 def _separate_averages(pair, ybar, zbar, n_quad):
     """The four ray averages with every partial evaluated on its own, as
-    linearized_coefficients took them before it shared repeated callables."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    linearized_coefficients took them before it shared repeated callables,
+    on the same rule, so that sharing alone could move a bit."""
     partials = (pair.f.d_dy, pair.f.d_dz, pair.g.d_dy, pair.g.d_dz)
     sums = [np.zeros(ybar.shape) for _ in partials]
-    for delta, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+    for delta, w in zip(*semilinear._ray_quadrature(n_quad)):
         yd, zd = delta * ybar, delta * zbar
         for acc, d in zip(sums, partials):
             acc += w * np.asarray(d(yd, zd))
@@ -173,14 +173,14 @@ class TestLinearizedCoefficients:
         tgrid = TimeGrid(horizon=0.2, n_steps=5)
         ybar, zbar = _random_reference(grid, tgrid, seed=7)
         calls = []
-        leggauss = np.polynomial.legendre.leggauss
+        gauss_legendre = semilinear._gauss_legendre
 
         def counted(n):
             calls.append(n)
-            return leggauss(n)
+            return gauss_legendre(n)
 
         semilinear._ray_quadrature.cache_clear()
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        monkeypatch.setattr(semilinear, "_gauss_legendre", counted)
         first, again = (linearized_coefficients(grid, tgrid, pair, ybar, zbar, n_quad=9)
                         for _ in range(2))
         assert calls == [9]
@@ -190,6 +190,21 @@ class TestLinearizedCoefficients:
         for name, ref in zip(("a11", "a12", "a21", "a22"), want):
             assert np.array_equal(getattr(first, name), ref)
             assert np.array_equal(getattr(again, name), ref)
+
+    @pytest.mark.parametrize("n", [4, 9, 32])
+    def test_rule_is_gauss_legendre(self, n):
+        # leggauss is the reference; the package builds the rule without it
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = semilinear._gauss_legendre(n)
+        assert np.max(np.abs(nodes - want_nodes)) <= 1e-15
+        assert np.max(np.abs(weights - want_weights) / want_weights) <= 1e-12
+        # exact for every polynomial of degree below 2n: the even monomials
+        k = np.arange(n)
+        moments = weights @ nodes[:, None] ** (2 * k)
+        assert np.max(np.abs(moments * (2 * k + 1) / 2.0 - 1.0)) <= 1e-13
+        deltas, ray_weights = semilinear._ray_quadrature(n)
+        assert np.array_equal(deltas, 0.5 * (nodes + 1.0))
+        assert np.array_equal(ray_weights, 0.5 * weights)
 
     def test_slots_sharing_a_partial_do_not_alias(self, pair):
         grid = Grid1D(n_cells=10)
