@@ -58,7 +58,6 @@ class RunConfig:
     hum_cg_max_iters: int = 500
     fixed_point_outer_tol: float = 1e-6
     fixed_point_max_outer: int = 30
-    fixed_point_quadrature_nodes: int = 32
     experiment_t0_fraction: float = 0.1
     output_directory: str = "out"
     output_formats: tuple[str, ...] = ("json", "csv")
@@ -191,9 +190,6 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.fixed_point_max_outer < 1:
         fail("fixed_point_max_outer",
              f"must be at least 1, got {cfg.fixed_point_max_outer}")
-    if cfg.fixed_point_quadrature_nodes < 4:
-        fail("fixed_point_quadrature_nodes",
-             f"must be at least 4, got {cfg.fixed_point_quadrature_nodes}")
     if not (0.0 < cfg.experiment_t0_fraction < 1.0):
         fail("experiment_t0_fraction",
              f"must lie in (0, 1), got {cfg.experiment_t0_fraction}")
@@ -264,5 +260,4 @@ def build_hum_config(cfg: RunConfig) -> HumConfig:
 def build_fixed_point_config(cfg: RunConfig) -> FixedPointConfig:
     return FixedPointConfig(outer_tol=cfg.fixed_point_outer_tol,
                             max_outer=cfg.fixed_point_max_outer,
-                            quadrature_nodes=cfg.fixed_point_quadrature_nodes,
                             hum=build_hum_config(cfg))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hum import hum_solve
-from .mesh import Grid1D, TimeGrid, mean_value, norm_l2
+from .mesh import Grid1D, TimeGrid, fit_slope, mean_value, norm_l2
 from .nonlinear import NonlinearityPair
 from .pde import (ControlField, ShadowStepOperators, StepOperators, Trajectory,
                   _sigma_grad_z, control_cost, solve_forward_linear,
@@ -42,15 +42,15 @@ def fit_decay_rate(xs, ys) -> float:
     """Least-squares slope of log(ys) against log(xs).
 
     Both sequences must be strictly positive and finite, with at least two
-    entries.
+    entries and two distinct xs.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise ValueError("need two equal-length 1-d sequences of at least 2 points")
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2 or np.ptp(xs) == 0.0:
+        raise ValueError("need two equal-length 1-d sequences with 2 distinct xs")
     if not np.all((0.0 < xs) & (xs < np.inf) & (0.0 < ys) & (ys < np.inf)):
         raise ValueError("log-log fit requires strictly positive, finite data")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    return fit_slope(np.log(xs), np.log(ys))
 
 
 def _gap_series(traj: Trajectory, xi: np.ndarray) -> np.ndarray:
@@ -250,7 +250,7 @@ def measure_m1(grid: Grid1D, tgrid: TimeGrid, sigma: float,
         # already well-mixed: nothing decays, so there is no rate to fit
         fitted = 0.0
     else:
-        fitted = float(np.polyfit(t[pos], np.log(norms[pos]), 1)[0])
+        fitted = fit_slope(t[pos], np.log(norms[pos]))
     return M1Record(sigma=float(sigma), sup_sqrt_t_m1=sup,
                     fitted_exponent=fitted,
                     expected_exponent=float(-sigma * np.pi**2),

@@ -166,3 +166,12 @@ def mean_value(grid: Grid1D, u: np.ndarray) -> float:
     if u.shape != (grid.n_cells,):
         raise ValueError(f"expected a vector of shape ({grid.n_cells},), got {u.shape}")
     return grid.spacing * float(np.sum(u))
+
+
+def fit_slope(x, y) -> float:
+    """Least-squares slope of y against x, sum(dx dy) / sum(dx^2) on the
+    centred data: the leading coefficient of a degree-1 fit."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))

@@ -19,12 +19,17 @@ Scalar2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Absolute tolerance of the finite-difference cross-check of the partials.
 _DERIV_TOL = 1e-6
+# Tolerance of the secant identity, relative to max(1, 2 r L): check_hypotheses.
+_SECANT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """One reaction component: value, exact partials, and a derivative bound.
+    """One reaction component: value, partials, secants and a derivative bound.
 
+    A secant is a partial averaged along the ray from the origin in closed
+    form, secant_dy(y, z) = int_0^1 d_dy(delta y, delta z) d(delta), so that
+    secant_dy * y + secant_dz * z = value when the value vanishes at 0.
     ``lipschitz`` bounds each partial derivative separately:
     sup |d value/dy| <= lipschitz and sup |d value/dz| <= lipschitz.
     """
@@ -32,6 +37,8 @@ class Nonlinearity:
     value: Scalar2
     d_dy: Scalar2
     d_dz: Scalar2
+    secant_dy: Scalar2
+    secant_dz: Scalar2
     lipschitz: float
 
 
@@ -55,24 +62,32 @@ class NonlinearityPair:
         return -1.0 if self._coupling_at_origin() < 0.0 else 1.0
 
 
+def _of_sum(value, slope, secant, lipschitz: float) -> Nonlinearity:
+    """A component of u = y + z alone, from its value, slope and secant as
+    functions of u; one slope and one secant callable serve both slots."""
+    def lift(fn):
+        def of_yz(y, z):
+            return fn(np.asarray(y) + np.asarray(z))
+        return of_yz
+
+    slope, secant = lift(slope), lift(secant)
+    return Nonlinearity(value=lift(value), d_dy=slope, d_dz=slope,
+                        secant_dy=secant, secant_dz=secant, lipschitz=lipschitz)
+
+
 def sigmoid_family(k: float) -> Nonlinearity:
     """Saturating component f(y, z) = u / (1 + |u|^k)^(1/k) with u = y + z.
 
     Both partials equal (1 + |u|^k)^(-1/k - 1), so they lie in (0, 1] and the
-    per-partial bound is exactly 1, attained only at u = 0.
+    per-partial bound is exactly 1, attained only at u = 0.  Both secants
+    equal value / u = (1 + |u|^k)^(-1/k), which is 1 at u = 0.
     """
     if not k > 0:
         raise ValueError(f"family exponent k must be positive, got {k}")
-
-    def value(y, z):
-        u = np.asarray(y) + np.asarray(z)
-        return u / (1.0 + np.abs(u) ** k) ** (1.0 / k)
-
-    def slope(y, z):
-        u = np.asarray(y) + np.asarray(z)
-        return (1.0 + np.abs(u) ** k) ** (-1.0 / k - 1.0)
-
-    return Nonlinearity(value=value, d_dy=slope, d_dz=slope, lipschitz=1.0)
+    return _of_sum(lambda u: u / (1.0 + np.abs(u) ** k) ** (1.0 / k),
+                   lambda u: (1.0 + np.abs(u) ** k) ** (-1.0 / k - 1.0),
+                   lambda u: (1.0 + np.abs(u) ** k) ** (-1.0 / k),
+                   lipschitz=1.0)
 
 
 def arctan_family(k: float) -> Nonlinearity:
@@ -80,24 +95,21 @@ def arctan_family(k: float) -> Nonlinearity:
 
     Both partials equal k / (1 + k^2 (y+z)^2); they are strictly positive with
     maximum k at the origin, so the sign condition holds with floor k on any
-    bounded set shrunk by the corresponding factor.
+    bounded set shrunk by the corresponding factor.  Both secants equal
+    arctan(k u) / u, and k where u = 0.
     """
     if not k > 0:
         raise ValueError(f"family exponent k must be positive, got {k}")
-
-    def value(y, z):
-        u = np.asarray(y) + np.asarray(z)
-        return np.arctan(k * u)
-
-    def slope(y, z):
-        u = np.asarray(y) + np.asarray(z)
-        return k / (1.0 + (k * u) ** 2)
-
-    return Nonlinearity(value=value, d_dy=slope, d_dz=slope, lipschitz=k)
+    return _of_sum(lambda u: np.arctan(k * u),
+                   lambda u: k / (1.0 + (k * u) ** 2),
+                   lambda u: np.divide(np.arctan(k * u), u, where=u != 0.0,
+                                       out=np.full(np.shape(u), float(k))),
+                   lipschitz=k)
 
 
 def linear_form(a: float, b: float) -> Nonlinearity:
-    """Affine-free component a*y + b*z with constant partials."""
+    """Affine-free component a*y + b*z with constant partials, which are
+    also its secants."""
 
     def value(y, z):
         return a * np.asarray(y) + b * np.asarray(z)
@@ -108,7 +120,8 @@ def linear_form(a: float, b: float) -> Nonlinearity:
     def d_dz(y, z):
         return np.full(np.broadcast(np.asarray(y), np.asarray(z)).shape, float(b))
 
-    return Nonlinearity(value=value, d_dy=d_dy, d_dz=d_dz, lipschitz=abs(a) + abs(b))
+    return Nonlinearity(value=value, d_dy=d_dy, d_dz=d_dz,
+                        secant_dy=d_dy, secant_dz=d_dz, lipschitz=abs(a) + abs(b))
 
 
 def make_pair(f: Nonlinearity, g: Nonlinearity) -> NonlinearityPair:
@@ -129,6 +142,7 @@ class HypothesisReport:
     h2_ok: bool
     h3_ok: bool
     derivatives_ok: bool
+    secants_ok: bool
     max_partial_f: float
     max_partial_g: float
     lipschitz_f: float
@@ -142,6 +156,8 @@ class HypothesisReport:
     max_fd_error_f: float
     max_fd_error_g: float
     deriv_tol: float
+    max_secant_error: float
+    secant_tol: float
     n_samples: int
     box_halfwidth: float
     violations: tuple[str, ...] = field(default_factory=tuple)
@@ -169,7 +185,9 @@ def check_hypotheses(pair: NonlinearityPair,
     constants (H1); exact vanishing at the origin (H2); the coupling floor and
     ray-wise sign constancy of dg/dy (H3).  Every analytic partial is also
     cross-validated against central finite differences on a subsample, to
-    an absolute tolerance of 1e-6.
+    an absolute tolerance of 1e-6, and every sampled point against the
+    secant identity secant_dy * y + secant_dz * z = value, to 1e-12 times
+    max(1, 2 r L): 2 r L bounds its terms, L the larger declared bound.
 
     Parameters
     ----------
@@ -245,9 +263,21 @@ def check_hypotheses(pair: NonlinearityPair,
             f"derivative: finite-difference mismatch ({max_fd_error_f:.3e}, "
             f"{max_fd_error_g:.3e}) above {_DERIV_TOL:.3e}")
 
+    # Secant identity: secant_dy * y + secant_dz * z reproduces the value.
+    max_secant_error = float(max(np.max(np.abs(
+        c.secant_dy(ys, zs) * ys + c.secant_dz(ys, zs) * zs - c.value(ys, zs)))
+        for c in (pair.f, pair.g)))
+    secant_tol = _SECANT_TOL * max(1.0, 2.0 * box_halfwidth * max(lipschitz_f, lipschitz_g))
+    secants_ok = max_secant_error <= secant_tol
+    if not secants_ok:
+        violations.append(
+            f"secant: secant_dy*y + secant_dz*z misses the value by "
+            f"{max_secant_error:.3e}, above {secant_tol:.3e}")
+
     return HypothesisReport(
-        ok=h1_ok and h2_ok and h3_ok and derivatives_ok,
+        ok=h1_ok and h2_ok and h3_ok and derivatives_ok and secants_ok,
         h1_ok=h1_ok, h2_ok=h2_ok, h3_ok=h3_ok, derivatives_ok=derivatives_ok,
+        secants_ok=secants_ok,
         max_partial_f=max_partial_f, max_partial_g=max_partial_g,
         lipschitz_f=lipschitz_f, lipschitz_g=lipschitz_g,
         f_origin=f_origin, g_origin=g_origin,
@@ -255,6 +285,7 @@ def check_hypotheses(pair: NonlinearityPair,
         a21_floor=pair.a21_floor, a21_sign=pair.a21_sign,
         min_signed_coupling=min_signed,
         max_fd_error_f=max_fd_error_f, max_fd_error_g=max_fd_error_g,
-        deriv_tol=_DERIV_TOL, n_samples=n_samples, box_halfwidth=box_halfwidth,
+        deriv_tol=_DERIV_TOL, max_secant_error=max_secant_error,
+        secant_tol=secant_tol, n_samples=n_samples, box_halfwidth=box_halfwidth,
         violations=tuple(violations),
     )

@@ -63,8 +63,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .mesh import (Grid1D, TimeGrid, _cosine_basis, _laplacian_stencil, mean_value,
-                   norm_l2)
+from .mesh import (Grid1D, TimeGrid, _cosine_basis, _laplacian_stencil, fit_slope,
+                   mean_value, norm_l2)
 from .nonlinear import NonlinearityPair
 
 __all__ = [
@@ -761,7 +761,7 @@ def semigroup_checks(grid: Grid1D, tgrid: TimeGrid, sigma: float) -> SemigroupRe
     z = solve_forward_linear(ops, None, y0, np.cos(np.pi * grid.cell_centers)).z
     norms = np.array([norm_l2(grid, zm) for zm in z])
     means = np.array([mean_value(grid, zm) for zm in z])
-    fitted = float(np.polyfit(tgrid.nodes, np.log(norms), 1)[0])
+    fitted = fit_slope(tgrid.nodes, np.log(norms))
     expected = -sigma * np.pi**2
     return SemigroupReport(
         sigma=float(sigma),

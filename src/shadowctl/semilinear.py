@@ -5,7 +5,8 @@ the averaged coefficients
 
     a11 = int_0^1 df/dy(delta ybar, delta zbar) d(delta),   etc.,
 
-so that a11*ybar + a12*zbar = f(ybar, zbar) exactly whenever f(0,0) = 0.
+so that a11*ybar + a12*zbar = f(ybar, zbar) exactly whenever f(0,0) = 0;
+each average is read off the component's closed-form secant.
 The first reference is zero, where the averages are the origin partials,
 constant in space and time, so the first penalized solve is direct, on a
 Gramian assembled in the cosine basis; every later solve is preconditioned
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class FixedPointConfig:
 
     outer_tol: float = 1e-6
     max_outer: int = 30
-    quadrature_nodes: int = 32
     hum: HumConfig = field(default_factory=HumConfig)
 
     def __post_init__(self) -> None:
@@ -58,9 +57,6 @@ class FixedPointConfig:
                 f"outer_tol must be positive and finite, got {self.outer_tol}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
-        if self.quadrature_nodes < 4:
-            raise ValueError(
-                f"quadrature_nodes must be at least 4, got {self.quadrature_nodes}")
 
 
 @dataclass(frozen=True)
@@ -93,64 +89,30 @@ def origin_coefficients(grid: Grid1D, tgrid: TimeGrid,
         pair.g.d_dy(0.0, 0.0), pair.g.d_dz(0.0, 0.0))
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``n`` points on [-1, 1], by
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix of the Legendre recurrence, off-diagonal k / sqrt(4 k^2 - 1), and
-    the weights 2 v_0^2 from the first entries of its eigenvectors.  Both
-    are symmetrized about 0 and the weights scaled to sum to 2, as
-    ``numpy.polynomial.legendre.leggauss`` does, whose nine modules this
-    leaves unloaded."""
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    weights = 2.0 * vectors[0] ** 2
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return nodes, weights * (2.0 / weights.sum())
-
-
-@cache
-def _ray_quadrature(n_quad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``n_quad`` points mapped to [0, 1],
-    read-only, computed once per ``n_quad``."""
-    nodes, weights = _gauss_legendre(n_quad)
-    deltas = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-    deltas.flags.writeable = weights.flags.writeable = False
-    return deltas, weights
-
-
 def linearized_coefficients(grid: Grid1D, tgrid: TimeGrid,
                             pair: NonlinearityPair,
-                            ybar: np.ndarray, zbar: np.ndarray,
-                            n_quad: int = 32) -> CoefficientField:
-    """Average the exact partials along rays from the origin to the reference.
+                            ybar: np.ndarray, zbar: np.ndarray) -> CoefficientField:
+    """The exact partials averaged along rays from the origin to the reference.
 
-    Uses Gauss-Legendre quadrature with ``n_quad`` nodes mapped to [0, 1].
-    By construction |a_ij| never exceeds the declared per-partial bounds, and
-    a11*ybar + a12*zbar reproduces f(ybar, zbar) up to quadrature error (same
-    for g), since the integrand is the exact ray derivative.  A callable that
-    serves as several partials (both built-in families pass one ``slope`` as
-    ``d_dy`` and ``d_dz``) is averaged once, and each slot gets its own copy.
+    Each average is the component's secant (``Nonlinearity.secant_dy`` and
+    ``secant_dz``) at (ybar, zbar), so a11*ybar + a12*zbar reproduces
+    f(ybar, zbar) up to round-off (same for g), and |a_ij| never exceeds the
+    declared per-partial bounds.  A callable that serves as several secants
+    (both built-in families pass one) is evaluated once, and each slot gets
+    its own copy.
     """
-    if n_quad < 4:
-        raise ValueError(f"n_quad must be at least 4, got {n_quad}")
     shape = (tgrid.n_steps + 1, grid.n_cells)
     ybar = np.asarray(ybar, dtype=float)
     zbar = np.asarray(zbar, dtype=float)
     if ybar.shape != shape or zbar.shape != shape:
         raise ValueError(f"reference fields must have shape {shape}, "
                          f"got {ybar.shape} and {zbar.shape}")
-    deltas, weights = _ray_quadrature(n_quad)
-    partials = (pair.f.d_dy, pair.f.d_dz, pair.g.d_dy, pair.g.d_dz)
-    sums = {id(d): (d, np.zeros(shape)) for d in partials}
-    for delta, w in zip(deltas, weights):
-        yd, zd = delta * ybar, delta * zbar
-        for d, acc in sums.values():
-            acc += w * np.asarray(d(yd, zd))
+    secants = (pair.f.secant_dy, pair.f.secant_dz, pair.g.secant_dy, pair.g.secant_dz)
+    distinct = {id(s): s for s in secants}
+    values = {key: s(ybar, zbar) for key, s in distinct.items()}
     return CoefficientField(grid, tgrid,
-                            *(sums[id(d)][1].copy() for d in partials))
+                            *(np.array(np.broadcast_to(values[id(s)], shape), dtype=float)
+                              for s in secants))
 
 
 def coupling_floor_check(coeffs: CoefficientField, sign: float = 1.0) -> float:
@@ -218,8 +180,7 @@ def fixed_point_control(grid: Grid1D, tgrid: TimeGrid, sigma: float,
 
     for it in range(1, config.max_outer + 1):
         if it > 1:
-            coeffs = linearized_coefficients(grid, tgrid, pair, x[:, :n], x[:, n:],
-                                             config.quadrature_nodes)
+            coeffs = linearized_coefficients(grid, tgrid, pair, x[:, :n], x[:, n:])
             if _coeff_change(coeffs, ops.coeffs) <= 1e-13:
                 # Stationary linearization: the previous control is already the
                 # fixed point, so do not count this pass as an iteration.

@@ -4,7 +4,7 @@ Ten criteria, one per test, covering the discrete duality identities, the
 Gramian structure, the penalized-control identity and its uniform-in-penalty
 behaviour, uniform-in-sigma control costs, the semilinear fixed-point scheme,
 the shadow-limit convergence rate, the fast-flow scaling measurements, the
-weight/constant bookkeeping, and the linearization quadrature.  Each test
+weight/constant bookkeeping, and the exact secant linearization.  Each test
 prints exactly one ``[ACn] PASS/FAIL`` line with the measured numbers before
 asserting, so a plain ``pytest -s tests/test_acceptance.py`` reads as a
 checklist.  Run with ``-p no:randomly`` semantics in mind: every test seeds
@@ -338,29 +338,26 @@ def test_ac09_constants_and_weight_inequalities():
 
 
 def test_ac10_linearization_taylor_identity():
-    """Ray-averaged coefficients reproduce the nonlinearity on random bounded
-    references to 1e-8 at 32 nodes, improving monotonically under
-    refinement."""
+    """Ray-averaged coefficients reproduce the nonlinearity at round-off on
+    random bounded references of amplitude 2 and 10."""
     grid = Grid1D(n_cells=25)
     tgrid = TimeGrid(horizon=0.3, n_steps=20)
     pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
     rng = np.random.default_rng(1010)
     shape = (tgrid.n_steps + 1, grid.n_cells)
-    ybar, zbar = (rng.uniform(-2.0, 2.0, shape) for _ in range(2))
 
     defects = []
-    for nq in (8, 16, 32):
-        c = linearized_coefficients(grid, tgrid, pair, ybar, zbar, nq)
+    for amplitude in (2.0, 10.0):
+        ybar, zbar = (rng.uniform(-amplitude, amplitude, shape) for _ in range(2))
+        c = linearized_coefficients(grid, tgrid, pair, ybar, zbar)
         f_defect = np.max(np.abs(c.a11 * ybar + c.a12 * zbar
                                  - pair.f.value(ybar, zbar)))
         g_defect = np.max(np.abs(c.a21 * ybar + c.a22 * zbar
                                  - pair.g.value(ybar, zbar)))
         defects.append(float(max(f_defect, g_defect)))
 
-    ok = defects[-1] <= 1e-8 and defects[0] > defects[1] > defects[2]
+    ok = max(defects) <= 1e-14
     _report("AC10", ok,
-            f"Taylor defect {defects[-1]:.2e} <= 1e-8 at 32 nodes, "
-            f"monotone refinement {defects[0]:.1e} > {defects[1]:.1e} > "
-            f"{defects[2]:.1e}")
-    assert defects[-1] <= 1e-8
-    assert defects[0] > defects[1] > defects[2]
+            f"Taylor defect {defects[0]:.2e} at amplitude 2, "
+            f"{defects[1]:.2e} at amplitude 10, <= 1e-14")
+    assert max(defects) <= 1e-14

@@ -218,6 +218,14 @@ class TestDefaultsAndErrors:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_removed_quadrature_key_exits_2(self, tmp_path, capsys):
+        # the linearization reads closed-form secants; the rule's key is gone
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("fixed_point.quadrature_nodes = 32\n")
+        code = main(["semilinear", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown key 'fixed_point.quadrature_nodes'" in capsys.readouterr().err
+
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("problem.sigma = 0.1\n")

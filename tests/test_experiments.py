@@ -57,6 +57,7 @@ class TestFitDecayRate:
         ([1.0, -2.0], [1.0, 1.0]),
         ([1.0, 2.0, 3.0], [1.0, 1.0]),
         ([1.0, 2.0], [np.inf, 1.0]),
+        ([2.0, 2.0], [1.0, 3.0]),
     ])
     def test_rejects_degenerate_input(self, xs, ys):
         with pytest.raises(ValueError):

@@ -80,10 +80,38 @@ def test_banded_commands_load_only_the_lapack_extension(fresh_python, tmp_path,
 
 @pytest.mark.parametrize("command", ["semilinear", "selftest"])
 def test_solver_commands_load_no_numpy_polynomial(fresh_python, tmp_path, command):
-    # the ray quadrature builds its Gauss-Legendre rule with eigh; the
-    # `weights` command still loads numpy.polynomial, for theory's polyval
+    # the linearization reads closed-form secants and the slopes are fitted
+    # in closed form; the `weights` command still loads numpy.polynomial,
+    # for theory's polyval
     modules = run_commands(fresh_python, tmp_path, [command])
     assert {name for name in modules if name.startswith("numpy.polynomial")} == set()
+
+
+# the public functions and the gufuncs behind them, so that a name bound at
+# import (np.polyfit's lstsq) raises too
+NO_SPECTRAL_LAPACK = """
+import numpy.linalg
+from numpy.linalg import _umath_linalg
+
+def refuse(*args, **kwargs):
+    raise RuntimeError("spectral or least-squares LAPACK called")
+
+for name in ("eigh", "eigvalsh", "svd", "lstsq"):
+    setattr(numpy.linalg, name, refuse)
+for name in ("eigh_lo", "eigh_up", "eigvalsh_lo", "eigvalsh_up",
+             "svd", "svd_f", "svd_s", "lstsq"):
+    setattr(_umath_linalg, name, refuse)
+"""
+
+
+@pytest.mark.parametrize("command", ["semilinear", "sweep"])
+def test_solver_commands_need_no_spectral_lapack(fresh_python, tmp_path, command):
+    # no command pays for dsyevd, dgesdd or dgelsd: the linearization and
+    # the slope fits are closed forms
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    fresh_python(NO_SPECTRAL_LAPACK + RUN_COMMANDS.format(commands=[command]),
+                 str(cfg), str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("imports", ["shadowctl._lapack, scipy.linalg",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shadowctl.mesh import (Grid1D, TimeGrid, _cosine_basis, _laplacian_stencil,
-                            inner_product, mean_value, norm_l2)
+                            fit_slope, inner_product, mean_value, norm_l2)
 
 
 def _dense_laplacian(grid):
@@ -182,3 +182,17 @@ class TestQuadrature:
         grid = Grid1D(n_cells=10)
         with pytest.raises(ValueError):
             inner_product(grid, np.ones(10), np.ones(9))
+
+
+class TestFitSlope:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_polyfit(self, seed):
+        # np.polyfit is the reference; the package fits without it
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-3.0, 7.0, 50)
+        y = rng.uniform(-2.0, 2.0) * x + rng.standard_normal(50)
+        assert abs(fit_slope(x, y) - np.polyfit(x, y, 1)[0]) <= 1e-12
+
+    def test_exact_on_a_power_law(self):
+        x = np.log(np.logspace(0.0, 3.0, 7))
+        assert fit_slope(x, np.log(4.0) - 0.5 * x) == pytest.approx(-0.5, abs=1e-15)

@@ -50,6 +50,14 @@ class TestSigmoidFamily:
               - f.value(pts[:, 0] - step, pts[:, 1])) / (2 * step)
         assert np.max(np.abs(fd - f.d_dy(pts[:, 0], pts[:, 1]))) < 1e-6
 
+    def test_secant_is_value_over_sum(self):
+        f = sigmoid_family(3.0)
+        assert f.secant_dy is f.secant_dz
+        assert f.secant_dy(0.0, 0.0) == 1.0
+        y, z = np.random.default_rng(1).uniform(-10, 10, (2, 500))
+        u = y + z
+        assert np.max(np.abs(f.secant_dy(y, z) - f.value(y, z) / u)) <= 1e-15
+
 
 class TestArctanFamily:
     def test_origin_and_slope(self):
@@ -69,6 +77,18 @@ class TestArctanFamily:
     def test_lipschitz_is_k(self):
         assert arctan_family(3.0).lipschitz == pytest.approx(3.0)
 
+    def test_secant_is_k_at_zero_sum_without_warning(self):
+        g = arctan_family(2.5)
+        assert g.secant_dy is g.secant_dz
+        y = np.array([0.0, 1.0, -3.0, 2.0])
+        z = np.array([0.0, -1.0, 3.0, 1.0])
+        with np.errstate(all="raise"):
+            s = g.secant_dy(y, z)
+            at_origin = g.secant_dy(0.0, 0.0)
+        assert at_origin == 2.5
+        assert np.array_equal(s[:3], np.full(3, 2.5))
+        assert s[3] == np.arctan(7.5) / 3.0
+
 
 class TestLinearForms:
     def test_projection(self):
@@ -84,6 +104,12 @@ class TestLinearForms:
         y = np.linspace(-5, 5, 11)
         assert np.all(g.d_dy(y, y) == 4.0)
         assert np.all(g.d_dz(y, y) == -1.5)
+
+    def test_secants_are_the_constants(self):
+        g = linear_form(4.0, -1.5)
+        y = np.linspace(-5, 5, 11)
+        assert np.all(g.secant_dy(y, -y) == 4.0)
+        assert np.all(g.secant_dz(y, -y) == -1.5)
 
     def test_linear_pair_floor(self):
         pair = make_pair(linear_form(1.0, 0.5), linear_form(-2.0, 0.25))
@@ -153,6 +179,30 @@ class TestCheckHypotheses:
         report = check_hypotheses(bad, n_samples=1000)
         assert not report.h1_ok
         assert any("H1" in v for v in report.violations)
+
+    @pytest.mark.parametrize("pair", [
+        make_pair(sigmoid_family(2.0), arctan_family(1.0)),
+        make_pair(sigmoid_family(0.5), arctan_family(5.0)),
+        make_pair(sigmoid_family(3.0), linear_form(1.3, 0.2)),
+        make_pair(linear_form(0.7, -0.4), linear_form(1.3, 0.2)),
+    ], ids=["readme", "sigmoid0.5-arctan5", "sigmoid3-linear", "linear"])
+    def test_builtin_secants_reproduce_the_values(self, pair):
+        report = check_hypotheses(pair, n_samples=2000)
+        assert report.secants_ok and report.ok
+        assert report.max_secant_error <= 1e-12
+
+    def test_scaled_secant_detected(self):
+        pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))
+        secant = pair.g.secant_dy
+
+        def scaled(y, z):
+            return 1.01 * secant(y, z)
+
+        object.__setattr__(pair.g, "secant_dz", scaled)
+        report = check_hypotheses(pair, n_samples=1000)
+        assert not report.secants_ok and not report.ok
+        assert report.max_secant_error > report.secant_tol
+        assert any(v.startswith("secant:") for v in report.violations)
 
     def test_report_dict_round_trip(self):
         pair = make_pair(sigmoid_family(2.0), arctan_family(1.0))

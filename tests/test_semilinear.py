@@ -64,16 +64,16 @@ def _random_reference(grid, tgrid, seed=0, amplitude=2.0):
             rng.uniform(-amplitude, amplitude, shape))
 
 
-def _separate_averages(pair, ybar, zbar, n_quad):
-    """The four ray averages with every partial evaluated on its own, as
-    linearized_coefficients took them before it shared repeated callables,
-    on the same rule, so that sharing alone could move a bit."""
+def _ray_averages(pair, ybar, zbar, n_nodes=400):
+    """The four partials averaged along the rays by an ``n_nodes``-point
+    Gauss-Legendre rule on [0, 1]: the reference the secants must match."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     partials = (pair.f.d_dy, pair.f.d_dz, pair.g.d_dy, pair.g.d_dz)
     sums = [np.zeros(ybar.shape) for _ in partials]
-    for delta, w in zip(*semilinear._ray_quadrature(n_quad)):
-        yd, zd = delta * ybar, delta * zbar
+    for x, w in zip(nodes, weights):
+        delta = 0.5 * (x + 1.0)
         for acc, d in zip(sums, partials):
-            acc += w * np.asarray(d(yd, zd))
+            acc += 0.5 * w * np.asarray(d(delta * ybar, delta * zbar))
     return sums
 
 
@@ -85,41 +85,75 @@ def _counted(fn, calls):
     return wrapped
 
 
+def _with_counted_secants(pair, calls):
+    """``pair`` with each distinct secant counted into ``calls[id]`` and every
+    partial into ``calls["partials"]``."""
+    calls.setdefault("partials", [])
+    wrapped = {}
+
+    def count(nl):
+        for s in (nl.secant_dy, nl.secant_dz):
+            if id(s) not in wrapped:
+                wrapped[id(s)] = _counted(s, calls.setdefault(id(s), []))
+        return dataclasses.replace(
+            nl, d_dy=_counted(nl.d_dy, calls["partials"]),
+            d_dz=_counted(nl.d_dz, calls["partials"]),
+            secant_dy=wrapped[id(nl.secant_dy)], secant_dz=wrapped[id(nl.secant_dz)])
+    return dataclasses.replace(pair, f=count(pair.f), g=count(pair.g))
+
+
 class TestLinearizedCoefficients:
     def test_ray_average_reproduces_the_nonlinearity(self, pair):
-        # a11*ybar + a12*zbar = f(ybar, zbar) up to quadrature error
+        # a11*ybar + a12*zbar = f(ybar, zbar) at round-off
         grid = Grid1D(n_cells=25)
         tgrid = TimeGrid(horizon=0.3, n_steps=20)
-        ybar, zbar = _random_reference(grid, tgrid)
-        c = linearized_coefficients(grid, tgrid, pair, ybar, zbar, n_quad=32)
-        f_defect = np.max(np.abs(c.a11 * ybar + c.a12 * zbar
-                                 - pair.f.value(ybar, zbar)))
-        g_defect = np.max(np.abs(c.a21 * ybar + c.a22 * zbar
-                                 - pair.g.value(ybar, zbar)))
-        assert f_defect <= 1e-8
-        assert g_defect <= 1e-8
+        for amplitude in (2.0, 10.0):
+            ybar, zbar = _random_reference(grid, tgrid, amplitude=amplitude)
+            c = linearized_coefficients(grid, tgrid, pair, ybar, zbar)
+            f_defect = np.max(np.abs(c.a11 * ybar + c.a12 * zbar
+                                     - pair.f.value(ybar, zbar)))
+            g_defect = np.max(np.abs(c.a21 * ybar + c.a22 * zbar
+                                     - pair.g.value(ybar, zbar)))
+            assert f_defect <= 1e-14
+            assert g_defect <= 1e-14
 
-    def test_quadrature_refinement_is_monotone(self, pair):
+    @pytest.mark.parametrize("amplitude", [0.1, 2.0, 10.0])
+    def test_secants_match_gauss_legendre_average(self, amplitude):
+        # leggauss at 400 nodes is the reference; the package uses no rule.
+        # Even k keep the sigmoid's partial analytic in delta, so the rule
+        # converges geometrically.
         grid = Grid1D(n_cells=25)
         tgrid = TimeGrid(horizon=0.3, n_steps=20)
-        ybar, zbar = _random_reference(grid, tgrid, seed=1)
-        defects = []
-        for nq in (8, 16, 32):
-            c = linearized_coefficients(grid, tgrid, pair, ybar, zbar, nq)
-            defects.append(float(np.max(np.abs(
-                c.a11 * ybar + c.a12 * zbar - pair.f.value(ybar, zbar)))))
-        assert defects[0] > defects[1] > defects[2]
+        ybar, zbar = _random_reference(grid, tgrid, seed=1, amplitude=amplitude)
+        for p in (make_pair(sigmoid_family(2.0), arctan_family(1.0)),
+                  make_pair(sigmoid_family(4.0), arctan_family(3.0))):
+            c = linearized_coefficients(grid, tgrid, p, ybar, zbar)
+            for name, ref in zip(("a11", "a12", "a21", "a22"),
+                                 _ray_averages(p, ybar, zbar)):
+                assert np.max(np.abs(getattr(c, name) - ref) / np.abs(ref)) <= 1e-12
+
+    def test_zero_cells_get_the_origin_partials(self):
+        grid = Grid1D(n_cells=10)
+        tgrid = TimeGrid(horizon=0.2, n_steps=5)
+        ybar, zbar = _random_reference(grid, tgrid, seed=8)
+        zbar[::2] = -ybar[::2]        # u = 0 on every other time row
+        ybar[1, :3] = zbar[1, :3] = 0.0
+        zero = ybar + zbar == 0.0
+        p = make_pair(sigmoid_family(2.0), arctan_family(3.0))
+        with np.errstate(all="raise"):
+            c = linearized_coefficients(grid, tgrid, p, ybar, zbar)
+        for name, origin in (("a11", 1.0), ("a12", 1.0), ("a21", 3.0), ("a22", 3.0)):
+            assert np.all(getattr(c, name)[zero] == origin)
+            assert np.all(getattr(c, name)[~zero] != origin)
 
     def test_linear_pair_recovers_constants(self):
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.2, n_steps=5)
         lp = make_pair(linear_form(0.7, -0.4), linear_form(1.3, 0.2))
         ybar, zbar = _random_reference(grid, tgrid, seed=2)
-        c = linearized_coefficients(grid, tgrid, lp, ybar, zbar, n_quad=8)
-        assert np.max(np.abs(c.a11 - 0.7)) < 1e-14
-        assert np.max(np.abs(c.a12 + 0.4)) < 1e-14
-        assert np.max(np.abs(c.a21 - 1.3)) < 1e-14
-        assert np.max(np.abs(c.a22 - 0.2)) < 1e-14
+        c = linearized_coefficients(grid, tgrid, lp, ybar, zbar)
+        assert np.all(c.a11 == 0.7) and np.all(c.a12 == -0.4)
+        assert np.all(c.a21 == 1.3) and np.all(c.a22 == 0.2)
 
     def test_coefficients_respect_partial_bounds(self, pair):
         # the averaged sigmoid partials inherit the [0, 1] range
@@ -131,20 +165,19 @@ class TestLinearizedCoefficients:
         assert np.all(c.a21 > 0.0)   # arctan y-partial is strictly positive
 
     def test_shared_partial_is_averaged_once(self, pair):
-        # both families pass one slope callable as d_dy and d_dz
-        assert pair.f.d_dy is pair.f.d_dz and pair.g.d_dy is pair.g.d_dz
+        # both families pass one secant callable as secant_dy and secant_dz
+        assert pair.f.secant_dy is pair.f.secant_dz
+        assert pair.g.secant_dy is pair.g.secant_dz
         grid = Grid1D(n_cells=12)
         tgrid = TimeGrid(horizon=0.2, n_steps=9)
         ybar, zbar = _random_reference(grid, tgrid, seed=4)
-        f_calls, g_calls = [], []
-        f_slope = _counted(pair.f.d_dy, f_calls)
-        g_slope = _counted(pair.g.d_dy, g_calls)
-        counted = dataclasses.replace(
-            pair, f=dataclasses.replace(pair.f, d_dy=f_slope, d_dz=f_slope),
-            g=dataclasses.replace(pair.g, d_dy=g_slope, d_dz=g_slope))
-        c = linearized_coefficients(grid, tgrid, counted, ybar, zbar, n_quad=32)
-        assert len(f_calls) == 32 and len(g_calls) == 32
-        want = _separate_averages(pair, ybar, zbar, 32)
+        calls = {}
+        c = linearized_coefficients(grid, tgrid, _with_counted_secants(pair, calls),
+                                    ybar, zbar)
+        assert calls.pop("partials") == []
+        assert sorted(len(k) for k in calls.values()) == [1, 1]
+        want = (pair.f.secant_dy(ybar, zbar), pair.f.secant_dz(ybar, zbar),
+                pair.g.secant_dy(ybar, zbar), pair.g.secant_dz(ybar, zbar))
         for name, ref in zip(("a11", "a12", "a21", "a22"), want):
             assert np.array_equal(getattr(c, name), ref)
 
@@ -152,65 +185,20 @@ class TestLinearizedCoefficients:
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.2, n_steps=5)
         lp = make_pair(linear_form(0.7, -0.4), linear_form(1.3, 0.2))
-        calls = [[] for _ in range(4)]
-        f, g = lp.f, lp.g
-        counted = dataclasses.replace(
-            lp,
-            f=dataclasses.replace(f, d_dy=_counted(f.d_dy, calls[0]),
-                                  d_dz=_counted(f.d_dz, calls[1])),
-            g=dataclasses.replace(g, d_dy=_counted(g.d_dy, calls[2]),
-                                  d_dz=_counted(g.d_dz, calls[3])))
+        calls = {}
+        counted = _with_counted_secants(lp, calls)
         ybar, zbar = _random_reference(grid, tgrid, seed=5)
-        c = linearized_coefficients(grid, tgrid, counted, ybar, zbar, n_quad=8)
-        assert [len(k) for k in calls] == [8, 8, 8, 8]
-        want = _separate_averages(lp, ybar, zbar, 8)
-        for name, ref in zip(("a11", "a12", "a21", "a22"), want):
-            assert np.array_equal(getattr(c, name), ref)
-        assert np.max(np.abs(c.a12 + 0.4)) < 1e-14
-
-    def test_quadrature_is_computed_once_per_node_count(self, pair, monkeypatch):
-        grid = Grid1D(n_cells=10)
-        tgrid = TimeGrid(horizon=0.2, n_steps=5)
-        ybar, zbar = _random_reference(grid, tgrid, seed=7)
-        calls = []
-        gauss_legendre = semilinear._gauss_legendre
-
-        def counted(n):
-            calls.append(n)
-            return gauss_legendre(n)
-
-        semilinear._ray_quadrature.cache_clear()
-        monkeypatch.setattr(semilinear, "_gauss_legendre", counted)
-        first, again = (linearized_coefficients(grid, tgrid, pair, ybar, zbar, n_quad=9)
-                        for _ in range(2))
-        assert calls == [9]
-        deltas, weights = semilinear._ray_quadrature(9)
-        assert not deltas.flags.writeable and not weights.flags.writeable
-        want = _separate_averages(pair, ybar, zbar, 9)
-        for name, ref in zip(("a11", "a12", "a21", "a22"), want):
-            assert np.array_equal(getattr(first, name), ref)
-            assert np.array_equal(getattr(again, name), ref)
-
-    @pytest.mark.parametrize("n", [4, 9, 32])
-    def test_rule_is_gauss_legendre(self, n):
-        # leggauss is the reference; the package builds the rule without it
-        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
-        nodes, weights = semilinear._gauss_legendre(n)
-        assert np.max(np.abs(nodes - want_nodes)) <= 1e-15
-        assert np.max(np.abs(weights - want_weights) / want_weights) <= 1e-12
-        # exact for every polynomial of degree below 2n: the even monomials
-        k = np.arange(n)
-        moments = weights @ nodes[:, None] ** (2 * k)
-        assert np.max(np.abs(moments * (2 * k + 1) / 2.0 - 1.0)) <= 1e-13
-        deltas, ray_weights = semilinear._ray_quadrature(n)
-        assert np.array_equal(deltas, 0.5 * (nodes + 1.0))
-        assert np.array_equal(ray_weights, 0.5 * weights)
+        c = linearized_coefficients(grid, tgrid, counted, ybar, zbar)
+        assert calls.pop("partials") == []
+        assert [len(k) for k in calls.values()] == [1, 1, 1, 1]
+        for name, want in zip(("a11", "a12", "a21", "a22"), (0.7, -0.4, 1.3, 0.2)):
+            assert np.all(getattr(c, name) == want)
 
     def test_slots_sharing_a_partial_do_not_alias(self, pair):
         grid = Grid1D(n_cells=10)
         tgrid = TimeGrid(horizon=0.2, n_steps=5)
         ybar, zbar = _random_reference(grid, tgrid, seed=6)
-        c = linearized_coefficients(grid, tgrid, pair, ybar, zbar, n_quad=8)
+        c = linearized_coefficients(grid, tgrid, pair, ybar, zbar)
         slots = [c.a11, c.a12, c.a21, c.a22]
         assert not any(np.shares_memory(a, b)
                        for a, b in itertools.combinations(slots, 2))
@@ -224,14 +212,6 @@ class TestLinearizedCoefficients:
         with pytest.raises(ValueError, match="shape"):
             linearized_coefficients(grid, tgrid, pair,
                                     np.zeros((5, 10)), np.zeros((6, 10)))
-
-    def test_rejects_tiny_quadrature(self, pair):
-        grid = Grid1D(n_cells=10)
-        tgrid = TimeGrid(horizon=0.2, n_steps=5)
-        shape = (6, 10)
-        with pytest.raises(ValueError, match="n_quad"):
-            linearized_coefficients(grid, tgrid, pair, np.zeros(shape),
-                                    np.zeros(shape), n_quad=2)
 
 
 class TestCouplingFloor:
@@ -387,7 +367,7 @@ class TestFixedPointConfig:
         {"max_outer": 0},
         {"outer_tol": float("nan")},
         {"max_outer": -3},
-        {"quadrature_nodes": 3},
+        {"outer_tol": -1e-6},
         {"outer_tol": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
